@@ -1,12 +1,12 @@
 #pragma once
 /// \file message_codec.hpp
-/// Field-by-field serialization of the DTN message vocabulary (points,
-/// message ids, copy keys, full message headers). Split out of
-/// payload_codec.hpp so storage-layer code (dtn::MessageBuffer) can
-/// serialize messages without pulling in the routing/protocol headers.
+/// Checkpoint visits of the DTN message vocabulary (points, message ids,
+/// copy keys, full message headers). Split out of payload_codec.hpp so
+/// storage-layer code (dtn::MessageBuffer) can serialize messages without
+/// pulling in the routing/protocol headers.
 ///
-/// Implementations live in payload_codec.cpp; the field order is the
-/// on-disk format and is append-only.
+/// Definitions live in payload_codec.cpp, instantiated for Encoder and
+/// Decoder; the field order is the on-disk format and is append-only.
 
 #include "checkpoint/codec.hpp"
 #include "dtn/message.hpp"
@@ -14,16 +14,13 @@
 
 namespace glr::ckpt {
 
-void savePoint(Encoder& e, const geom::Point2& p);
-[[nodiscard]] geom::Point2 loadPoint(Decoder& d);
-
-void saveMessageId(Encoder& e, const dtn::MessageId& id);
-[[nodiscard]] dtn::MessageId loadMessageId(Decoder& d);
-
-void saveCopyKey(Encoder& e, const dtn::CopyKey& key);
-[[nodiscard]] dtn::CopyKey loadCopyKey(Decoder& d);
-
-void saveMessage(Encoder& e, const dtn::Message& m);
-[[nodiscard]] dtn::Message loadMessage(Decoder& d);
+template <class Ar>
+void visit(Ar& ar, geom::Point2& p);
+template <class Ar>
+void visit(Ar& ar, dtn::MessageId& id);
+template <class Ar>
+void visit(Ar& ar, dtn::CopyKey& key);
+template <class Ar>
+void visit(Ar& ar, dtn::Message& m);
 
 }  // namespace glr::ckpt

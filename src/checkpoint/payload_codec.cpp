@@ -15,238 +15,149 @@ enum PayloadTag : std::uint8_t {
   kSprayData = 6,
 };
 
-}  // namespace
-
-void savePoint(Encoder& e, const geom::Point2& p) {
-  e.f64(p.x);
-  e.f64(p.y);
-}
-
-geom::Point2 loadPoint(Decoder& d) {
-  geom::Point2 p;
-  p.x = d.f64();
-  p.y = d.f64();
-  return p;
-}
-
-void saveMessageId(Encoder& e, const dtn::MessageId& id) {
-  e.i32(id.src);
-  e.i32(id.seq);
-}
-
-dtn::MessageId loadMessageId(Decoder& d) {
-  dtn::MessageId id;
-  id.src = d.i32();
-  id.seq = d.i32();
-  return id;
-}
-
-void saveCopyKey(Encoder& e, const dtn::CopyKey& key) {
-  saveMessageId(e, key.id);
-  e.u8(static_cast<std::uint8_t>(key.flag));
-}
-
-dtn::CopyKey loadCopyKey(Decoder& d) {
-  dtn::CopyKey key;
-  key.id = loadMessageId(d);
-  const std::uint8_t flag = d.u8();
-  if (flag > 3) d.fail("copy key holds invalid tree flag");
-  key.flag = static_cast<dtn::TreeFlag>(flag);
-  return key;
-}
-
-void saveMessage(Encoder& e, const dtn::Message& m) {
-  saveMessageId(e, m.id);
-  e.i32(m.srcNode);
-  e.i32(m.dstNode);
-  e.f64(m.created);
-  e.size(m.payloadBytes);
-  e.f64(m.expiresAt);
-  e.u8(static_cast<std::uint8_t>(m.flag));
-  savePoint(e, m.destLoc);
-  e.f64(m.destLocTime);
-  e.boolean(m.destLocKnown);
-  e.boolean(m.faceMode);
-  savePoint(e, m.faceEntry);
-  e.i32(m.facePrevHop);
-  e.i32(m.faceEntryNode);
-  e.i32(m.faceHops);
-  e.boolean(m.destLocPerturbed);
-  e.i32(m.hops);
-  e.i32(m.stuckCount);
-  e.i32(m.waitChecks);
-  e.i32(m.retryBackoff);
-  e.f64(m.lastPerturbAt);
-  e.i32(m.deliveryFailures);
-  e.f64(m.lastRecoveryAt);
-  e.f64(m.faceCooldownUntil);
-  e.i32(m.faceExhaustions);
-}
-
-dtn::Message loadMessage(Decoder& d) {
-  dtn::Message m;
-  m.id = loadMessageId(d);
-  m.srcNode = d.i32();
-  m.dstNode = d.i32();
-  m.created = d.f64();
-  m.payloadBytes = static_cast<std::size_t>(d.u64());  // simulated bytes
-  m.expiresAt = d.f64();
-  const std::uint8_t flag = d.u8();
-  if (flag > 3) d.fail("message holds invalid tree flag");
-  m.flag = static_cast<dtn::TreeFlag>(flag);
-  m.destLoc = loadPoint(d);
-  m.destLocTime = d.f64();
-  m.destLocKnown = d.boolean();
-  m.faceMode = d.boolean();
-  m.faceEntry = loadPoint(d);
-  m.facePrevHop = d.i32();
-  m.faceEntryNode = d.i32();
-  m.faceHops = d.i32();
-  m.destLocPerturbed = d.boolean();
-  m.hops = d.i32();
-  m.stuckCount = d.i32();
-  m.waitChecks = d.i32();
-  m.retryBackoff = d.i32();
-  m.lastPerturbAt = d.f64();
-  m.deliveryFailures = d.i32();
-  m.lastRecoveryAt = d.f64();
-  m.faceCooldownUntil = d.f64();
-  m.faceExhaustions = d.i32();
-  return m;
-}
-
-namespace {
-
-void saveIdVector(Encoder& e, const std::vector<dtn::MessageId>& ids) {
-  e.size(ids.size());
-  for (const dtn::MessageId& id : ids) saveMessageId(e, id);
-}
-
-std::vector<dtn::MessageId> loadIdVector(Decoder& d) {
-  const std::size_t n = d.checkedSize(d.u64(), 8);
-  std::vector<dtn::MessageId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ids.push_back(loadMessageId(d));
-  return ids;
-}
-
-}  // namespace
-
-void savePayload(Encoder& e, const net::Payload& p) {
-  if (p.empty()) {
-    e.u8(kEmpty);
-    return;
-  }
-  if (const auto* hello = p.get<net::HelloPayload>()) {
-    e.u8(kHello);
-    e.i32(hello->id);
-    savePoint(e, hello->pos);
-    e.f64(hello->sentAt);
-    e.size(hello->neighbors.size());
-    for (const net::HelloPayload::Entry& entry : hello->neighbors) {
-      e.i32(entry.id);
-      savePoint(e, entry.pos);
-      e.f64(entry.heardAt);
-    }
-    return;
-  }
-  if (const auto* msg = p.get<dtn::Message>()) {
-    e.u8(kMessage);
-    saveMessage(e, *msg);
-    return;
-  }
-  if (const auto* ack = p.get<core::CustodyAck>()) {
-    e.u8(kCustodyAck);
-    saveCopyKey(e, ack->key);
-    e.boolean(ack->accepted);
-    return;
-  }
-  if (const auto* sv = p.get<routing::SummaryVector>()) {
-    e.u8(kSummaryVector);
-    saveIdVector(e, sv->ids);
-    return;
-  }
-  if (const auto* req = p.get<routing::RequestVector>()) {
-    e.u8(kRequestVector);
-    saveIdVector(e, req->ids);
-    return;
-  }
-  if (const auto* spray = p.get<routing::SprayData>()) {
-    e.u8(kSprayData);
-    saveMessage(e, spray->message);
-    e.i32(spray->budget);
-    return;
-  }
+std::uint8_t tagOf(const net::Payload& p) {
+  if (p.empty()) return kEmpty;
+  if (p.get<net::HelloPayload>() != nullptr) return kHello;
+  if (p.get<dtn::Message>() != nullptr) return kMessage;
+  if (p.get<core::CustodyAck>() != nullptr) return kCustodyAck;
+  if (p.get<routing::SummaryVector>() != nullptr) return kSummaryVector;
+  if (p.get<routing::RequestVector>() != nullptr) return kRequestVector;
+  if (p.get<routing::SprayData>() != nullptr) return kSprayData;
   throw std::runtime_error{
       "checkpoint: packet carries an unknown payload type (extend "
       "payload_codec.cpp before checkpointing this protocol)"};
 }
 
-net::Payload loadPayload(Decoder& d) {
-  const std::uint8_t tag = d.u8();
+/// Visits the T a payload holds. Encoding reads a copy (shared payloads are
+/// immutable); decoding fills a fresh T and hands it to a new handle.
+template <class T, class Ar, class Fields>
+void visitValue(Ar& /*ar*/, net::Payload& p, Fields&& fields) {
+  T value{};
+  if constexpr (!Ar::kLoading) value = *p.get<T>();
+  fields(value);
+  if constexpr (Ar::kLoading) p = net::Payload::of(value);
+}
+
+template <class Ar>
+void visitIds(Ar& ar, std::vector<dtn::MessageId>& ids) {
+  ar.sequence(ids, 8, [&](dtn::MessageId& id) { visit(ar, id); });
+}
+
+}  // namespace
+
+template <class Ar>
+void visit(Ar& ar, geom::Point2& p) {
+  ar.f64(p.x);
+  ar.f64(p.y);
+}
+
+template <class Ar>
+void visit(Ar& ar, dtn::MessageId& id) {
+  ar.i32(id.src);
+  ar.i32(id.seq);
+}
+
+template <class Ar>
+void visit(Ar& ar, dtn::CopyKey& key) {
+  visit(ar, key.id);
+  ar.enumeration(key.flag, dtn::TreeFlag::kMid,
+                 "copy key holds invalid tree flag");
+}
+
+template <class Ar>
+void visit(Ar& ar, dtn::Message& m) {
+  visit(ar, m.id);
+  ar.i32(m.srcNode);
+  ar.i32(m.dstNode);
+  ar.f64(m.created);
+  ar.u64(m.payloadBytes);  // simulated bytes, not a bounded count
+  ar.f64(m.expiresAt);
+  ar.enumeration(m.flag, dtn::TreeFlag::kMid,
+                 "message holds invalid tree flag");
+  visit(ar, m.destLoc);
+  ar.f64(m.destLocTime);
+  ar.boolean(m.destLocKnown);
+  ar.boolean(m.faceMode);
+  visit(ar, m.faceEntry);
+  ar.i32(m.facePrevHop);
+  ar.i32(m.faceEntryNode);
+  ar.i32(m.faceHops);
+  ar.boolean(m.destLocPerturbed);
+  ar.i32(m.hops);
+  ar.i32(m.stuckCount);
+  ar.i32(m.waitChecks);
+  ar.i32(m.retryBackoff);
+  ar.f64(m.lastPerturbAt);
+  ar.i32(m.deliveryFailures);
+  ar.f64(m.lastRecoveryAt);
+  ar.f64(m.faceCooldownUntil);
+  ar.i32(m.faceExhaustions);
+}
+
+template <class Ar>
+void visit(Ar& ar, net::Payload& p) {
+  std::uint8_t tag = kEmpty;
+  if constexpr (!Ar::kLoading) tag = tagOf(p);
+  ar.u8(tag);
   switch (tag) {
     case kEmpty:
-      return {};
-    case kHello: {
-      net::Payload p = net::Payload::create<net::HelloPayload>();
-      auto& hello = p.mutableValue<net::HelloPayload>();
-      hello.id = d.i32();
-      hello.pos = loadPoint(d);
-      hello.sentAt = d.f64();
-      const std::size_t n = d.checkedSize(d.u64(), 20);
-      hello.neighbors.clear();
-      hello.neighbors.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        net::HelloPayload::Entry entry;
-        entry.id = d.i32();
-        entry.pos = loadPoint(d);
-        entry.heardAt = d.f64();
-        hello.neighbors.push_back(entry);
-      }
-      return p;
-    }
+      if constexpr (Ar::kLoading) p.reset();
+      break;
+    case kHello:
+      visitValue<net::HelloPayload>(ar, p, [&](net::HelloPayload& hello) {
+        ar.i32(hello.id);
+        visit(ar, hello.pos);
+        ar.f64(hello.sentAt);
+        ar.sequence(hello.neighbors, 20,
+                    [&](net::HelloPayload::Entry& e) { e.visit(ar); });
+      });
+      break;
     case kMessage:
-      return net::Payload::of(loadMessage(d));
-    case kCustodyAck: {
-      core::CustodyAck ack;
-      ack.key = loadCopyKey(d);
-      ack.accepted = d.boolean();
-      return net::Payload::of(ack);
-    }
-    case kSummaryVector: {
-      net::Payload p = net::Payload::create<routing::SummaryVector>();
-      p.mutableValue<routing::SummaryVector>().ids = loadIdVector(d);
-      return p;
-    }
-    case kRequestVector: {
-      net::Payload p = net::Payload::create<routing::RequestVector>();
-      p.mutableValue<routing::RequestVector>().ids = loadIdVector(d);
-      return p;
-    }
-    case kSprayData: {
-      net::Payload p = net::Payload::create<routing::SprayData>();
-      auto& spray = p.mutableValue<routing::SprayData>();
-      spray.message = loadMessage(d);
-      spray.budget = d.i32();
-      return p;
-    }
+      visitValue<dtn::Message>(ar, p, [&](dtn::Message& m) { visit(ar, m); });
+      break;
+    case kCustodyAck:
+      visitValue<core::CustodyAck>(ar, p, [&](core::CustodyAck& ack) {
+        visit(ar, ack.key);
+        ar.boolean(ack.accepted);
+      });
+      break;
+    case kSummaryVector:
+      visitValue<routing::SummaryVector>(
+          ar, p, [&](routing::SummaryVector& sv) { visitIds(ar, sv.ids); });
+      break;
+    case kRequestVector:
+      visitValue<routing::RequestVector>(
+          ar, p, [&](routing::RequestVector& req) { visitIds(ar, req.ids); });
+      break;
+    case kSprayData:
+      visitValue<routing::SprayData>(ar, p, [&](routing::SprayData& spray) {
+        visit(ar, spray.message);
+        ar.i32(spray.budget);
+      });
+      break;
     default:
-      d.fail("unknown payload tag " + std::to_string(tag));
+      if constexpr (Ar::kLoading) {
+        ar.fail("unknown payload tag " + std::to_string(tag));
+      }
   }
 }
 
-void savePacket(Encoder& e, const net::Packet& p) {
-  e.size(p.bytes);
-  e.str(p.kind);
-  savePayload(e, p.payload);
+template <class Ar>
+void visit(Ar& ar, net::Packet& p) {
+  ar.u64(p.bytes);  // simulated bytes, not a bounded count
+  ar.str(p.kind);
+  visit(ar, p.payload);
 }
 
-net::Packet loadPacket(Decoder& d) {
-  net::Packet p;
-  p.bytes = static_cast<std::size_t>(d.u64());  // simulated bytes
-  p.kind = d.str();
-  p.payload = loadPayload(d);
-  return p;
-}
+#define GLR_CKPT_INSTANTIATE(T)       \
+  template void visit(Encoder&, T&); \
+  template void visit(Decoder&, T&);
+GLR_CKPT_INSTANTIATE(geom::Point2)
+GLR_CKPT_INSTANTIATE(dtn::MessageId)
+GLR_CKPT_INSTANTIATE(dtn::CopyKey)
+GLR_CKPT_INSTANTIATE(dtn::Message)
+GLR_CKPT_INSTANTIATE(net::Payload)
+GLR_CKPT_INSTANTIATE(net::Packet)
+#undef GLR_CKPT_INSTANTIATE
 
 }  // namespace glr::ckpt

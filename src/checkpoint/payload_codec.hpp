@@ -24,10 +24,9 @@
 
 namespace glr::ckpt {
 
-void savePayload(Encoder& e, const net::Payload& p);
-[[nodiscard]] net::Payload loadPayload(Decoder& d);
-
-void savePacket(Encoder& e, const net::Packet& p);
-[[nodiscard]] net::Packet loadPacket(Decoder& d);
+template <class Ar>
+void visit(Ar& ar, net::Payload& p);
+template <class Ar>
+void visit(Ar& ar, net::Packet& p);
 
 }  // namespace glr::ckpt

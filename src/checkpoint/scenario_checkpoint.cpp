@@ -78,12 +78,67 @@ void digestFaults(Encoder& e, const experiment::FaultSpec& f) {
   e.f64(a.flapDownMean);
 }
 
-/// Runs `fill` into a fresh encoder and returns the bytes.
-template <class Fill>
-[[nodiscard]] std::vector<unsigned char> encoded(Fill&& fill) {
-  Encoder e;
-  fill(e);
-  return e.take();
+/// Bytes per pending-event record: (timeBits, seq) key + descriptor.
+constexpr std::size_t kEventRecordBytes = 58;
+
+/// One pending-event record: its (timeBits, seq) key and descriptor.
+template <class Ar>
+void visitEvent(Ar& ar, sim::Simulator::PendingEvent& ev) {
+  ar.u64(ev.key.timeBits);
+  ar.u64(ev.key.seq);
+  sim::EventDesc& desc = ev.desc;
+  ar.u16(desc.kind);
+  ar.u8(desc.b0);
+  ar.u8(desc.b1);
+  ar.i32(desc.i0);
+  ar.i32(desc.i1);
+  ar.u64(desc.u0);
+  ar.u64(desc.u1);
+  ar.f64(desc.f0);
+  ar.f64(desc.f1);
+}
+
+/// Per node: its MAC, then its routing agent.
+template <class Ar>
+void visitNodes(Ar& ar, const ScenarioComponents& c) {
+  ar.expectEqual(c.agents->size(), "node count");
+  for (std::size_t i = 0; i < c.agents->size(); ++i) {
+    try {
+      c.world->macOf(static_cast<int>(i)).visit(ar);
+      (*c.agents)[i]->visit(ar);
+    } catch (const std::runtime_error& err) {
+      throw std::runtime_error{std::string{err.what()} + " [node " +
+                               std::to_string(i) + "]"};
+    }
+  }
+}
+
+/// Calls `fn(id, name, visit)` for every component section, in file order
+/// (after the events section); `visit(ar)` visits the section's state with
+/// either archive. Absent components have no section.
+template <class Fn>
+void forEachComponentSection(const ScenarioComponents& c, Fn&& fn) {
+  fn(kSectionChannel, "channel",
+     [&](auto& ar) { c.world->channel().visit(ar); });
+  fn(kSectionNodes, "nodes", [&](auto& ar) { visitNodes(ar, c); });
+  if (c.churn != nullptr) {
+    fn(kSectionChurn, "churn", [&](auto& ar) { c.churn->visit(ar); });
+  }
+  if (c.faults != nullptr) {
+    fn(kSectionFaults, "faults", [&](auto& ar) { c.faults->visit(ar); });
+  }
+  if (c.traffic != nullptr) {
+    fn(kSectionTraffic, "traffic", [&](auto& ar) { c.traffic->visit(ar); });
+  }
+  fn(kSectionMetrics, "metrics", [&](auto& ar) { c.metrics->visit(ar); });
+}
+
+[[nodiscard]] Decoder sectionDecoder(const CheckpointFile& f, std::uint32_t id,
+                                     const std::string& path,
+                                     const char* name) {
+  const Section& s = f.section(id, path);
+  return Decoder{s.bytes.data(), s.bytes.size(),
+                 path + " " + name + " section"};
 }
 
 [[nodiscard]] bool hasSection(const CheckpointFile& f, std::uint32_t id) {
@@ -119,7 +174,7 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.f64(cfg.speedMax);
   e.f64(cfg.pause);
   e.f64(cfg.bitRateBps);
-  e.size(cfg.queueLimit);
+  e.u64(cfg.queueLimit);
   digestMobility(e, cfg.mobility);
   e.boolean(cfg.churn.enabled);
   e.f64(cfg.churn.params.fraction);
@@ -135,7 +190,7 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.i32(cfg.trafficNodes);
   digestTraffic(e, cfg.traffic);
   digestFaults(e, cfg.faults);
-  e.size(cfg.storageLimit);
+  e.u64(cfg.storageLimit);
   e.f64(cfg.checkInterval);
   e.boolean(cfg.custody);
   e.boolean(cfg.faceRouting);
@@ -145,7 +200,7 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.f64(cfg.helloInterval);
   e.f64(cfg.cacheTimeout);
   e.i32(cfg.sprayBudget);
-  e.size(cfg.custodyWatermark);
+  e.u64(cfg.custodyWatermark);
   e.boolean(cfg.congestionControl);
   e.boolean(cfg.glrRecovery);
   e.i32(cfg.glrSuspicionThreshold);
@@ -177,57 +232,27 @@ void writeCheckpoint(const std::string& path, const ScenarioComponents& c) {
 
   // Pending events, in exact fire order. An undescribed event is a silently
   // unrestorable checkpoint, so it refuses here, at snapshot time.
-  const auto pending = c.sim->pendingEvents();
-  f.addSection(kSectionEvents, encoded([&](Encoder& e) {
-    e.size(pending.size());
-    for (const auto& ev : pending) {
-      if (ev.desc.kind == kNone) {
-        throw std::runtime_error{
-            "writeCheckpoint: pending event at t=" +
-            std::to_string(sim::Simulator::bitsToTime(ev.key.timeBits)) +
-            " seq=" + std::to_string(ev.key.seq) +
-            " has no descriptor (untagged schedule site)"};
-      }
-      e.u64(ev.key.timeBits);
-      e.u64(ev.key.seq);
-      e.u16(ev.desc.kind);
-      e.u8(ev.desc.b0);
-      e.u8(ev.desc.b1);
-      e.i32(ev.desc.i0);
-      e.i32(ev.desc.i1);
-      e.u64(ev.desc.u0);
-      e.u64(ev.desc.u1);
-      e.f64(ev.desc.f0);
-      e.f64(ev.desc.f1);
+  auto pending = c.sim->pendingEvents();
+  Encoder events;
+  events.count(pending.size(), kEventRecordBytes);
+  for (auto& ev : pending) {
+    if (ev.desc.kind == kNone) {
+      throw std::runtime_error{
+          "writeCheckpoint: pending event at t=" +
+          std::to_string(sim::Simulator::bitsToTime(ev.key.timeBits)) +
+          " seq=" + std::to_string(ev.key.seq) +
+          " has no descriptor (untagged schedule site)"};
     }
-  }));
-
-  f.addSection(kSectionChannel, encoded([&](Encoder& e) {
-    c.world->channel().saveState(e);
-  }));
-
-  f.addSection(kSectionNodes, encoded([&](Encoder& e) {
-    e.size(c.agents->size());
-    for (std::size_t i = 0; i < c.agents->size(); ++i) {
-      c.world->macOf(static_cast<int>(i)).saveState(e);
-      (*c.agents)[i]->saveState(e);
-    }
-  }));
-
-  if (c.churn != nullptr) {
-    f.addSection(kSectionChurn,
-                 encoded([&](Encoder& e) { c.churn->saveState(e); }));
+    visitEvent(events, ev);
   }
-  if (c.faults != nullptr) {
-    f.addSection(kSectionFaults,
-                 encoded([&](Encoder& e) { c.faults->saveState(e); }));
-  }
-  if (c.traffic != nullptr) {
-    f.addSection(kSectionTraffic,
-                 encoded([&](Encoder& e) { c.traffic->saveState(e); }));
-  }
-  f.addSection(kSectionMetrics,
-               encoded([&](Encoder& e) { c.metrics->saveState(e); }));
+  f.addSection(kSectionEvents, events.take());
+
+  forEachComponentSection(
+      c, [&](std::uint32_t id, const char* /*name*/, auto&& visit) {
+        Encoder e;
+        visit(e);
+        f.addSection(id, e.take());
+      });
 
   f.write(path);
 }
@@ -261,79 +286,30 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
 
   // Kernel first: drop every construction-time event, rewind the clock and
   // counters, then overwrite component state before any event re-creation
-  // (restore*Event methods re-arm cancellation handles that restoreState
-  // resets).
+  // (restore*Event methods re-arm cancellation handles that the restoring
+  // visits reset).
   c.sim->clearPending();
   c.sim->restoreClock(f.simNow, f.nextSeq, f.executed);
   c.world->invalidatePositionCache();
 
-  {
-    const Section& s = f.section(kSectionChannel, path);
-    Decoder d(s.bytes.data(), s.bytes.size(), path + " channel section");
-    c.world->channel().restoreState(d);
-    d.expectEnd();
-  }
-  {
-    const Section& s = f.section(kSectionNodes, path);
-    Decoder d(s.bytes.data(), s.bytes.size(), path + " nodes section");
-    const std::size_t n = d.checkedSize(d.u64(), 1);
-    if (n != c.agents->size()) d.fail("node count mismatch");
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        c.world->macOf(static_cast<int>(i)).restoreState(d);
-        (*c.agents)[i]->restoreState(d);
-      } catch (const std::runtime_error& err) {
-        throw std::runtime_error{std::string{err.what()} + " [node " +
-                                 std::to_string(i) + "]"};
-      }
-    }
-    d.expectEnd();
-  }
-  if (c.churn != nullptr) {
-    const Section& s = f.section(kSectionChurn, path);
-    Decoder d(s.bytes.data(), s.bytes.size(), path + " churn section");
-    c.churn->restoreState(d);
-    d.expectEnd();
-  }
-  if (c.faults != nullptr) {
-    const Section& s = f.section(kSectionFaults, path);
-    Decoder d(s.bytes.data(), s.bytes.size(), path + " faults section");
-    c.faults->restoreState(d);
-    d.expectEnd();
-  }
-  if (c.traffic != nullptr) {
-    const Section& s = f.section(kSectionTraffic, path);
-    Decoder d(s.bytes.data(), s.bytes.size(), path + " traffic section");
-    c.traffic->restoreState(d);
-    d.expectEnd();
-  }
-  {
-    const Section& s = f.section(kSectionMetrics, path);
-    Decoder d(s.bytes.data(), s.bytes.size(), path + " metrics section");
-    c.metrics->restoreState(d);
-    d.expectEnd();
-  }
+  forEachComponentSection(
+      c, [&](std::uint32_t id, const char* name, auto&& visit) {
+        Decoder d = sectionDecoder(f, id, path, name);
+        visit(d);
+        d.expectEnd();
+      });
 
   // Pending events last, each dispatched to its owning component and
   // re-created under the exact saved (timeBits, seq) key.
-  const Section& s = f.section(kSectionEvents, path);
-  Decoder d(s.bytes.data(), s.bytes.size(), path + " events section");
-  const std::size_t nEvents = d.checkedSize(d.u64(), 58);
+  Decoder d = sectionDecoder(f, kSectionEvents, path, "events");
+  std::size_t nEvents = 0;
+  d.count(nEvents, kEventRecordBytes);
   const int numNodes = static_cast<int>(c.agents->size());
   for (std::size_t i = 0; i < nEvents; ++i) {
-    sim::EventKey key{};
-    key.timeBits = d.u64();
-    key.seq = d.u64();
-    sim::EventDesc desc;
-    desc.kind = d.u16();
-    desc.b0 = d.u8();
-    desc.b1 = d.u8();
-    desc.i0 = d.i32();
-    desc.i1 = d.i32();
-    desc.u0 = d.u64();
-    desc.u1 = d.u64();
-    desc.f0 = d.f64();
-    desc.f1 = d.f64();
+    sim::Simulator::PendingEvent ev;
+    visitEvent(d, ev);
+    const sim::EventKey& key = ev.key;
+    const sim::EventDesc& desc = ev.desc;
 
     const auto nodeOf = [&](std::int32_t id) {
       if (id < 0 || id >= numNodes) {

@@ -1,11 +1,9 @@
 #include "core/glr_agent.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
-#include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "core/face.hpp"
@@ -714,90 +712,47 @@ void GlrAgent::onTxStatus(const net::Packet& packet, int /*dstMac*/,
   }
 }
 
-void GlrAgent::saveState(ckpt::Encoder& e) const {
-  for (const std::uint64_t word : rng_.state()) e.u64(word);
-  neighbors_.saveState(e);
-  buffer_.saveState(e);
-  locations_.saveState(e);
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
-  ckpt::saveUnorderedMap(
-      e, suspicion_,
-      [](ckpt::Encoder& enc, const int id, const SuspectEntry& s) {
-        enc.i32(id);
-        enc.i32(s.failures);
-        enc.f64(s.until);
-      });
-  e.u64(counters_.dataSent);
-  e.u64(counters_.dataReceived);
-  e.u64(counters_.duplicatesDropped);
-  e.u64(counters_.custodyAcksSent);
-  e.u64(counters_.custodyAcksReceived);
-  e.u64(counters_.cacheTimeouts);
-  e.u64(counters_.txFailures);
-  e.u64(counters_.faceTransitions);
-  e.u64(counters_.perturbations);
-  e.u64(counters_.deliveredHere);
-  e.u64(counters_.custodyRefusalsSent);
-  e.u64(counters_.custodyRefusalsReceived);
-  e.u64(counters_.sendRejects);
-  e.u64(counters_.suspicionsRaised);
-  e.u64(counters_.suspectSkips);
-  e.u64(counters_.recoveryActivations);
-  e.u64(counters_.recoverySprays);
-  e.i32(nextSeq_);
-  e.boolean(checkQueued_);
-  e.f64(cwnd_);
-  e.f64(ssthresh_);
-  e.f64(srtt_);
-  e.f64(rttvar_);
-  e.boolean(haveRtt_);
+template <class Ar>
+void GlrAgent::visitState(Ar& ar) {
+  ar.rng(rng_);
+  neighbors_.visit(ar);
+  buffer_.visit(ar);
+  locations_.visit(ar);
+  ar.unorderedSet(deliveredHere_,
+                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  ar.unorderedMap(suspicion_, [&](int& id, SuspectEntry& s) {
+    ar.i32(id);
+    ar.i32(s.failures);
+    ar.f64(s.until);
+  });
+  ar.u64(counters_.dataSent);
+  ar.u64(counters_.dataReceived);
+  ar.u64(counters_.duplicatesDropped);
+  ar.u64(counters_.custodyAcksSent);
+  ar.u64(counters_.custodyAcksReceived);
+  ar.u64(counters_.cacheTimeouts);
+  ar.u64(counters_.txFailures);
+  ar.u64(counters_.faceTransitions);
+  ar.u64(counters_.perturbations);
+  ar.u64(counters_.deliveredHere);
+  ar.u64(counters_.custodyRefusalsSent);
+  ar.u64(counters_.custodyRefusalsReceived);
+  ar.u64(counters_.sendRejects);
+  ar.u64(counters_.suspicionsRaised);
+  ar.u64(counters_.suspectSkips);
+  ar.u64(counters_.recoveryActivations);
+  ar.u64(counters_.recoverySprays);
+  ar.i32(nextSeq_);
+  ar.boolean(checkQueued_);
+  ar.f64(cwnd_);
+  ar.f64(ssthresh_);
+  ar.f64(srtt_);
+  ar.f64(rttvar_);
+  ar.boolean(haveRtt_);
 }
 
-void GlrAgent::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  neighbors_.restoreState(d);
-  buffer_.restoreState(d);
-  locations_.restoreState(d);
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
-  ckpt::loadUnorderedMap(d, suspicion_, [](ckpt::Decoder& dec) {
-    const int id = dec.i32();
-    SuspectEntry s;
-    s.failures = dec.i32();
-    s.until = dec.f64();
-    return std::pair<int, SuspectEntry>{id, s};
-  });
-  counters_.dataSent = d.u64();
-  counters_.dataReceived = d.u64();
-  counters_.duplicatesDropped = d.u64();
-  counters_.custodyAcksSent = d.u64();
-  counters_.custodyAcksReceived = d.u64();
-  counters_.cacheTimeouts = d.u64();
-  counters_.txFailures = d.u64();
-  counters_.faceTransitions = d.u64();
-  counters_.perturbations = d.u64();
-  counters_.deliveredHere = d.u64();
-  counters_.custodyRefusalsSent = d.u64();
-  counters_.custodyRefusalsReceived = d.u64();
-  counters_.sendRejects = d.u64();
-  counters_.suspicionsRaised = d.u64();
-  counters_.suspectSkips = d.u64();
-  counters_.recoveryActivations = d.u64();
-  counters_.recoverySprays = d.u64();
-  nextSeq_ = d.i32();
-  checkQueued_ = d.boolean();
-  cwnd_ = d.f64();
-  ssthresh_ = d.f64();
-  srtt_ = d.f64();
-  rttvar_ = d.f64();
-  haveRtt_ = d.boolean();
-}
+void GlrAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
+void GlrAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void GlrAgent::restoreEvent(const sim::EventKey& key,
                             const sim::EventDesc& desc) {

@@ -219,12 +219,16 @@ class GlrAgent final : public routing::DtnAgent {
   /// counters and RNG. Pending events (hello beacon, periodic/queued route
   /// checks, custody-ack retries, custody timers) are rebuilt via
   /// restoreEvent.
-  void saveState(ckpt::Encoder& e) const override;
-  void restoreState(ckpt::Decoder& d) override;
+  void visit(ckpt::Encoder& ar) override;
+  void visit(ckpt::Decoder& ar) override;
   void restoreEvent(const sim::EventKey& key,
                     const sim::EventDesc& desc) override;
 
  private:
+  /// The checkpointed state, listed once for both archives.
+  template <class Ar>
+  void visitState(Ar& ar);
+
   void periodicCheck();
   void checkRoutes();
   void sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,

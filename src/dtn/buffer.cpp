@@ -230,72 +230,45 @@ std::size_t MessageBuffer::expireDue(sim::SimTime now) {
   return removed;
 }
 
-void MessageBuffer::saveState(ckpt::Encoder& e) const {
-  e.size(capacity_);
-  e.size(store_.size());
-  for (const Message& m : store_) ckpt::saveMessage(e, m);
-  e.size(cache_.size());
-  for (const CacheEntry& entry : cache_) {
-    ckpt::saveMessage(e, entry.message);
-    e.i32(entry.nextHop);
-    e.f64(entry.sentAt);
-  }
-  e.size(peak_);
-  e.u64(drops_);
-  e.u64(expired_);
-  e.size(reserveHint_);
-}
-
-void MessageBuffer::restoreState(ckpt::Decoder& d) {
-  // u64, not size(): capacity is kUnlimitedStorage (SIZE_MAX) by default,
-  // and peak/reserveHint are counters — none bound upcoming section bytes.
-  const auto capacity = static_cast<std::size_t>(d.u64());
-  if (capacity != capacity_) {
-    d.fail("buffer capacity mismatch (snapshot " + std::to_string(capacity) +
-           ", live " + std::to_string(capacity_) + ")");
-  }
-  store_.clear();
-  cache_.clear();
-  storeIndex_.clear();
-  cacheIndex_.clear();
-  branchCount_.clear();
-
-  const std::size_t nStore = d.checkedSize(d.u64(), 16);
-  const std::size_t sizeBefore = d.remaining();
-  for (std::size_t i = 0; i < nStore; ++i) {
-    store_.push_back(ckpt::loadMessage(d));
-  }
-  // Pre-size the rebuilt indexes for the restored population (pure lookup
-  // caches; bucket counts are never observable).
-  const std::size_t perMessage =
-      nStore > 0 ? (sizeBefore - d.remaining()) / nStore : 16;
-  const std::size_t nCache =
-      d.checkedSize(d.u64(), perMessage > 0 ? perMessage : 16);
-  storeIndex_.reserve(nStore);
-  cacheIndex_.reserve(nCache);
-  branchCount_.reserve(nStore + nCache);
-  for (std::size_t i = 0; i < nCache; ++i) {
-    CacheEntry entry;
-    entry.message = ckpt::loadMessage(d);
-    entry.nextHop = d.i32();
-    entry.sentAt = d.f64();
-    cache_.push_back(std::move(entry));
-  }
-  for (auto it = store_.begin(); it != store_.end(); ++it) {
-    if (contains(it->key())) d.fail("duplicate copy key in restored store");
-    indexStoreInsert(it);
-  }
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (contains(it->message.key())) {
-      d.fail("duplicate copy key in restored cache");
+template <class Ar>
+void MessageBuffer::visit(Ar& ar) {
+  // u64, not bounded counts: capacity is kUnlimitedStorage (SIZE_MAX) by
+  // default, and peak/reserveHint are counters.
+  ar.expectEqual(capacity_, "buffer capacity");
+  ar.sequence(store_, 16, [&](Message& m) { ckpt::visit(ar, m); });
+  ar.sequence(cache_, 16, [&](CacheEntry& entry) {
+    ckpt::visit(ar, entry.message);
+    ar.i32(entry.nextHop);
+    ar.f64(entry.sentAt);
+  });
+  ar.u64(peak_);
+  ar.u64(drops_);
+  ar.u64(expired_);
+  ar.u64(reserveHint_);
+  if constexpr (Ar::kLoading) {
+    // Rebuild the lookup indexes over the restored lists, pre-sized for
+    // the restored population (bucket counts are never observable).
+    storeIndex_.clear();
+    cacheIndex_.clear();
+    branchCount_.clear();
+    storeIndex_.reserve(store_.size());
+    cacheIndex_.reserve(cache_.size());
+    branchCount_.reserve(store_.size() + cache_.size());
+    for (auto it = store_.begin(); it != store_.end(); ++it) {
+      if (contains(it->key())) ar.fail("duplicate copy key in restored store");
+      indexStoreInsert(it);
     }
-    indexCacheInsert(it);
+    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+      if (contains(it->message.key())) {
+        ar.fail("duplicate copy key in restored cache");
+      }
+      indexCacheInsert(it);
+    }
   }
-  peak_ = static_cast<std::size_t>(d.u64());
-  drops_ = d.u64();
-  expired_ = d.u64();
-  reserveHint_ = static_cast<std::size_t>(d.u64());
 }
+
+template void MessageBuffer::visit(ckpt::Encoder&);
+template void MessageBuffer::visit(ckpt::Decoder&);
 
 std::vector<CopyKey> MessageBuffer::cachedSentBefore(
     sim::SimTime before) const {

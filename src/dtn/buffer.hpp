@@ -27,11 +27,6 @@ class Recorder;  // trace/recorder.hpp
 enum class EventType : std::uint8_t;
 }
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::dtn {
 
 inline constexpr std::size_t kUnlimitedStorage = SIZE_MAX;
@@ -137,10 +132,10 @@ class MessageBuffer {
   /// Checkpoint support. The FIFO lists are the source of truth (their order
   /// drives eviction and iteration determinism) and are serialized verbatim;
   /// the hash indexes are pure key-lookup caches and are rebuilt on restore.
-  /// restoreState verifies the snapshot's capacity against the live one and
+  /// Restore verifies the snapshot's capacity against the live one and
   /// fails loudly on mismatch (a config-divergence tripwire).
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   struct CacheEntry {

@@ -1,27 +1,19 @@
 #include "dtn/location_table.hpp"
 
-#include "checkpoint/codec.hpp"
 #include "checkpoint/message_codec.hpp"
 
 namespace glr::dtn {
 
-void LocationTable::saveState(ckpt::Encoder& e) const {
-  ckpt::saveUnorderedMap(e, table_, [](ckpt::Encoder& enc, const int id,
-                                       const Entry& entry) {
-    enc.i32(id);
-    ckpt::savePoint(enc, entry.pos);
-    enc.f64(entry.at);
+template <class Ar>
+void LocationTable::visit(Ar& ar) {
+  ar.unorderedMap(table_, [&](int& id, Entry& entry) {
+    ar.i32(id);
+    ckpt::visit(ar, entry.pos);
+    ar.f64(entry.at);
   });
 }
 
-void LocationTable::restoreState(ckpt::Decoder& d) {
-  ckpt::loadUnorderedMap(d, table_, [](ckpt::Decoder& dec) {
-    const int id = dec.i32();
-    Entry entry;
-    entry.pos = ckpt::loadPoint(dec);
-    entry.at = dec.f64();
-    return std::pair<int, Entry>{id, entry};
-  });
-}
+template void LocationTable::visit(ckpt::Encoder&);
+template void LocationTable::visit(ckpt::Decoder&);
 
 }  // namespace glr::dtn

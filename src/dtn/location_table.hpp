@@ -10,11 +10,6 @@
 #include "geometry/point.hpp"
 #include "sim/simulator.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::dtn {
 
 class LocationTable {
@@ -65,8 +60,8 @@ class LocationTable {
   /// restored node is byte-for-byte in the snapshotted state (prune() does
   /// iterate, and keeping every container on one policy is cheaper than
   /// proving order-independence per call site).
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   std::unordered_map<int, Entry> table_;

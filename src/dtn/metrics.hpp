@@ -29,11 +29,6 @@
 #include "stats/sketch.hpp"
 #include "trace/recorder.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::dtn {
 
 class MetricsCollector {
@@ -118,8 +113,8 @@ class MetricsCollector {
   /// Checkpoint support: bitmaps, counters (order-preserved), scalar sums
   /// and both latency sketches round-trip bit-exactly. The trace pointer is
   /// wiring, not state, and is left untouched.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   // One bitmap per origin node, indexed by the dense per-origin sequence.

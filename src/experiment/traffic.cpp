@@ -1,7 +1,6 @@
 #include "experiment/traffic.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -258,35 +257,21 @@ void TrafficProcess::sourceArrival(std::size_t s, std::uint64_t epoch) {
 
 // ------------------------------------------------------- checkpointing ---
 
-void TrafficProcess::saveState(ckpt::Encoder& e) const {
-  for (const std::uint64_t word : rng_.state()) e.u64(word);
-  e.size(sources_.size());
-  for (const Source& src : sources_) {
-    e.boolean(src.on);
-    e.u64(src.epoch);
-    for (const std::uint64_t word : src.rng.state()) e.u64(word);
+template <class Ar>
+void TrafficProcess::visit(Ar& ar) {
+  ar.rng(rng_);
+  ar.expectEqual(sources_.size(), "traffic source count");
+  for (Source& src : sources_) {
+    ar.boolean(src.on);
+    ar.u64(src.epoch);
+    ar.rng(src.rng);
   }
-  e.u64(generated_);
-  e.u64(thinned_);
+  ar.u64(generated_);
+  ar.u64(thinned_);
 }
 
-void TrafficProcess::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  const std::size_t n = d.checkedSize(d.u64(), 41);
-  if (n != sources_.size()) {
-    d.fail("traffic source count mismatch (config diverged)");
-  }
-  for (Source& src : sources_) {
-    src.on = d.boolean();
-    src.epoch = d.u64();
-    for (std::uint64_t& word : rngState) word = d.u64();
-    src.rng.setState(rngState);
-  }
-  generated_ = d.u64();
-  thinned_ = d.u64();
-}
+template void TrafficProcess::visit(ckpt::Encoder&);
+template void TrafficProcess::visit(ckpt::Decoder&);
 
 void TrafficProcess::restoreArrivalEvent(const sim::EventKey& key) {
   sim_.scheduleKeyed(key, trafficDesc(ckpt::kTrafficArrival),

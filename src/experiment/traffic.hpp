@@ -106,8 +106,8 @@ class TrafficProcess {
   /// the generated/thinned counters. Construction-derived knobs (maxRate_,
   /// flash window, hotCount_) are re-derived from the config, not stored.
   /// Pending generator events are rebuilt via the restore*Event methods.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
   void restoreArrivalEvent(const sim::EventKey& key);
   void restoreToggleEvent(const sim::EventKey& key, std::size_t s);
   void restoreSourceArrivalEvent(const sim::EventKey& key, std::size_t s,

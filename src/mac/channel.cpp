@@ -441,65 +441,40 @@ void Channel::finishTransmission(std::uint64_t txId) {
   }
 }
 
-void Channel::saveState(ckpt::Encoder& e) const {
-  e.size(history_.size());
-  for (std::size_t i = 0; i < history_.size(); ++i) {
-    const ActiveTx& tx = history_[i];
-    e.i32(tx.sender);
-    e.u8(static_cast<std::uint8_t>(tx.frame.type));
-    e.i32(tx.frame.src);
-    e.i32(tx.frame.dst);
-    e.u64(tx.frame.seq);
-    e.size(tx.frame.bytes);
-    ckpt::savePacket(e, tx.frame.packet);
-    e.f64(tx.start);
-    e.f64(tx.end);
-    e.f64(tx.maxEndUpTo);
-    ckpt::savePoint(e, tx.senderPos);
+template <class Ar>
+void Channel::visit(Ar& ar) {
+  ar.sequence(history_, 54, [&](ActiveTx& tx) {
+    ar.i32(tx.sender);
+    ar.enumeration(tx.frame.type, Frame::Type::kAck,
+                   "active transmission holds invalid frame type");
+    ar.i32(tx.frame.src);
+    ar.i32(tx.frame.dst);
+    ar.u64(tx.frame.seq);
+    ar.u64(tx.frame.bytes);  // simulated bytes, not a bounded count
+    ckpt::visit(ar, tx.frame.packet);
+    ar.f64(tx.start);
+    ar.f64(tx.end);
+    ar.f64(tx.maxEndUpTo);
+    ckpt::visit(ar, tx.senderPos);
+  });
+  ar.u64(nextTxId_);
+  ar.u64(historyBaseId_);
+  ar.u64(stats_.framesSent);
+  ar.u64(stats_.framesDelivered);
+  ar.u64(stats_.collisions);
+  ar.u64(stats_.rxWhileTx);
+  ar.u64(stats_.faultDrops);
+  ar.f64(stats_.airTimeSeconds);
+  if constexpr (Ar::kLoading) {
+    // Drop the receiver index; the next candidate query rebuilds it fresh
+    // at the restored clock (pure superset cache — see the header comment).
+    indexGrid_.reset();
+    indexBuiltAt_ = -1.0;
   }
-  e.u64(nextTxId_);
-  e.u64(historyBaseId_);
-  e.u64(stats_.framesSent);
-  e.u64(stats_.framesDelivered);
-  e.u64(stats_.collisions);
-  e.u64(stats_.rxWhileTx);
-  e.u64(stats_.faultDrops);
-  e.f64(stats_.airTimeSeconds);
 }
 
-void Channel::restoreState(ckpt::Decoder& d) {
-  history_.clear();
-  const std::size_t n = d.checkedSize(d.u64(), 54);
-  for (std::size_t i = 0; i < n; ++i) {
-    ActiveTx tx;
-    tx.sender = d.i32();
-    const std::uint8_t type = d.u8();
-    if (type > 1) d.fail("active transmission holds invalid frame type");
-    tx.frame.type = static_cast<Frame::Type>(type);
-    tx.frame.src = d.i32();
-    tx.frame.dst = d.i32();
-    tx.frame.seq = d.u64();
-    tx.frame.bytes = static_cast<std::size_t>(d.u64());  // simulated bytes
-    tx.frame.packet = ckpt::loadPacket(d);
-    tx.start = d.f64();
-    tx.end = d.f64();
-    tx.maxEndUpTo = d.f64();
-    tx.senderPos = ckpt::loadPoint(d);
-    history_.push_back(std::move(tx));
-  }
-  nextTxId_ = d.u64();
-  historyBaseId_ = d.u64();
-  stats_.framesSent = d.u64();
-  stats_.framesDelivered = d.u64();
-  stats_.collisions = d.u64();
-  stats_.rxWhileTx = d.u64();
-  stats_.faultDrops = d.u64();
-  stats_.airTimeSeconds = d.f64();
-  // Drop the receiver index; the next candidate query rebuilds it fresh at
-  // the restored clock (pure superset cache — see the header comment).
-  indexGrid_.reset();
-  indexBuiltAt_ = -1.0;
-}
+template void Channel::visit(ckpt::Encoder&);
+template void Channel::visit(ckpt::Decoder&);
 
 void Channel::restoreTxEndEvent(const sim::EventKey& key, std::uint64_t txId) {
   if (txId >= nextTxId_) {

@@ -35,11 +35,6 @@
 #include "sim/ring_deque.hpp"
 #include "sim/simulator.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::mac {
 
 class Mac;
@@ -155,8 +150,8 @@ class Channel {
   /// next query rebuilds it fresh at the restored clock, which cannot
   /// change delivery decisions (candidates are a padded superset; the exact
   /// per-node checks and their ascending-id visit order are unchanged).
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
   /// Re-creates a pending transmission-end event under its original key
   /// (see checkpoint/event_kinds.hpp kChannelTxEnd, u0 = txId).

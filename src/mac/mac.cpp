@@ -1,7 +1,6 @@
 #include "mac/mac.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -283,110 +282,63 @@ void Mac::sendAckReply(int dst, std::uint64_t seq, double ackDur,
   channel_.startTransmission(self_, std::move(ack), ackDur);
 }
 
-void Mac::saveState(ckpt::Encoder& e) const {
-  for (const std::uint64_t word : rng_.state()) e.u64(word);
-  e.size(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const Outgoing& out = queue_[i];
-    ckpt::savePacket(e, out.packet);
-    e.i32(out.dst);
-    e.i32(out.attempts);
-    e.u64(out.seq);
+template <class Ar>
+void Mac::visit(Ar& ar) {
+  ar.rng(rng_);
+  ar.sequence(queue_, 17, [&](Outgoing& out) {
+    ckpt::visit(ar, out.packet);
+    ar.i32(out.dst);
+    ar.i32(out.attempts);
+    ar.u64(out.seq);
+  });
+  ar.boolean(attemptScheduled_);
+  ar.boolean(transmitting_);
+  ar.boolean(awaitingAck_);
+  ar.boolean(radioUp_);
+  ar.f64(upSince_);
+  ar.u64(radioEpoch_);
+  ar.u64(nextSeq_);
+  ar.u64(awaitedSeq_);
+  ar.f64(lastTxStart_);
+  ar.f64(lastTxEnd_);
+  ar.u64(recentTxCount_);
+  ar.u64(recentTxNext_);
+  if constexpr (Ar::kLoading) {
+    if (recentTxCount_ > recentTx_.size() ||
+        recentTxNext_ >= recentTx_.size()) {
+      ar.fail("recent-tx ring cursor out of range");
+    }
   }
-  e.boolean(attemptScheduled_);
-  e.boolean(transmitting_);
-  e.boolean(awaitingAck_);
-  e.boolean(radioUp_);
-  e.f64(upSince_);
-  e.u64(radioEpoch_);
-  e.u64(nextSeq_);
-  e.u64(awaitedSeq_);
-  e.f64(lastTxStart_);
-  e.f64(lastTxEnd_);
-  e.size(recentTxCount_);
-  e.size(recentTxNext_);
-  for (const auto& [s, end] : recentTx_) {
-    e.f64(s);
-    e.f64(end);
+  for (auto& [start, end] : recentTx_) {
+    ar.f64(start);
+    ar.f64(end);
   }
-  e.size(lastSeqFrom_.size());
-  for (const auto& [src, seq] : lastSeqFrom_) {
-    e.i32(src);
-    e.u64(seq);
+  ar.sequence(lastSeqFrom_, 12, [&](std::pair<int, std::uint64_t>& seen) {
+    ar.i32(seen.first);
+    ar.u64(seen.second);
+  });
+  ar.u64(stats_.enqueued);
+  ar.u64(stats_.queueDrops);
+  ar.u64(stats_.dataTx);
+  ar.u64(stats_.ackTx);
+  ar.u64(stats_.retries);
+  ar.u64(stats_.retryDrops);
+  ar.u64(stats_.ackTimeouts);
+  ar.u64(stats_.busyDeferrals);
+  ar.u64(stats_.rxData);
+  ar.u64(stats_.rxAck);
+  ar.u64(stats_.duplicatesSuppressed);
+  ar.u64(stats_.radioDownDrops);
+  if constexpr (Ar::kLoading) {
+    // Stale handles from the pre-restore life of this object must not be
+    // able to cancel the rebuilt events.
+    attemptHandle_ = {};
+    ackTimeoutHandle_ = {};
   }
-  e.u64(stats_.enqueued);
-  e.u64(stats_.queueDrops);
-  e.u64(stats_.dataTx);
-  e.u64(stats_.ackTx);
-  e.u64(stats_.retries);
-  e.u64(stats_.retryDrops);
-  e.u64(stats_.ackTimeouts);
-  e.u64(stats_.busyDeferrals);
-  e.u64(stats_.rxData);
-  e.u64(stats_.rxAck);
-  e.u64(stats_.duplicatesSuppressed);
-  e.u64(stats_.radioDownDrops);
 }
 
-void Mac::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  queue_.clear();
-  const std::size_t nQueued = d.checkedSize(d.u64(), 17);
-  for (std::size_t i = 0; i < nQueued; ++i) {
-    Outgoing out;
-    out.packet = ckpt::loadPacket(d);
-    out.dst = d.i32();
-    out.attempts = d.i32();
-    out.seq = d.u64();
-    queue_.push_back(std::move(out));
-  }
-  attemptScheduled_ = d.boolean();
-  transmitting_ = d.boolean();
-  awaitingAck_ = d.boolean();
-  radioUp_ = d.boolean();
-  upSince_ = d.f64();
-  radioEpoch_ = d.u64();
-  nextSeq_ = d.u64();
-  awaitedSeq_ = d.u64();
-  lastTxStart_ = d.f64();
-  lastTxEnd_ = d.f64();
-  recentTxCount_ = d.size();
-  recentTxNext_ = d.size();
-  if (recentTxCount_ > recentTx_.size() ||
-      recentTxNext_ >= recentTx_.size()) {
-    d.fail("recent-tx ring cursor out of range");
-  }
-  for (auto& [s, end] : recentTx_) {
-    s = d.f64();
-    end = d.f64();
-  }
-  const std::size_t nSeen = d.checkedSize(d.u64(), 12);
-  lastSeqFrom_.clear();
-  lastSeqFrom_.reserve(nSeen);
-  for (std::size_t i = 0; i < nSeen; ++i) {
-    const int src = d.i32();
-    const std::uint64_t seq = d.u64();
-    lastSeqFrom_.emplace_back(src, seq);
-  }
-  stats_.enqueued = d.u64();
-  stats_.queueDrops = d.u64();
-  stats_.dataTx = d.u64();
-  stats_.ackTx = d.u64();
-  stats_.retries = d.u64();
-  stats_.retryDrops = d.u64();
-  stats_.ackTimeouts = d.u64();
-  stats_.busyDeferrals = d.u64();
-  stats_.rxData = d.u64();
-  stats_.rxAck = d.u64();
-  stats_.duplicatesSuppressed = d.u64();
-  stats_.radioDownDrops = d.u64();
-  // Stale handles from the pre-restore life of this object must not be able
-  // to cancel the rebuilt events.
-  attemptHandle_ = {};
-  ackTimeoutHandle_ = {};
-}
+template void Mac::visit(ckpt::Encoder&);
+template void Mac::visit(ckpt::Decoder&);
 
 void Mac::restoreAttemptEvent(const sim::EventKey& key) {
   attemptHandle_ = sim_.scheduleKeyed(key, macDesc(ckpt::kMacAttempt, self_),

@@ -23,11 +23,6 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::mac {
 
 struct MacParams {
@@ -111,8 +106,8 @@ class Mac {
   /// ACK state machine flags, radio gate + epoch, recent-tx ring, duplicate
   /// table, RNG stream and counters. Event handles are rebuilt by the
   /// restore*Event methods below, not serialized.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
   /// Restore-path event rebuilders (see checkpoint/event_kinds.hpp). The
   /// attempt/backoff/ack-timeout variants re-arm the matching cancellation

@@ -1,7 +1,6 @@
 #include "net/churn.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -59,35 +58,19 @@ void ChurnProcess::scheduleNext(std::size_t idx) {
   sim.scheduleAt(at, toggleDesc(idx), [this, idx] { toggle(idx); });
 }
 
-void ChurnProcess::saveState(ckpt::Encoder& e) const {
-  e.size(nodes_.size());
-  for (const NodeState& node : nodes_) {
-    e.i32(node.id);
-    e.boolean(node.up);
-    for (const std::uint64_t word : node.rng.state()) e.u64(word);
+template <class Ar>
+void ChurnProcess::visit(Ar& ar) {
+  ar.expectEqual(nodes_.size(), "churning node count");
+  for (NodeState& node : nodes_) {
+    ar.expectEqual(node.id, "churning node id");
+    ar.boolean(node.up);
+    ar.rng(node.rng);
   }
-  e.u64(toggles_);
+  ar.u64(toggles_);
 }
 
-void ChurnProcess::restoreState(ckpt::Decoder& d) {
-  const std::size_t n = d.size();
-  if (n != nodes_.size()) {
-    d.fail("churning node count mismatch (snapshot " + std::to_string(n) +
-           ", live " + std::to_string(nodes_.size()) + ")");
-  }
-  for (NodeState& node : nodes_) {
-    const int id = d.i32();
-    if (id != node.id) {
-      d.fail("churning node id mismatch (snapshot " + std::to_string(id) +
-             ", live " + std::to_string(node.id) + ")");
-    }
-    node.up = d.boolean();
-    std::array<std::uint64_t, 4> state{};
-    for (std::uint64_t& word : state) word = d.u64();
-    node.rng.setState(state);
-  }
-  toggles_ = d.u64();
-}
+template void ChurnProcess::visit(ckpt::Encoder&);
+template void ChurnProcess::visit(ckpt::Decoder&);
 
 void ChurnProcess::restoreToggleEvent(const sim::EventKey& key,
                                       std::size_t idx) {

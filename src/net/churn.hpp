@@ -17,11 +17,6 @@
 #include "net/world.hpp"
 #include "sim/rng.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::net {
 
 class ChurnProcess {
@@ -50,8 +45,8 @@ class ChurnProcess {
 
   /// Checkpoint support: per-node up/rng state and the toggle counter.
   /// The churning-node id set is construction-derived (verified on restore).
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
   /// Re-creates a pending toggle event under its original key (restore
   /// path; see checkpoint/event_kinds.hpp kChurnToggle, u0 = node index).

@@ -1,7 +1,6 @@
 #include "net/faults.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -20,16 +19,6 @@ sim::EventDesc faultDesc(ckpt::EventKind kind) {
   sim::EventDesc d;
   d.kind = kind;
   return d;
-}
-
-void saveRng(ckpt::Encoder& e, const sim::Rng& rng) {
-  for (const std::uint64_t word : rng.state()) e.u64(word);
-}
-
-void loadRng(ckpt::Decoder& d, sim::Rng& rng) {
-  std::array<std::uint64_t, 4> state{};
-  for (std::uint64_t& word : state) word = d.u64();
-  rng.setState(state);
 }
 
 }  // namespace
@@ -254,74 +243,44 @@ void FaultProcess::flapToggle(int node, bool up) {
   scheduleFlap(node, !up);
 }
 
-void AdversaryModel::saveState(ckpt::Encoder& e) const {
-  saveRng(e, greyRng_);
-  e.size(flappingNodes_.size());
-  for (const int node : flappingNodes_) e.i32(node);
-  e.u64(counters_.blackholeDrops);
-  e.u64(counters_.greyholeDrops);
-  e.u64(counters_.selfishRefusals);
-  e.u64(counters_.flapTransitions);
-}
-
-void AdversaryModel::restoreState(ckpt::Decoder& d) {
-  loadRng(d, greyRng_);
-  const std::size_t n = d.checkedSize(d.u64(), 4);
-  if (n != flappingNodes_.size()) {
-    d.fail("flapping node count mismatch (snapshot " + std::to_string(n) +
-           ", live " + std::to_string(flappingNodes_.size()) + ")");
-  }
+template <class Ar>
+void AdversaryModel::visit(Ar& ar) {
+  ar.rng(greyRng_);
+  ar.expectEqual(flappingNodes_.size(), "flapping node count");
   for (const int node : flappingNodes_) {
-    const int saved = d.i32();
-    if (saved != node) {
-      d.fail("flapping node id mismatch (snapshot " + std::to_string(saved) +
-             ", live " + std::to_string(node) + ")");
-    }
+    ar.expectEqual(node, "flapping node id");
   }
-  counters_.blackholeDrops = d.u64();
-  counters_.greyholeDrops = d.u64();
-  counters_.selfishRefusals = d.u64();
-  counters_.flapTransitions = d.u64();
+  ar.u64(counters_.blackholeDrops);
+  ar.u64(counters_.greyholeDrops);
+  ar.u64(counters_.selfishRefusals);
+  ar.u64(counters_.flapTransitions);
 }
 
-void FaultProcess::saveState(ckpt::Encoder& e) const {
-  saveRng(e, lossRng_);
-  saveRng(e, burstRng_);
-  saveRng(e, stallRng_);
-  saveRng(e, flapRng_);
-  e.i32(burstsActive_);
-  e.size(stalled_.size());
-  for (const char s : stalled_) e.boolean(s != 0);
-  e.boolean(adversary_.has_value());
-  if (adversary_.has_value()) adversary_->saveState(e);
-  e.u64(counters_.burstsStarted);
-  e.u64(counters_.framesLost);
-  e.u64(counters_.framesCorrupted);
-  e.u64(counters_.stallsStarted);
+template <class Ar>
+void FaultProcess::visit(Ar& ar) {
+  ar.rng(lossRng_);
+  ar.rng(burstRng_);
+  ar.rng(stallRng_);
+  ar.rng(flapRng_);
+  ar.i32(burstsActive_);
+  ar.expectEqual(stalled_.size(), "stall bitmap size");
+  for (char& s : stalled_) {
+    bool stalled = s != 0;
+    ar.boolean(stalled);
+    if constexpr (Ar::kLoading) s = stalled ? 1 : 0;
+  }
+  ar.expectEqual(adversary_.has_value(), "adversary model presence");
+  if (adversary_.has_value()) adversary_->visit(ar);
+  ar.u64(counters_.burstsStarted);
+  ar.u64(counters_.framesLost);
+  ar.u64(counters_.framesCorrupted);
+  ar.u64(counters_.stallsStarted);
 }
 
-void FaultProcess::restoreState(ckpt::Decoder& d) {
-  loadRng(d, lossRng_);
-  loadRng(d, burstRng_);
-  loadRng(d, stallRng_);
-  loadRng(d, flapRng_);
-  burstsActive_ = d.i32();
-  const std::size_t n = d.checkedSize(d.u64(), 1);
-  if (n != stalled_.size()) {
-    d.fail("stall bitmap size mismatch (snapshot " + std::to_string(n) +
-           ", live " + std::to_string(stalled_.size()) + ")");
-  }
-  for (char& s : stalled_) s = d.boolean() ? 1 : 0;
-  const bool hasAdversary = d.boolean();
-  if (hasAdversary != adversary_.has_value()) {
-    d.fail("adversary model presence mismatch (config divergence)");
-  }
-  if (adversary_.has_value()) adversary_->restoreState(d);
-  counters_.burstsStarted = d.u64();
-  counters_.framesLost = d.u64();
-  counters_.framesCorrupted = d.u64();
-  counters_.stallsStarted = d.u64();
-}
+template void AdversaryModel::visit(ckpt::Encoder&);
+template void AdversaryModel::visit(ckpt::Decoder&);
+template void FaultProcess::visit(ckpt::Encoder&);
+template void FaultProcess::visit(ckpt::Decoder&);
 
 void FaultProcess::restoreBurstNextEvent(const sim::EventKey& key) {
   world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultBurstNext),

@@ -66,11 +66,6 @@
 #include "net/world.hpp"
 #include "sim/rng.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::net {
 
 /// Per-node misbehavior assignment and relay-time decisions. Owned by
@@ -150,8 +145,8 @@ class AdversaryModel {
   /// Checkpoint support: greyhole draw stream and counters. Behavior
   /// assignment is a pure function of (numNodes, params, stream) and is
   /// reconstructed; restore verifies the flapping-node set matches.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   Params params_;
@@ -214,8 +209,8 @@ class FaultProcess {
 
   /// Checkpoint support: all four fault RNG streams, the open-burst count,
   /// the stall bitmap, the adversary model (when built) and the counters.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
   /// Restore-path event rebuilders (see checkpoint/event_kinds.hpp):
   /// each re-creates one pending fault event under its original key.

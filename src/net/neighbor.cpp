@@ -1,10 +1,8 @@
 #include "net/neighbor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
-#include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 
@@ -104,51 +102,32 @@ void NeighborService::sendHello() {
   sim_.schedule(next, helloDesc(self_), [this] { sendHello(); });
 }
 
-void NeighborService::saveState(ckpt::Encoder& e) const {
-  const auto rngState = rng_.state();
-  for (const std::uint64_t word : rngState) e.u64(word);
-  ckpt::saveUnorderedMap(
-      e, table_,
-      [](ckpt::Encoder& enc, const int id, const NeighborRecord& rec) {
-        enc.i32(id);
-        ckpt::savePoint(enc, rec.pos);
-        enc.f64(rec.heard);
-        enc.size(rec.reported.size());
-        for (const HelloPayload::Entry& entry : rec.reported) {
-          enc.i32(entry.id);
-          ckpt::savePoint(enc, entry.pos);
-          enc.f64(entry.heardAt);
-        }
-      });
-  e.u64(hellosSent_);
-  e.u64(hellosReceived_);
-  e.u64(helloSendFailures_);
+template <class Ar>
+void HelloPayload::Entry::visit(Ar& ar) {
+  ar.i32(id);
+  ckpt::visit(ar, pos);
+  ar.f64(heardAt);
 }
 
-void NeighborService::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  ckpt::loadUnorderedMap(d, table_, [](ckpt::Decoder& dec) {
-    const int id = dec.i32();
-    NeighborRecord rec;
-    rec.pos = ckpt::loadPoint(dec);
-    rec.heard = dec.f64();
-    const std::size_t n = dec.checkedSize(dec.u64(), 20);
-    rec.reported.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      HelloPayload::Entry entry;
-      entry.id = dec.i32();
-      entry.pos = ckpt::loadPoint(dec);
-      entry.heardAt = dec.f64();
-      rec.reported.push_back(entry);
-    }
-    return std::pair<int, NeighborRecord>{id, std::move(rec)};
+template <class Ar>
+void NeighborService::visit(Ar& ar) {
+  ar.rng(rng_);
+  ar.unorderedMap(table_, [&](int& id, NeighborRecord& rec) {
+    ar.i32(id);
+    ckpt::visit(ar, rec.pos);
+    ar.f64(rec.heard);
+    ar.sequence(rec.reported, 20,
+                [&](HelloPayload::Entry& entry) { entry.visit(ar); });
   });
-  hellosSent_ = d.u64();
-  hellosReceived_ = d.u64();
-  helloSendFailures_ = d.u64();
+  ar.u64(hellosSent_);
+  ar.u64(hellosReceived_);
+  ar.u64(helloSendFailures_);
 }
+
+template void HelloPayload::Entry::visit(ckpt::Encoder&);
+template void HelloPayload::Entry::visit(ckpt::Decoder&);
+template void NeighborService::visit(ckpt::Encoder&);
+template void NeighborService::visit(ckpt::Decoder&);
 
 void NeighborService::restoreHelloEvent(const sim::EventKey& key) {
   sim_.scheduleKeyed(key, helloDesc(self_), [this] { sendHello(); });

@@ -23,11 +23,6 @@
 #include "sim/simulator.hpp"
 #include "spanner/ldtg.hpp"
 
-namespace glr::ckpt {
-class Encoder;  // checkpoint/codec.hpp
-class Decoder;
-}
-
 namespace glr::net {
 
 /// In-simulator hello beacon payload.
@@ -36,6 +31,9 @@ struct HelloPayload {
     int id = -1;
     geom::Point2 pos;
     sim::SimTime heardAt = 0;  // when the sender last heard this neighbor
+
+    template <class Ar>
+    void visit(Ar& ar);  // checkpoint support
   };
   int id = -1;
   geom::Point2 pos;
@@ -124,8 +122,8 @@ class NeighborService {
   /// observable (it drives hello payload order and knowledge(), which drive
   /// LDTG construction and routing), so it round-trips through the
   /// order-preserving container codec.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
   /// Re-creates a pending hello beacon event under its original key
   /// (restore path; see checkpoint/event_kinds.hpp kHello).

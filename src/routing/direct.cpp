@@ -1,9 +1,7 @@
 #include "routing/direct.hpp"
 
-#include <array>
 #include <stdexcept>
 
-#include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "trace/recorder.hpp"
@@ -91,32 +89,20 @@ void DirectDeliveryAgent::onPacket(const net::Packet& packet, int fromMac) {
   }
 }
 
-void DirectDeliveryAgent::saveState(ckpt::Encoder& e) const {
-  for (const std::uint64_t word : rng_.state()) e.u64(word);
-  neighbors_.saveState(e);
-  buffer_.saveState(e);
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
-  e.u64(dataSent_);
-  e.u64(sendRejects_);
-  e.i32(nextSeq_);
+template <class Ar>
+void DirectDeliveryAgent::visitState(Ar& ar) {
+  ar.rng(rng_);
+  neighbors_.visit(ar);
+  buffer_.visit(ar);
+  ar.unorderedSet(deliveredHere_,
+                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  ar.u64(dataSent_);
+  ar.u64(sendRejects_);
+  ar.i32(nextSeq_);
 }
 
-void DirectDeliveryAgent::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  neighbors_.restoreState(d);
-  buffer_.restoreState(d);
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
-  dataSent_ = d.u64();
-  sendRejects_ = d.u64();
-  nextSeq_ = d.i32();
-}
+void DirectDeliveryAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
+void DirectDeliveryAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void DirectDeliveryAgent::restoreEvent(const sim::EventKey& key,
                                        const sim::EventDesc& desc) {

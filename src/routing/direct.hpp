@@ -57,12 +57,16 @@ class DirectDeliveryAgent final : public DtnAgent {
   /// Checkpoint support: hello service, buffer, delivered set, counters and
   /// RNG. Pending events (hello beacon, delivery check) are rebuilt via
   /// restoreEvent.
-  void saveState(ckpt::Encoder& e) const override;
-  void restoreState(ckpt::Decoder& d) override;
+  void visit(ckpt::Encoder& ar) override;
+  void visit(ckpt::Decoder& ar) override;
   void restoreEvent(const sim::EventKey& key,
                     const sim::EventDesc& desc) override;
 
  private:
+  /// The checkpointed state, listed once for both archives.
+  template <class Ar>
+  void visitState(Ar& ar);
+
   void check();
   [[nodiscard]] geom::Point2 myPos() { return world_.positionOf(self_); }
 

@@ -4,12 +4,12 @@
 
 namespace glr::routing {
 
-void DtnAgent::saveState(ckpt::Encoder& /*e*/) const {
+void DtnAgent::visit(ckpt::Encoder& /*ar*/) {
   throw std::runtime_error{
       "DtnAgent: this protocol does not implement checkpointing"};
 }
 
-void DtnAgent::restoreState(ckpt::Decoder& /*d*/) {
+void DtnAgent::visit(ckpt::Decoder& /*ar*/) {
   throw std::runtime_error{
       "DtnAgent: this protocol does not implement checkpoint restore"};
 }

@@ -62,12 +62,14 @@ class DtnAgent : public net::Agent {
     static_cast<void>(out);
   }
 
-  /// Checkpoint support. The defaults throw: a protocol that cannot
-  /// serialize itself fails loudly at the first snapshot instead of
+  /// Checkpoint support: a protocol lists its state once, in a private
+  /// `template <class Ar> void visitState(Ar&)`, and routes both archives
+  /// to it (see checkpoint/codec.hpp). The defaults throw: a protocol that
+  /// cannot serialize itself fails loudly at the first snapshot instead of
   /// silently producing checkpoints missing its state. (Kept non-pure so
   /// test stubs that never checkpoint don't have to implement them.)
-  virtual void saveState(ckpt::Encoder& e) const;
-  virtual void restoreState(ckpt::Decoder& d);
+  virtual void visit(ckpt::Encoder& ar);
+  virtual void visit(ckpt::Decoder& ar);
   /// Re-creates one pending simulator event this agent owns, under its
   /// original key. `desc` is the descriptor recorded at schedule time (see
   /// checkpoint/event_kinds.hpp); agents throw on kinds they don't own.

@@ -1,9 +1,7 @@
 #include "routing/epidemic.hpp"
 
-#include <array>
 #include <stdexcept>
 
-#include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "trace/recorder.hpp"
@@ -199,89 +197,43 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
   }
 }
 
-void EpidemicAgent::saveState(ckpt::Encoder& e) const {
-  for (const std::uint64_t word : rng_.state()) e.u64(word);
-  neighbors_.saveState(e);
-  buffer_.saveState(e);
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
-  e.size(additions_.size());
-  for (const auto& [seq, id] : additions_) {
-    e.u64(seq);
-    ckpt::saveMessageId(e, id);
-  }
-  e.u64(addSeq_);
-  ckpt::saveUnorderedMap(
-      e, offeredUpTo_,
-      [](ckpt::Encoder& enc, const int id, const std::uint64_t seq) {
-        enc.i32(id);
-        enc.u64(seq);
-      });
-  ckpt::saveUnorderedMap(
-      e, lastOfferAt_,
-      [](ckpt::Encoder& enc, const int id, const sim::SimTime at) {
-        enc.i32(id);
-        enc.f64(at);
-      });
-  ckpt::saveUnorderedMap(
-      e, requestedAt_,
-      [](ckpt::Encoder& enc, const dtn::MessageId& id, const sim::SimTime at) {
-        ckpt::saveMessageId(enc, id);
-        enc.f64(at);
-      });
-  e.u64(counters_.summariesSent);
-  e.u64(counters_.requestsSent);
-  e.u64(counters_.dataSent);
-  e.u64(counters_.dataReceived);
-  e.u64(counters_.duplicatesDropped);
-  e.u64(counters_.deliveredHere);
-  e.u64(counters_.sendRejects);
-  e.i32(nextSeq_);
+template <class Ar>
+void EpidemicAgent::visitState(Ar& ar) {
+  ar.rng(rng_);
+  neighbors_.visit(ar);
+  buffer_.visit(ar);
+  ar.unorderedSet(deliveredHere_,
+                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  ar.sequence(additions_, 12,
+              [&](std::pair<std::uint64_t, dtn::MessageId>& added) {
+                ar.u64(added.first);
+                ckpt::visit(ar, added.second);
+              });
+  ar.u64(addSeq_);
+  ar.unorderedMap(offeredUpTo_, [&](int& id, std::uint64_t& seq) {
+    ar.i32(id);
+    ar.u64(seq);
+  });
+  ar.unorderedMap(lastOfferAt_, [&](int& id, sim::SimTime& at) {
+    ar.i32(id);
+    ar.f64(at);
+  });
+  ar.unorderedMap(requestedAt_, [&](dtn::MessageId& id, sim::SimTime& at) {
+    ckpt::visit(ar, id);
+    ar.f64(at);
+  });
+  ar.u64(counters_.summariesSent);
+  ar.u64(counters_.requestsSent);
+  ar.u64(counters_.dataSent);
+  ar.u64(counters_.dataReceived);
+  ar.u64(counters_.duplicatesDropped);
+  ar.u64(counters_.deliveredHere);
+  ar.u64(counters_.sendRejects);
+  ar.i32(nextSeq_);
 }
 
-void EpidemicAgent::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  neighbors_.restoreState(d);
-  buffer_.restoreState(d);
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
-  const std::size_t nAdd = d.checkedSize(d.u64(), 12);
-  additions_.clear();
-  additions_.reserve(nAdd);
-  for (std::size_t i = 0; i < nAdd; ++i) {
-    const std::uint64_t seq = d.u64();
-    additions_.emplace_back(seq, ckpt::loadMessageId(d));
-  }
-  addSeq_ = d.u64();
-  ckpt::loadUnorderedMap(d, offeredUpTo_, [](ckpt::Decoder& dec) {
-    const int id = dec.i32();
-    const std::uint64_t seq = dec.u64();
-    return std::pair<int, std::uint64_t>{id, seq};
-  });
-  ckpt::loadUnorderedMap(d, lastOfferAt_, [](ckpt::Decoder& dec) {
-    const int id = dec.i32();
-    const sim::SimTime at = dec.f64();
-    return std::pair<int, sim::SimTime>{id, at};
-  });
-  ckpt::loadUnorderedMap(d, requestedAt_, [](ckpt::Decoder& dec) {
-    const dtn::MessageId id = ckpt::loadMessageId(dec);
-    const sim::SimTime at = dec.f64();
-    return std::pair<dtn::MessageId, sim::SimTime>{id, at};
-  });
-  counters_.summariesSent = d.u64();
-  counters_.requestsSent = d.u64();
-  counters_.dataSent = d.u64();
-  counters_.dataReceived = d.u64();
-  counters_.duplicatesDropped = d.u64();
-  counters_.deliveredHere = d.u64();
-  counters_.sendRejects = d.u64();
-  nextSeq_ = d.i32();
-}
+void EpidemicAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
+void EpidemicAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void EpidemicAgent::restoreEvent(const sim::EventKey& key,
                                  const sim::EventDesc& desc) {

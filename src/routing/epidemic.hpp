@@ -107,12 +107,16 @@ class EpidemicAgent final : public DtnAgent {
   /// Checkpoint support: hello service, buffer, delivered set, delta-offer
   /// log/watermarks, request window, counters and RNG. Pending events
   /// (hello beacon, exchange tick) are rebuilt via restoreEvent.
-  void saveState(ckpt::Encoder& e) const override;
-  void restoreState(ckpt::Decoder& d) override;
+  void visit(ckpt::Encoder& ar) override;
+  void visit(ckpt::Decoder& ar) override;
   void restoreEvent(const sim::EventKey& key,
                     const sim::EventDesc& desc) override;
 
  private:
+  /// The checkpointed state, listed once for both archives.
+  template <class Ar>
+  void visitState(Ar& ar);
+
   /// Offers message ids to `to`: those added after the per-neighbor
   /// watermark (0 == full buffer, used on fresh contacts).
   void sendSummary(int to, bool full);

@@ -1,9 +1,7 @@
 #include "routing/spray_wait.hpp"
 
-#include <array>
 #include <stdexcept>
 
-#include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "trace/recorder.hpp"
@@ -194,45 +192,25 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
   }
 }
 
-void SprayWaitAgent::saveState(ckpt::Encoder& e) const {
-  for (const std::uint64_t word : rng_.state()) e.u64(word);
-  neighbors_.saveState(e);
-  buffer_.saveState(e);
-  ckpt::saveUnorderedMap(
-      e, budget_,
-      [](ckpt::Encoder& enc, const dtn::MessageId& id, const int b) {
-        ckpt::saveMessageId(enc, id);
-        enc.i32(b);
-      });
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
-  e.u64(dataSent_);
-  e.u64(dataReceived_);
-  e.u64(sendRejects_);
-  e.i32(nextSeq_);
+template <class Ar>
+void SprayWaitAgent::visitState(Ar& ar) {
+  ar.rng(rng_);
+  neighbors_.visit(ar);
+  buffer_.visit(ar);
+  ar.unorderedMap(budget_, [&](dtn::MessageId& id, int& budget) {
+    ckpt::visit(ar, id);
+    ar.i32(budget);
+  });
+  ar.unorderedSet(deliveredHere_,
+                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  ar.u64(dataSent_);
+  ar.u64(dataReceived_);
+  ar.u64(sendRejects_);
+  ar.i32(nextSeq_);
 }
 
-void SprayWaitAgent::restoreState(ckpt::Decoder& d) {
-  std::array<std::uint64_t, 4> rngState{};
-  for (std::uint64_t& word : rngState) word = d.u64();
-  rng_.setState(rngState);
-  neighbors_.restoreState(d);
-  buffer_.restoreState(d);
-  ckpt::loadUnorderedMap(d, budget_, [](ckpt::Decoder& dec) {
-    const dtn::MessageId id = ckpt::loadMessageId(dec);
-    const int b = dec.i32();
-    return std::pair<dtn::MessageId, int>{id, b};
-  });
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
-  dataSent_ = d.u64();
-  dataReceived_ = d.u64();
-  sendRejects_ = d.u64();
-  nextSeq_ = d.i32();
-}
+void SprayWaitAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
+void SprayWaitAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void SprayWaitAgent::restoreEvent(const sim::EventKey& key,
                                   const sim::EventDesc& desc) {

@@ -274,64 +274,34 @@ double QuantileSketch::quantile(double q) const {
   return max_;  // unreachable; loop always returns on the last centroid
 }
 
-void Moments::saveState(ckpt::Encoder& e) const {
-  e.size(n_);
-  e.f64(mean_);
-  e.f64(m2_);
-  e.f64(m3_);
-  e.f64(m4_);
-  e.f64(min_);
-  e.f64(max_);
+template <class Ar>
+void Moments::visit(Ar& ar) {
+  // u64, not a bounded count: observation counts can dwarf the section.
+  ar.u64(n_);
+  ar.f64(mean_);
+  ar.f64(m2_);
+  ar.f64(m3_);
+  ar.f64(m4_);
+  ar.f64(min_);
+  ar.f64(max_);
 }
 
-void Moments::restoreState(ckpt::Decoder& d) {
-  // u64, not size(): observation counts can dwarf the section's byte length.
-  n_ = static_cast<std::size_t>(d.u64());
-  mean_ = d.f64();
-  m2_ = d.f64();
-  m3_ = d.f64();
-  m4_ = d.f64();
-  min_ = d.f64();
-  max_ = d.f64();
+template <class Ar>
+void QuantileSketch::visit(Ar& ar) {
+  ar.expectEqual(compression_, "quantile sketch compression");
+  ar.u64(n_);
+  ar.f64(min_);
+  ar.f64(max_);
+  ar.sequence(centroids_, 16, [&](Centroid& c) {
+    ar.f64(c.mean);
+    ar.f64(c.weight);
+  });
+  ar.sequence(buffer_, 8, [&](double& v) { ar.f64(v); });
 }
 
-void QuantileSketch::saveState(ckpt::Encoder& e) const {
-  e.size(compression_);
-  e.size(n_);
-  e.f64(min_);
-  e.f64(max_);
-  e.size(centroids_.size());
-  for (const Centroid& c : centroids_) {
-    e.f64(c.mean);
-    e.f64(c.weight);
-  }
-  e.size(buffer_.size());
-  for (const double v : buffer_) e.f64(v);
-}
-
-void QuantileSketch::restoreState(ckpt::Decoder& d) {
-  const std::size_t compression = d.size();
-  if (compression != compression_) {
-    d.fail("quantile sketch compression mismatch (snapshot " +
-           std::to_string(compression) + ", live " +
-           std::to_string(compression_) + ")");
-  }
-  n_ = static_cast<std::size_t>(d.u64());
-  min_ = d.f64();
-  max_ = d.f64();
-  const std::size_t nCentroids = d.checkedSize(d.u64(), 16);
-  centroids_.clear();
-  centroids_.reserve(nCentroids);
-  for (std::size_t i = 0; i < nCentroids; ++i) {
-    Centroid c;
-    c.mean = d.f64();
-    c.weight = d.f64();
-    centroids_.push_back(c);
-  }
-  const std::size_t nBuffered = d.checkedSize(d.u64(), 8);
-  buffer_.clear();
-  buffer_.reserve(nBuffered);
-  for (std::size_t i = 0; i < nBuffered; ++i) buffer_.push_back(d.f64());
-}
+template void Moments::visit(ckpt::Encoder&);
+template void Moments::visit(ckpt::Decoder&);
+template void QuantileSketch::visit(ckpt::Encoder&);
+template void QuantileSketch::visit(ckpt::Decoder&);
 
 }  // namespace glr::stats

@@ -20,11 +20,6 @@
 #include <cstddef>
 #include <vector>
 
-namespace glr::ckpt {
-class Encoder;
-class Decoder;
-}
-
 namespace glr::stats {
 
 /// Streaming central moments (Welford/Pébay updates): count, mean, M2-M4,
@@ -48,8 +43,8 @@ class Moments {
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
 
   /// Checkpoint support: bit-exact accumulator state round-trip.
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   std::size_t n_ = 0;
@@ -95,8 +90,8 @@ class QuantileSketch {
   /// buffer without flushing, so the restored sketch is in the exact
   /// in-memory state of the snapshotted one (flushing here would change
   /// when the next compression happens and diverge from the golden run).
-  void saveState(ckpt::Encoder& e) const;
-  void restoreState(ckpt::Decoder& d);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   struct Centroid {
