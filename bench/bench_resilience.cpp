@@ -35,6 +35,7 @@
 namespace {
 
 using glr::experiment::bitIdenticalIgnoringWall;
+using glr::experiment::conservationHolds;
 using glr::experiment::Protocol;
 using glr::experiment::ScenarioConfig;
 using glr::experiment::ScenarioResult;
@@ -100,15 +101,6 @@ ScenarioConfig cellConfig(const Variant& v, const char* mobility,
     cfg.faults.params.adversary.blackholeFraction = fraction;
   }
   return cfg;
-}
-
-bool lossAccounted(const ScenarioResult& r) {
-  const std::uint64_t countedDrops =
-      r.advBlackholeDrops + r.advGreyholeDrops + r.advSelfishRefusals +
-      r.bufferEvictions + r.expiredDrops + r.macQueueDrops + r.macRetryDrops +
-      r.macRadioDownDrops;
-  return r.created <=
-         r.delivered + r.bufferedAtEnd + r.macQueueAtEnd + countedDrops;
 }
 
 }  // namespace
@@ -216,7 +208,7 @@ int main(int argc, char** argv) {
   // The no-uncounted-loss audit, per run, before any aggregation.
   for (std::size_t g = 0; g < results.size(); ++g) {
     for (std::size_t s = 0; s < results[g].size(); ++s) {
-      if (!lossAccounted(results[g][s])) {
+      if (!conservationHolds(results[g][s])) {
         std::fprintf(stderr,
                      "FATAL: cell %zu seed %zu lost bundles without a "
                      "counter — uncounted loss under adversaries\n",

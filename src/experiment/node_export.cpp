@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "experiment/scenario.hpp"
 #include "mac/mac.hpp"
 #include "net/world.hpp"
 #include "routing/dtn_agent.hpp"
@@ -23,97 +24,42 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/// Field list shared by both formats: name + value extractor, so the JSON
-/// and CSV writers cannot drift apart.
-struct NodeRow {
-  int node = 0;
-  std::uint64_t macDataTx = 0;
-  std::uint64_t macQueueDrops = 0;
-  std::uint64_t macRetryDrops = 0;
-  std::uint64_t macRadioDownDrops = 0;
-  std::uint64_t macAckTimeouts = 0;
-  std::uint64_t macBusyDeferrals = 0;
-  std::uint64_t macQueueAtEnd = 0;
-  std::uint64_t storageUsed = 0;
-  std::uint64_t storagePeak = 0;
-  std::uint64_t dataSent = 0;
-  std::uint64_t dataReceived = 0;
-  std::uint64_t duplicatesDropped = 0;
-  std::uint64_t custodyAcksSent = 0;
-  std::uint64_t custodyAcksReceived = 0;
-  std::uint64_t sendRejects = 0;
-  std::uint64_t bufferEvictions = 0;
-  std::uint64_t custodyRefusals = 0;
-  std::uint64_t suspicionsRaised = 0;
-  std::uint64_t recoverySprays = 0;
-  std::uint64_t expiredDrops = 0;
-};
-
+/// Column names and row values are generated from the same two counter
+/// lists in the same order, so they cannot drift apart: node, the MAC
+/// block (named like its ScenarioResult sums), macQueueAtEnd, storage
+/// used/peak, then every ProtocolCounters field under its own name.
 constexpr const char* kFieldNames[] = {
-    "node",           "macDataTx",       "macQueueDrops",
-    "macRetryDrops",  "macRadioDownDrops", "macAckTimeouts",
-    "macBusyDeferrals", "macQueueAtEnd", "storageUsed",
-    "storagePeak",    "dataSent",        "dataReceived",
-    "duplicatesDropped", "custodyAcksSent", "custodyAcksReceived",
-    "sendRejects",    "bufferEvictions", "custodyRefusals",
-    "suspicionsRaised", "recoverySprays", "expiredDrops",
+    "node",
+#define GLR_COLUMN(field, resultField) #resultField,
+    GLR_MAC_COUNTERS(GLR_COLUMN)
+#undef GLR_COLUMN
+    "macQueueAtEnd", "storageUsed", "storagePeak",
+#define GLR_COLUMN(field, resultField) #field,
+    GLR_PROTOCOL_COUNTERS(GLR_COLUMN)
+#undef GLR_COLUMN
 };
-
-std::vector<std::uint64_t> fieldValues(const NodeRow& r) {
-  return {static_cast<std::uint64_t>(r.node),
-          r.macDataTx,
-          r.macQueueDrops,
-          r.macRetryDrops,
-          r.macRadioDownDrops,
-          r.macAckTimeouts,
-          r.macBusyDeferrals,
-          r.macQueueAtEnd,
-          r.storageUsed,
-          r.storagePeak,
-          r.dataSent,
-          r.dataReceived,
-          r.duplicatesDropped,
-          r.custodyAcksSent,
-          r.custodyAcksReceived,
-          r.sendRejects,
-          r.bufferEvictions,
-          r.custodyRefusals,
-          r.suspicionsRaised,
-          r.recoverySprays,
-          r.expiredDrops};
-}
 
 constexpr std::size_t kNumFields = std::size(kFieldNames);
 
-NodeRow collectRow(net::World& world, int i, const routing::DtnAgent* agent) {
-  NodeRow row;
-  row.node = i;
+std::vector<std::uint64_t> fieldValues(
+    net::World& world, const std::vector<routing::DtnAgent*>& agents, int i) {
+  const routing::DtnAgent* agent =
+      static_cast<std::size_t>(i) < agents.size() ? agents[i] : nullptr;
   const mac::MacStats& ms = world.macOf(i).stats();
-  row.macDataTx = ms.dataTx;
-  row.macQueueDrops = ms.queueDrops;
-  row.macRetryDrops = ms.retryDrops;
-  row.macRadioDownDrops = ms.radioDownDrops;
-  row.macAckTimeouts = ms.ackTimeouts;
-  row.macBusyDeferrals = ms.busyDeferrals;
-  row.macQueueAtEnd = world.macOf(i).queueLength();
-  if (agent != nullptr) {
-    row.storageUsed = agent->storageUsed();
-    row.storagePeak = agent->storagePeak();
-    routing::ProtocolCounters pc;
-    agent->harvestCounters(pc);
-    row.dataSent = pc.dataSent;
-    row.dataReceived = pc.dataReceived;
-    row.duplicatesDropped = pc.duplicatesDropped;
-    row.custodyAcksSent = pc.custodyAcksSent;
-    row.custodyAcksReceived = pc.custodyAcksReceived;
-    row.sendRejects = pc.sendRejects;
-    row.bufferEvictions = pc.bufferEvictions;
-    row.custodyRefusals = pc.custodyRefusals;
-    row.suspicionsRaised = pc.suspicionsRaised;
-    row.recoverySprays = pc.recoverySprays;
-    row.expiredDrops = pc.expiredDrops;
-  }
-  return row;
+  routing::ProtocolCounters pc;
+  if (agent != nullptr) agent->harvestCounters(pc);
+  return {
+      static_cast<std::uint64_t>(i),
+#define GLR_VALUE(field, resultField) ms.field,
+      GLR_MAC_COUNTERS(GLR_VALUE)
+#undef GLR_VALUE
+      world.macOf(i).queueLength(),
+      agent != nullptr ? agent->storageUsed() : 0,
+      agent != nullptr ? agent->storagePeak() : 0,
+#define GLR_VALUE(field, resultField) pc.field,
+      GLR_PROTOCOL_COUNTERS(GLR_VALUE)
+#undef GLR_VALUE
+  };
 }
 
 bool endsWith(const std::string& s, const std::string& suffix) {
@@ -140,9 +86,7 @@ void exportNodeCounters(const std::string& path, net::World& world,
   if (json) {
     std::fprintf(file.get(), "{\n  \"nodes\": [\n");
     for (int i = 0; i < n; ++i) {
-      const routing::DtnAgent* agent =
-          static_cast<std::size_t>(i) < agents.size() ? agents[i] : nullptr;
-      const auto values = fieldValues(collectRow(world, i, agent));
+      const auto values = fieldValues(world, agents, i);
       std::fprintf(file.get(), "    {");
       for (std::size_t f = 0; f < kNumFields; ++f) {
         std::fprintf(file.get(), "%s\"%s\": %llu", f == 0 ? "" : ", ",
@@ -158,9 +102,7 @@ void exportNodeCounters(const std::string& path, net::World& world,
     }
     std::fprintf(file.get(), "\n");
     for (int i = 0; i < n; ++i) {
-      const routing::DtnAgent* agent =
-          static_cast<std::size_t>(i) < agents.size() ? agents[i] : nullptr;
-      const auto values = fieldValues(collectRow(world, i, agent));
+      const auto values = fieldValues(world, agents, i);
       for (std::size_t f = 0; f < kNumFields; ++f) {
         std::fprintf(file.get(), "%s%llu", f == 0 ? "" : ",",
                      static_cast<unsigned long long>(values[f]));

@@ -2,7 +2,9 @@
 /// \file node_export.hpp
 /// Per-node counter export for post-hoc debugging: one row per node with
 /// its MAC statistics, storage occupancy/peak, and protocol counters
-/// (routing::ProtocolCounters harvested per agent instead of summed).
+/// (routing::ProtocolCounters harvested per agent instead of summed). The
+/// columns are generated from GLR_MAC_COUNTERS and GLR_PROTOCOL_COUNTERS,
+/// so a counter added to either list is exported without further code.
 ///
 /// The scenario-level ScenarioResult answers "how did the run go"; this
 /// answers "which node" — the question behind anomalies like GLR's

@@ -147,72 +147,40 @@ void ThreadPool::parallelFor(std::size_t n,
   if (error) std::rethrow_exception(error);
 }
 
-// The comparator below must enumerate every ScenarioResult field except
-// wallSeconds; a field it misses silently escapes the determinism
-// contract. The struct is 49 tightly-packed 8-byte scalars — adding one
-// trips this assert, which is your cue to extend the comparator.
-static_assert(sizeof(ScenarioResult) == 49 * sizeof(std::uint64_t),
-              "ScenarioResult changed: update bitIdenticalIgnoringWall");
-
 bool bitIdenticalIgnoringWall(const ScenarioResult& a,
                               const ScenarioResult& b) {
-  return a.created == b.created && a.delivered == b.delivered &&
-         a.deliveryRatio == b.deliveryRatio && a.avgLatency == b.avgLatency &&
-         a.avgHops == b.avgHops && a.maxPeakStorage == b.maxPeakStorage &&
-         a.avgPeakStorage == b.avgPeakStorage && a.macDataTx == b.macDataTx &&
-         a.macQueueDrops == b.macQueueDrops &&
-         a.macRetryDrops == b.macRetryDrops &&
-         a.macRadioDownDrops == b.macRadioDownDrops &&
-         a.macAckTimeouts == b.macAckTimeouts &&
-         a.macBusyDeferrals == b.macBusyDeferrals &&
-         a.collisions == b.collisions &&
-         a.airTimeSeconds == b.airTimeSeconds &&
-         a.faultFrameDrops == b.faultFrameDrops &&
-         a.duplicateDeliveries == b.duplicateDeliveries &&
-         a.perturbations == b.perturbations && a.glrDataSent == b.glrDataSent &&
-         a.glrDataReceived == b.glrDataReceived &&
-         a.glrDuplicatesDropped == b.glrDuplicatesDropped &&
-         a.glrCustodyAcksSent == b.glrCustodyAcksSent &&
-         a.glrCustodyAcksReceived == b.glrCustodyAcksReceived &&
-         a.glrCacheTimeouts == b.glrCacheTimeouts &&
-         a.glrTxFailures == b.glrTxFailures &&
-         a.glrFaceTransitions == b.glrFaceTransitions &&
-         a.sendRejects == b.sendRejects &&
-         a.bufferEvictions == b.bufferEvictions &&
-         a.custodyRefusals == b.custodyRefusals &&
-         a.advBlackholeDrops == b.advBlackholeDrops &&
-         a.advGreyholeDrops == b.advGreyholeDrops &&
-         a.advSelfishRefusals == b.advSelfishRefusals &&
-         a.advFlapTransitions == b.advFlapTransitions &&
-         a.glrSuspicionsRaised == b.glrSuspicionsRaised &&
-         a.glrSuspectSkips == b.glrSuspectSkips &&
-         a.glrRecoveryActivations == b.glrRecoveryActivations &&
-         a.glrRecoverySprays == b.glrRecoverySprays &&
-         a.expiredDrops == b.expiredDrops &&
-         a.bufferedAtEnd == b.bufferedAtEnd &&
-         a.macQueueAtEnd == b.macQueueAtEnd &&
-         a.latencyP50 == b.latencyP50 && a.latencyP90 == b.latencyP90 &&
-         a.latencyP99 == b.latencyP99 && a.latencyMin == b.latencyMin &&
-         a.latencyMax == b.latencyMax &&
-         a.latencyStddev == b.latencyStddev &&
-         a.traceEventsRecorded == b.traceEventsRecorded &&
-         a.eventsExecuted == b.eventsExecuted;
+  return firstMismatch(a, b).empty();
 }
 
 namespace {
 
 // Sweep journal: [u32 magic "GLRJ"] [u16 version] [u16 flags=0]
-// [u64 cellCount] [u64 sweepDigest], then per finished cell one record of
-// [u64 cellIndex] [raw ScenarioResult bytes]. Records are fflushed as they
-// land, so a killed sweep loses at most the record being written — and a
-// torn tail is detected by length and truncated away on resume. The result
-// payload is the host's in-memory layout (trivially copyable, asserted
-// above): the journal is a same-machine crash-recovery artifact, not an
-// interchange format.
+// [u64 cellCount] [u64 sweepDigest] [u64 result layout fingerprint], then
+// per finished cell one record of [u64 cellIndex] [raw ScenarioResult
+// bytes]. Records are fflushed as they land, so a killed sweep loses at
+// most the record being written — and a torn tail is detected by length
+// and truncated away on resume. The result payload is the host's in-memory
+// layout (trivially copyable, asserted above): the journal is a
+// same-machine crash-recovery artifact, not an interchange format, and the
+// fingerprint refuses one written by a build with a different field list.
 constexpr std::uint32_t kJournalMagic = 0x4A524C47;  // "GLRJ"
-constexpr std::uint16_t kJournalVersion = 1;
-constexpr std::size_t kJournalHeaderSize = 4 + 2 + 2 + 8 + 8;
+constexpr std::uint16_t kJournalVersion = 2;
+constexpr std::size_t kJournalHeaderSize = 4 + 2 + 2 + 8 + 8 + 8;
 constexpr std::size_t kJournalRecordSize = 8 + sizeof(ScenarioResult);
+
+/// FNV-1a over the result field list's declarations ("type name;" in
+/// order, wallSeconds last): a change to any ScenarioResult field's name,
+/// type or position changes it.
+std::uint64_t resultLayoutFingerprint() {
+#define GLR_LAYOUT_FIELD(type, name) #type " " #name ";"
+#define GLR_LAYOUT_COUNTER(field, name) GLR_LAYOUT_FIELD(std::uint64_t, name)
+  static constexpr char kLayout[] =
+      GLR_SCENARIO_RESULT_FIELDS(GLR_LAYOUT_FIELD, GLR_LAYOUT_COUNTER)
+          GLR_LAYOUT_FIELD(double, wallSeconds);
+#undef GLR_LAYOUT_FIELD
+#undef GLR_LAYOUT_COUNTER
+  return ckpt::fnv1a64(kLayout, sizeof kLayout - 1);
+}
 
 /// Chained FNV over every cell's config digest: two sweeps share a journal
 /// only if they run the same cells in the same order.
@@ -254,11 +222,24 @@ std::size_t loadJournal(const std::string& path, std::uint64_t digest,
   const std::uint16_t version = d.u16();
   if (version != kJournalVersion) {
     std::fclose(f);
-    journalFail(path, "unsupported version " + std::to_string(version));
+    journalFail(path, "unsupported version " + std::to_string(version) +
+                          ": without this build's v2 result layout stamp "
+                          "its records cannot be trusted to match the "
+                          "result layout — refusing to read them");
   }
   d.u16();  // flags
   const std::uint64_t cellCount = d.u64();
   const std::uint64_t theirDigest = d.u64();
+  const std::uint64_t theirLayout = d.u64();
+  if (theirLayout != resultLayoutFingerprint()) {
+    std::fclose(f);
+    journalFail(path, "result layout fingerprint " +
+                          std::to_string(theirLayout) + " differs from this "
+                          "build's " +
+                          std::to_string(resultLayoutFingerprint()) +
+                          " (the ScenarioResult field list changed) — "
+                          "refusing to misread its records");
+  }
   if (cellCount != results.size() || theirDigest != digest) {
     std::fclose(f);
     journalFail(path,
@@ -314,6 +295,7 @@ std::FILE* openJournal(const std::string& path, std::uint64_t digest,
     e.u16(0);
     e.u64(cellCount);
     e.u64(digest);
+    e.u64(resultLayoutFingerprint());
     if (std::fwrite(e.data().data(), 1, e.data().size(), f) !=
             e.data().size() ||
         std::fflush(f) != 0) {

@@ -102,9 +102,10 @@ class ThreadPool {
 }
 
 /// True when every field of `a` and `b` compares exactly equal except
-/// `wallSeconds` (host timing — nondeterministic even on the serial path).
-/// This is the parallel engine's regression contract: a sweep must satisfy
-/// it cell-for-cell against the serial run at any thread count.
+/// `wallSeconds` (host timing — nondeterministic even on the serial path),
+/// i.e. firstMismatch(a, b) is empty. This is the parallel engine's
+/// regression contract: a sweep must satisfy it cell-for-cell against the
+/// serial run at any thread count.
 [[nodiscard]] bool bitIdenticalIgnoringWall(const ScenarioResult& a,
                                             const ScenarioResult& b);
 

@@ -439,22 +439,9 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
     a->harvestCounters(proto);
     r.bufferedAtEnd += a->storageUsed();
   }
-  r.glrDataSent = proto.dataSent;
-  r.glrDataReceived = proto.dataReceived;
-  r.glrDuplicatesDropped = proto.duplicatesDropped;
-  r.glrCustodyAcksSent = proto.custodyAcksSent;
-  r.glrCustodyAcksReceived = proto.custodyAcksReceived;
-  r.glrCacheTimeouts = proto.cacheTimeouts;
-  r.glrTxFailures = proto.txFailures;
-  r.glrFaceTransitions = proto.faceTransitions;
-  r.sendRejects = proto.sendRejects;
-  r.bufferEvictions = proto.bufferEvictions;
-  r.custodyRefusals = proto.custodyRefusals;
-  r.glrSuspicionsRaised = proto.suspicionsRaised;
-  r.glrSuspectSkips = proto.suspectSkips;
-  r.glrRecoveryActivations = proto.recoveryActivations;
-  r.glrRecoverySprays = proto.recoverySprays;
-  r.expiredDrops = proto.expiredDrops;
+#define GLR_HARVEST(field, resultField) r.resultField = proto.field;
+  GLR_PROTOCOL_COUNTERS(GLR_HARVEST)
+#undef GLR_HARVEST
   r.maxPeakStorage = peaks.max();
   r.avgPeakStorage = peaks.mean();
 
@@ -472,12 +459,9 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
 
   for (int i = 0; i < cfg.numNodes; ++i) {
     const auto& ms = world.macOf(i).stats();
-    r.macDataTx += ms.dataTx;
-    r.macQueueDrops += ms.queueDrops;
-    r.macRetryDrops += ms.retryDrops;
-    r.macRadioDownDrops += ms.radioDownDrops;
-    r.macAckTimeouts += ms.ackTimeouts;
-    r.macBusyDeferrals += ms.busyDeferrals;
+#define GLR_SUM(field, resultField) r.resultField += ms.field;
+    GLR_MAC_COUNTERS(GLR_SUM)
+#undef GLR_SUM
     r.macQueueAtEnd += world.macOf(i).queueLength();
   }
   r.collisions = world.channel().stats().collisions;
@@ -501,6 +485,26 @@ std::vector<ScenarioResult> runScenarioSeeds(ScenarioConfig cfg, int runs) {
   // itself never spawns more workers than there are cells.
   SweepRunner runner;
   return std::move(runner.run({cfg}, runs).front());
+}
+
+std::string_view firstMismatch(const ScenarioResult& a,
+                               const ScenarioResult& b) {
+  std::string_view mismatch;
+  forEachResultField([&](const char* name, auto member) {
+    if (mismatch.empty() && !(a.*member == b.*member)) mismatch = name;
+  });
+  return mismatch;
+}
+
+bool conservationHolds(const ScenarioResult& r) {
+  std::uint64_t accounted = r.delivered + r.bufferedAtEnd + r.macQueueAtEnd +
+                            r.bufferEvictions + r.expiredDrops +
+                            r.advBlackholeDrops + r.advGreyholeDrops +
+                            r.advSelfishRefusals;
+#define GLR_ADD_LOSS(field, resultField) accounted += r.resultField;
+  GLR_MAC_LOSSES(GLR_ADD_LOSS)
+#undef GLR_ADD_LOSS
+  return r.created <= accounted;
 }
 
 std::vector<double> metricAcross(const std::vector<ScenarioResult>& rs,

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/glr_agent.hpp"
@@ -20,6 +21,7 @@
 #include "mobility/registry.hpp"
 #include "net/churn.hpp"
 #include "net/faults.hpp"
+#include "routing/dtn_agent.hpp"
 
 namespace glr::experiment {
 
@@ -198,92 +200,105 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
 };
 
+/// The mac::MacStats counters summed over every node into ScenarioResult,
+/// one X(field, resultField) entry each (same shape as
+/// GLR_PROTOCOL_COUNTERS in routing/dtn_agent.hpp). The losses sublist is
+/// the MAC's share of conservationHolds' counted drops: drop-tail, retry
+/// limit, and sends lost to a churned-down radio. ackTimeouts counts the
+/// ACK waits that expired, busyDeferrals the attempts deferred on a busy
+/// medium.
+#define GLR_MAC_LOSSES(X)              \
+  X(queueDrops, macQueueDrops)         \
+  X(retryDrops, macRetryDrops)         \
+  X(radioDownDrops, macRadioDownDrops)
+#define GLR_MAC_COUNTERS(X)            \
+  X(dataTx, macDataTx)                 \
+  GLR_MAC_LOSSES(X)                    \
+  X(ackTimeouts, macAckTimeouts)       \
+  X(busyDeferrals, macBusyDeferrals)
+
+/// Every deterministic ScenarioResult field in declaration order: F(type,
+/// name) for a result-only field, C(field, name) for a std::uint64_t
+/// counter summed from one of the two lists above. The struct, the
+/// comparator (firstMismatch) and the sweep journal's layout fingerprint
+/// are generated from it.
+#define GLR_SCENARIO_RESULT_FIELDS(F, C)                                    \
+  /* Delivery (the paper's headline numbers); latency in seconds over    */ \
+  /* delivered messages only.                                            */ \
+  F(std::size_t, created)                                                   \
+  F(std::size_t, delivered)                                                 \
+  F(double, deliveryRatio)                                                  \
+  F(double, avgLatency)                                                     \
+  F(double, avgHops)                                                        \
+  /* Storage (Tables 4/5): message-count peaks over nodes.               */ \
+  F(double, maxPeakStorage)                                                 \
+  F(double, avgPeakStorage)                                                 \
+  /* Network-layer health; faultFrameDrops are deliveries suppressed by  */ \
+  /* fault injection.                                                    */ \
+  GLR_MAC_COUNTERS(C)                                                       \
+  F(std::uint64_t, collisions)                                              \
+  F(double, airTimeSeconds)                                                 \
+  F(std::uint64_t, faultFrameDrops)                                         \
+  F(std::uint64_t, duplicateDeliveries)                                     \
+  F(std::uint64_t, perturbations)                                           \
+  /* Protocol internals, harvested via DtnAgent::harvestCounters.        */ \
+  GLR_PROTOCOL_COUNTERS(C)                                                  \
+  /* Misbehavior counted at the adversary layer: every blackhole or      */ \
+  /* greyhole discard lands in exactly one of these.                     */ \
+  F(std::uint64_t, advBlackholeDrops)                                       \
+  F(std::uint64_t, advGreyholeDrops)                                        \
+  F(std::uint64_t, advSelfishRefusals)                                      \
+  F(std::uint64_t, advFlapTransitions)                                      \
+  /* Copies still held by agents, and frames still in MAC queues, when   */ \
+  /* the scenario ends (see conservationHolds).                          */ \
+  F(std::uint64_t, bufferedAtEnd)                                           \
+  F(std::uint64_t, macQueueAtEnd)                                           \
+  /* First-delivery latency from the online sketches (stats/sketch.hpp): */ \
+  /* t-digest quantiles, exact streaming min/max/stddev; zero when       */ \
+  /* nothing is delivered.                                               */ \
+  F(double, latencyP50)                                                     \
+  F(double, latencyP90)                                                     \
+  F(double, latencyP99)                                                     \
+  F(double, latencyMin)                                                     \
+  F(double, latencyMax)                                                     \
+  F(double, latencyStddev)                                                  \
+  /* Flight-recorder records written (0 with tracing off).               */ \
+  F(std::uint64_t, traceEventsRecorded)                                     \
+  F(std::uint64_t, eventsExecuted)
+
+/// One scenario's outcome. Every field but wallSeconds is a pure function
+/// of (config, seed); counters whose mechanism is off stay zero.
 struct ScenarioResult {
-  // Delivery metrics (paper's headline numbers).
-  std::size_t created = 0;
-  std::size_t delivered = 0;
-  double deliveryRatio = 0.0;
-  double avgLatency = 0.0;  // seconds, delivered messages only
-  double avgHops = 0.0;
-
-  // Storage metrics (Tables 4/5): message-count peaks over nodes.
-  double maxPeakStorage = 0.0;
-  double avgPeakStorage = 0.0;
-
-  // Network-layer health.
-  std::uint64_t macDataTx = 0;
-  std::uint64_t macQueueDrops = 0;
-  std::uint64_t macRetryDrops = 0;
-  std::uint64_t macRadioDownDrops = 0;  // churn: sends lost to a down radio
-  std::uint64_t macAckTimeouts = 0;     // ACK waits that expired
-  std::uint64_t macBusyDeferrals = 0;   // attempts deferred on busy medium
-  std::uint64_t collisions = 0;
-  double airTimeSeconds = 0.0;
-  std::uint64_t faultFrameDrops = 0;  // deliveries suppressed by faults
-  std::uint64_t duplicateDeliveries = 0;
-  std::uint64_t perturbations = 0;
-
-  // Protocol internals, harvested via routing::DtnAgent::harvestCounters.
-  // GLR fills every field; epidemic reports its data/duplicate traffic;
-  // other protocols leave what they don't track at zero.
-  std::uint64_t glrDataSent = 0;
-  std::uint64_t glrDataReceived = 0;
-  std::uint64_t glrDuplicatesDropped = 0;
-  std::uint64_t glrCustodyAcksSent = 0;
-  std::uint64_t glrCustodyAcksReceived = 0;
-  std::uint64_t glrCacheTimeouts = 0;
-  std::uint64_t glrTxFailures = 0;
-  std::uint64_t glrFaceTransitions = 0;
-
-  // Overload accounting, reported by every protocol: sends the MAC queue
-  // finally refused, storage-pressure buffer evictions, and custody
-  // transfers refused under the watermark (GLR only). All zero in an
-  // unsaturated run.
-  std::uint64_t sendRejects = 0;
-  std::uint64_t bufferEvictions = 0;
-  std::uint64_t custodyRefusals = 0;
-
-  // Adversarial resilience. The adv* fields count misbehavior at the
-  // adversary layer (every blackhole/greyhole discard lands in exactly one
-  // of them — no uncounted loss); the glr* fields count the recovery
-  // sublayer's reactions. expiredDrops counts TTL expiries across all
-  // protocols; bufferedAtEnd is the copies still held by agents when the
-  // scenario ends and macQueueAtEnd the frames still sitting in MAC queues
-  // (a copy can end the run in flight), closing the conservation inequality
-  //   created <= delivered + bufferedAtEnd + macQueueAtEnd + counted drops.
-  // All zero when the corresponding knobs are off.
-  std::uint64_t advBlackholeDrops = 0;
-  std::uint64_t advGreyholeDrops = 0;
-  std::uint64_t advSelfishRefusals = 0;
-  std::uint64_t advFlapTransitions = 0;
-  std::uint64_t glrSuspicionsRaised = 0;
-  std::uint64_t glrSuspectSkips = 0;
-  std::uint64_t glrRecoveryActivations = 0;
-  std::uint64_t glrRecoverySprays = 0;
-  std::uint64_t expiredDrops = 0;
-  std::uint64_t bufferedAtEnd = 0;
-  std::uint64_t macQueueAtEnd = 0;
-
-  // First-delivery latency distribution, read from the online sketches
-  // (stats/sketch.hpp) — bounded memory at any message count. Quantiles are
-  // t-digest estimates (exact below the sketch's buffer size); min/max/
-  // stddev come from the exact streaming moments. All zero when nothing is
-  // delivered.
-  double latencyP50 = 0.0;
-  double latencyP90 = 0.0;
-  double latencyP99 = 0.0;
-  double latencyMin = 0.0;
-  double latencyMax = 0.0;
-  double latencyStddev = 0.0;
-
-  // Observability: flight-recorder records written (0 with tracing off).
-  // Deterministic — a pure function of the simulated event sequence.
-  std::uint64_t traceEventsRecorded = 0;
-
-  // Run health.
-  std::uint64_t eventsExecuted = 0;
+#define GLR_RESULT_FIELD(type, name) type name = 0;
+#define GLR_RESULT_COUNTER(field, name) std::uint64_t name = 0;
+  GLR_SCENARIO_RESULT_FIELDS(GLR_RESULT_FIELD, GLR_RESULT_COUNTER)
+#undef GLR_RESULT_FIELD
+#undef GLR_RESULT_COUNTER
+  /// Host timing: outside the field list, never compared or pinned.
   double wallSeconds = 0.0;
 };
+
+/// Calls `f(name, &ScenarioResult::member)` for every listed field, in
+/// declaration order (wallSeconds excluded).
+template <class F>
+void forEachResultField(F&& f) {
+#define GLR_VISIT(typeOrField, name) f(#name, &ScenarioResult::name);
+  GLR_SCENARIO_RESULT_FIELDS(GLR_VISIT, GLR_VISIT)
+#undef GLR_VISIT
+}
+
+/// The name of the first listed field on which `a` and `b` differ (exact
+/// `==`, so a NaN never matches), or "" when they agree on all of them.
+[[nodiscard]] std::string_view firstMismatch(const ScenarioResult& a,
+                                             const ScenarioResult& b);
+
+/// The conservation law with counted losses: every created message is
+/// delivered, still buffered at an agent, still in a MAC queue, or
+/// accounted by a counted drop (MAC queue/retry/radio-down, buffer
+/// eviction, TTL expiry, adversarial discard or refusal). Replication makes
+/// the right side count copies, so only `<=` holds — but a message may
+/// never vanish without a counter moving.
+[[nodiscard]] bool conservationHolds(const ScenarioResult& r);
 
 /// Runs one scenario to completion and collects results.
 [[nodiscard]] ScenarioResult runScenario(const ScenarioConfig& cfg);

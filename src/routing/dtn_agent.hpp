@@ -16,31 +16,42 @@ class Decoder;
 namespace glr::routing {
 
 /// Protocol counters a routing agent can export to the experiment harness
-/// when a scenario ends. The field vocabulary follows GLR (the paper's
-/// protocol, which defines every one of them); other protocols accumulate
-/// into whatever maps naturally and leave the rest zero.
+/// when a scenario ends, one X(field, resultField) entry each: `field` is
+/// the ProtocolCounters member, `resultField` the experiment::ScenarioResult
+/// member it is summed into over every agent. The result struct, its
+/// comparator, the end-of-run harvest and the per-node export columns are
+/// all generated from this list, so adding a counter is one entry here plus
+/// the producing agent's harvestCounters line. The vocabulary follows GLR
+/// (the paper's protocol, which defines every one of them); other protocols
+/// accumulate into whatever maps naturally and leave the rest zero.
+#define GLR_PROTOCOL_COUNTERS(X)                                            \
+  X(dataSent, glrDataSent)                                                  \
+  X(dataReceived, glrDataReceived)                                          \
+  X(duplicatesDropped, glrDuplicatesDropped)                                \
+  X(custodyAcksSent, glrCustodyAcksSent)                                    \
+  X(custodyAcksReceived, glrCustodyAcksReceived)                            \
+  X(cacheTimeouts, glrCacheTimeouts)                                        \
+  X(txFailures, glrTxFailures)                                              \
+  X(faceTransitions, glrFaceTransitions)                                    \
+  /* Overload survival, every protocol: no full buffer or queue drops    */ \
+  /* silently. Refusals are custody NACKs sent under the watermark.      */ \
+  X(sendRejects, sendRejects)                                               \
+  X(bufferEvictions, bufferEvictions)                                       \
+  X(custodyRefusals, custodyRefusals)                                       \
+  /* GLR recovery sublayer: fresh suspect verdicts, candidate hops       */ \
+  /* skipped as suspect, per-copy spray fallbacks entered, custody-free  */ \
+  /* clones sent. Zero for other protocols and with the knob off.        */ \
+  X(suspicionsRaised, glrSuspicionsRaised)                                  \
+  X(suspectSkips, glrSuspectSkips)                                          \
+  X(recoveryActivations, glrRecoveryActivations)                            \
+  X(recoverySprays, glrRecoverySprays)                                      \
+  /* TTL expiry is a counted drop for every protocol (zero without TTL). */ \
+  X(expiredDrops, expiredDrops)
+
 struct ProtocolCounters {
-  std::uint64_t dataSent = 0;
-  std::uint64_t dataReceived = 0;
-  std::uint64_t duplicatesDropped = 0;
-  std::uint64_t custodyAcksSent = 0;
-  std::uint64_t custodyAcksReceived = 0;
-  std::uint64_t cacheTimeouts = 0;
-  std::uint64_t txFailures = 0;
-  std::uint64_t faceTransitions = 0;
-  // Overload-survival counters, common to every protocol: no buffer-full or
-  // queue-full path may drop silently.
-  std::uint64_t sendRejects = 0;      // sends refused by the MAC queue
-  std::uint64_t bufferEvictions = 0;  // storage-pressure evictions
-  std::uint64_t custodyRefusals = 0;  // custody NACKs sent under watermark
-  // Adversarial-resilience counters (GLR recovery sublayer; zero for other
-  // protocols and whenever the recovery knob is off).
-  std::uint64_t suspicionsRaised = 0;     // fresh suspect verdicts
-  std::uint64_t suspectSkips = 0;         // candidate hops skipped as suspect
-  std::uint64_t recoveryActivations = 0;  // per-copy spray fallbacks entered
-  std::uint64_t recoverySprays = 0;       // custody-free clones sent
-  // TTL expiry is a counted drop for every protocol (zero without a TTL).
-  std::uint64_t expiredDrops = 0;
+#define GLR_DECLARE_COUNTER(field, resultField) std::uint64_t field = 0;
+  GLR_PROTOCOL_COUNTERS(GLR_DECLARE_COUNTER)
+#undef GLR_DECLARE_COUNTER
 };
 
 class DtnAgent : public net::Agent {

@@ -293,17 +293,10 @@ void checkInvariants(const ScenarioConfig& cfg, const ScenarioResult& r,
     EXPECT_EQ(r.expiredDrops, 0u);
   }
 
-  // Conservation with counted losses: every created message is delivered,
-  // still buffered at some agent, still sitting in a MAC queue, or
-  // accounted by a counted drop — adversarial discards included. Equality
-  // is impossible under replication (the right side counts copies), but a
+  // Conservation with counted losses, adversarial discards included: a
   // message may never vanish without a counter moving.
-  const std::uint64_t countedDrops =
-      r.advBlackholeDrops + r.advGreyholeDrops + r.advSelfishRefusals +
-      r.bufferEvictions + r.expiredDrops + r.macQueueDrops + r.macRetryDrops +
-      r.macRadioDownDrops;
-  EXPECT_LE(r.created,
-            r.delivered + r.bufferedAtEnd + r.macQueueAtEnd + countedDrops);
+  EXPECT_TRUE(glr::experiment::conservationHolds(r))
+      << r.created << " created, too few delivered/held/dropped";
 
   // Run health: something actually executed, and the clock stayed sane
   // (every mobility model throws on a backwards query, so a kernel that

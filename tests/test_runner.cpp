@@ -15,7 +15,7 @@
 
 namespace {
 
-using glr::experiment::bitIdenticalIgnoringWall;
+using glr::experiment::firstMismatch;
 using glr::experiment::Protocol;
 using glr::experiment::runScenario;
 using glr::experiment::runScenarioSeeds;
@@ -41,15 +41,11 @@ SweepRunner makeRunner(unsigned threads) {
   return SweepRunner{opts};
 }
 
-// Full-field comparison. bitIdenticalIgnoringWall covers every field except
-// wallSeconds (host timing, nondeterministic even serially); the individual
-// EXPECTs ahead of it give a readable failure for the common fields.
+// Full-field comparison over every field except wallSeconds (host timing,
+// nondeterministic even serially); a failure names the first field that
+// differs.
 void expectIdentical(const ScenarioResult& a, const ScenarioResult& b) {
-  EXPECT_EQ(a.created, b.created);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-  EXPECT_EQ(a.avgLatency, b.avgLatency);  // exact, not near
-  EXPECT_TRUE(bitIdenticalIgnoringWall(a, b));
+  EXPECT_EQ(firstMismatch(a, b), "");
 }
 
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {
@@ -122,6 +118,18 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.parallelFor(50, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 250);
+}
+
+TEST(ResultComparator, NamesEachDifferingFieldAndIgnoresWallTime) {
+  const ScenarioResult base;
+  glr::experiment::forEachResultField([&](const char* name, auto member) {
+    ScenarioResult changed = base;
+    changed.*member += 1;
+    EXPECT_EQ(firstMismatch(base, changed), name);
+  });
+  ScenarioResult timed = base;
+  timed.wallSeconds = 1.0;
+  EXPECT_EQ(firstMismatch(base, timed), "");
 }
 
 TEST(SweepRunner, SeedScheduleMatchesHistoricalSerialLoop) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@
 
 namespace {
 
-using glr::experiment::bitIdenticalIgnoringWall;
+using glr::experiment::firstMismatch;
 using glr::experiment::Protocol;
 using glr::experiment::runScenario;
 using glr::experiment::ScenarioConfig;
@@ -54,11 +55,25 @@ void expectSweepsBitIdentical(const std::vector<ScenarioResult>& a,
                               const char* what) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(bitIdenticalIgnoringWall(a[i], b[i]))
-        << what << ": cell " << i << " diverged (delivered " << b[i].delivered
-        << " vs " << a[i].delivered << ", events " << b[i].eventsExecuted
-        << " vs " << a[i].eventsExecuted << ")";
+    EXPECT_EQ(firstMismatch(a[i], b[i]), "")
+        << what << ": cell " << i << " diverged";
   }
+}
+
+/// Journal layout: a 32-byte header ending in the result layout
+/// fingerprint, then one [u64 index][ScenarioResult] record per cell.
+constexpr std::size_t kHeaderSize = 32;
+constexpr std::size_t kFingerprintOffset = 24;
+constexpr std::size_t kRecordSize = 8 + sizeof(ScenarioResult);
+
+std::vector<char> readBytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void writeBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(SweepResume, JournalSkipsCompletedCellsAndDiscardsTornTail) {
@@ -88,17 +103,10 @@ TEST(SweepResume, JournalSkipsCompletedCellsAndDiscardsTornTail) {
   // Simulate a kill mid-append: keep the header, three whole records and
   // half of a fourth. The torn record must be discarded, the three whole
   // ones resumed, and the rerun must still match the golden sweep.
-  std::ifstream in{journal, std::ios::binary};
-  std::vector<char> bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
-  in.close();
-  const std::size_t headerSize = 24;
-  const std::size_t recordSize = 8 + sizeof(ScenarioResult);
-  ASSERT_EQ(bytes.size(), headerSize + cells.size() * recordSize);
-  bytes.resize(headerSize + 3 * recordSize + recordSize / 2);
-  std::ofstream out{journal, std::ios::binary | std::ios::trunc};
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  std::vector<char> bytes = readBytes(journal);
+  ASSERT_EQ(bytes.size(), kHeaderSize + cells.size() * kRecordSize);
+  bytes.resize(kHeaderSize + 3 * kRecordSize + kRecordSize / 2);
+  writeBytes(journal, bytes);
 
   SweepRunner third{opts};
   const std::vector<ScenarioResult> recovered = third.runCells(cells);
@@ -126,6 +134,45 @@ TEST(SweepResume, JournalFromDifferentSweepRefused) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("different sweep"),
               std::string::npos)
+        << e.what();
+  }
+  std::remove(journal.c_str());
+}
+
+TEST(SweepResume, JournalWithDifferentResultLayoutRefused) {
+  // A journal from a build whose ScenarioResult field list differs carries
+  // a different layout fingerprint; its raw records must never be read.
+  const std::vector<ScenarioConfig> cells = smallSweep();
+  const std::string journal = tmpPath("sweep_journal_layout.bin");
+  std::remove(journal.c_str());
+
+  SweepRunner::Options opts;
+  opts.threads = 2;
+  opts.journalPath = journal;
+  (void)SweepRunner{opts}.runCells(cells);
+
+  std::vector<char> bytes = readBytes(journal);
+  ASSERT_EQ(bytes.size(), kHeaderSize + cells.size() * kRecordSize);
+  bytes[kFingerprintOffset] ^= 0x5A;
+  writeBytes(journal, bytes);
+  try {
+    (void)SweepRunner{opts}.runCells(cells);
+    FAIL() << "journal with a different result layout not detected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("result layout"), std::string::npos)
+        << e.what();
+  }
+
+  // A version-1 journal predates the stamp and is refused the same way.
+  bytes[kFingerprintOffset] ^= 0x5A;
+  bytes[4] = 1;  // u16 version, little-endian
+  bytes[5] = 0;
+  writeBytes(journal, bytes);
+  try {
+    (void)SweepRunner{opts}.runCells(cells);
+    FAIL() << "version-1 journal not refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("result layout"), std::string::npos)
         << e.what();
   }
   std::remove(journal.c_str());
@@ -169,9 +216,8 @@ TEST(SweepResume, CellSnapshotContinuesInterruptedCellBitIdentically) {
   SweepRunner runner{opts};
   const std::vector<ScenarioResult> results = runner.runCells({cfg});
   EXPECT_EQ(runner.stats().cellsRestored, 1u);
-  EXPECT_TRUE(bitIdenticalIgnoringWall(golden, results[0]))
-      << "snapshot-continued cell diverged (delivered "
-      << results[0].delivered << " vs " << golden.delivered << ")";
+  EXPECT_EQ(firstMismatch(golden, results[0]), "")
+      << "snapshot-continued cell diverged";
   // The completed cell must clean its snapshot up.
   EXPECT_EQ(std::fopen(cellSnapshot.c_str(), "rb"), nullptr);
 
@@ -211,7 +257,7 @@ TEST(SweepResume, StaleCellSnapshotRerunsFromScratch) {
   SweepRunner runner{opts};
   const std::vector<ScenarioResult> results = runner.runCells({cfg});
   EXPECT_EQ(runner.stats().cellsRestored, 0u);  // stale snapshot not trusted
-  EXPECT_TRUE(bitIdenticalIgnoringWall(golden, results[0]))
+  EXPECT_EQ(firstMismatch(golden, results[0]), "")
       << "cell with stale snapshot diverged from the fresh run";
 
   std::remove(journal.c_str());

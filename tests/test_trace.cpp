@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "checkpoint/scenario_checkpoint.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -315,59 +316,22 @@ TEST(TraceErrors, MissingFileThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// TracingOff golden differential (PR 7/8 pattern): the observability knobs
-// at their defaults reproduce the pinned kernel golden bit-identically.
+// TracingOff golden differential: the observability knobs at their defaults
+// leave the config KernelRegression pins unchanged — and that pin holds
+// traceEventsRecorded at zero and the always-on latency sketch's fields.
 // ---------------------------------------------------------------------------
 
 TEST(TracingOff, DefaultKnobsReproduceKernelGoldenBitIdentically) {
-  // Spell out every observability knob at its default; this must be the
-  // exact scenario KernelRegression pins (golden from commit 2ba2f4a).
   ScenarioConfig cfg;
-  cfg.protocol = Protocol::kGlr;
-  cfg.simTime = 400.0;
-  cfg.numMessages = 200;
-  cfg.radius = 100.0;
-  cfg.seed = 7;
   cfg.tracePath.clear();
   cfg.traceRingCapacity = 1 << 16;
   cfg.nodeCountersPath.clear();
-  const ScenarioResult r = runScenario(cfg);
-
-  EXPECT_EQ(r.created, 200u);
-  EXPECT_EQ(r.delivered, 198u);
-  EXPECT_EQ(r.deliveryRatio, 0.98999999999999999);
-  EXPECT_EQ(r.avgLatency, 45.265223520228908);
-  EXPECT_EQ(r.avgHops, 55.247474747474747);
-  EXPECT_EQ(r.maxPeakStorage, 47.0);
-  EXPECT_EQ(r.avgPeakStorage, 20.920000000000005);
-  EXPECT_EQ(r.macDataTx, 130109u);
-  EXPECT_EQ(r.collisions, 3044u);
-  EXPECT_EQ(r.airTimeSeconds, 543.48595200198486);
-  EXPECT_EQ(r.glrDataSent, 50662u);
-  EXPECT_EQ(r.glrCustodyAcksSent, 50526u);
-  EXPECT_EQ(r.eventsExecuted, 2385279u);
-  // Mechanisms that are off leave their counters at zero.
-  EXPECT_EQ(r.traceEventsRecorded, 0u);
-
-  // The latency sketch is always on (it replaced the stored state), so its
-  // fields are live even with tracing off — and internally consistent.
-  EXPECT_GT(r.latencyP50, 0.0);
-  EXPECT_GE(r.latencyP90, r.latencyP50);
-  EXPECT_GE(r.latencyP99, r.latencyP90);
-  EXPECT_GE(r.latencyMax, r.latencyP99);
-  EXPECT_GE(r.latencyP50, r.latencyMin);
-  EXPECT_GT(r.latencyStddev, 0.0);
-
-  // And the explicit-default run must be bit-identical to a plain
-  // default-constructed config of the same scenario.
-  ScenarioConfig defaults;
-  defaults.protocol = Protocol::kGlr;
-  defaults.simTime = 400.0;
-  defaults.numMessages = 200;
-  defaults.radius = 100.0;
-  defaults.seed = 7;
-  EXPECT_TRUE(
-      glr::experiment::bitIdenticalIgnoringWall(r, runScenario(defaults)));
+  const ScenarioConfig defaults;
+  EXPECT_EQ(glr::ckpt::configDigest(cfg), glr::ckpt::configDigest(defaults));
+  // The digest skips output paths and the ring size; compare them directly.
+  EXPECT_EQ(cfg.tracePath, defaults.tracePath);
+  EXPECT_EQ(cfg.traceRingCapacity, defaults.traceRingCapacity);
+  EXPECT_EQ(cfg.nodeCountersPath, defaults.nodeCountersPath);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
+#include <string_view>
 
 #include "checkpoint/file.hpp"
 #include "checkpoint/scenario_checkpoint.hpp"
@@ -96,14 +97,12 @@ int cmdSelftest() {
   resumed.restoreFrom = path;
   const ScenarioResult tail = glr::experiment::runScenario(resumed);
   std::remove(path.c_str());
-  if (!glr::experiment::bitIdenticalIgnoringWall(golden, tail)) {
+  const std::string_view field = glr::experiment::firstMismatch(golden, tail);
+  if (!field.empty()) {
     std::fprintf(stderr,
-                 "selftest FAILED: restored run diverged (delivered %llu vs "
-                 "%llu, events %llu vs %llu)\n",
-                 static_cast<unsigned long long>(tail.delivered),
-                 static_cast<unsigned long long>(golden.delivered),
-                 static_cast<unsigned long long>(tail.eventsExecuted),
-                 static_cast<unsigned long long>(golden.eventsExecuted));
+                 "selftest FAILED: restored run diverged (first differing "
+                 "field: %.*s)\n",
+                 static_cast<int>(field.size()), field.data());
     return 1;
   }
   std::printf("selftest ok: snapshot at t=%.1f, restored run bit-identical\n",

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiment/runner.hpp"
@@ -29,7 +30,7 @@
 
 namespace {
 
-using glr::experiment::bitIdenticalIgnoringWall;
+using glr::experiment::firstMismatch;
 using glr::experiment::ScenarioConfig;
 using glr::experiment::ScenarioResult;
 using glr::experiment::SweepRunner;
@@ -109,7 +110,7 @@ int cmdSelftest() {
   // records — mid-sweep, with cells in flight. If the child finishes first
   // the resume below degenerates to "all cells from journal", which must
   // still compare equal.
-  const long headerSize = 24;
+  const long headerSize = 32;  // GLRJ v2, see runner.cpp
   const long recordSize = 8 + static_cast<long>(sizeof(ScenarioResult));
   const long killAt = headerSize + 2 * recordSize;
   bool killed = false;
@@ -135,14 +136,12 @@ int cmdSelftest() {
 
   bool ok = true;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!bitIdenticalIgnoringWall(golden[i], resumed[i])) {
+    const std::string_view field = firstMismatch(golden[i], resumed[i]);
+    if (!field.empty()) {
       std::fprintf(stderr,
                    "selftest FAILED: cell %zu diverged after kill+resume "
-                   "(delivered %llu vs %llu, events %llu vs %llu)\n",
-                   i, static_cast<unsigned long long>(resumed[i].delivered),
-                   static_cast<unsigned long long>(golden[i].delivered),
-                   static_cast<unsigned long long>(resumed[i].eventsExecuted),
-                   static_cast<unsigned long long>(golden[i].eventsExecuted));
+                   "(first differing field: %.*s)\n",
+                   i, static_cast<int>(field.size()), field.data());
       ok = false;
     }
   }
