@@ -1,11 +1,8 @@
 /// \file bench_sim_kernel.cpp
-/// A/B microbenchmark of the event kernel: the allocation-free slab + 4-ary
-/// heap kernel (`glr::sim::Simulator`) against the frozen pre-PR kernel
-/// (`bench/legacy_simulator.hpp`: shared_ptr cancellation flags,
-/// std::function closures, priority_queue of full events).
+/// Microbenchmark of the event kernel (`glr::sim::Simulator`: allocation-free
+/// slab + 4-ary heap).
 ///
-/// Three microbench shapes cover the kernel's hot paths, each driven by
-/// identical RNG streams on both kernels so the event sequences match:
+/// Three microbench shapes cover the kernel's hot paths:
 ///   * schedule-drain  — bulk scheduling then a full drain (pure push/pop).
 ///   * timer-churn     — steady state at fixed queue depth: every fired
 ///                       event reschedules one successor (MAC beacons,
@@ -14,13 +11,18 @@
 ///                       successor plus a timeout that is cancelled before
 ///                       it can fire (MAC ACK timeouts, custody timers).
 /// Plus an end-to-end `runScenario` timing on the mid-size GLR scenario the
-/// determinism regression test pins.
+/// determinism regression test pins. Fire order is pinned by
+/// tests/test_calendar_queue.cpp (both queues against an ordered-set
+/// reference); the committed BENCH_kernel.json keeps the historical A/B
+/// against the pre-slab kernel.
 ///
 /// Usage: bench_sim_kernel [--quick] [--out FILE.json]
 ///   --quick  CI mode: small event counts, skips the end-to-end scenario.
-///   --out    write machine-readable results (default BENCH_kernel.json;
-///            see README "Simulation kernel & performance").
+///   --out    write machine-readable results (default BENCH_kernel.json,
+///            which holds the historical A/B: pass another path to keep
+///            it; see README "Simulation kernel & performance").
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -28,13 +30,13 @@
 #include <vector>
 
 #include "experiment/scenario.hpp"
-#include "legacy_simulator.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using glr::sim::Simulator;
 
 double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -42,29 +44,17 @@ double secondsSince(Clock::time_point t0) {
 
 /// Capture payload mirroring the protocol stack's custody/cache timers
 /// (`[this, key, sentAt]` in glr_agent.cpp): 24 bytes of state that ride in
-/// every closure. Together with the context pointer this exceeds libstdc++
-/// std::function's 16-byte small-object buffer — the legacy kernel heap-
-/// allocates (and copy-allocates again on pop) for every such timer, while
-/// it sits comfortably inside the slab kernel's 48-byte inline budget. This
-/// is the case the scenario hot path hits millions of times.
+/// every closure, inside the slab kernel's 48-byte inline budget. This is
+/// the case the scenario hot path hits millions of times.
 struct TimerPayload {
   long long key;
   double deadline;
   int hop;
 };
 
-/// Executed-event count plus an order-sensitive checksum over the fired
-/// payload keys: if the two kernels ever fired events in different orders,
-/// the checksums diverge even though the counts cannot.
-struct KernelRun {
-  std::uint64_t executed = 0;
-  std::uint64_t checksum = 0;
-};
-
 /// Bulk schedule `n` events at uniform random times, then drain.
-template <class Sim>
-KernelRun scheduleDrain(std::uint64_t n) {
-  Sim sim;
+void scheduleDrain(std::uint64_t n) {
+  Simulator sim;
   glr::sim::Rng rng{42};
   std::uint64_t sink = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -75,12 +65,10 @@ KernelRun scheduleDrain(std::uint64_t n) {
     });
   }
   sim.run();
-  return {sim.eventsExecuted(), sink};
 }
 
-template <class Sim>
 struct ChurnCtx {
-  Sim& sim;
+  Simulator& sim;
   glr::sim::Rng& rng;
   std::uint64_t remaining;
   std::uint64_t sink = 0;
@@ -88,19 +76,13 @@ struct ChurnCtx {
 
 /// Steady-state churn at queue depth `depth`: each fired event schedules its
 /// replacement (periodic beacons / route checks) until `n` events have run.
-template <class Sim>
-std::uint64_t churnChecksum(ChurnCtx<Sim>& c, const TimerPayload& p) {
-  return c.sink * 31 + static_cast<std::uint64_t>(p.key);
-}
-
-template <class Sim>
-KernelRun timerChurn(std::uint64_t n, std::uint64_t depth) {
-  Sim sim;
+void timerChurn(std::uint64_t n, std::uint64_t depth) {
+  Simulator sim;
   glr::sim::Rng rng{43};
-  ChurnCtx<Sim> ctx{sim, rng, n};
+  ChurnCtx ctx{sim, rng, n};
   struct Tick {
-    static void fire(ChurnCtx<Sim>& c, const TimerPayload& p) {
-      c.sink = churnChecksum(c, p);
+    static void fire(ChurnCtx& c, const TimerPayload& p) {
+      c.sink = c.sink * 31 + static_cast<std::uint64_t>(p.key);
       if (c.remaining == 0) return;
       --c.remaining;
       const TimerPayload np{p.key + 1, c.rng.uniform(0.0, 1.0), p.hop + 1};
@@ -112,29 +94,28 @@ KernelRun timerChurn(std::uint64_t n, std::uint64_t depth) {
     sim.schedule(p.deadline, [&ctx, p] { Tick::fire(ctx, p); });
   }
   sim.run();
-  return {sim.eventsExecuted(), ctx.sink};
 }
 
 /// Ack-timer pattern: each fired event schedules one successor plus a
 /// near-future timeout it immediately cancels (one cancel per fired event,
 /// exercising handle creation and the lazy removal of stale heap records as
 /// simulation time passes them).
-template <class Sim, class Handle>
-KernelRun cancelChurn(std::uint64_t n, std::uint64_t depth) {
-  Sim sim;
+void cancelChurn(std::uint64_t n, std::uint64_t depth) {
+  Simulator sim;
   glr::sim::Rng rng{44};
-  ChurnCtx<Sim> ctx{sim, rng, n};
+  ChurnCtx ctx{sim, rng, n};
   struct Tick {
-    static void fire(ChurnCtx<Sim>& c, const TimerPayload& p) {
-      c.sink = churnChecksum(c, p);
+    static void fire(ChurnCtx& c, const TimerPayload& p) {
+      c.sink = c.sink * 31 + static_cast<std::uint64_t>(p.key);
       if (c.remaining == 0) return;
       --c.remaining;
       const TimerPayload tp{~p.key, 2.0 + c.rng.uniform(0.0, 1.0), p.hop};
-      Handle timeout = c.sim.schedule(
-          tp.deadline, [&c, tp] { c.sink = churnChecksum(c, tp); });
+      glr::sim::EventHandle timeout = c.sim.schedule(tp.deadline, [&c, tp] {
+        c.sink = c.sink * 31 + static_cast<std::uint64_t>(tp.key);
+      });
       const TimerPayload np{p.key + 1, c.rng.uniform(0.0, 1.0), p.hop + 1};
       c.sim.schedule(np.deadline, [&c, np] { fire(c, np); });
-      timeout.cancel();  // a timeout that fires anyway poisons the checksum
+      timeout.cancel();
     }
   };
   for (std::uint64_t i = 0; i < depth; ++i) {
@@ -142,71 +123,37 @@ KernelRun cancelChurn(std::uint64_t n, std::uint64_t depth) {
     sim.schedule(p.deadline, [&ctx, p] { Tick::fire(ctx, p); });
   }
   sim.run();
-  return {sim.eventsExecuted(), ctx.sink};
 }
 
 struct MicroResult {
   std::string name;
   std::uint64_t events = 0;
-  double legacySeconds = 0;
-  double slabSeconds = 0;
-  KernelRun legacyRun;
-  KernelRun slabRun;
+  double seconds = 0;
 
-  [[nodiscard]] double legacyMevps() const {
-    return static_cast<double>(events) / legacySeconds / 1e6;
+  [[nodiscard]] double mevps() const {
+    return static_cast<double>(events) / seconds / 1e6;
   }
-  [[nodiscard]] double slabMevps() const {
-    return static_cast<double>(events) / slabSeconds / 1e6;
-  }
-  [[nodiscard]] double speedup() const { return legacySeconds / slabSeconds; }
 };
-
-template <class Fn>
-double timeBestOf(int reps, const Fn& fn, KernelRun* run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    *run = fn();
-    best = std::min(best, secondsSince(t0));
-  }
-  return best;
-}
 
 MicroResult runMicro(const std::string& name, std::uint64_t events,
                      std::uint64_t depth, int reps) {
-  using LegacySim = glr::bench::legacy::Simulator;
-  using LegacyHandle = glr::bench::legacy::EventHandle;
-  using SlabSim = glr::sim::Simulator;
-  using SlabHandle = glr::sim::EventHandle;
-
   MicroResult m;
   m.name = name;
   m.events = events;
-  if (name == "schedule-drain") {
-    m.legacySeconds = timeBestOf(
-        reps, [&] { return scheduleDrain<LegacySim>(events); }, &m.legacyRun);
-    m.slabSeconds = timeBestOf(
-        reps, [&] { return scheduleDrain<SlabSim>(events); }, &m.slabRun);
-  } else if (name == "timer-churn") {
-    m.legacySeconds = timeBestOf(
-        reps, [&] { return timerChurn<LegacySim>(events, depth); },
-        &m.legacyRun);
-    m.slabSeconds = timeBestOf(
-        reps, [&] { return timerChurn<SlabSim>(events, depth); }, &m.slabRun);
-  } else {
-    m.legacySeconds = timeBestOf(
-        reps,
-        [&] { return cancelChurn<LegacySim, LegacyHandle>(events, depth); },
-        &m.legacyRun);
-    m.slabSeconds = timeBestOf(
-        reps, [&] { return cancelChurn<SlabSim, SlabHandle>(events, depth); },
-        &m.slabRun);
+  m.seconds = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    if (name == "schedule-drain") {
+      scheduleDrain(events);
+    } else if (name == "timer-churn") {
+      timerChurn(events, depth);
+    } else {
+      cancelChurn(events, depth);
+    }
+    m.seconds = std::min(m.seconds, secondsSince(t0));
   }
-  std::printf("%-16s %9llu events  legacy %7.2f Mev/s  slab %7.2f Mev/s  "
-              "speedup %.2fx\n",
-              m.name.c_str(), static_cast<unsigned long long>(m.events),
-              m.legacyMevps(), m.slabMevps(), m.speedup());
+  std::printf("%-16s %9llu events  %7.2f Mev/s\n", m.name.c_str(),
+              static_cast<unsigned long long>(m.events), m.mevps());
   return m;
 }
 
@@ -226,8 +173,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("Event-kernel A/B bench: legacy (shared_ptr + std::function + "
-              "priority_queue) vs slab (%s mode)\n",
+  std::printf("Event-kernel bench: slab + 4-ary heap (%s mode)\n",
               quick ? "quick" : "full");
 
   const int reps = quick ? 1 : 3;
@@ -242,24 +188,6 @@ int main(int argc, char** argv) {
     micros.push_back(runMicro("schedule-drain", 10000000, 0, reps));
     micros.push_back(runMicro("timer-churn", 10000000, 1000, reps));
     micros.push_back(runMicro("cancel-churn", 10000000, 1000, reps));
-  }
-
-  // Cross-check: both kernels must have fired the same events in the same
-  // order — the checksum folds each fired payload key in order, so a
-  // tie-break or cancellation divergence flips it even when counts match.
-  for (const auto& m : micros) {
-    if (m.legacyRun.executed != m.slabRun.executed ||
-        m.legacyRun.checksum != m.slabRun.checksum) {
-      std::fprintf(
-          stderr,
-          "FATAL: kernel divergence in %s: executed %llu vs %llu, "
-          "checksum %016llx vs %016llx\n",
-          m.name.c_str(), static_cast<unsigned long long>(m.legacyRun.executed),
-          static_cast<unsigned long long>(m.slabRun.executed),
-          static_cast<unsigned long long>(m.legacyRun.checksum),
-          static_cast<unsigned long long>(m.slabRun.checksum));
-      return 1;
-    }
   }
 
   // End-to-end: the determinism regression test's mid-size GLR scenario.
@@ -293,8 +221,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"sim_kernel\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
-  std::fprintf(out,
-               "  \"legacy\": \"shared_ptr+std::function+priority_queue\",\n");
   std::fprintf(out, "  \"slab\": \"slab+generation-handles+4ary-heap+"
                     "inplace-function\",\n");
   std::fprintf(out, "  \"micro\": [\n");
@@ -302,11 +228,9 @@ int main(int argc, char** argv) {
     const auto& m = micros[i];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"events\": %llu, "
-                 "\"legacy_mev_per_s\": %.3f, \"slab_mev_per_s\": %.3f, "
-                 "\"speedup\": %.3f}%s\n",
+                 "\"slab_mev_per_s\": %.3f}%s\n",
                  m.name.c_str(), static_cast<unsigned long long>(m.events),
-                 m.legacyMevps(), m.slabMevps(), m.speedup(),
-                 i + 1 < micros.size() ? "," : "");
+                 m.mevps(), i + 1 < micros.size() ? "," : "");
   }
   std::fprintf(out, "  ]");
   if (!quick) {

@@ -194,7 +194,10 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.f64(cfg.checkInterval);
   e.boolean(cfg.custody);
   e.boolean(cfg.faceRouting);
-  e.boolean(cfg.witnessRule);
+  // Slot of the retired per-node witness-veto switch. It defaulted to on,
+  // so hashing `true` here keeps every config digest, and with it every
+  // checkpoint and sweep-journal digest, unchanged.
+  e.boolean(true);
   e.i32(cfg.copiesOverride);
   e.i32(static_cast<std::int32_t>(cfg.locationMode));
   e.f64(cfg.helloInterval);

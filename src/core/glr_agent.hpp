@@ -67,7 +67,6 @@ struct GlrParams {
   double sendRangeGuard = 0.85;
   bool custodyTransfer = true;
   bool faceRouting = true;
-  bool witnessRule = true;     // LDTG witness vetoes (paper construction)
   int copiesOverride = -1;     // -1: Algorithm 1 decides
   int sparseCopies = 3;        // copies used when the network is sparse
   NetworkProfile network;      // inputs to Algorithm 1 + spanner radius

@@ -113,7 +113,6 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
         p.cacheTimeout = cfg.cacheTimeout;
         p.custodyTransfer = cfg.custody;
         p.faceRouting = cfg.faceRouting;
-        p.witnessRule = cfg.witnessRule;
         p.copiesOverride = cfg.copiesOverride;
         p.network.numNodes = static_cast<std::size_t>(cfg.numNodes);
         p.network.radius = cfg.radius;

@@ -129,7 +129,6 @@ struct ScenarioConfig {
   double checkInterval = 0.9;
   bool custody = true;
   bool faceRouting = true;
-  bool witnessRule = true;
   int copiesOverride = -1;  // -1: Algorithm 1 decides
   core::LocationMode locationMode = core::LocationMode::kSourceKnows;
   double helloInterval = 0.75;

@@ -21,27 +21,6 @@ std::string fmtPct(double ratio, int precision) {
   return fmt(ratio * 100.0, precision) + "%";
 }
 
-void printRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths) {
-  std::string line = "|";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int w = i < widths.size() ? widths[i] : 12;
-    char buf[256];
-    std::snprintf(buf, sizeof buf, " %-*s |", w, cells[i].c_str());
-    line += buf;
-  }
-  std::puts(line.c_str());
-}
-
-void printRule(const std::vector<int>& widths) {
-  std::string line = "+";
-  for (const int w : widths) {
-    line += std::string(static_cast<std::size_t>(w) + 2, '-');
-    line += '+';
-  }
-  std::puts(line.c_str());
-}
-
 int envInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;

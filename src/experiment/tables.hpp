@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "stats/summary.hpp"
 
@@ -20,13 +19,6 @@ namespace glr::experiment {
 
 /// Percentage, e.g. 0.979 -> "97.9%".
 [[nodiscard]] std::string fmtPct(double ratio, int precision = 1);
-
-/// Prints a row of cells padded to the given column widths.
-void printRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths);
-
-/// Prints a horizontal rule matching the column widths.
-void printRule(const std::vector<int>& widths);
 
 /// Integer environment variable with default (e.g. GLR_BENCH_RUNS).
 [[nodiscard]] int envInt(const char* name, int fallback);

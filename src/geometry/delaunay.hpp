@@ -7,8 +7,11 @@
 /// deterministically. Duplicates are merged onto their first occurrence.
 ///
 /// The triangulation is the basis for the localized Delaunay spanner (LDTG)
-/// of the paper: each node triangulates its k-hop neighborhood and keeps the
-/// edges that all local witnesses agree on.
+/// of the paper: each node triangulates its 2-hop view once per route check
+/// and keeps its own incident edges (LDel(2)). Witness vetoes exist only in
+/// the global analysis builder: a subset of the view that holds both ends of
+/// a Delaunay edge keeps that edge's empty circle empty, so a witness judging
+/// part of the node's own view could never veto (spanner/ldtg.hpp).
 
 #include <array>
 #include <cstdint>
@@ -29,11 +32,11 @@ class Delaunay {
   /// induced by the triangulation with the bounding super-triangle).
   static Delaunay build(const std::vector<Point2>& points);
 
-  /// build() into an existing object, reusing its storage. The GLR route
-  /// check triangulates ~10 small neighborhoods per invocation and discards
-  /// each result immediately; rebuilding into one scratch object (plus the
-  /// thread-local builder scratch inside) makes the steady-state spanner
-  /// path allocation-free. Produces exactly what build() produces.
+  /// build() into an existing object, reusing its storage. Every GLR route
+  /// check triangulates one small neighborhood and discards the result;
+  /// rebuilding into one scratch object (plus the thread-local builder
+  /// scratch inside) makes the steady-state spanner path allocation-free.
+  /// Produces exactly what build() produces.
   static void buildInto(Delaunay& out, const std::vector<Point2>& points);
 
   /// CCW-oriented triangles on input points only (super vertices removed).

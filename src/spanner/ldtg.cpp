@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "geometry/delaunay.hpp"
@@ -94,35 +92,15 @@ graph::Graph buildLdtg(const std::vector<geom::Point2>& positions,
 namespace {
 
 /// Reused workspace for localSpannerNeighbors: the GLR route check runs it
-/// on every check interval for every node, and the witness rule inside
-/// triangulates one small neighborhood per witness. Persisting the point
-/// buffers and the two Delaunay result objects (rebuilt in place via
-/// Delaunay::buildInto) makes the steady-state spanner path allocation-free
-/// apart from the returned neighbor list.
-/// One witness's lazily built view: the subset of the local point set it can
-/// see, that subset's triangulation, and the local-view -> witness-local
-/// index map. Pooled so steady-state route checks reuse the storage; within
-/// one check the entry is shared by every candidate edge the witness vets.
-struct WitnessEntry {
-  std::vector<geom::Point2> pts;
-  std::vector<int> localOf;  // local-view index -> witness-local; -1 absent
-  geom::Delaunay dt;
-};
-
+/// on every check interval for every node. Persisting the point buffers and
+/// the Delaunay result object (rebuilt in place via Delaunay::buildInto)
+/// makes the steady-state spanner path allocation-free apart from the
+/// returned neighbor list.
 struct SpannerScratch {
   std::vector<int> ids;
   std::vector<geom::Point2> pts;
   std::vector<char> oneHop;
-  std::vector<std::size_t> candidates;
   geom::Delaunay dt;
-
-  // Per-call witness-triangulation cache: witnessSlot[wi] is the pool slot
-  // whose entry triangulates witness wi's visible set (-1 = not built yet
-  // this call). The visible set depends only on the witness, never on the
-  // candidate under test, so reuse is exact.
-  std::vector<std::unique_ptr<WitnessEntry>> witnessPool;
-  std::vector<int> witnessSlot;
-  std::size_t witnessUsed = 0;
 
   // Generation-stamped dedup table indexed by (dense, non-negative) node
   // id: seen(id) is O(1) and the per-call "clear" is one counter bump —
@@ -174,7 +152,6 @@ SpannerScratch& spannerScratch() {
 /// two distinct neighborhoods (no hash-collision risk).
 struct SpannerMemo {
   bool valid = false;
-  bool witnessRule = false;
   double radius = 0.0;
   geom::Point2 selfPos;
   std::vector<KnownNode> known;
@@ -194,10 +171,10 @@ SpannerMemoCache& spannerMemoCache() {
 
 [[nodiscard]] bool memoMatches(const SpannerMemo& m, geom::Point2 selfPos,
                                const std::vector<KnownNode>& known,
-                               double radius, bool witnessRule) {
-  if (!m.valid || m.witnessRule != witnessRule ||
-      !sameBits(m.radius, radius) || !sameBits(m.selfPos.x, selfPos.x) ||
-      !sameBits(m.selfPos.y, selfPos.y) || m.known.size() != known.size()) {
+                               double radius) {
+  if (!m.valid || !sameBits(m.radius, radius) ||
+      !sameBits(m.selfPos.x, selfPos.x) || !sameBits(m.selfPos.y, selfPos.y) ||
+      m.known.size() != known.size()) {
     return false;
   }
   for (std::size_t i = 0; i < known.size(); ++i) {
@@ -228,7 +205,7 @@ void resetLocalSpannerCache() {
 
 std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
                                        const std::vector<KnownNode>& known,
-                                       double radius, bool applyWitnessRule) {
+                                       double radius) {
   // Memo fast path: while a node's gathered knowledge sits still between
   // route checks (the common steady state), the previous answer is returned
   // without touching any geometry. The guard compares every input bit for
@@ -239,7 +216,7 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
     const auto mi = static_cast<std::size_t>(selfId);
     if (memoCache.byId.size() <= mi) memoCache.byId.resize(mi + 1);
     memo = &memoCache.byId[mi];
-    if (memoMatches(*memo, selfPos, known, radius, applyWitnessRule)) {
+    if (memoMatches(*memo, selfPos, known, radius)) {
       ++memoCache.hits;
       return memo->result;
     }
@@ -248,7 +225,6 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
   const auto memoise = [&](const std::vector<int>& result) {
     if (memo == nullptr) return;
     memo->valid = true;
-    memo->witnessRule = applyWitnessRule;
     memo->radius = radius;
     memo->selfPos = selfPos;
     memo->known = known;
@@ -275,76 +251,15 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
     return {};
   }
 
-  // Delaunay of the whole local view; candidates are edges incident to self
-  // whose other endpoint is a direct neighbor within range.
+  // Delaunay of the whole local view (LDel(2) at this node): keep every edge
+  // incident to self whose other endpoint is a direct neighbor within range.
   geom::Delaunay::buildInto(s.dt, s.pts);
-  s.candidates.clear();
+  std::vector<int> accepted;
   for (int nb : s.dt.neighbors(s.dt.canonicalIndex(0))) {
     const auto i = static_cast<std::size_t>(nb);
     if (i == 0 || !s.oneHop[i]) continue;
     if (geom::dist2(selfPos, s.pts[i]) > r2) continue;
-    s.candidates.push_back(i);
-  }
-
-  std::vector<int> accepted;
-  if (!applyWitnessRule) {
-    for (std::size_t i : s.candidates) accepted.push_back(s.ids[i]);
-    std::sort(accepted.begin(), accepted.end());
-    memoise(accepted);
-    return accepted;
-  }
-
-  // Witness rule, evaluated on the knowledge this node actually has: every
-  // 1-hop neighbor w that (locally) sees both self and the candidate must
-  // also keep the edge in the Delaunay triangulation of w's visible
-  // neighborhood. A witness typically vets several candidate edges; its
-  // visible set (and hence its triangulation) is the same for all of them,
-  // so it is built lazily on first need and shared for the rest of the
-  // call via witnessSlot.
-  s.witnessSlot.assign(s.ids.size(), -1);
-  s.witnessUsed = 0;
-  const auto witnessEntry = [&](std::size_t wi) -> const WitnessEntry& {
-    int slot = s.witnessSlot[wi];
-    if (slot >= 0) return *s.witnessPool[static_cast<std::size_t>(slot)];
-    slot = static_cast<int>(s.witnessUsed++);
-    if (s.witnessPool.size() < s.witnessUsed) {
-      s.witnessPool.push_back(std::make_unique<WitnessEntry>());
-    }
-    s.witnessSlot[wi] = slot;
-    WitnessEntry& e = *s.witnessPool[static_cast<std::size_t>(slot)];
-    const geom::Point2 wPos = s.pts[wi];
-    e.pts.clear();
-    e.localOf.assign(s.ids.size(), -1);
-    for (std::size_t x = 0; x < s.ids.size(); ++x) {
-      if (geom::dist2(s.pts[x], wPos) <= r2) {
-        e.localOf[x] = static_cast<int>(e.pts.size());
-        e.pts.push_back(s.pts[x]);
-      }
-    }
-    geom::Delaunay::buildInto(e.dt, e.pts);
-    return e;
-  };
-
-  for (std::size_t vi : s.candidates) {
-    const geom::Point2 vPos = s.pts[vi];
-    bool vetoed = false;
-    for (std::size_t wi = 1; wi < s.ids.size() && !vetoed; ++wi) {
-      if (wi == vi || !s.oneHop[wi]) continue;
-      const geom::Point2 wPos = s.pts[wi];
-      // w's neighborhood as visible from self's knowledge.
-      if (geom::dist2(wPos, selfPos) > r2 || geom::dist2(wPos, vPos) > r2) {
-        continue;  // witness cannot see both endpoints
-      }
-      const WitnessEntry& e = witnessEntry(wi);
-      const int selfLocal = e.localOf[0];
-      const int vLocal = e.localOf[vi];
-      if (selfLocal >= 0 && vLocal >= 0 &&
-          !e.dt.hasEdge(e.dt.canonicalIndex(selfLocal),
-                        e.dt.canonicalIndex(vLocal))) {
-        vetoed = true;
-      }
-    }
-    if (!vetoed) accepted.push_back(s.ids[vi]);
+    accepted.push_back(s.ids[i]);
   }
   std::sort(accepted.begin(), accepted.end());
   memoise(accepted);

@@ -2,24 +2,29 @@
 /// \file ldtg.hpp
 /// k-Local Delaunay Triangulation Graph (LDTG) — the paper's planar spanner.
 ///
-/// Two constructions are provided:
+/// `buildLdtg` is the *global analysis* builder (it uses true k-hop sets) and
+/// offers two rules:
 ///
 ///  * `LdtgRule::PaperWitness` — the paper's rule: a UDG link uv is accepted
 ///    iff uv is an edge of the Delaunay triangulation of N_k(u) (and of
 ///    N_k(v)), and every 1-hop witness w of u (and of v) that has both u and
 ///    v in its k-hop neighborhood also sees uv in the Delaunay triangulation
-///    of N_k(w). This yields a planar graph directly, avoiding the separate
-///    planarization step of Li et al.
+///    of N_k(w). A witness's true k-hop set reaches nodes u and v cannot see,
+///    so here a witness can veto.
 ///
 ///  * `LdtgRule::LDel` — Li/Calinescu/Wan LDel(k): uv accepted iff uv is in
 ///    the Delaunay triangulations of both N_k(u) and N_k(v) (no witnesses).
-///    Kept as an ablation comparator; may be non-planar for k = 1.
+///    May be non-planar for k = 1.
 ///
-/// `buildLdtg` is the *global analysis* builder (it uses true k-hop sets).
 /// `localSpannerNeighbors` is the *distributed per-node* computation used by
 /// the protocol agent: it consumes exactly the knowledge a node has gathered
-/// from hello beacons (its <= k-hop neighbor positions) and returns the
-/// node's spanner neighbors.
+/// from hello beacons (its <= 2-hop neighbor positions) and returns the
+/// node's LDel(2) star. It has no witness step. A witness could only judge
+/// the part of the node's own view S within range of it, and a subset of S
+/// that holds u and v keeps empty the circle that made uv an edge of Del(S),
+/// so the paper's veto never fires there (test_delaunay pins this subset
+/// property on random points). Planarity does not need it: LDel(k) is planar
+/// for k >= 2 (Li, Calinescu and Wan, INFOCOM 2002).
 
 #include <cstdint>
 #include <vector>
@@ -50,23 +55,19 @@ struct KnownNode {
 /// Distributed per-node LDTG edge selection.
 ///
 /// `selfId`/`selfPos` describe the computing node; `known` is its gathered
-/// k-hop knowledge (positions may be slightly stale, exactly as in the
-/// protocol). Returns ids of accepted spanner neighbors, sorted. With
-/// `applyWitnessRule`, 1-hop witnesses veto edges that their locally visible
-/// neighborhoods triangulate differently (paper rule); without, the node
-/// keeps every local-Delaunay edge incident to itself (LDel-style).
+/// 2-hop knowledge (positions may be slightly stale, exactly as in the
+/// protocol). Returns the ids of the direct neighbors within `radius` that
+/// share an edge with the node in the Delaunay triangulation of its whole
+/// view, sorted: one triangulation per call.
 ///
 /// Route checks repeat while neighborhoods sit still, so results are memoised
 /// in a thread-local cache keyed by computing node and guarded by an *exact*
 /// (bit-level) comparison of every input — a hit returns the previous answer
 /// only when the function would recompute it verbatim, so caching is
-/// bit-identical by construction. Within one computation, each witness's
-/// visible-set triangulation is built once and shared across all candidate
-/// edges it vets (neighborhood-signature reuse) instead of once per
-/// candidate x witness pair.
+/// bit-identical by construction.
 [[nodiscard]] std::vector<int> localSpannerNeighbors(
     int selfId, geom::Point2 selfPos, const std::vector<KnownNode>& known,
-    double radius, bool applyWitnessRule = true);
+    double radius);
 
 /// Counters for the localSpannerNeighbors memo cache (thread-local).
 struct SpannerCacheStats {

@@ -1,14 +1,17 @@
 // Tests for the calendar-queue kernel mode: the wheel must fire the exact
 // event sequence the 4-ary heap fires — same (time, seq) tie-break, same
 // cancellation semantics — across unit workloads, randomized
-// schedule/cancel interleavings, resize-heavy loads, and the full
-// KernelRegression golden scenario.
+// schedule/cancel interleavings (where both queues must also match an
+// ordered-set reference), resize-heavy loads, and the full KernelRegression
+// golden scenario.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -123,14 +126,51 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
   return fired;
 }
 
-TEST(SimulatorCalendar, MatchesHeapOnRandomScheduleCancelInterleavings) {
+/// The same script run on an ordered set of (time, id) keys: the kernel's
+/// contract stated directly — earliest time first, ties in scheduling
+/// order, a cancelled event never fires, a horizon fires events at it.
+std::vector<std::pair<double, int>> runScriptReference(std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<std::pair<double, int>> fired;
+  std::set<std::pair<double, int>> pending;
+  std::vector<double> timeOf;  // by id
+  const auto runUntil = [&](double until) {
+    while (!pending.empty() && pending.begin()->first <= until) {
+      fired.push_back(*pending.begin());
+      pending.erase(pending.begin());
+    }
+  };
+  for (int round = 0; round < 10; ++round) {
+    const double base = 10.0 * round;
+    for (int k = 0; k < 200; ++k) {
+      double t = base + 0.25 * static_cast<double>(rng.below(60));
+      if (rng.below(50) == 0) t += 1.0e4;
+      const int id = static_cast<int>(timeOf.size());
+      timeOf.push_back(t);
+      pending.emplace(t, id);
+      if (rng.below(4) == 0) {
+        const auto victim = static_cast<int>(rng.below(timeOf.size()));
+        pending.erase({timeOf[victim], victim});
+      }
+    }
+    runUntil(base + 10.0);
+  }
+  runUntil(std::numeric_limits<double>::infinity());
+  fired.emplace_back(static_cast<double>(fired.size()), -1);
+  return fired;
+}
+
+TEST(SimulatorCalendar, HeapAndCalendarMatchReferenceOnScheduleCancelScripts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto heap = runScript(false, seed);
-    const auto cal = runScript(true, seed);
-    ASSERT_EQ(heap.size(), cal.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-      EXPECT_EQ(heap[i].first, cal[i].first) << "seed " << seed << " i " << i;
-      EXPECT_EQ(heap[i].second, cal[i].second) << "seed " << seed << " i " << i;
+    const auto want = runScriptReference(seed);
+    for (const bool calendar : {false, true}) {
+      const auto got = runScript(calendar, seed);
+      ASSERT_EQ(got.size(), want.size())
+          << (calendar ? "calendar" : "heap") << " seed " << seed;
+      const auto at = std::mismatch(got.begin(), got.end(), want.begin());
+      EXPECT_TRUE(at.first == got.end())
+          << (calendar ? "calendar" : "heap") << " seed " << seed
+          << " first differs at firing " << (at.first - got.begin());
     }
   }
 }

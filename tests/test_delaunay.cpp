@@ -166,6 +166,43 @@ TEST_P(DelaunayRandom, EmptyCircumcirclePropertyHolds) {
   EXPECT_EQ(d.edges().size(), 3 * static_cast<std::size_t>(n) - h - 3);
 }
 
+TEST_P(DelaunayRandom, EdgesSurviveInEveryDiskSubsetHoldingBothEnds) {
+  // An edge uv of Del(S) has a circle through u and v with no point of S
+  // inside, and dropping points cannot fill it: uv is an edge of Del(S') for
+  // every subset S' that holds u and v. The subsets here are the points of S
+  // within r of a point w of S — the views a per-node witness rule would
+  // triangulate, which is why such a rule can never veto a local edge.
+  glr::sim::Rng rng{static_cast<std::uint64_t>(GetParam())};
+  const int n = 10 + static_cast<int>(rng.below(70));
+  std::vector<Point2> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({rng.uniform(0, 500), rng.uniform(0, 500)});
+  }
+  const Delaunay d = Delaunay::build(pts);
+  std::size_t checked = 0;
+  for (const double r : {100.0, 200.0}) {
+    for (const Point2& w : pts) {
+      std::vector<int> localOf(pts.size(), -1);
+      std::vector<Point2> sub;
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        if (glr::geom::dist2(pts[i], w) <= r * r) {
+          localOf[i] = static_cast<int>(sub.size());
+          sub.push_back(pts[i]);
+        }
+      }
+      const Delaunay ds = Delaunay::build(sub);
+      for (const auto& [u, v] : d.edges()) {
+        if (localOf[u] < 0 || localOf[v] < 0) continue;
+        ++checked;
+        EXPECT_TRUE(ds.hasEdge(localOf[u], localOf[v]))
+            << "edge " << u << "-" << v << " lost in the r=" << r
+            << " disk around (" << w.x << ", " << w.y << ")";
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DelaunayRandom, ::testing::Range(1, 26));
 
 TEST(Delaunay, ClusteredPointsStressFilter) {

@@ -287,8 +287,7 @@ TEST(LocalSpanner, MatchesGlobalViewWhenKnowledgeComplete) {
       if (v == u) continue;
       known.push_back({v, pts[v], dist(pts[u], pts[v]) <= r});
     }
-    const auto nbrs =
-        localSpannerNeighbors(u, pts[u], known, r, /*applyWitnessRule=*/false);
+    const auto nbrs = localSpannerNeighbors(u, pts[u], known, r);
     std::vector<int> want = global.neighbors(u);
     std::sort(want.begin(), want.end());
     EXPECT_EQ(nbrs, want) << "node " << u;
@@ -307,20 +306,18 @@ TEST(LocalSpanner, TwoNodesConnectIfInRange) {
   EXPECT_TRUE(localSpannerNeighbors(0, {0, 0}, far, 100.0).empty());
 }
 
-TEST(LocalSpanner, WitnessVetoesCrossingEdge) {
-  // Four nodes in convex position where the long diagonal is not locally
-  // Delaunay: the witness rule must drop it while keeping short edges.
+TEST(LocalSpanner, LongDiagonalIsNotLocallyDelaunay) {
+  // Four nodes in convex position, all in range: the circle through self, 2
+  // and 3 leaves node 1 outside, so Delaunay takes the short diagonal 2-3
+  // and the long one self-1 is not in the star.
   const Point2 self{0, 0};
   const std::vector<KnownNode> known{
-      {1, {100, 5}, true},     // across: candidate long edge
-      {2, {50, 40}, true},     // witness above
-      {3, {50, -40}, true},    // witness below
+      {1, {100, 5}, true},   // across: the long diagonal
+      {2, {50, 40}, true},   // above
+      {3, {50, -40}, true},  // below
   };
-  const auto nbrs = localSpannerNeighbors(0, self, known, 120.0, true);
-  // Edge to 1 should be vetoed (2 and 3's circumcircles cover it); edges to
-  // the witnesses survive.
-  EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), 2) != nbrs.end());
-  EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), 3) != nbrs.end());
+  EXPECT_EQ(localSpannerNeighbors(0, self, known, 120.0),
+            (std::vector<int>{2, 3}));
 }
 
 TEST(LocalSpanner, LocalViewIsPlanar) {
@@ -336,7 +333,7 @@ TEST(LocalSpanner, LocalViewIsPlanar) {
     for (int v : twoHop) {
       known.push_back({v, pts[v], udg.hasEdge(u, v)});
     }
-    for (int v : localSpannerNeighbors(u, pts[u], known, r, true)) {
+    for (int v : localSpannerNeighbors(u, pts[u], known, r)) {
       combined.addEdge(u, v);
     }
   }
