@@ -1,19 +1,14 @@
 #pragma once
 /// \file bench_common.hpp
-/// Shared support for the paper-reproduction benches.
-///
-/// Every bench prints the paper's reported numbers next to our measured
-/// `mean ± CI90` so the shape comparison is one glance. Default scale is
-/// reduced for wall-clock sanity (fewer seeds, shorter horizon, fewer
-/// messages); set GLR_PAPER_SCALE=1 for the paper's full parameters and
-/// GLR_BENCH_RUNS=<n> to override the seed count.
+/// Shared support for the sweep benches: the run banner, multi-seed
+/// aggregation, resident-memory probes and population rescaling. The
+/// paper's figures and tables live in bench_paper.cpp.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "experiment/runner.hpp"
@@ -23,24 +18,15 @@
 
 namespace glr::bench {
 
-using experiment::fmt;
-using experiment::fmtCI;
-using experiment::fmtPct;
 using experiment::paperScale;
-using experiment::Protocol;
-using experiment::runScenarioSeeds;
 using experiment::ScenarioConfig;
 using experiment::ScenarioResult;
 
-/// Aggregated multi-seed results with 90% confidence intervals.
+/// Multi-seed means with 90% confidence intervals.
 struct Agg {
   stats::ConfidenceInterval ratio;
   stats::ConfidenceInterval latency;
-  stats::ConfidenceInterval hops;
-  stats::ConfidenceInterval maxPeak;
   stats::ConfidenceInterval avgPeak;
-  double collisions = 0;
-  double wallSeconds = 0;
 };
 
 inline Agg aggregate(const std::vector<ScenarioResult>& rs) {
@@ -49,57 +35,10 @@ inline Agg aggregate(const std::vector<ScenarioResult>& rs) {
       experiment::metricAcross(rs, &ScenarioResult::deliveryRatio));
   a.latency =
       stats::meanCI(experiment::metricAcross(rs, &ScenarioResult::avgLatency));
-  a.hops =
-      stats::meanCI(experiment::metricAcross(rs, &ScenarioResult::avgHops));
-  a.maxPeak = stats::meanCI(
-      experiment::metricAcross(rs, &ScenarioResult::maxPeakStorage));
   a.avgPeak = stats::meanCI(
       experiment::metricAcross(rs, &ScenarioResult::avgPeakStorage));
-  for (const auto& r : rs) {
-    a.collisions += static_cast<double>(r.collisions) / rs.size();
-    a.wallSeconds += r.wallSeconds;
-  }
   return a;
 }
-
-inline Agg runAgg(const ScenarioConfig& cfg, int runs) {
-  return aggregate(runScenarioSeeds(cfg, runs));
-}
-
-/// Declarative sweep: a bench lists every row's config up front, the
-/// engine executes the whole (grid x seeds) cell set across
-/// GLR_BENCH_THREADS workers, and the Aggs come back in grid order — one
-/// per config, aggregated post-join from index-ordered results so the
-/// printed `mean ± CI` is bit-identical to the old hand-rolled serial
-/// loops at any thread count.
-inline std::vector<Agg> sweepAgg(const std::vector<ScenarioConfig>& grid,
-                                 int runs, const char* label = "sweep") {
-  experiment::SweepRunner::Options opts;  // default thread count; the
-  opts.progress = true;                   // runner caps workers at the
-  opts.label = label;                     // cell count itself
-  experiment::SweepRunner runner{opts};
-  std::vector<Agg> out;
-  out.reserve(grid.size());
-  for (const auto& rs : runner.run(grid, runs)) out.push_back(aggregate(rs));
-  return out;
-}
-
-/// Paper Table 1 defaults, scaled down unless GLR_PAPER_SCALE=1.
-inline ScenarioConfig benchConfig(Protocol p, double radius) {
-  ScenarioConfig cfg;
-  cfg.protocol = p;
-  cfg.radius = radius;
-  if (paperScale()) {
-    cfg.numMessages = 1980;
-    cfg.simTime = 3800.0;
-  } else {
-    cfg.numMessages = 400;
-    cfg.simTime = 1200.0;
-  }
-  return cfg;
-}
-
-inline int defaultRuns() { return experiment::benchRuns(2); }
 
 /// Reads one "<key>:  <n> kB" line from /proc/self/status; 0 if absent
 /// (non-Linux platforms — the scale bench then skips its memory asserts).
@@ -153,14 +92,14 @@ inline void scalePopulation(ScenarioConfig& cfg, int nodes) {
   cfg.numNodes = nodes;
 }
 
-inline void banner(const char* title, const char* paperRef) {
+inline void banner(const char* title, const char* paperRef, int runs) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
   std::printf("Paper reference: %s\n", paperRef);
   std::printf("Scale: %s (GLR_PAPER_SCALE=1 for full scale), %d seed(s), "
               "up to %u thread(s) (GLR_BENCH_THREADS; capped at the cell "
               "count)\n",
-              paperScale() ? "paper" : "reduced", defaultRuns(),
+              paperScale() ? "paper" : "reduced", runs,
               experiment::ThreadPool::defaultThreads());
   std::printf("================================================================\n");
 }

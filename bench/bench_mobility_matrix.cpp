@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
   const int runs = glr::experiment::benchRuns(quick ? 1 : 4);
 
   glr::bench::banner("Scenario-diversity matrix: protocol x mobility x churn",
-                     "extension beyond the paper's waypoint-only evaluation");
+                     "extension beyond the paper's waypoint-only evaluation",
+                     runs);
   std::printf("%zu cells (%zu mobility x %zu churn x %zu protocols), "
               "%d seed(s) each\n\n",
               grid.size(), mobilities.size(), churns.size(), protocols.size(),

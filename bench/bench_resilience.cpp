@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
   }
 
   glr::bench::banner("Resilience sweep: misbehaving-node fraction vs. delivery",
-                     "custody-failure detection and recovery under blackholes");
+                     "custody-failure detection and recovery under blackholes",
+                     runs);
   std::printf("%zu cells (%zu mobilities x %zu variants x %zu fractions), "
               "%d seed(s) each\n\n",
               grid.size(), std::size(kMobilities), std::size(kVariants),

@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
   }
 
   glr::bench::banner("Saturation sweep: offered load vs. goodput",
-                     "overload survival past the paper's 1 msg/s workload");
+                     "overload survival past the paper's 1 msg/s workload",
+                     runs);
   std::printf("%zu cells (%zu variants x %zu loads), %d seed(s) each\n\n",
               grid.size(), std::size(kVariants), loads.size(), runs);
 

@@ -139,8 +139,13 @@ TEST(SweepRunner, SeedScheduleMatchesHistoricalSerialLoop) {
 }
 
 TEST(SweepRunner, ParallelBitIdenticalToSerialForGlrAndEpidemicGrid) {
+  // The third cell is Table 3's sparse shape: 50 m, multi-copy, no custody.
+  ScenarioConfig sparseNoCustody = quickConfig(Protocol::kGlr);
+  sparseNoCustody.radius = 50.0;
+  sparseNoCustody.custody = false;
   const std::vector<ScenarioConfig> grid = {quickConfig(Protocol::kGlr),
-                                            quickConfig(Protocol::kEpidemic)};
+                                            quickConfig(Protocol::kEpidemic),
+                                            sparseNoCustody};
   constexpr int kRuns = 3;
 
   SweepRunner serial = makeRunner(1);
