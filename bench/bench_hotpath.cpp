@@ -3,7 +3,8 @@
 ///
 /// Times two workloads on the rebuilt network hot path — epoch position
 /// cache, batched SINR with the ring-buffer interference history, payload
-/// arenas, and the scratch-reusing local Delaunay spanner:
+/// arenas, and the local Delaunay spanner star (one angular sweep per route
+/// check; the view is triangulated only when the sweep meets a tie):
 ///   * golden   — the mid-size GLR scenario the KernelRegression test pins
 ///                (glr-50n-400s-200msg-seed7); its event count is asserted
 ///                against the golden, so a speedup can never come from

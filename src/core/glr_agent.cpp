@@ -197,8 +197,10 @@ void GlrAgent::checkRoutes() {
   if (buffer_.storeSize() == 0) return;
   const geom::Point2 self = myPos();
 
-  // Local LDTG star: computed once per check from beacon knowledge.
-  const auto knowledge = neighbors_.knowledge();
+  // Local LDTG star: computed once per check from beacon knowledge, gathered
+  // into a per-thread buffer that keeps its capacity across checks.
+  static thread_local std::vector<spanner::KnownNode> knowledge;
+  neighbors_.knowledge(knowledge);
   const auto spannerIds = spanner::localSpannerNeighbors(
       self_, self, knowledge, params_->network.radius);
   std::vector<std::pair<int, geom::Point2>> spannerNbrs;

@@ -22,8 +22,8 @@ struct Tri {
 };
 
 /// Construction workspace. One instance lives per thread and is reused by
-/// every build (the GLR route check triangulates hundreds of thousands of
-/// small neighborhoods per run): all vectors keep their capacity across
+/// every build and star (the GLR route check computes one star per check,
+/// hundreds of thousands per run): all vectors keep their capacity across
 /// builds, and the cavity membership flags are generation-stamped so they
 /// need no clearing. The flat boundary/fan scratch replaces the per-insert
 /// std::map edge-stitching of the original Bowyer–Watson loop — boundary
@@ -49,6 +49,16 @@ struct Builder {
   // build() scratch.
   std::vector<int> sortIdx;
   std::vector<std::pair<int, int>> edgeScratch;
+
+  // starInto() scratch: the canonical map and the angular ring of points
+  // around the centre, linked so a deletion is O(1).
+  struct RingNode {
+    int id;  // point index; n + s for super vertex s
+    int prev, next;
+    bool convex;  // confirmed strictly convex against its current neighbours
+  };
+  std::vector<int> starDuplicateOf;
+  std::vector<RingNode> ring;
 
   void reset(const std::vector<Point2>& points) {
     pts.assign(points.begin(), points.end());
@@ -198,6 +208,63 @@ Builder& builderScratch() {
   return b;
 }
 
+/// Maps every point onto the lowest index holding the same coordinates
+/// (`duplicateOf[i] == i` for canonical points) and returns the number of
+/// distinct points. Sorts indices by (point, index) and maps every later
+/// member of an equal run onto the run's lowest index — the same canonical
+/// representative the old first-insert-wins map produced, without the
+/// per-point tree insert. `order` is scratch.
+std::size_t mergeDuplicates(const std::vector<Point2>& points,
+                            std::vector<int>& duplicateOf,
+                            std::vector<int>& order) {
+  const std::size_t n = points.size();
+  duplicateOf.resize(n);
+  std::iota(duplicateOf.begin(), duplicateOf.end(), 0);
+  order.resize(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&points](int x, int y) {
+    if (points[x].x != points[y].x) return points[x].x < points[y].x;
+    if (points[x].y != points[y].y) return points[x].y < points[y].y;
+    return x < y;
+  });
+  std::size_t numUnique = 0;
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    while (j < n && points[order[j]] == points[order[i]]) ++j;
+    const int canon = order[i];  // lowest index in the equal run
+    for (std::size_t k = i + 1; k < j; ++k) duplicateOf[order[k]] = canon;
+    ++numUnique;
+    i = j;
+  }
+  return numUnique;
+}
+
+/// Bounding super-triangle of the canonical points, far enough away to act
+/// as "infinity".
+std::array<Point2, 3> superTriangle(const std::vector<Point2>& points,
+                                    const std::vector<int>& duplicateOf) {
+  bool haveBounds = false;
+  double minX = 0, maxX = 0, minY = 0, maxY = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (duplicateOf[i] != static_cast<int>(i)) continue;
+    if (!haveBounds) {
+      minX = maxX = points[i].x;
+      minY = maxY = points[i].y;
+      haveBounds = true;
+      continue;
+    }
+    minX = std::min(minX, points[i].x);
+    maxX = std::max(maxX, points[i].x);
+    minY = std::min(minY, points[i].y);
+    maxY = std::max(maxY, points[i].y);
+  }
+  const double cx = (minX + maxX) / 2.0;
+  const double cy = (minY + maxY) / 2.0;
+  const double extent = std::max({maxX - minX, maxY - minY, 1.0});
+  const double m = 1e6 * extent;
+  return {{{cx - 2.0 * m, cy - m}, {cx + 2.0 * m, cy - m}, {cx, cy + 2.0 * m}}};
+}
+
 }  // namespace
 
 Delaunay Delaunay::build(const std::vector<Point2>& points) {
@@ -213,33 +280,10 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
   result.realEdges_.clear();
   result.adjOff_.assign(n + 1, 0);
   result.adjFlat_.clear();
-  result.duplicateOf_.resize(n);
-  std::iota(result.duplicateOf_.begin(), result.duplicateOf_.end(), 0);
 
   Builder& b = builderScratch();
-
-  // Merge exact duplicates onto their first occurrence: sort indices by
-  // (point, index) and map every later member of an equal run onto the
-  // run's lowest index — the same canonical representative the old
-  // first-insert-wins map produced, without the per-point tree insert.
-  b.sortIdx.resize(n);
-  std::iota(b.sortIdx.begin(), b.sortIdx.end(), 0);
-  std::sort(b.sortIdx.begin(), b.sortIdx.end(), [&points](int x, int y) {
-    if (points[x].x != points[y].x) return points[x].x < points[y].x;
-    if (points[x].y != points[y].y) return points[x].y < points[y].y;
-    return x < y;
-  });
-  std::size_t numUnique = 0;
-  for (std::size_t i = 0; i < n;) {
-    std::size_t j = i + 1;
-    while (j < n && points[b.sortIdx[j]] == points[b.sortIdx[i]]) ++j;
-    const int canon = b.sortIdx[i];  // lowest index in the equal run
-    for (std::size_t k = i + 1; k < j; ++k) {
-      result.duplicateOf_[b.sortIdx[k]] = canon;
-    }
-    ++numUnique;
-    i = j;
-  }
+  const std::size_t numUnique =
+      mergeDuplicates(points, result.duplicateOf_, b.sortIdx);
 
   if (numUnique < 2) return;
   if (numUnique == 2) {
@@ -259,31 +303,9 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
   }
 
   b.reset(points);
-
-  // Bounding super-triangle far enough away to act as "infinity".
-  bool haveBounds = false;
-  double minX = 0, maxX = 0, minY = 0, maxY = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (result.duplicateOf_[i] != static_cast<int>(i)) continue;
-    if (!haveBounds) {
-      minX = maxX = points[i].x;
-      minY = maxY = points[i].y;
-      haveBounds = true;
-      continue;
-    }
-    minX = std::min(minX, points[i].x);
-    maxX = std::max(maxX, points[i].x);
-    minY = std::min(minY, points[i].y);
-    maxY = std::max(maxY, points[i].y);
-  }
-  const double cx = (minX + maxX) / 2.0;
-  const double cy = (minY + maxY) / 2.0;
-  const double extent = std::max({maxX - minX, maxY - minY, 1.0});
-  const double m = 1e6 * extent;
+  const auto super = superTriangle(points, result.duplicateOf_);
+  b.pts.insert(b.pts.end(), super.begin(), super.end());
   const int s0 = static_cast<int>(n);
-  b.pts.push_back({cx - 2.0 * m, cy - m});
-  b.pts.push_back({cx + 2.0 * m, cy - m});
-  b.pts.push_back({cx, cy + 2.0 * m});
   b.lastAlive = b.newTriangle(s0, s0 + 1, s0 + 2);
 
   // Insert unique points in original input order (the order affects which
@@ -339,6 +361,92 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
                       static_cast<std::uint32_t>(b.sortIdx[sv]++)] = u;
     }
   }
+}
+
+bool Delaunay::starInto(std::vector<int>& out,
+                        const std::vector<Point2>& points) {
+  if (points.empty()) throw std::out_of_range{"Delaunay::starInto: no points"};
+  out.clear();
+  const std::size_t n = points.size();
+  Builder& b = builderScratch();
+  mergeDuplicates(points, b.starDuplicateOf, b.sortIdx);
+  const auto super = superTriangle(points, b.starDuplicateOf);
+  const Point2 p = points[0];
+  const auto at = [&](int i) {
+    const auto u = static_cast<std::size_t>(i);
+    return u < n ? points[u] : super[u - n];
+  };
+
+  // Every canonical point but p, and the super vertices, which put p
+  // strictly inside the hull: consecutive rays are less than pi apart.
+  b.ring.clear();
+  for (std::size_t i = 1; i < n; ++i) {
+    if (b.starDuplicateOf[i] == static_cast<int>(i)) {
+      b.ring.push_back({static_cast<int>(i), 0, 0, false});
+    }
+  }
+  for (int s = 0; s < 3; ++s) {
+    b.ring.push_back({static_cast<int>(n) + s, 0, 0, false});
+  }
+
+  // Exact angular order around p: upper half-plane (angle in [0, pi)) first,
+  // then by orientation within a half. Two points on one ray refuse.
+  const auto lowerHalf = [p](Point2 q) {
+    return q.y < p.y || (q.y == p.y && q.x < p.x);
+  };
+  std::sort(b.ring.begin(), b.ring.end(),
+            [&](const Builder::RingNode& x, const Builder::RingNode& y) {
+              const Point2 qx = at(x.id), qy = at(y.id);
+              const bool hx = lowerHalf(qx), hy = lowerHalf(qy);
+              if (hx != hy) return hy;
+              return orient2d(p, qx, qy) > 0.0;
+            });
+  const int m = static_cast<int>(b.ring.size());
+  for (int k = 0; k < m; ++k) {
+    b.ring[k].prev = (k + m - 1) % m;
+    b.ring[k].next = (k + 1) % m;
+    const Point2 q = at(b.ring[k].id);
+    const Point2 r = at(b.ring[b.ring[k].next].id);
+    if (lowerHalf(q) == lowerHalf(r) && orient2d(p, q, r) == 0.0) return false;
+  }
+
+  // p's neighbours are the hull vertices of the points inverted about p
+  // (Brown 1979), and incircle(a, b, c, p) has the sign of the inverted
+  // turn a'b'c'. A strictly reflex b' lies strictly inside triangle p a' c',
+  // so it is deleted; deleting it changes only its neighbours' turns, which
+  // are re-checked. Any zero turn refuses, so a star returned here had
+  // only strict signs: it is unique, hence the one buildInto settles on.
+  std::size_t pending = b.ring.size();  // survivors not yet confirmed convex
+  for (int k = 0; pending > 0;) {
+    Builder::RingNode& node = b.ring[k];
+    if (node.convex) {
+      k = node.next;
+      continue;
+    }
+    const double turn = incircle(at(b.ring[node.prev].id), at(node.id),
+                                 at(b.ring[node.next].id), p);
+    if (turn == 0.0) return false;
+    --pending;
+    if (turn > 0.0) {
+      node.convex = true;
+      k = node.next;
+      continue;
+    }
+    for (const int nb : {node.prev, node.next}) {
+      if (b.ring[nb].convex) {
+        b.ring[nb].convex = false;
+        ++pending;
+      }
+    }
+    b.ring[node.prev].next = node.next;
+    b.ring[node.next].prev = node.prev;
+    k = node.prev;
+  }
+  for (const Builder::RingNode& node : b.ring) {
+    if (node.convex && node.id < static_cast<int>(n)) out.push_back(node.id);
+  }
+  std::sort(out.begin(), out.end());
+  return true;
 }
 
 std::vector<int> Delaunay::neighborsOf(int v) const {

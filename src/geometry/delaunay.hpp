@@ -7,11 +7,13 @@
 /// deterministically. Duplicates are merged onto their first occurrence.
 ///
 /// The triangulation is the basis for the localized Delaunay spanner (LDTG)
-/// of the paper: each node triangulates its 2-hop view once per route check
-/// and keeps its own incident edges (LDel(2)). Witness vetoes exist only in
-/// the global analysis builder: a subset of the view that holds both ends of
-/// a Delaunay edge keeps that edge's empty circle empty, so a witness judging
-/// part of the node's own view could never veto (spanner/ldtg.hpp).
+/// of the paper: at each route check a node keeps its own incident edges in
+/// the triangulation of its 2-hop view (LDel(2)). `starInto` computes just
+/// that star by an angular sweep, and the view is triangulated only when the
+/// sweep meets a tie. Witness vetoes exist only in the global analysis
+/// builder: a subset of the view that holds both ends of a Delaunay edge
+/// keeps that edge's empty circle empty, so a witness judging part of the
+/// node's own view could never veto (spanner/ldtg.hpp).
 
 #include <array>
 #include <cstdint>
@@ -32,12 +34,23 @@ class Delaunay {
   /// induced by the triangulation with the bounding super-triangle).
   static Delaunay build(const std::vector<Point2>& points);
 
-  /// build() into an existing object, reusing its storage. Every GLR route
-  /// check triangulates one small neighborhood and discards the result;
-  /// rebuilding into one scratch object (plus the thread-local builder
-  /// scratch inside) makes the steady-state spanner path allocation-free.
+  /// build() into an existing object, reusing its storage. A GLR route
+  /// check whose view starInto refuses triangulates it and discards the
+  /// result; rebuilding into one scratch object (plus the thread-local
+  /// builder scratch inside) keeps that path allocation-free too.
   /// Produces exactly what build() produces.
   static void buildInto(Delaunay& out, const std::vector<Point2>& points);
+
+  /// Writes to `out` the neighbours of `points[0]` in exactly the
+  /// triangulation buildInto(points) would build, ascending, without building
+  /// it: the star is the hull of the other points inverted about points[0]
+  /// (Brown, "Voronoi diagrams from convex hulls", IPL 1979). Returns false,
+  /// with `out` unspecified, when the sweep meets a tie (two points on one
+  /// ray from points[0], or four cocircular); the caller then triangulates.
+  /// Allocation-free once the thread's scratch and `out` have grown.
+  /// `points` must not be empty.
+  [[nodiscard]] static bool starInto(std::vector<int>& out,
+                                     const std::vector<Point2>& points);
 
   /// CCW-oriented triangles on input points only (super vertices removed).
   [[nodiscard]] const std::vector<std::array<int, 3>>& triangles() const {

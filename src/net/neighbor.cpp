@@ -1,6 +1,8 @@
 #include "net/neighbor.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "checkpoint/event_kinds.hpp"
@@ -15,6 +17,59 @@ sim::EventDesc helloDesc(int self) {
   d.kind = ckpt::kHello;
   d.i0 = self;
   return d;
+}
+
+/// knowledge()'s id -> output slot table, indexed by (dense, non-negative)
+/// node id and generation-stamped: a lookup is O(1) and the per-call
+/// "clear" is one counter bump. Negative ids fall back to a linear probe of
+/// the output.
+struct KnowledgeScratch {
+  struct Slot {
+    std::uint32_t stamp = 0;  // == KnowledgeScratch::stamp -> set this call
+    std::uint32_t index = 0;  // into the output
+  };
+  std::vector<Slot> byId;
+  std::vector<sim::SimTime> heardAt;  // per output entry: observation time
+  std::uint32_t stamp = 0;
+
+  void begin() {
+    if (stamp == std::numeric_limits<std::uint32_t>::max()) {
+      std::fill(byId.begin(), byId.end(), Slot{});
+      stamp = 0;
+    }
+    ++stamp;
+    heardAt.clear();
+  }
+
+  /// Output index of `id`, or out.size() when this call has not added it.
+  [[nodiscard]] std::size_t find(int id,
+                                 const std::vector<spanner::KnownNode>& out) {
+    if (id < 0) {
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        if (out[i].id == id) return i;
+      }
+      return out.size();
+    }
+    const auto i = static_cast<std::size_t>(id);
+    return i < byId.size() && byId[i].stamp == stamp ? byId[i].index
+                                                     : out.size();
+  }
+
+  void add(std::vector<spanner::KnownNode>& out, spanner::KnownNode kn,
+           sim::SimTime at) {
+    if (kn.id >= 0) {
+      const auto i = static_cast<std::size_t>(kn.id);
+      if (i >= byId.size()) byId.resize(i + 1);
+      byId[i] = {stamp, static_cast<std::uint32_t>(out.size())};
+    }
+    heardAt.push_back(at);
+    out.push_back(kn);
+  }
+};
+
+KnowledgeScratch& knowledgeScratch() {
+  static thread_local KnowledgeScratch s;
+  return s;
 }
 
 }  // namespace
@@ -176,35 +231,26 @@ std::optional<geom::Point2> NeighborService::neighborPosition(int id) const {
   return it->second.pos;
 }
 
-std::vector<spanner::KnownNode> NeighborService::knowledge() const {
-  std::vector<spanner::KnownNode> out;
-  std::unordered_map<int, std::pair<std::size_t, sim::SimTime>> best;
-  // Called once per route check per node: size for one-hop entries plus a
-  // typical two-hop fan-out up front so the hot loop never rehashes.
-  out.reserve(table_.size() * 4);
-  best.reserve(table_.size() * 4);
-
+void NeighborService::knowledge(std::vector<spanner::KnownNode>& out) const {
+  KnowledgeScratch& s = knowledgeScratch();
+  s.begin();
+  out.clear();
   for (const auto& [id, rec] : table_) {
-    if (!fresh(rec)) continue;
-    best[id] = {out.size(), rec.heard};
-    out.push_back({id, rec.pos, /*oneHop=*/true});
+    if (fresh(rec)) s.add(out, {id, rec.pos, /*oneHop=*/true}, rec.heard);
   }
   for (const auto& [id, rec] : table_) {
     if (!fresh(rec)) continue;
     for (const auto& e : rec.reported) {
       if (e.id == self_) continue;
-      const auto it = best.find(e.id);
-      if (it == best.end()) {
-        best[e.id] = {out.size(), e.heardAt};
-        out.push_back({e.id, e.pos, /*oneHop=*/false});
-      } else if (!out[it->second.first].oneHop &&
-                 e.heardAt > it->second.second) {
-        out[it->second.first].pos = e.pos;  // fresher 2-hop observation
-        it->second.second = e.heardAt;
+      const std::size_t i = s.find(e.id, out);
+      if (i == out.size()) {
+        s.add(out, {e.id, e.pos, /*oneHop=*/false}, e.heardAt);
+      } else if (!out[i].oneHop && e.heardAt > s.heardAt[i]) {
+        out[i].pos = e.pos;  // fresher 2-hop observation
+        s.heardAt[i] = e.heardAt;
       }
     }
   }
-  return out;
 }
 
 }  // namespace glr::net

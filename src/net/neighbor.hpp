@@ -104,10 +104,12 @@ class NeighborService {
   /// Last known position of a fresh 1-hop neighbor.
   [[nodiscard]] std::optional<geom::Point2> neighborPosition(int id) const;
 
-  /// The node's <= 2-hop knowledge for LDTG construction: fresh 1-hop
-  /// neighbors (as oneHop) plus the nodes they reported (as two-hop),
-  /// deduplicated keeping the freshest observation.
-  [[nodiscard]] std::vector<spanner::KnownNode> knowledge() const;
+  /// Replaces `out` with the node's <= 2-hop knowledge for LDTG
+  /// construction: fresh 1-hop neighbors (as oneHop) in table order, then
+  /// the nodes they reported (as two-hop), deduplicated keeping the freshest
+  /// observation. Runs once per route check; with a reused `out` it is
+  /// allocation-free once the thread's id table covers the ids seen.
+  void knowledge(std::vector<spanner::KnownNode>& out) const;
 
   [[nodiscard]] std::uint64_t hellosSent() const { return hellosSent_; }
   [[nodiscard]] std::uint64_t hellosReceived() const { return hellosReceived_; }

@@ -92,14 +92,15 @@ graph::Graph buildLdtg(const std::vector<geom::Point2>& positions,
 namespace {
 
 /// Reused workspace for localSpannerNeighbors: the GLR route check runs it
-/// on every check interval for every node. Persisting the point buffers and
-/// the Delaunay result object (rebuilt in place via Delaunay::buildInto)
-/// makes the steady-state spanner path allocation-free apart from the
-/// returned neighbor list.
+/// on every check interval for every node. Persisting the point buffers, the
+/// star and the fallback Delaunay result object (rebuilt in place via
+/// Delaunay::buildInto) makes the steady-state spanner path allocation-free
+/// apart from the returned neighbor list.
 struct SpannerScratch {
   std::vector<int> ids;
   std::vector<geom::Point2> pts;
   std::vector<char> oneHop;
+  std::vector<int> star;
   geom::Delaunay dt;
 
   // Generation-stamped dedup table indexed by (dense, non-negative) node
@@ -251,11 +252,16 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
     return {};
   }
 
-  // Delaunay of the whole local view (LDel(2) at this node): keep every edge
-  // incident to self whose other endpoint is a direct neighbor within range.
-  geom::Delaunay::buildInto(s.dt, s.pts);
+  // Self's star in the Delaunay triangulation of the whole local view
+  // (LDel(2) at this node), triangulated only when the star sweep meets a
+  // tie: keep every edge whose other endpoint is a direct neighbor in range.
+  if (!geom::Delaunay::starInto(s.star, s.pts)) {
+    geom::Delaunay::buildInto(s.dt, s.pts);
+    const auto nbrs = s.dt.neighbors(s.dt.canonicalIndex(0));
+    s.star.assign(nbrs.begin(), nbrs.end());
+  }
   std::vector<int> accepted;
-  for (int nb : s.dt.neighbors(s.dt.canonicalIndex(0))) {
+  for (int nb : s.star) {
     const auto i = static_cast<std::size_t>(nb);
     if (i == 0 || !s.oneHop[i]) continue;
     if (geom::dist2(selfPos, s.pts[i]) > r2) continue;

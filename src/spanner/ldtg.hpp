@@ -58,7 +58,10 @@ struct KnownNode {
 /// 2-hop knowledge (positions may be slightly stale, exactly as in the
 /// protocol). Returns the ids of the direct neighbors within `radius` that
 /// share an edge with the node in the Delaunay triangulation of its whole
-/// view, sorted: one triangulation per call.
+/// view, sorted. The node's star comes from one angular sweep
+/// (Delaunay::starInto); the view is triangulated only when the sweep meets
+/// a tie (points on one ray from the node, or four cocircular), and both
+/// paths give the same star.
 ///
 /// Route checks repeat while neighborhoods sit still, so results are memoised
 /// in a thread-local cache keyed by computing node and guarded by an *exact*

@@ -1,10 +1,12 @@
 // Tests for the Bowyer–Watson Delaunay triangulation: correctness of the
 // empty-circumcircle property, degenerate inputs, duplicates, and structural
-// invariants (Euler's formula, hull edges present).
+// invariants (Euler's formula, hull edges present); and for the one-point
+// star, checked against the triangulation it must reproduce.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -20,6 +22,14 @@ using glr::geom::Delaunay;
 using glr::geom::incircle;
 using glr::geom::orient2d;
 using glr::geom::Point2;
+
+/// buildInto's neighbours of points[0], the reference starInto must match.
+std::vector<int> builtStar(const std::vector<Point2>& pts) {
+  Delaunay d;
+  Delaunay::buildInto(d, pts);
+  const auto nbrs = d.neighbors(d.canonicalIndex(0));
+  return {nbrs.begin(), nbrs.end()};
+}
 
 // Checks the defining property: no input point strictly inside any
 // triangle's circumcircle.
@@ -203,7 +213,68 @@ TEST_P(DelaunayRandom, EdgesSurviveInEveryDiskSubsetHoldingBothEnds) {
   EXPECT_GT(checked, 0u);
 }
 
+TEST_P(DelaunayRandom, StarOfEveryPointMatchesTheTriangulation) {
+  glr::sim::Rng rng{static_cast<std::uint64_t>(GetParam())};
+  const int n = 10 + static_cast<int>(rng.below(70));
+  std::vector<Point2> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({rng.uniform(0, 500), rng.uniform(0, 500)});
+  }
+  std::vector<int> star;
+  for (int first = 0; first < n; ++first) {
+    std::vector<Point2> view = pts;
+    std::swap(view[0], view[static_cast<std::size_t>(first)]);
+    ASSERT_TRUE(Delaunay::starInto(star, view))
+        << "refused general-position point " << first;
+    EXPECT_EQ(star, builtStar(view)) << "point " << first;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DelaunayRandom, ::testing::Range(1, 26));
+
+TEST(DelaunayStar, DegenerateViewsMatchWheneverCertified) {
+  // Ties (shared rays, cocircular quadruples, duplicates) may refuse, but a
+  // star that is returned must be buildInto's, on every choice of centre.
+  std::vector<std::vector<Point2>> views;
+  std::vector<Point2> grid;
+  for (int x = 0; x < 5; ++x) {
+    for (int y = 0; y < 5; ++y) {
+      grid.push_back({static_cast<double>(x), static_cast<double>(y)});
+    }
+  }
+  views.push_back(grid);
+  views.push_back({{0, 0}, {3, 0}, {1, 0}, {2, 0}, {5, 0}});
+  views.push_back({{1, 1}, {4, 0}, {1, 1}, {2, 3}, {-1, 2}, {0, -2}});
+  views.push_back({{1, 1}, {4, 0}, {2, 3}, {4, 0}, {-1, 2}, {0, -2}});
+  glr::sim::Rng rng{17};
+  for (const double cell : {10.0, 25.0, 50.0}) {
+    for (int v = 0; v < 30; ++v) {
+      std::vector<Point2> view;
+      for (int i = 0; i < 25; ++i) {
+        view.push_back({cell * std::round(rng.uniform(0, 300) / cell),
+                        cell * std::round(rng.uniform(0, 300) / cell)});
+      }
+      views.push_back(view);
+    }
+  }
+  std::vector<int> star;
+  std::size_t certified = 0, refused = 0;
+  for (const auto& pts : views) {
+    for (std::size_t first = 0; first < pts.size(); ++first) {
+      std::vector<Point2> view = pts;
+      std::swap(view[0], view[first]);
+      if (!Delaunay::starInto(star, view)) {
+        ++refused;
+        continue;
+      }
+      ++certified;
+      EXPECT_EQ(star, builtStar(view)) << "centre (" << view[0].x << ", "
+                                       << view[0].y << ")";
+    }
+  }
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(refused, 0u);
+}
 
 TEST(Delaunay, ClusteredPointsStressFilter) {
   // Tight clusters + far satellites stress the incircle filter.

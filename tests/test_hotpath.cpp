@@ -1,8 +1,9 @@
 // Hot-path guarantees: the epoch position cache is bit-identical to asking
 // the mobility models directly (for every registered model, under repeated
 // same-time queries and radio churn), and the steady-state beaconing / MAC /
-// channel path performs zero heap allocations (counted by overriding the
-// global allocator in this binary).
+// channel path and the route check's knowledge + spanner star perform zero
+// heap allocations (counted by overriding the global allocator in this
+// binary).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "../bench/counting_allocator.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
+#include "geometry/delaunay.hpp"
 #include "mobility/mobility.hpp"
 #include "mobility/registry.hpp"
 #include "net/neighbor.hpp"
@@ -116,6 +118,8 @@ class BeaconAgent final : public glr::net::Agent {
     service_.handlePacket(p, from);
   }
 
+  const NeighborService& service() const { return service_; }
+
  private:
   NeighborService service_;
 };
@@ -155,6 +159,65 @@ TEST(ZeroAllocSteadyState, BeaconingMacChannelPathDoesNotTouchTheAllocator) {
       << "steady-state beaconing allocated " << delta
       << " times in 30 sim-seconds; the hello/MAC/channel hot path must be "
          "allocation-free (payload arenas, ring deques, epoch cache)";
+}
+
+/// The route check's per-node geometry: gathering a node's 2-hop knowledge
+/// into a reused vector and computing its Delaunay star. Once the buffers
+/// and per-thread tables have grown, neither touches the allocator.
+TEST(ZeroAllocSteadyState, KnowledgeAndStarReuseTheirBuffers) {
+  Simulator sim;
+  sim.reserve(1024);
+  TwoRayGround model;
+  RadioParams radio;
+  radio.nominalRange = 250.0;
+  World world{sim, model, radio, MacParams{}};
+
+  // A jittered 4x4 grid, 120 m apart: general position, 2-hop views of up
+  // to the whole grid.
+  constexpr int kNodes = 16;
+  Rng jitter{31};
+  for (int i = 0; i < kNodes; ++i) {
+    world.addNode(std::make_unique<glr::mobility::StaticMobility>(
+                      Point2{120.0 * (i % 4) + jitter.uniform(-20, 20),
+                             120.0 * (i / 4) + jitter.uniform(-20, 20)}),
+                  Rng{900 + static_cast<std::uint64_t>(i)});
+  }
+  std::vector<const BeaconAgent*> agents;
+  for (int i = 0; i < kNodes; ++i) {
+    auto agent =
+        std::make_unique<BeaconAgent>(world, i, NeighborService::Params{});
+    agents.push_back(agent.get());
+    world.setAgent(i, std::move(agent));
+  }
+  world.start();
+  sim.run(5.0);
+
+  std::vector<glr::spanner::KnownNode> known;
+  std::vector<Point2> view;
+  std::vector<int> star;
+  std::size_t starEdges = 0;
+  const auto routeCheckGeometry = [&] {
+    for (int i = 0; i < kNodes; ++i) {
+      agents[static_cast<std::size_t>(i)]->service().knowledge(known);
+      view.assign(1, world.positionOf(i));
+      for (const auto& kn : known) view.push_back(kn.pos);
+      ASSERT_TRUE(glr::geom::Delaunay::starInto(star, view)) << "node " << i;
+      starEdges += star.size();
+    }
+  };
+  routeCheckGeometry();  // warm: buffers and tables grow to the working set
+
+  long long allocs = 0;
+  for (int step = 1; step <= 10; ++step) {
+    sim.run(5.0 + step);
+    const long long before = allocCount();
+    routeCheckGeometry();
+    allocs += allocCount() - before;
+  }
+  EXPECT_GT(starEdges, 0u);
+  EXPECT_EQ(allocs, 0) << "knowledge + star allocated " << allocs
+                       << " times over 10 warm rounds of " << kNodes
+                       << " route checks";
 }
 
 /// The golden mid-size GLR scenario still runs correctly in this binary

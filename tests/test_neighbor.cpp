@@ -92,7 +92,8 @@ TEST(Neighbor, TwoHopKnowledgeViaPiggyback) {
   // about each other through 1's hello neighbor list.
   Harness h{{{0, 0}, {200, 0}, {400, 0}}};
   h.sim.run(4.0);
-  const auto knowledge = h.agents[0]->service().knowledge();
+  std::vector<glr::spanner::KnownNode> knowledge;
+  h.agents[0]->service().knowledge(knowledge);
   bool saw1 = false, saw2 = false;
   for (const auto& kn : knowledge) {
     if (kn.id == 1) {

@@ -320,6 +320,34 @@ TEST(LocalSpanner, LongDiagonalIsNotLocallyDelaunay) {
             (std::vector<int>{2, 3}));
 }
 
+TEST(LocalSpanner, LatticeViewFallsBackToTheTriangulation) {
+  // On a 25 m lattice the view is full of shared rays and cocircular
+  // quadruples, so the star sweep refuses and the node's star must come from
+  // triangulating the view: the same answer Delaunay::build gives.
+  glr::sim::Rng rng{41};
+  const double r = 120.0;
+  const Point2 self{100, 100};
+  std::vector<KnownNode> known;
+  std::vector<Point2> view{self};
+  for (int id = 1; id <= 30; ++id) {
+    const Point2 p{25.0 * std::round(rng.uniform(0, 250) / 25.0),
+                   25.0 * std::round(rng.uniform(0, 250) / 25.0)};
+    known.push_back({id, p, dist(self, p) <= r});
+    view.push_back(p);
+  }
+  std::vector<int> star;
+  ASSERT_FALSE(glr::geom::Delaunay::starInto(star, view));
+
+  const auto dt = glr::geom::Delaunay::build(view);
+  std::vector<int> want;
+  for (int i : dt.neighbors(dt.canonicalIndex(0))) {
+    if (i > 0 && known[i - 1].oneHop) want.push_back(known[i - 1].id);
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(localSpannerNeighbors(0, self, known, r), want);
+}
+
 TEST(LocalSpanner, LocalViewIsPlanar) {
   // The self-incident edge star a node selects, combined over all nodes with
   // complete knowledge, must form a planar graph.
