@@ -1,14 +1,18 @@
 #pragma once
 /// \file bench_common.hpp
 /// Shared support for the sweep benches: the run banner, multi-seed
-/// aggregation, resident-memory probes and population rescaling. The
-/// paper's figures and tables live in bench_paper.cpp.
+/// aggregation, resident-memory probes, the host stamp and population
+/// rescaling. The paper's figures and tables live in bench_paper.cpp.
+
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "experiment/runner.hpp"
@@ -62,6 +66,54 @@ inline std::size_t procStatusBytes(const char* key) {
 inline std::size_t peakRssBytes() { return procStatusBytes("VmHWM"); }
 /// Current resident set size (VmRSS).
 inline std::size_t currentRssBytes() { return procStatusBytes("VmRSS"); }
+
+/// The host and build a bench ran on, as one JSON object: usable cores,
+/// CPU model, compiler, and whether asserts are compiled out (NDEBUG) and
+/// the optimizer ran (__OPTIMIZE__).
+inline std::string hostJson() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) == 0 && colon != nullptr) {
+        const char* name = colon + 1 + std::strspn(colon + 1, " \t");
+        cpu.assign(name, std::strcspn(name, "\"\\\n"));
+        break;
+      }
+    }
+    std::fclose(f);
+  }
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const unsigned nproc = sched_getaffinity(0, sizeof set, &set) == 0
+                             ? static_cast<unsigned>(CPU_COUNT(&set))
+                             : std::thread::hardware_concurrency();
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+#ifdef NDEBUG
+  const bool ndebug = true;
+#else
+  const bool ndebug = false;
+#endif
+#ifdef __OPTIMIZE__
+  const bool optimize = true;
+#else
+  const bool optimize = false;
+#endif
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"nproc\": %u, \"cpu_model\": \"%s\", "
+                "\"compiler\": \"%s\", \"ndebug\": %s, \"optimize\": %s}",
+                nproc, cpu.c_str(), compiler, ndebug ? "true" : "false",
+                optimize ? "true" : "false");
+  return buf;
+}
 
 /// Node-count override shared by the benches: GLR_BENCH_NODES in the
 /// environment, typically mirrored by a --nodes flag. Returns `fallback`

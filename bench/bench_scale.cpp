@@ -7,9 +7,11 @@
 /// every node sees the paper's local picture) with a fixed small traffic
 /// subset — the overwhelming majority of nodes are idle, so the recorded
 /// resident bytes/node is effectively the idle-node footprint (see
-/// kIdleBytesPerNodeCeiling). Per cell the JSON records events/sec and resident
+/// kIdleBytesPerNodeCeiling). Per cell the JSON records events/sec, resident
 /// bytes/node ((process peak RSS during the cell - RSS at cell start) /
-/// nodes; cells run in ascending size so each cell owns the peak it sets).
+/// nodes; cells run in ascending size so each cell owns the peak it sets)
+/// and set-up seconds (the same config at simTime 0: construction plus the
+/// t=0 start burst). The JSON is stamped with the host and build.
 ///
 /// Before the sweep, an A/B matrix at the smallest size asserts that every
 /// {heap4, calendar} x {snapshot, tiled} combination produces bit-identical
@@ -54,6 +56,7 @@ namespace {
 
 using glr::bench::benchNodes;
 using glr::bench::currentRssBytes;
+using glr::bench::hostJson;
 using glr::bench::peakRssBytes;
 using glr::bench::scalePopulation;
 using glr::experiment::bitIdenticalIgnoringWall;
@@ -109,6 +112,7 @@ struct Cell {
   double simTime = 0.0;
   ScenarioResult result;
   double wall = 0.0;
+  double setup = 0.0;
   double eventsPerSec = 0.0;
   double bytesPerNode = 0.0;
   bool smoke = false;  // 1M cell: completion matters, numbers are indicative
@@ -130,12 +134,18 @@ Cell runCell(int nodes, double simTime, int messages, bool smoke) {
   c.bytesPerNode = hwm > rss0 ? static_cast<double>(hwm - rss0) /
                                     static_cast<double>(nodes)
                               : 0.0;
+  // Timed after the peak read: the set-up run's smaller peak cannot count.
+  const auto setup0 = std::chrono::steady_clock::now();
+  (void)runScenario(baseConfig(nodes, 0.0, messages));
+  c.setup = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          setup0)
+                .count();
   std::printf(
-      "%8d nodes  %6.1f sim-s  %10llu events  %7.2f wall-s  "
+      "%8d nodes  %6.1f sim-s  %10llu events  %7.2f wall-s  %7.3f setup-s  "
       "%8.0f ev/s  %7.1f B/node%s\n",
       nodes, simTime,
       static_cast<unsigned long long>(c.result.eventsExecuted), c.wall,
-      c.eventsPerSec, c.bytesPerNode, smoke ? "  [smoke]" : "");
+      c.setup, c.eventsPerSec, c.bytesPerNode, smoke ? "  [smoke]" : "");
   return c;
 }
 
@@ -243,6 +253,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"scale\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  std::fprintf(out, "  \"host\": %s,\n", hostJson().c_str());
   std::fprintf(out,
                "  \"path\": \"calendar queue + tiled receiver index\",\n");
   std::fprintf(out, "  \"ab_matrix_bit_identical\": true,\n");
@@ -254,11 +265,11 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"nodes\": %d, \"sim_seconds\": %.1f, "
                  "\"events\": %llu, \"wall_seconds\": %.2f, "
-                 "\"events_per_sec\": %.0f, "
+                 "\"setup_seconds\": %.3f, \"events_per_sec\": %.0f, "
                  "\"resident_bytes_per_node\": %.1f, \"smoke\": %s}%s\n",
                  c.nodes, c.simTime,
                  static_cast<unsigned long long>(c.result.eventsExecuted),
-                 c.wall, c.eventsPerSec, c.bytesPerNode,
+                 c.wall, c.setup, c.eventsPerSec, c.bytesPerNode,
                  c.smoke ? "true" : "false",
                  i + 1 < cells.size() ? "," : "");
   }

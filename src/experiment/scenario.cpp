@@ -221,12 +221,15 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   if (cfg.kernelQueue == KernelQueue::kCalendar) {
     simulator.setQueueMode(sim::Simulator::QueueMode::kCalendar);
   }
-  // Pre-size the event slab/queue from the population: the pending-event
-  // peak is a few events per node (hello + check + MAC timers) with a
-  // measured ~1.5k floor at paper scale, so 4096 covers small runs and the
-  // per-node term keeps city-scale bursts from reallocating mid-run.
-  simulator.reserve(std::max<std::size_t>(
-      4096, static_cast<std::size_t>(cfg.numNodes) * 4));
+  // Pre-size the event slab and far tier from the population: the
+  // pending-event peak is a few events per node (hello + check + custody
+  // timers) with a measured ~1.5k floor at paper scale, so 4096 covers small
+  // runs and the per-node term keeps city-scale bursts from reallocating
+  // mid-run. The near tier holds only events due within kNearHorizon, a
+  // dozen MAC events in steady state; its peak is the t=0 burst of one
+  // start event per node.
+  const auto nodes = static_cast<std::size_t>(cfg.numNodes);
+  simulator.reserve(std::max<std::size_t>(4096, nodes * 4), nodes);
   // Checkpointing needs every pending event described, so this must precede
   // the first schedule anywhere. Also required on a restored run: keyed
   // event re-creation and any further snapshots both read descriptors.

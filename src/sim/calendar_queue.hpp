@@ -1,22 +1,25 @@
 #pragma once
 /// \file calendar_queue.hpp
-/// Calendar-queue event ordering for million-deep pending sets.
+/// Calendar-queue ordering for the simulator's far tier.
 ///
-/// The 4-ary heap pays O(log n) per operation with a serial chain of
-/// dependent loads on every pop; at city scale (100k–1M nodes) the heap
-/// outgrows every cache level and each event costs a walk through DRAM.
-/// A calendar queue (Brown 1988) hashes events into a wheel of day-width
-/// buckets by time, making push amortized O(1) and pop a scan of the one
-/// bucket the clock currently points at. The trade is that pops inside a
-/// bucket are a linear min-scan, so the structure self-resizes to keep
-/// bucket occupancy near one event per active day.
+/// A 4-ary heap pays O(log n) per operation with a serial chain of
+/// dependent loads on every pop; at city scale (100k–1M nodes) a heap of
+/// every hello and custody timer outgrows every cache level. A calendar
+/// queue (Brown 1988) hashes events into a wheel of day-width buckets by
+/// time, making push amortized O(1) and pop a scan of the one bucket the
+/// clock currently points at. The trade is that pops inside a bucket are a
+/// linear min-scan, so the structure self-resizes to keep bucket occupancy
+/// near one event per active day. In `kCalendar` mode the simulator puts
+/// only far events here — due at least `Simulator::kNearHorizon` after the
+/// clock when scheduled. Bursts scheduled at one time (the t=0 start of
+/// every node, a MAC exchange) go to the near heap, never into one bucket.
 ///
 /// Ordering is EXACTLY the heap's: the minimum record by (timeBits, seq).
 /// Bucketing only narrows where that minimum is searched for — the
 /// comparator is shared with the heap — so a simulator draining either
 /// structure fires the identical event sequence bit-for-bit. That property
 /// is pinned by tests (random schedule/cancel interleavings and the
-/// KernelRegression golden) and is what makes the queue a drop-in mode
+/// KernelRegression golden) and is what makes the queue a drop-in far tier
 /// behind the existing `Simulator` API rather than a fork of the kernel.
 ///
 /// Stale records (cancelled events) are handled exactly like the heap's:
@@ -29,26 +32,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/event_heap.hpp"
+
 namespace glr::sim {
-
-/// What both queue implementations order: the IEEE-754 bit pattern of a
-/// non-negative time (orders identically to the double) and the insertion
-/// sequence number that breaks ties deterministically.
-struct EventKey {
-  std::uint64_t timeBits;
-  std::uint64_t seq;
-};
-
-/// Queue payload: a {slot, generation} reference into the simulator's slab.
-struct EventAux {
-  std::uint32_t slot;
-  std::uint32_t generation;
-};
-
-[[nodiscard]] inline bool earlierKey(const EventKey& a, const EventKey& b) {
-  if (a.timeBits != b.timeBits) return a.timeBits < b.timeBits;
-  return a.seq < b.seq;
-}
 
 class CalendarQueue {
  public:

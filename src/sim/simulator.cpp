@@ -17,143 +17,44 @@ std::uint64_t steadyNowNs() {
 
 }  // namespace
 
-void Simulator::heapPopTop() {
-  const HeapKey last = heapKeys_.back();
-  const HeapAux lastAux = heapAux_.back();
-  heapKeys_.pop_back();
-  heapAux_.pop_back();
-  const std::size_t n = heapKeys_.size();
-  if (n == 0) return;
-  // Bottom-up deletion (Wegener): descend the min-child path all the way to
-  // a leaf — the replacement comes from the back of the heap, so it nearly
-  // always belongs at the bottom and comparing it against every level on the
-  // way down is wasted work — then bubble it up from the leaf hole, which
-  // almost always stops immediately. Min-child selection is a two-round
-  // tournament of conditional moves: the outcomes are data-random, so
-  // branching on them would mispredict half the time. Only the 16-byte key
-  // array is touched per comparison; the next level's children are
-  // prefetched as soon as their index is known (the heap outgrows L2 in
-  // large scenarios, and the sift is otherwise a serial chain of dependent
-  // loads).
-  std::size_t i = 0;
-  for (;;) {
-    static_assert(kHeapArity == 4, "min-child tournament is unrolled for 4");
-    const std::size_t firstChild = i * kHeapArity + 1;
-    if (firstChild + kHeapArity <= n) {
-      const HeapKey* ch = &heapKeys_[firstChild];
-      const std::size_t a = earlier(ch[1], ch[0]) ? firstChild + 1 : firstChild;
-      const std::size_t b =
-          earlier(ch[3], ch[2]) ? firstChild + 3 : firstChild + 2;
-      const std::size_t best = earlier(heapKeys_[b], heapKeys_[a]) ? b : a;
-#if defined(__GNUC__) || defined(__clang__)
-      const std::size_t next = best * kHeapArity + 1;
-      if (next < n) __builtin_prefetch(heapKeys_.data() + next);
-#endif
-      heapKeys_[i] = heapKeys_[best];
-      heapAux_[i] = heapAux_[best];
-      i = best;
-    } else if (firstChild < n) {
-      std::size_t best = firstChild;
-      for (std::size_t c = firstChild + 1; c < n; ++c) {
-        best = earlier(heapKeys_[c], heapKeys_[best]) ? c : best;
-      }
-      heapKeys_[i] = heapKeys_[best];
-      heapAux_[i] = heapAux_[best];
-      i = best;
-    } else {
-      break;
-    }
-  }
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (!earlier(last, heapKeys_[parent])) break;
-    heapKeys_[i] = heapKeys_[parent];
-    heapAux_[i] = heapAux_[parent];
-    i = parent;
-  }
-  heapKeys_[i] = last;
-  heapAux_[i] = lastAux;
-}
-
-void Simulator::siftDownHole(std::size_t i, HeapKey key, HeapAux aux) {
-  const std::size_t n = heapKeys_.size();
-  for (;;) {
-    const std::size_t firstChild = i * kHeapArity + 1;
-    if (firstChild >= n) break;
-    const std::size_t lastChild = std::min(firstChild + kHeapArity, n);
-    std::size_t best = firstChild;
-    for (std::size_t c = firstChild + 1; c < lastChild; ++c) {
-      best = earlier(heapKeys_[c], heapKeys_[best]) ? c : best;
-    }
-    if (!earlier(heapKeys_[best], key)) break;
-    heapKeys_[i] = heapKeys_[best];
-    heapAux_[i] = heapAux_[best];
-    i = best;
-  }
-  heapKeys_[i] = key;
-  heapAux_[i] = aux;
-}
-
 void Simulator::skipStale() {
-  while (!qEmpty() && stale(qTopAux())) {
-    qPop();
+  for (Tier t = minTier(); t != Tier::kNone && stale(topAux(t));
+       t = minTier()) {
+    pop(t);
     --staleCount_;
   }
 }
 
-void Simulator::compactHeap() {
-  if (cal_) {
-    cal_->removeIf([this](const HeapAux& aux) { return stale(aux); });
-    staleCount_ = 0;
-    return;
-  }
-  const std::size_t n = heapKeys_.size();
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    if (!stale(heapAux_[r])) {
-      heapKeys_[w] = heapKeys_[r];
-      heapAux_[w] = heapAux_[r];
-      ++w;
-    }
-  }
-  heapKeys_.resize(w);
-  heapAux_.resize(w);
+void Simulator::compact() {
+  const auto isStale = [this](const EventAux& aux) { return stale(aux); };
+  near_.removeIf(isStale);
+  onFar([&](auto& q) { q.removeIf(isStale); });
   staleCount_ = 0;
-  if (w < 2) return;
-  // Floyd heapify over the surviving records: O(n), and the filter pass
-  // above kept them in heap-ish order so most holes stop immediately.
-  for (std::size_t i = (w - 2) / kHeapArity + 1; i-- > 0;) {
-    siftDownHole(i, heapKeys_[i], heapAux_[i]);
-  }
 }
 
 bool Simulator::hasPending() {
   skipStale();
-  return !qEmpty();
+  return queueSize() != 0;
 }
 
-void Simulator::reserve(std::size_t events) {
+void Simulator::reserve(std::size_t events, std::size_t burst) {
   slab_.reserve(events);
-  if (cal_) {
-    cal_->reserve(events);
-  } else {
-    heapKeys_.reserve(events);
-    heapAux_.reserve(events);
-  }
+  near_.reserve(burst);
+  onFar([&](auto& q) { q.reserve(events); });
 }
 
-std::uint64_t Simulator::fireTop() {
+std::uint64_t Simulator::fireTop(Tier t) {
   // One peek serves the stale check, the callback fetch, and the clock
   // bump: the slot's cacheline is loaded exactly once per event.
-  const HeapAux aux = qTopAux();
+  const EventAux aux = topAux(t);
   Slot& s = slab_[aux.slot];
   if (s.generation != aux.generation) {
-    qPop();
+    pop(t);
     --staleCount_;
     return 0;
   }
-  now_ = bitsToTime(qTopKey().timeBits);
-  qPop();
+  now_ = bitsToTime(topKey(t).timeBits);
+  pop(t);
   // Move the callback out and free the slot *before* invoking: the callback
   // may schedule new events (reusing this very slot) and late cancels on it
   // must already be no-ops. `s` stays valid — only the callback can grow
@@ -174,15 +75,15 @@ std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
   }
   // Drain every record in fire order, shedding stale (cancelled) ones, then
   // re-insert the survivors. Re-insertion in ascending key order is cheap in
-  // both modes (heap pushes never sift, calendar pushes are O(1)) and cannot
+  // every tier (heap pushes never sift, calendar pushes are O(1)) and cannot
   // change the fire sequence: pops always take the exact (time, seq)
   // minimum, whatever the internal layout.
-  std::vector<std::pair<HeapKey, HeapAux>> records;
+  std::vector<std::pair<EventKey, EventAux>> records;
   records.reserve(queueSize());
-  while (!qEmpty()) {
-    const HeapKey key = qTopKey();
-    const HeapAux aux = qTopAux();
-    qPop();
+  for (Tier t = minTier(); t != Tier::kNone; t = minTier()) {
+    const EventKey key = topKey(t);
+    const EventAux aux = topAux(t);
+    pop(t);
     if (stale(aux)) {
       --staleCount_;
       continue;
@@ -193,11 +94,7 @@ std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
   std::vector<PendingEvent> out;
   out.reserve(records.size());
   for (const auto& [key, aux] : records) {
-    if (cal_) {
-      cal_->push(key, aux);
-    } else {
-      heapPush(key, aux);
-    }
+    push(key, aux);
     // Events scheduled before descriptor storage was enabled fall outside
     // descs_; report them as undescribed so the checkpoint writer can refuse
     // loudly instead of silently losing them.
@@ -227,19 +124,14 @@ EventHandle Simulator::scheduleKeyed(EventKey key, const EventDesc& desc,
   }
   Slot& s = slab_[slot];
   s.fn = std::move(fn);
-  const HeapAux aux{slot, s.generation};
-  if (cal_) {
-    cal_->push(key, aux);
-  } else {
-    heapPush(key, aux);
-  }
+  push(key, EventAux{slot, s.generation});
   return EventHandle{this, slot, s.generation};
 }
 
 void Simulator::clearPending() {
-  while (!qEmpty()) {
-    const HeapAux aux = qTopAux();
-    qPop();
+  for (Tier t = minTier(); t != Tier::kNone; t = minTier()) {
+    const EventAux aux = topAux(t);
+    pop(t);
     if (!stale(aux)) releaseSlot(aux.slot);
   }
   staleCount_ = 0;
@@ -282,11 +174,15 @@ std::uint64_t Simulator::run(SimTime until) {
   }
   std::uint64_t ran = 0;
   const std::uint64_t untilBits = timeToBits(until);
-  while (!qEmpty() && !stopped_) {
-    if (qTopKey().timeBits > untilBits && !stale(qTopAux())) {
+  while (!stopped_) {
+    // The minimum is found once per event and serves the horizon check,
+    // the stale check and the pop.
+    const Tier t = minTier();
+    if (t == Tier::kNone ||
+        (topKey(t).timeBits > untilBits && !stale(topAux(t)))) {
       break;
     }
-    ran += fireTop();
+    ran += fireTop(t);
     if (wallDeadlineNs_ != 0 && (++wallCheckTick_ & kWallCheckMask) == 0) {
       checkWallDeadline();
     }
@@ -294,15 +190,17 @@ std::uint64_t Simulator::run(SimTime until) {
   // The old kernel skipped cancelled heads before observing stop(), so a
   // queue holding only dead records still counted as drained.
   if (stopped_) skipStale();
-  if (qEmpty() && now_ < until && until < kForever) now_ = until;
+  if (queueSize() == 0 && now_ < until && until < kForever) now_ = until;
   return ran;
 }
 
 std::uint64_t Simulator::step(std::uint64_t n) {
   stopped_ = false;
   std::uint64_t ran = 0;
-  while (ran < n && !qEmpty() && !stopped_) {
-    ran += fireTop();
+  while (ran < n && !stopped_) {
+    const Tier t = minTier();
+    if (t == Tier::kNone) break;
+    ran += fireTop(t);
     if (wallDeadlineNs_ != 0 && (++wallCheckTick_ & kWallCheckMask) == 0) {
       checkWallDeadline();
     }

@@ -10,13 +10,24 @@
 ///
 /// The kernel is allocation-free on the hot path: callbacks live in a
 /// free-listed slab of slots (`InplaceFunction` keeps captures inline), the
-/// priority queue is an intrusive 4-ary heap of small `{time, seq, slot,
-/// generation}` records, and cancellation is an O(1) generation bump with
-/// lazy heap removal — no `shared_ptr` flags, no `std::function`, and no
-/// event copies on pop. Once the slab and heap vectors have grown to the
-/// scenario's working set, scheduling, cancelling, and firing events touch
-/// the allocator only for the rare callback larger than
-/// `kSimCallbackCapacity` bytes.
+/// pending set is small `{time, seq, slot, generation}` records, and
+/// cancellation is an O(1) generation bump with lazy removal — no
+/// `shared_ptr` flags, no `std::function`, and no event copies on pop. Once
+/// the slab and queues have grown to the scenario's working set,
+/// scheduling, cancelling, and firing events touch the allocator only for
+/// the rare callback larger than `kSimCallbackCapacity` bytes.
+///
+/// The pending set has two tiers. A record due less than `kNearHorizon`
+/// after the clock when scheduled goes to the near tier, a 4-ary heap
+/// (`EventHeap`); every other record goes to the far tier, a second heap
+/// or, in `kCalendar` mode, a `CalendarQueue`. Nearly every event is a MAC
+/// or channel event a few milliseconds out, while hellos, route checks and
+/// custody timers wait a second or more, so the near heap stays a dozen
+/// records deep and MAC events never sift past seconds-ahead timers. A
+/// burst scheduled at one time (every node's start event) lands in a heap,
+/// never in one calendar bucket. Each pop takes the earlier of the two
+/// tier tops by `earlierKey`, so the fire order is the single queue's by
+/// construction: the routing decides only cost.
 
 #include <bit>
 #include <cstddef>
@@ -27,6 +38,7 @@
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/inplace_function.hpp"
 
 namespace glr::sim {
@@ -103,9 +115,9 @@ class Simulator {
 
   using Callback = InplaceFunction<void(), kSimCallbackCapacity>;
 
-  /// Which structure orders the pending-event set. Both fire the identical
-  /// event sequence (same (time, seq) tie-break); they differ only in cost
-  /// profile — the 4-ary heap is the small/medium-scenario default, the
+  /// Which structure orders the far tier (the near tier is always a heap).
+  /// Both fire the identical event sequence (same (time, seq) tie-break);
+  /// they differ only in cost profile — the 4-ary heap is the default, the
   /// calendar queue keeps per-event cost flat for million-deep queues.
   enum class QueueMode { kHeap4, kCalendar };
 
@@ -218,28 +230,35 @@ class Simulator {
 
   /// Events currently queued (including cancelled-but-not-popped ones).
   [[nodiscard]] std::size_t queueSize() const {
-    return cal_ ? cal_->size() : heapKeys_.size();
+    return near_.size() + (cal_ ? cal_->size() : far_.size());
   }
 
   /// Whether there is at least one non-cancelled event pending.
   [[nodiscard]] bool hasPending();
 
-  /// Pre-sizes the slab and heap for `events` concurrently-pending events so
-  /// even the first scheduling burst never reallocates.
-  void reserve(std::size_t events);
+  /// Pre-sizes the slab and the far tier for `events` concurrently-pending
+  /// events, and the near tier for a `burst` of events due at once (one
+  /// start event per node at t=0), so even the first scheduling burst never
+  /// reallocates.
+  void reserve(std::size_t events, std::size_t burst);
 
   static constexpr SimTime kForever = 1e300;
+
+  /// Lead below which a record joins the near tier. It sits in the gap of
+  /// the paper setup's event mix: MAC and channel events lead by
+  /// microseconds to milliseconds, while hellos lead by 0.675–0.825 s,
+  /// periodic route checks by 0.9 s and custody timers by at least 1 s.
+  static constexpr SimTime kNearHorizon = 0.05;
 
  private:
   friend class EventHandle;
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
-  static constexpr std::size_t kHeapArity = 4;
 
   /// Slab cell. An armed slot holds the callback; a free slot links the
   /// free list. The generation counter is bumped whenever the slot's event
   /// fires or is cancelled, instantly invalidating stale handles and stale
-  /// heap records. Cacheline-aligned: callback + metadata are exactly one
+  /// queue records. Cacheline-aligned: callback + metadata are exactly one
   /// line, so arming/firing a slot touches a single line of the slab.
   struct alignas(64) Slot {
     Callback fn;
@@ -247,63 +266,62 @@ class Simulator {
     std::uint32_t nextFree = kNilSlot;
   };
 
-  /// What the heap orders, split structure-of-arrays style: the sift loops
-  /// touch only the 16-byte key array (4 children span at most two cache
-  /// lines instead of three), while the {slot, generation} payload rides in
-  /// a parallel array. Pops move small records, never closures. Time is
-  /// stored as its IEEE-754 bit pattern: sim times are non-negative, and
-  /// non-negative doubles order identically to their bit patterns, so the
-  /// comparator is pure integer work (no NaN/denormal edge cases in the hot
-  /// loop) while breaking ties by insertion order exactly like the old
-  /// (time, seq) comparator. The record types are shared with the calendar
-  /// queue (calendar_queue.hpp) so both modes order the same data.
-  using HeapKey = EventKey;
-  using HeapAux = EventAux;
-
-  static bool earlier(const HeapKey& a, const HeapKey& b) {
-    // Distinct times dominate and the equality branch predicts ~always
-    // taken; the data-random outcome below it compiles to setcc/cmov.
-    return earlierKey(a, b);
-  }
-
-  [[nodiscard]] bool stale(const HeapAux& a) const {
+  [[nodiscard]] bool stale(const EventAux& a) const {
     return slab_[a.slot].generation != a.generation;
   }
 
-  void heapPush(HeapKey key, HeapAux aux);
-  void heapPopTop();
+  /// Applies `f` to the far tier: the calendar wheel in kCalendar mode, the
+  /// second heap otherwise. Both expose the same queue interface.
+  template <class F>
+  decltype(auto) onFar(F&& f) {
+    return cal_ ? f(*cal_) : f(far_);
+  }
 
-  /// Queue-mode dispatch. One predictable branch on `cal_`; the heap path
-  /// stays the fall-through so the default mode's hot loop is unperturbed.
-  [[nodiscard]] bool qEmpty() const {
-    return cal_ ? cal_->empty() : heapKeys_.empty();
+  /// The tier holding the earliest record, if any.
+  enum class Tier : std::uint8_t { kNone, kNear, kFar };
+  [[nodiscard]] Tier minTier() {
+    const bool farEmpty = onFar([](auto& q) { return q.empty(); });
+    if (near_.empty()) return farEmpty ? Tier::kNone : Tier::kFar;
+    const bool nearFirst =
+        farEmpty || earlierKey(near_.topKey(), topKey(Tier::kFar));
+    return nearFirst ? Tier::kNear : Tier::kFar;
   }
-  [[nodiscard]] const HeapKey& qTopKey() {
-    return cal_ ? cal_->topKey() : heapKeys_.front();
+  [[nodiscard]] const EventKey& topKey(Tier t) {
+    return t == Tier::kNear
+               ? near_.topKey()
+               : onFar([](auto& q) -> const EventKey& { return q.topKey(); });
   }
-  [[nodiscard]] const HeapAux& qTopAux() {
-    return cal_ ? cal_->topAux() : heapAux_.front();
+  [[nodiscard]] const EventAux& topAux(Tier t) {
+    return t == Tier::kNear
+               ? near_.topAux()
+               : onFar([](auto& q) -> const EventAux& { return q.topAux(); });
   }
-  void qPop() {
-    if (cal_) {
-      cal_->popTop();
+  void pop(Tier t) {
+    if (t == Tier::kNear) {
+      near_.popTop();
     } else {
-      heapPopTop();
+      onFar([](auto& q) { q.popTop(); });
     }
   }
-  /// Sinks the record in the hole at `i` to its place, assuming children of
-  /// `i` may violate the heap property with respect to (key, aux).
-  void siftDownHole(std::size_t i, HeapKey key, HeapAux aux);
-  /// Discards records for cancelled/fired events at the head of the heap.
+  /// The one routing point: every record enters the pending set here.
+  void push(EventKey key, EventAux aux) {
+    if (key.timeBits < timeToBits(now_ + kNearHorizon)) {
+      near_.push(key, aux);
+    } else {
+      onFar([&](auto& q) { q.push(key, aux); });
+    }
+  }
+
+  /// Discards records for cancelled/fired events at the head of the queue.
   void skipStale();
-  /// Removes every stale record in one O(n) filter + Floyd heapify pass.
-  /// Cancellation is lazy (records of cancelled events stay in the heap
-  /// until popped), so a cancel-heavy phase — e.g. MAC ACK timers, which
-  /// are cancelled on every successful delivery — would otherwise pay a
-  /// full-depth sift per dead record and keep the heap artificially deep.
+  /// Removes every stale record from both tiers in one O(n) pass.
+  /// Cancellation is lazy (records of cancelled events stay queued until
+  /// popped), so a cancel-heavy phase — e.g. MAC ACK timers, which are
+  /// cancelled on every successful delivery — would otherwise pay a
+  /// full-depth sift per dead record and keep the heaps artificially deep.
   /// The generation check makes dead records detectable in O(1), which is
   /// what makes this sweep possible at all.
-  void compactHeap();
+  void compact();
 
   std::uint32_t acquireSlot() {
     if (freeHead_ != kNilSlot) {
@@ -321,29 +339,30 @@ class Simulator {
   void releaseSlot(std::uint32_t slot) {
     Slot& s = slab_[slot];
     s.fn.reset();
-    ++s.generation;  // stale handles and heap records become inert here
+    ++s.generation;  // stale handles and queue records become inert here
     s.nextFree = freeHead_;
     freeHead_ = slot;
   }
 
-  /// Fires the head event (returns 1), or pops it without firing and
-  /// returns 0 if its record is stale (cancelled event).
-  std::uint64_t fireTop();
+  /// Fires the head event of tier `t`, which must hold the earliest record
+  /// (returns 1), or pops it without firing and returns 0 if its record is
+  /// stale (cancelled event).
+  std::uint64_t fireTop(Tier t);
 
   bool cancelEvent(std::uint32_t slot, std::uint32_t generation) {
     if (!eventPending(slot, generation)) return false;
-    // The heap record is left in place; pops discard it once its generation
+    // The queue record is left in place; pops discard it once its generation
     // no longer matches the slot's, and a compaction sweep reclaims them in
     // bulk when they pile up.
     releaseSlot(slot);
     ++staleCount_;
     if (staleCount_ > kCompactMinStale && staleCount_ * 2 > queueSize()) {
-      compactHeap();
+      compact();
     }
     return true;
   }
 
-  /// Compaction threshold: don't bother sweeping tiny heaps.
+  /// Compaction threshold: don't bother sweeping tiny queues.
   static constexpr std::size_t kCompactMinStale = 64;
   [[nodiscard]] bool eventPending(std::uint32_t slot,
                                   std::uint32_t generation) const {
@@ -363,13 +382,14 @@ class Simulator {
 
   std::vector<Slot> slab_;
   std::uint32_t freeHead_ = kNilSlot;
-  std::vector<HeapKey> heapKeys_;
-  std::vector<HeapAux> heapAux_;
-  /// Non-null iff the calendar-queue mode is active (then heapKeys_/heapAux_
-  /// stay empty and all records live in the wheel).
+  /// The two tiers (see the file comment).
+  EventHeap near_;
+  EventHeap far_;
+  /// Non-null iff the calendar-queue mode is active (then far_ stays empty
+  /// and every far record lives in the wheel).
   std::unique_ptr<CalendarQueue> cal_;
-  /// Heap records whose event was cancelled (fired events pop immediately,
-  /// cancelled ones linger); drives the compaction heuristic.
+  /// Queued records whose event was cancelled (fired events pop
+  /// immediately, cancelled ones linger); drives the compaction heuristic.
   std::size_t staleCount_ = 0;
   /// Per-slot event descriptors, parallel to `slab_`. Grown lazily and only
   /// when descriptor storage is enabled, so checkpoint-less runs pay no
@@ -409,13 +429,7 @@ inline EventHandle Simulator::scheduleTagged(SimTime t, const EventDesc* desc,
   }
   Slot& s = slab_[slot];
   s.fn = std::move(fn);
-  const HeapKey key{timeToBits(t), nextSeq_++};
-  const HeapAux aux{slot, s.generation};
-  if (cal_) {
-    cal_->push(key, aux);
-  } else {
-    heapPush(key, aux);
-  }
+  push(EventKey{timeToBits(t), nextSeq_++}, EventAux{slot, s.generation});
   return EventHandle{this, slot, s.generation};
 }
 
@@ -426,23 +440,6 @@ inline EventHandle Simulator::scheduleAt(SimTime t, Callback fn) {
 inline EventHandle Simulator::scheduleAt(SimTime t, const EventDesc& desc,
                                          Callback fn) {
   return scheduleTagged(t, &desc, std::move(fn));
-}
-
-inline void Simulator::heapPush(HeapKey key, HeapAux aux) {
-  // Hole insertion: shift parents down into the hole and place the record
-  // once, instead of swap chains (one store per level, not three).
-  std::size_t i = heapKeys_.size();
-  heapKeys_.push_back(key);
-  heapAux_.push_back(aux);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (!earlier(key, heapKeys_[parent])) break;
-    heapKeys_[i] = heapKeys_[parent];
-    heapAux_[i] = heapAux_[parent];
-    i = parent;
-  }
-  heapKeys_[i] = key;
-  heapAux_[i] = aux;
 }
 
 }  // namespace glr::sim

@@ -1,9 +1,10 @@
-// Tests for the calendar-queue kernel mode: the wheel must fire the exact
-// event sequence the 4-ary heap fires — same (time, seq) tie-break, same
-// cancellation semantics — across unit workloads, randomized
-// schedule/cancel interleavings (where both queues must also match an
-// ordered-set reference), resize-heavy loads, and the full KernelRegression
-// golden scenario.
+// Tests for the kernel's queue modes: the calendar wheel must fire the
+// exact event sequence the 4-ary heap fires — same (time, seq) tie-break,
+// same cancellation semantics — across unit workloads, randomized
+// schedule/cancel interleavings (where both modes must also match an
+// ordered-set reference, including scripts that straddle the near/far tier
+// split), resize-heavy loads, a same-time burst, and the full
+// KernelRegression golden scenario.
 
 #include <gtest/gtest.h>
 
@@ -94,9 +95,59 @@ TEST(SimulatorCalendar, SwitchRequiresEmptyQueue) {
   EXPECT_EQ(sim.queueMode(), Simulator::QueueMode::kCalendar);
 }
 
-/// Runs a shared randomized schedule/cancel/horizon script against one
-/// queue mode and returns the exact firing log.
+/// A randomized schedule/cancel/horizon script: `rounds` rounds of
+/// `perRound` events at absolute times drawn by `timeIn`, each followed by
+/// a cancel with probability 1/4, and each round closed by run(until).
+struct Script {
+  const char* name;
+  int rounds;
+  int perRound;
+  double (*timeIn)(Rng& rng, int round);
+  double (*untilOf)(int round);
+};
+
+/// Coarse times in 10 s rounds, plus a rare far-future event. Only the
+/// delay-0 events land in the near tier, and they are always the earliest.
+const Script kCoarse{
+    "coarse", 10, 200,
+    [](Rng& rng, int round) {
+      // Coarse-grained times force plenty of exact ties; the occasional
+      // far-future event exercises the wheel's overflow path.
+      double t = 10.0 * round + 0.25 * static_cast<double>(rng.below(60));
+      if (rng.below(50) == 0) t += 1.0e4;
+      return t;
+    },
+    [](int round) { return 10.0 + 10.0 * round; }};
+
+/// Times are whole ticks of kNearHorizon / 8, each computed by one multiply,
+/// so equal tick counts are equal doubles and ties across tiers are common.
+constexpr double kTick = Simulator::kNearHorizon / 8.0;
+/// Rounds of 5 ticks, shorter than the near horizon.
+constexpr int kStraddleRoundTicks = 5;
+
+/// Delays of 0, of 1-16 ticks (straddling the horizon at 8) and of 0.5-10 s
+/// on a grid of 8 ticks, in rounds shorter than the horizon: far records
+/// come due while later near records wait, and equal times sit in both
+/// tiers.
+const Script kStraddle{
+    "straddle", 400, 20,
+    [](Rng& rng, int round) {
+      std::uint64_t delay = 0;
+      switch (rng.below(3)) {
+        case 1: delay = 1 + rng.below(16); break;
+        case 2: delay = 8 * (10 + rng.below(191)); break;
+        default: break;
+      }
+      const std::uint64_t start = kStraddleRoundTicks * round;
+      return kTick * static_cast<double>(start + delay);
+    },
+    [](int round) {
+      return kTick * static_cast<double>(kStraddleRoundTicks * (round + 1));
+    }};
+
+/// Runs `script` against one queue mode and returns the exact firing log.
 std::vector<std::pair<double, int>> runScript(bool calendar,
+                                              const Script& script,
                                               std::uint64_t seed) {
   Simulator sim;
   if (calendar) sim.setQueueMode(Simulator::QueueMode::kCalendar);
@@ -104,13 +155,9 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
   std::vector<std::pair<double, int>> fired;
   std::vector<EventHandle> handles;
   int nextId = 0;
-  for (int round = 0; round < 10; ++round) {
-    const double base = 10.0 * round;
-    for (int k = 0; k < 200; ++k) {
-      // Coarse-grained times force plenty of exact ties; the occasional
-      // far-future event exercises the wheel's overflow path.
-      double t = base + 0.25 * static_cast<double>(rng.below(60));
-      if (rng.below(50) == 0) t += 1.0e4;
+  for (int round = 0; round < script.rounds; ++round) {
+    for (int k = 0; k < script.perRound; ++k) {
+      const double t = script.timeIn(rng, round);
       const int id = nextId++;
       handles.push_back(sim.scheduleAt(
           t, [&fired, &sim, id] { fired.emplace_back(sim.now(), id); }));
@@ -119,7 +166,7 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
         handles[rng.below(handles.size())].cancel();
       }
     }
-    sim.run(base + 10.0);
+    sim.run(script.untilOf(round));
   }
   sim.run();
   fired.emplace_back(static_cast<double>(sim.eventsExecuted()), -1);
@@ -129,7 +176,8 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
 /// The same script run on an ordered set of (time, id) keys: the kernel's
 /// contract stated directly — earliest time first, ties in scheduling
 /// order, a cancelled event never fires, a horizon fires events at it.
-std::vector<std::pair<double, int>> runScriptReference(std::uint64_t seed) {
+std::vector<std::pair<double, int>> runScriptReference(const Script& script,
+                                                       std::uint64_t seed) {
   Rng rng{seed};
   std::vector<std::pair<double, int>> fired;
   std::set<std::pair<double, int>> pending;
@@ -140,11 +188,9 @@ std::vector<std::pair<double, int>> runScriptReference(std::uint64_t seed) {
       pending.erase(pending.begin());
     }
   };
-  for (int round = 0; round < 10; ++round) {
-    const double base = 10.0 * round;
-    for (int k = 0; k < 200; ++k) {
-      double t = base + 0.25 * static_cast<double>(rng.below(60));
-      if (rng.below(50) == 0) t += 1.0e4;
+  for (int round = 0; round < script.rounds; ++round) {
+    for (int k = 0; k < script.perRound; ++k) {
+      const double t = script.timeIn(rng, round);
       const int id = static_cast<int>(timeOf.size());
       timeOf.push_back(t);
       pending.emplace(t, id);
@@ -153,7 +199,7 @@ std::vector<std::pair<double, int>> runScriptReference(std::uint64_t seed) {
         pending.erase({timeOf[victim], victim});
       }
     }
-    runUntil(base + 10.0);
+    runUntil(script.untilOf(round));
   }
   runUntil(std::numeric_limits<double>::infinity());
   fired.emplace_back(static_cast<double>(fired.size()), -1);
@@ -161,17 +207,37 @@ std::vector<std::pair<double, int>> runScriptReference(std::uint64_t seed) {
 }
 
 TEST(SimulatorCalendar, HeapAndCalendarMatchReferenceOnScheduleCancelScripts) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto want = runScriptReference(seed);
-    for (const bool calendar : {false, true}) {
-      const auto got = runScript(calendar, seed);
-      ASSERT_EQ(got.size(), want.size())
-          << (calendar ? "calendar" : "heap") << " seed " << seed;
-      const auto at = std::mismatch(got.begin(), got.end(), want.begin());
-      EXPECT_TRUE(at.first == got.end())
-          << (calendar ? "calendar" : "heap") << " seed " << seed
-          << " first differs at firing " << (at.first - got.begin());
+  for (const Script* script : {&kCoarse, &kStraddle}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto want = runScriptReference(*script, seed);
+      for (const bool calendar : {false, true}) {
+        const auto got = runScript(calendar, *script, seed);
+        ASSERT_EQ(got.size(), want.size())
+            << (calendar ? "calendar" : "heap") << " " << script->name
+            << " seed " << seed;
+        const auto at = std::mismatch(got.begin(), got.end(), want.begin());
+        EXPECT_TRUE(at.first == got.end())
+            << (calendar ? "calendar" : "heap") << " " << script->name
+            << " seed " << seed << " first differs at firing "
+            << (at.first - got.begin());
+      }
     }
+  }
+}
+
+// A burst of events at one time must drain in O(n log n) in either mode:
+// a calendar wheel would put the whole burst in one bucket and min-scan it
+// per pop (quadratic; over 40 s for this burst in a Release build).
+TEST(SimulatorCalendar, SameTimeBurstDrainsFastInEitherMode) {
+  constexpr int kBurst = 200000;
+  for (const bool calendar : {false, true}) {
+    Simulator sim;
+    if (calendar) sim.setQueueMode(Simulator::QueueMode::kCalendar);
+    std::uint64_t fired = 0;
+    for (int i = 0; i < kBurst; ++i) sim.schedule(0.0, [&fired] { ++fired; });
+    sim.setWallDeadline(5.0);
+    EXPECT_NO_THROW(sim.run()) << (calendar ? "calendar" : "heap");
+    EXPECT_EQ(fired, static_cast<std::uint64_t>(kBurst));
   }
 }
 

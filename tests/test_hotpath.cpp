@@ -126,7 +126,7 @@ class BeaconAgent final : public glr::net::Agent {
 
 TEST(ZeroAllocSteadyState, BeaconingMacChannelPathDoesNotTouchTheAllocator) {
   Simulator sim;
-  sim.reserve(1024);
+  sim.reserve(1024, 64);
   TwoRayGround model;
   RadioParams radio;
   radio.nominalRange = 250.0;
@@ -166,7 +166,7 @@ TEST(ZeroAllocSteadyState, BeaconingMacChannelPathDoesNotTouchTheAllocator) {
 /// and per-thread tables have grown, neither touches the allocator.
 TEST(ZeroAllocSteadyState, KnowledgeAndStarReuseTheirBuffers) {
   Simulator sim;
-  sim.reserve(1024);
+  sim.reserve(1024, 64);
   TwoRayGround model;
   RadioParams radio;
   radio.nominalRange = 250.0;
