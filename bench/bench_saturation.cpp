@@ -11,6 +11,8 @@
 /// traffic engine offering ~1.2M messages to a saturated GLR network, as a
 /// scaling proof that overload is survived by counted rejection (queue
 /// drops, custody refusals, evictions) rather than by unbounded buffers.
+/// The JSON is stamped with the host and build, since the stress cell
+/// records its wall time.
 ///
 /// Usage: bench_saturation [--quick] [--out FILE.json]
 ///   --quick  CI mode: tiny cells, plus a 1-vs-2-thread bit-identical
@@ -30,6 +32,7 @@
 
 namespace {
 
+using glr::bench::hostJson;
 using glr::experiment::bitIdenticalIgnoringWall;
 using glr::experiment::Protocol;
 using glr::experiment::runScenario;
@@ -208,6 +211,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"saturation\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  std::fprintf(out, "  \"host\": %s,\n", hostJson().c_str());
   std::fprintf(out, "  \"seeds_per_cell\": %d,\n", runs);
   std::fprintf(out, "  \"cells\": [\n");
   for (std::size_t v = 0; v < std::size(kVariants); ++v) {

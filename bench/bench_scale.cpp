@@ -73,7 +73,7 @@ using glr::experiment::SpatialIndexMode;
 /// state per node (MAC 696 B including its inline recent-tx ring, GLR agent
 /// ~1 KB, mobility model + world entry) plus ~2 KB of bounded steady-state
 /// tables (the two-hop neighbor knowledge the LDTG construction needs,
-/// location observations, MAC dedup) and the kernel's event arena. Measured
+/// traffic-node locations, MAC dedup) and the kernel's event arena. Measured
 /// at 10k nodes: ~5.4 KB/node after 10 sim-s, saturating near ~6.2 KB at
 /// 30 sim-s as the eviction horizons fill — so the committed, regression-
 /// guarded budget is 7 KB. What the ceiling really polices is boundedness:

@@ -45,6 +45,10 @@ GlrAgent::GlrAgent(net::World& world, int self,
   buffer_.setTrace(world_.trace(), self_);
   neighbors_.setLocationSampleCallback(
       [this](int id, geom::Point2 pos, sim::SimTime at) {
+        // Only destinations are ever looked up (resolveDestination).
+        if (params_->destinationIds > 0 && id >= params_->destinationIds) {
+          return;
+        }
         locations_.update(id, pos, at);
       });
   neighbors_.setContactCallback([this](int /*id*/) {
@@ -97,6 +101,11 @@ void GlrAgent::periodicCheck() {
 }
 
 void GlrAgent::originate(int dstNode) {
+  if (params_->destinationIds > 0 &&
+      (dstNode < 0 || dstNode >= params_->destinationIds)) {
+    throw std::invalid_argument{
+        "GlrAgent::originate: destination outside [0, destinationIds)"};
+  }
   const int copies = copyCount();
   const auto flags = treeFlagsForCopies(copies);
 

@@ -84,11 +84,18 @@ struct GlrParams {
   std::size_t custodyAckBytes = 20;
   /// Steady-state bound on the location table for long/large runs:
   /// observations older than this many seconds are pruned at each periodic
-  /// check. 0 (default) keeps every observation forever — the historical
-  /// behavior the goldens were recorded under. The table is lookup-only,
-  /// so pruning is observable only when a later route check would have
-  /// fallen back to one of these very stale positions.
+  /// check. 0 (default) keeps every observation of a tracked id forever —
+  /// the historical behavior the goldens were recorded under. The table is
+  /// looked up only for a message's destination, so pruning is observable
+  /// only when a later route check would have fallen back to one of these
+  /// very stale positions.
   double locationEvictAfter = 0.0;
+  /// Count of leading node ids that can be a message destination: hello
+  /// location samples for ids >= this are not recorded (the table is only
+  /// ever read for a destination) and originate() rejects such a
+  /// destination. 0 (default) tracks and accepts every id. runScenario
+  /// sets it from ScenarioConfig::trafficNodes; it is not a user knob.
+  int destinationIds = 0;
   /// Message lifetime in seconds (0 = immortal, the historical default).
   /// Expired copies are dropped by a counted sweep at each periodic check
   /// (MessageBuffer::expireDue -> expiredDrops), never silently.

@@ -2,7 +2,10 @@
 /// \file location_table.hpp
 /// Per-node table of other nodes' last known locations with timestamps
 /// (paper Sec. 2.3.1): fed by hello exchanges and by destination-location
-/// fields in message headers; always keeps the freshest observation.
+/// fields in message headers; always keeps the freshest observation. The
+/// owner chooses which ids to record: a GLR agent looks the table up only
+/// for a message's destination, so it records only ids that can be one
+/// (GlrParams::destinationIds), not every node it hears of.
 
 #include <optional>
 #include <unordered_map>
@@ -42,9 +45,8 @@ class LocationTable {
   /// Drops every observation older than `olderThan`. The table is a pure
   /// key-value lookup (nothing iterates it), so pruning is only observable
   /// when a later lookup would have returned one of the dropped, very-stale
-  /// entries. City-scale runs call this periodically to keep an idle node's
-  /// footprint bounded by its active 2-hop neighborhood instead of by every
-  /// node it has ever heard of.
+  /// entries. City-scale runs call this periodically so a node keeps only
+  /// the destinations it has heard of recently, not every one it ever has.
   void prune(sim::SimTime olderThan) {
     for (auto it = table_.begin(); it != table_.end();) {
       if (it->second.at < olderThan) {

@@ -121,6 +121,7 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
         p.locationMode = cfg.locationMode;
         p.storageLimit = cfg.storageLimit;
         p.locationEvictAfter = cfg.locationEvictAfter;
+        p.destinationIds = cfg.trafficNodes;
         p.custodyWatermark = cfg.custodyWatermark;
         p.congestionControl = cfg.congestionControl;
         p.recovery = cfg.glrRecovery;

@@ -250,7 +250,8 @@ TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
 // Format pin: the GLRK v1 bytes of one small snapshot per protocol family
 // (plus the calendar kernel) are fixed, so existing .ckpt files and in-cell
 // sweep snapshots keep restoring and snapshot sizes cannot drift silently.
-// A deliberate layout change must bump kCheckpointVersion, not re-pin.
+// A deliberate layout change must bump kCheckpointVersion, not re-pin; a
+// change in what a component holds, in an unchanged layout, re-pins.
 // ---------------------------------------------------------------------------
 
 ScenarioConfig pinnedScenario(Protocol protocol, std::uint64_t seed) {
@@ -280,7 +281,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0xea3a326acb4b9ab0ULL);
+                     0x5a1487e4a6d0b194ULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -314,7 +315,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0x76c1f2bb38e04d57ULL);
+                     0xbf2fc381a07c3e2eULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "core/glr_agent.hpp"
 #include "dtn/metrics.hpp"
@@ -23,6 +25,9 @@ using glr::core::GlrParams;
 using glr::core::LocationMode;
 using glr::dtn::MetricsCollector;
 using glr::geom::Point2;
+using glr::mobility::Area;
+using glr::mobility::MobilityModel;
+using glr::mobility::RandomWaypoint;
 using glr::mobility::StaticMobility;
 using glr::net::World;
 using glr::phy::RadioParams;
@@ -30,20 +35,32 @@ using glr::phy::TwoRayGround;
 using glr::sim::Rng;
 using glr::sim::Simulator;
 
-/// Static-topology harness with pluggable agents.
+std::vector<std::unique_ptr<MobilityModel>> staticModels(
+    const std::vector<Point2>& positions) {
+  std::vector<std::unique_ptr<MobilityModel>> models;
+  for (const Point2& pos : positions) {
+    models.push_back(std::make_unique<StaticMobility>(pos));
+  }
+  return models;
+}
+
+/// Harness with one mobility model per node (static by default) and
+/// pluggable agents.
 struct Net {
   Simulator sim;
   TwoRayGround model;
   std::unique_ptr<World> world;
   MetricsCollector metrics;
 
-  explicit Net(const std::vector<Point2>& positions, double range) {
+  explicit Net(const std::vector<Point2>& positions, double range)
+      : Net(staticModels(positions), range) {}
+
+  Net(std::vector<std::unique_ptr<MobilityModel>> models, double range) {
     RadioParams radio;
     radio.nominalRange = range;
     world = std::make_unique<World>(sim, model, radio, glr::mac::MacParams{});
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      world->addNode(std::make_unique<StaticMobility>(positions[i]),
-                     Rng{7000 + i});
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      world->addNode(std::move(models[i]), Rng{7000 + i});
     }
   }
 
@@ -234,6 +251,80 @@ TEST(GlrProtocol, StorageLimitEnforced) {
   EXPECT_LE(agents[0]->buffer().size(), 5u);
   EXPECT_LE(agents[0]->storagePeak(), 5u);
   EXPECT_GT(agents[0]->buffer().dropCount(), 0u);
+}
+
+TEST(GlrProtocol, TrackingOnlyDestinationsChangesNothing) {
+  // The location table is read only for a message's destination, so an
+  // agent that records hello samples only for ids that can be one
+  // (GlrParams::destinationIds) routes exactly like one that records all.
+  constexpr int kNodes = 40;
+  constexpr int kDestinations = 8;
+  const auto waypoints = [] {
+    std::vector<std::unique_ptr<MobilityModel>> models;
+    Rng rng{2024};
+    for (int i = 0; i < kNodes; ++i) {
+      const Point2 start{rng.uniform(0, 600), rng.uniform(0, 600)};
+      models.push_back(std::make_unique<RandomWaypoint>(
+          Area{600, 600}, 1.0, 10.0, 2.0, start,
+          rng.fork(static_cast<std::uint64_t>(i) + 1)));
+    }
+    return models;
+  };
+  const auto run = [&](Net& net, int destinationIds) {
+    GlrParams p = net.glrParams(100.0);
+    p.network.areaWidth = 600;
+    p.network.areaHeight = 600;
+    p.locationEvictAfter = 20.0;
+    p.destinationIds = destinationIds;
+    auto agents = net.addGlrAgents(p);
+    for (int k = 0; k < 40; ++k) {
+      const int src = k % kDestinations;
+      const int dst = (src + 1 + (k / kDestinations)) % kDestinations;
+      net.sim.schedule(5.0 + 4.0 * k,
+                       [agent = agents[static_cast<std::size_t>(src)], dst] {
+                         agent->originate(dst);
+                       });
+    }
+    net.sim.run(200.0);
+    return agents;
+  };
+  Net bounded{waypoints(), 100.0};
+  Net unbounded{waypoints(), 100.0};
+  const auto kept = run(bounded, kDestinations);
+  const auto all = run(unbounded, 0);
+
+  EXPECT_EQ(bounded.sim.eventsExecuted(), unbounded.sim.eventsExecuted());
+  EXPECT_GT(bounded.metrics.deliveredCount(), 0u);
+  EXPECT_EQ(bounded.metrics.deliveredCount(),
+            unbounded.metrics.deliveredCount());
+  EXPECT_EQ(bounded.metrics.avgLatency(), unbounded.metrics.avgLatency());
+  EXPECT_EQ(bounded.metrics.avgHops(), unbounded.metrics.avgHops());
+
+  std::size_t keptEntries = 0;
+  std::size_t allEntries = 0;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& table = kept[i]->locationTable();
+    keptEntries += table.size();
+    allEntries += all[i]->locationTable().size();
+    for (int id = kDestinations; id < kNodes; ++id) {
+      EXPECT_FALSE(table.lookup(id).has_value()) << "id " << id;
+    }
+    for (int id = 0; id < kDestinations; ++id) {
+      const auto mine = table.lookup(id);
+      const auto theirs = all[i]->locationTable().lookup(id);
+      ASSERT_EQ(mine.has_value(), theirs.has_value()) << "id " << id;
+      if (!mine.has_value()) continue;
+      EXPECT_EQ(mine->pos.x, theirs->pos.x) << "id " << id;
+      EXPECT_EQ(mine->pos.y, theirs->pos.y) << "id " << id;
+      EXPECT_EQ(mine->at, theirs->at) << "id " << id;
+    }
+  }
+  EXPECT_GT(keptEntries, 0u);
+  EXPECT_LT(keptEntries, allEntries);  // the bound actually dropped samples
+
+  EXPECT_THROW(kept[0]->originate(kDestinations), std::invalid_argument);
+  EXPECT_THROW(kept[0]->originate(-1), std::invalid_argument);
 }
 
 template <typename AgentT, typename ParamsT>

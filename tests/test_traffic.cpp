@@ -67,7 +67,8 @@ TEST(TrafficOverload, DefaultKnobsReproduceKernelGoldenBitIdentically) {
 // TrafficProcess unit tests against a counting stub agent.
 // ---------------------------------------------------------------------------
 
-/// Records originations (and their times) without any network below.
+/// Records originations (their destinations and times) without any network
+/// below.
 class CountingAgent final : public glr::routing::DtnAgent {
  public:
   explicit CountingAgent(Simulator& sim, std::vector<double>* times)
@@ -75,15 +76,13 @@ class CountingAgent final : public glr::routing::DtnAgent {
   void start() override {}
   void onPacket(const glr::net::Packet&, int) override {}
   void originate(int dstNode) override {
-    ++originated;
-    lastDst = dstNode;
+    destinations.push_back(dstNode);
     if (times_ != nullptr) times_->push_back(sim_.now());
   }
   [[nodiscard]] std::size_t storageUsed() const override { return 0; }
   [[nodiscard]] std::size_t storagePeak() const override { return 0; }
 
-  std::uint64_t originated = 0;
-  int lastDst = -1;
+  std::vector<int> destinations;
 
  private:
   Simulator& sim_;
@@ -105,7 +104,7 @@ struct Harness {
 
   [[nodiscard]] std::uint64_t total() const {
     std::uint64_t t = 0;
-    for (const auto& a : owned) t += a->originated;
+    for (const auto& a : owned) t += a->destinations.size();
     return t;
   }
 };
@@ -207,7 +206,8 @@ TEST(TrafficProcessTest, HotspotSkewsSenders) {
   TrafficProcess proc{h.sim, h.agents, makeParams(spec, 20), Rng{31}};
   proc.start();
   h.sim.run(200.0);
-  std::uint64_t hot = h.owned[0]->originated + h.owned[1]->originated;
+  const std::size_t hot =
+      h.owned[0]->destinations.size() + h.owned[1]->destinations.size();
   // The two hot senders carry ~90% + their uniform share of the rest.
   EXPECT_GT(static_cast<double>(hot),
             0.75 * static_cast<double>(h.total()));
@@ -237,6 +237,48 @@ TEST(TrafficProcessTest, FlashCrowdSpikesInsideItsWindow) {
   const double baseRate = outside / 90.0;
   EXPECT_GT(flashRate, 3.0 * baseRate);  // ~8x in expectation
   EXPECT_GT(proc.thinned(), 0u);  // thinning actually rejected candidates
+}
+
+TEST(TrafficProcessTest, DestinationsStayInsideTheTrafficPopulation) {
+  // GLR records hello locations only for ids below trafficNodes
+  // (GlrParams::destinationIds), so every workload must send from and to
+  // [0, trafficNodes) only, and never to the sender itself.
+  constexpr int kTraffic = 6;
+  const auto expectContract = [&](const Harness& h) {
+    EXPECT_GT(h.total(), 0u);
+    for (std::size_t src = 0; src < h.owned.size(); ++src) {
+      SCOPED_TRACE(src);
+      const std::vector<int>& dsts = h.owned[src]->destinations;
+      if (src >= kTraffic) {
+        EXPECT_TRUE(dsts.empty());
+      }
+      for (const int dst : dsts) {
+        EXPECT_GE(dst, 0);
+        EXPECT_LT(dst, kTraffic);
+        EXPECT_NE(dst, static_cast<int>(src));
+      }
+    }
+  };
+  {
+    SCOPED_TRACE("paper");
+    Harness h{20};
+    glr::experiment::schedulePaperWorkload(h.sim, h.agents, kTraffic, 200,
+                                           10.0, 0.5, Rng{3});
+    h.sim.run(200.0);
+    EXPECT_EQ(h.total(), 200u);
+    expectContract(h);
+  }
+  for (const char* model : {"poisson", "onoff", "hotspot", "flashcrowd"}) {
+    SCOPED_TRACE(model);
+    Harness h{20};
+    TrafficSpec spec;
+    spec.model = model;
+    spec.rate = 30.0;
+    TrafficProcess proc{h.sim, h.agents, makeParams(spec, kTraffic), Rng{17}};
+    proc.start();
+    h.sim.run(200.0);
+    expectContract(h);
+  }
 }
 
 TEST(TrafficProcessTest, ValidationRejectsBadSpecs) {
