@@ -10,17 +10,15 @@
 ///   * cancel-churn    — ack-timer pattern: every fired event schedules a
 ///                       successor plus a timeout that is cancelled before
 ///                       it can fire (MAC ACK timeouts, custody timers).
-/// Plus an end-to-end `runScenario` timing on the mid-size GLR scenario the
-/// determinism regression test pins. Fire order is pinned by
-/// tests/test_calendar_queue.cpp (both queues against an ordered-set
-/// reference); the committed BENCH_kernel.json keeps the historical A/B
-/// against the pre-slab kernel.
+/// Whole-scenario throughput is glrbench's to measure (benchmark/). Fire
+/// order is pinned by tests/test_calendar_queue.cpp (both queues against an
+/// ordered-set reference); the committed BENCH_kernel.json keeps the
+/// historical A/B against the pre-slab kernel.
 ///
 /// Usage: bench_sim_kernel [--quick] [--out FILE.json]
-///   --quick  CI mode: small event counts, skips the end-to-end scenario.
-///   --out    write machine-readable results (default BENCH_kernel.json,
-///            which holds the historical A/B: pass another path to keep
-///            it; see README "Simulation kernel & performance").
+///   --quick  CI mode: small event counts.
+///   --out    write machine-readable results, stamped with the host
+///            (default kernel.json).
 
 #include <algorithm>
 #include <chrono>
@@ -29,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "experiment/scenario.hpp"
+#include "bench_common.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -161,7 +159,7 @@ MicroResult runMicro(const std::string& name, std::uint64_t events,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string outPath = "BENCH_kernel.json";
+  std::string outPath = "kernel.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -190,30 +188,6 @@ int main(int argc, char** argv) {
     micros.push_back(runMicro("cancel-churn", 10000000, 1000, reps));
   }
 
-  // End-to-end: the determinism regression test's mid-size GLR scenario.
-  glr::experiment::ScenarioResult e2e;
-  if (!quick) {
-    glr::experiment::ScenarioConfig cfg;
-    cfg.protocol = glr::experiment::Protocol::kGlr;
-    cfg.simTime = 400.0;
-    cfg.numMessages = 200;
-    cfg.radius = 100.0;
-    cfg.seed = 7;
-    double bestWall = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      auto res = glr::experiment::runScenario(cfg);
-      if (res.wallSeconds < bestWall) {
-        bestWall = res.wallSeconds;
-        e2e = res;
-      }
-    }
-    std::printf("end-to-end GLR   %9llu events  wall %.3fs  %7.2f Mev/s\n",
-                static_cast<unsigned long long>(e2e.eventsExecuted),
-                e2e.wallSeconds,
-                static_cast<double>(e2e.eventsExecuted) / e2e.wallSeconds /
-                    1e6);
-  }
-
   FILE* out = std::fopen(outPath.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
@@ -221,6 +195,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"sim_kernel\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  std::fprintf(out, "  \"host\": %s,\n", glr::bench::hostJson().c_str());
   std::fprintf(out, "  \"slab\": \"slab+generation-handles+4ary-heap+"
                     "inplace-function\",\n");
   std::fprintf(out, "  \"micro\": [\n");
@@ -232,18 +207,7 @@ int main(int argc, char** argv) {
                  m.name.c_str(), static_cast<unsigned long long>(m.events),
                  m.mevps(), i + 1 < micros.size() ? "," : "");
   }
-  std::fprintf(out, "  ]");
-  if (!quick) {
-    std::fprintf(out,
-                 ",\n  \"end_to_end\": {\"scenario\": "
-                 "\"glr-50n-400s-200msg-seed7\", \"events\": %llu, "
-                 "\"wall_seconds\": %.3f, \"mev_per_s\": %.3f}",
-                 static_cast<unsigned long long>(e2e.eventsExecuted),
-                 e2e.wallSeconds,
-                 static_cast<double>(e2e.eventsExecuted) / e2e.wallSeconds /
-                     1e6);
-  }
-  std::fprintf(out, "\n}\n");
+  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", outPath.c_str());
   return 0;

@@ -1,18 +1,21 @@
 // Hot-path guarantees: the epoch position cache is bit-identical to asking
 // the mobility models directly (for every registered model, under repeated
-// same-time queries and radio churn), and the steady-state beaconing / MAC /
+// same-time queries and radio churn), the steady-state beaconing / MAC /
 // channel path and the route check's knowledge + spanner star perform zero
-// heap allocations (counted by overriding the global allocator in this
-// binary).
+// heap allocations, and whole scenarios repeat bit-identically, the warm
+// runs of the golden, saturated and traced cells inside their allocation
+// budgets (counted by overriding the global allocator in this binary).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
-#include "../bench/counting_allocator.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "geometry/delaunay.hpp"
@@ -24,9 +27,62 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
+// Every allocation in this binary bumps one relaxed counter. Deallocation is
+// not counted: the assertions are about allocator traffic, and zero news
+// implies zero deletes of new memory. Replacement operator new/delete must
+// not be inline, so they are defined here, in the binary's one translation
+// unit. They forward to malloc/free, so under ASan a new/delete mismatch in
+// this binary goes unreported (heap errors are still caught).
 namespace {
 
-using glr::benchsupport::allocCount;
+std::atomic<long long> gAllocs{0};
+
+void* countedAlloc(std::size_t n) {
+  gAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+
+void* countedAlignedAlloc(std::size_t n, std::size_t align) {
+  gAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+
+long long allocCount() { return gAllocs.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return countedAlloc(n); }
+void* operator new[](std::size_t n) { return countedAlloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return countedAlignedAlloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return countedAlignedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+using glr::experiment::bitIdenticalIgnoringWall;
+using glr::experiment::Protocol;
+using glr::experiment::runScenario;
+using glr::experiment::ScenarioConfig;
+using glr::experiment::ScenarioResult;
 
 using glr::geom::Point2;
 using glr::mac::MacParams;
@@ -220,70 +276,111 @@ TEST(ZeroAllocSteadyState, KnowledgeAndStarReuseTheirBuffers) {
                        << " route checks";
 }
 
-/// The golden mid-size GLR scenario still runs correctly in this binary
-/// (with the counting allocator installed) — and a repeat run allocates
-/// strictly less than a cold run, because the payload arenas and builder
-/// scratch persist per thread. This is the regression guard the CI heap
-/// smoke relies on (bench_hotpath --max-allocs pins the absolute count).
-TEST(ZeroAllocSteadyState, RepeatScenarioAllocatesLessThanColdRun) {
-  glr::experiment::ScenarioConfig cfg;
-  cfg.simTime = 60.0;
-  cfg.numMessages = 30;
-  cfg.numNodes = 30;
-  cfg.trafficNodes = 20;
+// ---------------------------------------------------------------------------
+// Warm-run allocation budgets on whole scenarios.
+// ---------------------------------------------------------------------------
+
+/// Paper Table 1 GLR, scaled down: the quick mode of glrbench's `golden`.
+ScenarioConfig goldenCell() {
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kGlr;
+  cfg.radius = 100.0;
   cfg.seed = 7;
+  cfg.simTime = 120.0;
+  cfg.numMessages = 60;
+  return cfg;
+}
 
+/// Poisson load past the saturation knee with finite storage, custody
+/// watermark and the AIMD custody window all engaged (refusal acks, sender
+/// backoff, evictions): the quick mode of glrbench's `saturated`.
+ScenarioConfig saturatedCell() {
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kGlr;
+  cfg.traffic.model = "poisson";
+  cfg.congestionControl = true;
+  cfg.numNodes = 16;
+  cfg.trafficNodes = 14;
+  cfg.radius = 150.0;
+  cfg.simTime = 90.0;
+  cfg.storageLimit = 16;
+  cfg.traffic.rate = 30.0;
+  cfg.custodyWatermark = cfg.storageLimit / 2;
+  return cfg;
+}
+
+/// Epidemic floods under moderate churn on the Manhattan grid: the heaviest
+/// buffers and the churn event paths.
+ScenarioConfig worstMatrixCell() {
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kEpidemic;
+  cfg.mobility.model = "manhattan";
+  cfg.churn = glr::experiment::churnPreset("moderate");
+  cfg.radius = 150.0;
+  cfg.numMessages = 30;
+  cfg.simTime = 200.0;
+  return cfg;
+}
+
+struct ColdWarm {
+  ScenarioResult warm;
+  long long coldAllocs = 0;
+  long long warmAllocs = 0;
+};
+
+/// Runs `cfg` twice in a row; the repeat must be bit-identical to the first.
+ColdWarm runColdWarm(const char* name, const ScenarioConfig& cfg) {
+  SCOPED_TRACE(name);
   const long long t0 = allocCount();
-  const auto cold = glr::experiment::runScenario(cfg);
-  const long long coldAllocs = allocCount() - t0;
-
+  const ScenarioResult cold = runScenario(cfg);
   const long long t1 = allocCount();
-  const auto warm = glr::experiment::runScenario(cfg);
-  const long long warmAllocs = allocCount() - t1;
+  ColdWarm r{runScenario(cfg), t1 - t0, 0};
+  r.warmAllocs = allocCount() - t1;
+  EXPECT_TRUE(bitIdenticalIgnoringWall(cold, r.warm));
+  return r;
+}
 
-  EXPECT_TRUE(glr::experiment::bitIdenticalIgnoringWall(cold, warm));
-  EXPECT_LT(warmAllocs, coldAllocs);
+/// Each cell runs cold, then warm, with the counting allocator installed.
+/// Payload arenas and builder scratch persist per thread, so a warm run
+/// allocates only in the buffer and metrics layers. A budget's slack over
+/// the measured count (golden ~106k, saturated ~113k) absorbs stdlib
+/// variance, not regressions. Only the process's first scenario warms those
+/// per-thread buffers, so only it must allocate strictly less when warm.
+TEST(ZeroAllocSteadyState, RepeatScenarioAllocatesLessThanColdRun) {
+  const ColdWarm golden = runColdWarm("golden", goldenCell());
+  EXPECT_LT(golden.warmAllocs, golden.coldAllocs);
+  EXPECT_LE(golden.warmAllocs, 250000);
+  EXPECT_LE(runColdWarm("saturated", saturatedCell()).warmAllocs, 250000);
+  runColdWarm("worst", worstMatrixCell());  // bit-identity only
 }
 
 /// Tracing on: the flight recorder allocates only its fixed ring, file
-/// buffer and writer thread at construction — recording hundreds of
-/// thousands of events adds nothing. A warm traced run may therefore
-/// allocate only a small constant more than a warm untraced run, and the
-/// simulation outcome must be untouched by observation.
+/// buffer and writer thread at construction — recording tens of thousands
+/// of events adds nothing. A warm traced run may therefore allocate only a
+/// small constant more than a warm untraced run, and the simulation outcome
+/// must be untouched by observation.
 TEST(ZeroAllocSteadyState, TracingOnAllocatesOnlyTheFixedRecorderSetup) {
-  glr::experiment::ScenarioConfig cfg;
-  cfg.simTime = 60.0;
-  cfg.numMessages = 30;
-  cfg.numNodes = 30;
-  cfg.trafficNodes = 20;
-  cfg.seed = 7;
-
-  // Warm both paths first so arenas/scratch are steady.
-  (void)glr::experiment::runScenario(cfg);
-  const long long t0 = allocCount();
-  const auto untraced = glr::experiment::runScenario(cfg);
-  const long long untracedAllocs = allocCount() - t0;
-
+  ScenarioConfig cfg = goldenCell();
+  const ColdWarm untraced = runColdWarm("untraced", cfg);
   const std::string tracePath = "test_hotpath_trace.bin";
   cfg.tracePath = tracePath;
-  (void)glr::experiment::runScenario(cfg);
-  const long long t1 = allocCount();
-  auto traced = glr::experiment::runScenario(cfg);
-  const long long tracedAllocs = allocCount() - t1;
+  ColdWarm traced = runColdWarm("traced", cfg);
   std::remove(tracePath.c_str());
 
-  EXPECT_GT(traced.traceEventsRecorded, 1000u);
+  EXPECT_GT(traced.warm.traceEventsRecorded, 1000u);
   // Fixed recorder setup: ring vector, stdio buffer, thread state, path
   // strings. Generously 256 allocations — but NOT proportional to the
   // event count, which is what this pin is about.
-  EXPECT_LE(tracedAllocs, untracedAllocs + 256)
-      << "tracing-on run allocated " << tracedAllocs - untracedAllocs
+  EXPECT_LE(traced.warmAllocs, untraced.warmAllocs + 256)
+      << "tracing-on run allocated "
+      << traced.warmAllocs - untraced.warmAllocs
       << " more than tracing-off; the record() hot path must stay "
          "allocation-free (pre-reserved SPSC ring)";
+  EXPECT_LE(traced.warmAllocs, 251000);
 
   // Observation must not perturb the simulation.
-  traced.traceEventsRecorded = 0;
-  EXPECT_TRUE(glr::experiment::bitIdenticalIgnoringWall(traced, untraced));
+  traced.warm.traceEventsRecorded = 0;
+  EXPECT_TRUE(bitIdenticalIgnoringWall(traced.warm, untraced.warm));
 }
 
 }  // namespace
