@@ -1,16 +1,20 @@
 #pragma once
 /// \file bench_common.hpp
 /// Shared support for the sweep benches: the run banner, multi-seed
-/// aggregation, resident-memory probes, the host stamp and population
-/// rescaling. The paper's figures and tables live in bench_paper.cpp.
+/// aggregation, the quick-mode determinism and event-pin checks,
+/// resident-memory probes, the host stamp and population rescaling. The
+/// paper's figures and tables live in bench_paper.cpp.
 
 #include <sched.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +148,79 @@ inline void scalePopulation(ScenarioConfig& cfg, int nodes) {
   cfg.numNodes = nodes;
 }
 
+/// Names grid cell g in a failure line, e.g. "GLR/manhattan/moderate".
+using CellName = std::function<std::string(std::size_t)>;
+
+inline std::string cellTag(const CellName& name, std::size_t g) {
+  return name ? " (" + name(g) + ")" : "";
+}
+
+/// Quick-mode determinism guard: reruns `grid` x `runs` on 2 threads and
+/// requires every result to match `serial`, the same sweep on 1 thread, bit
+/// for bit. On a mismatch prints a FATAL line naming the cell and seed and
+/// returns false.
+inline bool sameOnTwoThreads(
+    const std::vector<ScenarioConfig>& grid, int runs,
+    const std::vector<std::vector<ScenarioResult>>& serial,
+    const CellName& name = {}) {
+  experiment::SweepRunner::Options opts;
+  opts.threads = 2;
+  const auto threaded = experiment::SweepRunner{opts}.run(grid, runs);
+  for (std::size_t g = 0; g < serial.size(); ++g) {
+    for (std::size_t s = 0; s < serial[g].size(); ++s) {
+      if (!experiment::bitIdenticalIgnoringWall(serial[g][s],
+                                                threaded[g][s])) {
+        std::fprintf(stderr,
+                     "FATAL: cell %zu%s seed %zu diverged across thread "
+                     "counts — determinism broken\n",
+                     g, cellTag(name, g).c_str(), s);
+        return false;
+      }
+    }
+  }
+  std::printf("determinism: 1-thread and 2-thread runs bit-identical "
+              "(%zu cells)\n\n",
+              serial.size() * serial.front().size());
+  return true;
+}
+
+/// Quick-mode event pins: each cell's first seed must execute exactly its
+/// pinned event count, or the scenario being measured changed and its
+/// numbers are not comparable to history. GLR_QUICK_PIN_DUMP=1 prints the
+/// current counts instead, to regenerate the pins; a grid of another size
+/// is not checked. On a mismatch prints a FATAL line naming the cell and
+/// returns false.
+inline bool eventPinsHold(
+    const std::vector<std::vector<ScenarioResult>>& results,
+    std::span<const std::uint64_t> pins, const CellName& name = {}) {
+  if (std::getenv("GLR_QUICK_PIN_DUMP") != nullptr) {
+    std::printf("kQuickEventPins = {");
+    for (const auto& cell : results) {
+      std::printf("%llu, ",
+                  static_cast<unsigned long long>(cell.front().eventsExecuted));
+    }
+    std::printf("}\n\n");
+    return true;
+  }
+  if (results.size() != pins.size()) return true;
+  for (std::size_t g = 0; g < results.size(); ++g) {
+    if (results[g][0].eventsExecuted != pins[g]) {
+      std::fprintf(stderr,
+                   "FATAL: cell %zu%s seed 0 executed %llu events, pinned "
+                   "%llu — the measured scenario changed\n",
+                   g, cellTag(name, g).c_str(),
+                   static_cast<unsigned long long>(
+                       results[g][0].eventsExecuted),
+                   static_cast<unsigned long long>(pins[g]));
+      return false;
+    }
+  }
+  std::printf("event pins: all %zu quick cells match the baked event "
+              "counts\n\n",
+              results.size());
+  return true;
+}
+
 inline void banner(const char* title, const char* paperRef, int runs) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
@@ -152,7 +229,7 @@ inline void banner(const char* title, const char* paperRef, int runs) {
               "up to %u thread(s) (GLR_BENCH_THREADS; capped at the cell "
               "count)\n",
               paperScale() ? "paper" : "reduced", runs,
-              experiment::ThreadPool::defaultThreads());
+              experiment::defaultThreads());
   std::printf("================================================================\n");
 }
 

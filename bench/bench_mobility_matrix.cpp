@@ -16,7 +16,6 @@
 ///   --out    machine-readable results (default BENCH_mobility.json).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -29,7 +28,6 @@ namespace {
 
 using glr::bench::Agg;
 using glr::bench::aggregate;
-using glr::experiment::bitIdenticalIgnoringWall;
 using glr::experiment::churnPreset;
 using glr::experiment::Protocol;
 using glr::experiment::protocolName;
@@ -124,31 +122,12 @@ int main(int argc, char** argv) {
   if (quick) {
     // Determinism guard: the whole matrix re-run on a different thread
     // count must land bit-identically — churn toggles, mobility draws,
-    // heterogeneous event interleavings and all.
-    SweepRunner::Options pairOpts;
-    pairOpts.threads = 2;
-    SweepRunner pairRunner{pairOpts};
-    const auto threaded = pairRunner.run(grid, runs);
-    const auto& serial = results;
-    for (std::size_t g = 0; g < serial.size(); ++g) {
-      for (std::size_t s = 0; s < serial[g].size(); ++s) {
-        if (!bitIdenticalIgnoringWall(serial[g][s], threaded[g][s])) {
-          std::fprintf(stderr,
-                       "FATAL: cell %zu seed %zu diverged across thread "
-                       "counts — scenario-diversity determinism broken\n",
-                       g, s);
-          return 1;
-        }
-      }
-    }
-    std::printf("determinism: 1-thread and 2-thread matrices bit-identical "
-                "(%zu cells)\n\n",
-                grid.size() * serial.front().size());
-
-    // Per-cell event-count pins (seed 0). If any cell executes a different
-    // number of events than when the pins were baked, the scenario being
-    // measured changed — delivery/latency shifts in that cell are not
-    // comparable until the pins are regenerated (GLR_QUICK_PIN_DUMP=1).
+    // heterogeneous event interleavings and all. Then the per-cell event
+    // pins (seed 0; GLR_QUICK_PIN_DUMP=1 regenerates them).
+    const glr::bench::CellName name = [&](std::size_t g) {
+      return std::string{protocolName(cells[g].protocol)} + "/" +
+             cells[g].mobility + "/" + cells[g].churn;
+    };
     static constexpr std::uint64_t kQuickEventPins[] = {
         160656, 137903, 93340,  155315, 131228, 87729,
         106162, 153236, 102237, 118186, 146995, 97502,
@@ -157,31 +136,9 @@ int main(int argc, char** argv) {
     };
     static_assert(std::size(kQuickEventPins) == 24,
                   "one pin per quick matrix cell");
-    if (std::getenv("GLR_QUICK_PIN_DUMP") != nullptr) {
-      std::printf("kQuickEventPins = {");
-      for (const auto& cell : results) {
-        std::printf("%llu, ",
-                    static_cast<unsigned long long>(
-                        cell.front().eventsExecuted));
-      }
-      std::printf("}\n\n");
-    } else if (grid.size() == std::size(kQuickEventPins)) {
-      for (std::size_t g = 0; g < grid.size(); ++g) {
-        if (results[g][0].eventsExecuted != kQuickEventPins[g]) {
-          std::fprintf(stderr,
-                       "FATAL: cell %zu (%s/%s/%s) executed %llu events, "
-                       "pinned %llu — the measured scenario changed\n",
-                       g, protocolName(cells[g].protocol),
-                       cells[g].mobility.c_str(), cells[g].churn.c_str(),
-                       static_cast<unsigned long long>(
-                           results[g][0].eventsExecuted),
-                       static_cast<unsigned long long>(kQuickEventPins[g]));
-          return 1;
-        }
-      }
-      std::printf("event pins: all %zu quick cells match the baked "
-                  "event counts\n\n",
-                  grid.size());
+    if (!glr::bench::sameOnTwoThreads(grid, runs, results, name) ||
+        !glr::bench::eventPinsHold(results, kQuickEventPins, name)) {
+      return 1;
     }
   }
 

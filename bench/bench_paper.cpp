@@ -318,7 +318,7 @@ std::vector<Experiment> experiments() {
 
 /// Runs every (config x seed) cell on the sweep engine (GLR_BENCH_THREADS
 /// workers) and returns, per config in grid order, each column's mean and
-/// 90% CI across seeds. Aggregation runs after the pool joins, over
+/// 90% CI across seeds. Aggregation runs after the threads join, over
 /// index-ordered results, so every printed number is bit-identical to the
 /// serial path at any thread count.
 std::vector<std::vector<ConfidenceInterval>> sweepAgg(

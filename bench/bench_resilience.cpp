@@ -23,7 +23,6 @@
 ///   --out    machine-readable results (default BENCH_resilience.json).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -34,7 +33,6 @@
 
 namespace {
 
-using glr::experiment::bitIdenticalIgnoringWall;
 using glr::experiment::conservationHolds;
 using glr::experiment::Protocol;
 using glr::experiment::ScenarioConfig;
@@ -150,59 +148,17 @@ int main(int argc, char** argv) {
       runner.run(grid, runs);
 
   if (quick) {
-    SweepRunner::Options pairOpts;
-    pairOpts.threads = 2;
-    SweepRunner pairRunner{pairOpts};
-    const auto threaded = pairRunner.run(grid, runs);
-    for (std::size_t g = 0; g < results.size(); ++g) {
-      for (std::size_t s = 0; s < results[g].size(); ++s) {
-        if (!bitIdenticalIgnoringWall(results[g][s], threaded[g][s])) {
-          std::fprintf(stderr,
-                       "FATAL: cell %zu seed %zu diverged across thread "
-                       "counts — adversarial determinism broken\n",
-                       g, s);
-          return 1;
-        }
-      }
-    }
-    std::printf("determinism: 1-thread and 2-thread grids bit-identical "
-                "(%zu cells)\n\n",
-                grid.size() * results.front().size());
-
-    // Per-cell event-count pins (seed 0), same contract as the mobility
-    // matrix: a drifted count means the adversarial scenario changed and
-    // the cell's numbers are not comparable to history. Regenerate with
-    // GLR_QUICK_PIN_DUMP=1.
+    // The grid again on 2 threads, then per-cell event-count pins (seed 0;
+    // GLR_QUICK_PIN_DUMP=1 regenerates them).
     static constexpr std::uint64_t kQuickEventPins[] = {
         111646, 34211, 124541, 45664, 21258, 21258, 24942, 22675,
         87731,  62419, 111180, 84551, 14936, 14657, 18990, 16362,
     };
     static_assert(std::size(kQuickEventPins) == 16,
                   "one pin per quick resilience cell");
-    if (std::getenv("GLR_QUICK_PIN_DUMP") != nullptr) {
-      std::printf("kQuickEventPins = {");
-      for (const auto& cell : results) {
-        std::printf("%llu, ",
-                    static_cast<unsigned long long>(
-                        cell.front().eventsExecuted));
-      }
-      std::printf("}\n\n");
-    } else if (grid.size() == std::size(kQuickEventPins)) {
-      for (std::size_t g = 0; g < grid.size(); ++g) {
-        if (results[g][0].eventsExecuted != kQuickEventPins[g]) {
-          std::fprintf(stderr,
-                       "FATAL: cell %zu executed %llu events, pinned %llu "
-                       "— the measured adversarial scenario changed\n",
-                       g,
-                       static_cast<unsigned long long>(
-                           results[g][0].eventsExecuted),
-                       static_cast<unsigned long long>(kQuickEventPins[g]));
-          return 1;
-        }
-      }
-      std::printf("event pins: all %zu quick cells match the baked "
-                  "event counts\n\n",
-                  grid.size());
+    if (!glr::bench::sameOnTwoThreads(grid, runs, results) ||
+        !glr::bench::eventPinsHold(results, kQuickEventPins)) {
+      return 1;
     }
   }
 

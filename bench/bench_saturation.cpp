@@ -33,7 +33,6 @@
 namespace {
 
 using glr::bench::hostJson;
-using glr::experiment::bitIdenticalIgnoringWall;
 using glr::experiment::Protocol;
 using glr::experiment::runScenario;
 using glr::experiment::ScenarioConfig;
@@ -118,26 +117,7 @@ int main(int argc, char** argv) {
   const std::vector<std::vector<ScenarioResult>> results =
       runner.run(grid, runs);
 
-  if (quick) {
-    SweepRunner::Options pairOpts;
-    pairOpts.threads = 2;
-    SweepRunner pairRunner{pairOpts};
-    const auto threaded = pairRunner.run(grid, runs);
-    for (std::size_t g = 0; g < results.size(); ++g) {
-      for (std::size_t s = 0; s < results[g].size(); ++s) {
-        if (!bitIdenticalIgnoringWall(results[g][s], threaded[g][s])) {
-          std::fprintf(stderr,
-                       "FATAL: cell %zu seed %zu diverged across thread "
-                       "counts — overload determinism broken\n",
-                       g, s);
-          return 1;
-        }
-      }
-    }
-    std::printf("determinism: 1-thread and 2-thread grids bit-identical "
-                "(%zu cells)\n\n",
-                grid.size() * results.front().size());
-  }
+  if (quick && !glr::bench::sameOnTwoThreads(grid, runs, results)) return 1;
 
   // Per-cell means. Goodput = delivered / traffic window; the knee is where
   // it stops tracking offered load.

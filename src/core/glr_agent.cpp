@@ -199,7 +199,6 @@ void GlrAgent::maybePerturbDestination(dtn::Message& m) {
   m.destLocPerturbed = true;
   m.stuckCount = 0;
   ++counters_.perturbations;
-  if (metrics_ != nullptr) metrics_->count("glr.perturbations");
 }
 
 void GlrAgent::checkRoutes() {

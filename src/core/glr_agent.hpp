@@ -199,6 +199,7 @@ class GlrAgent final : public routing::DtnAgent {
     out.cacheTimeouts += counters_.cacheTimeouts;
     out.txFailures += counters_.txFailures;
     out.faceTransitions += counters_.faceTransitions;
+    out.perturbations += counters_.perturbations;
     out.sendRejects += counters_.sendRejects + neighbors_.helloSendFailures();
     out.bufferEvictions += buffer_.dropCount();
     out.custodyRefusals += counters_.custodyRefusalsSent;

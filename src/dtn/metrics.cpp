@@ -11,10 +11,6 @@ void MetricsCollector::visit(Ar& ar) {
       ar.sequence(b, 8, [&](std::uint64_t& word) { ar.u64(word); });
     });
   }
-  ar.unorderedMap(counters_, [&](std::string& key, std::uint64_t& value) {
-    ar.str(key);
-    ar.u64(value);
-  });
   latencySketch_.visit(ar);
   latencyMoments_.visit(ar);
   ar.u64(createdCount_);

@@ -20,8 +20,6 @@
 /// pinned golden double bit-identical.
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dtn/message.hpp"
@@ -71,10 +69,6 @@ class MetricsCollector {
     }
   }
 
-  void count(const std::string& key, std::uint64_t delta = 1) {
-    counters_[key] += delta;
-  }
-
   [[nodiscard]] std::size_t createdCount() const { return createdCount_; }
   [[nodiscard]] std::size_t deliveredCount() const { return deliveredCount_; }
   [[nodiscard]] double deliveryRatio() const {
@@ -97,10 +91,6 @@ class MetricsCollector {
   [[nodiscard]] std::uint64_t duplicateDeliveries() const {
     return duplicateDeliveries_;
   }
-  [[nodiscard]] std::uint64_t counter(const std::string& key) const {
-    const auto it = counters_.find(key);
-    return it == counters_.end() ? 0 : it->second;
-  }
 
   /// Online first-delivery latency distribution (quantiles, moments).
   [[nodiscard]] const stats::QuantileSketch& latencySketch() const {
@@ -110,9 +100,9 @@ class MetricsCollector {
     return latencyMoments_;
   }
 
-  /// Checkpoint support: bitmaps, counters (order-preserved), scalar sums
-  /// and both latency sketches round-trip bit-exactly. The trace pointer is
-  /// wiring, not state, and is left untouched.
+  /// Checkpoint support: bitmaps, scalar sums and both latency sketches
+  /// round-trip bit-exactly. The trace pointer is wiring, not state, and is
+  /// left untouched.
   template <class Ar>
   void visit(Ar& ar);
 
@@ -153,7 +143,6 @@ class MetricsCollector {
 
   std::vector<Bitmap> createdBits_;
   std::vector<Bitmap> deliveredBits_;
-  std::unordered_map<std::string, std::uint64_t> counters_;
   stats::QuantileSketch latencySketch_;
   stats::Moments latencyMoments_;
   trace::Recorder* trace_ = nullptr;  // owned by the experiment layer

@@ -3,12 +3,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -26,125 +29,46 @@ static_assert(std::is_trivially_copyable_v<ScenarioResult>,
               "ScenarioResult must stay plain data: sweep workers write "
               "disjoint vector slots concurrently");
 
-unsigned ThreadPool::defaultThreads() {
+unsigned defaultThreads() {
   const int env = envInt("GLR_BENCH_THREADS", 0);
   if (env > 0) return static_cast<unsigned>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1u;
 }
 
-ThreadPool::ThreadPool(unsigned threads)
-    : threads_(threads > 0 ? threads : defaultThreads()) {
-  queues_.reserve(threads_);
-  for (unsigned i = 0; i < threads_; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
-  workers_.reserve(threads_ - 1);
-  for (unsigned i = 1; i < threads_; ++i) {
-    workers_.emplace_back([this, i] { workerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock{mu_};
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::workerLoop(unsigned participant) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock lock{mu_};
-      wake_.wait(lock, [&] { return stopping_ || batchGeneration_ != seen; });
-      if (stopping_) return;
-      seen = batchGeneration_;
-    }
-    runBatch(participant);
-  }
-}
-
-bool ThreadPool::popTask(unsigned participant, std::size_t& index) {
-  {
-    Queue& own = *queues_[participant];
-    std::lock_guard lock{own.mu};
-    if (!own.tasks.empty()) {
-      index = own.tasks.back();  // LIFO on the owner's deque
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  for (unsigned off = 1; off < threads_; ++off) {
-    Queue& victim = *queues_[(participant + off) % threads_];
-    std::lock_guard lock{victim.mu};
-    if (!victim.tasks.empty()) {
-      index = victim.tasks.front();  // FIFO steal from the far end
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::runBatch(unsigned participant) {
-  std::size_t index = 0;
-  while (popTask(participant, index)) {
-    bool skip;
-    {
-      std::lock_guard lock{mu_};
-      skip = aborted_;
-    }
-    if (!skip) {
-      try {
-        (*batchFn_)(index);
-      } catch (...) {
-        std::lock_guard lock{mu_};
-        if (!firstError_) firstError_ = std::current_exception();
-        aborted_ = true;  // drain the rest without executing
-      }
-    }
-    std::lock_guard lock{mu_};
-    if (--remaining_ == 0) done_.notify_all();
-  }
-}
-
-void ThreadPool::parallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (threads_ == 1) {
-    // Degenerate pool: the serial loop, in index order, on this thread.
+void parallelFor(std::size_t n, unsigned threads,
+                 const std::function<void(std::size_t)>& fn) {
+  const std::size_t participants = std::min<std::size_t>(n, threads);
+  if (participants <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  {
-    std::lock_guard lock{mu_};
-    for (std::size_t i = 0; i < n; ++i) {
-      Queue& q = *queues_[i % threads_];
-      std::lock_guard qlock{q.mu};
-      q.tasks.push_back(i);
+  std::atomic<std::size_t> next{0};
+  std::mutex errorMu;
+  std::exception_ptr firstError;  // guarded by errorMu
+  const auto participate = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        next.store(n);  // hand out no further index
+        std::lock_guard lock{errorMu};
+        if (!firstError) firstError = std::current_exception();
+      }
     }
-    batchFn_ = &fn;
-    remaining_ = n;
-    firstError_ = nullptr;
-    aborted_ = false;
-    ++batchGeneration_;
-  }
-  wake_.notify_all();
-
-  runBatch(0);  // the calling thread is participant 0
-
-  std::exception_ptr error;
+  };
   {
-    std::unique_lock lock{mu_};
-    done_.wait(lock, [&] { return remaining_ == 0; });
-    batchFn_ = nullptr;
-    error = std::exchange(firstError_, nullptr);
+    // Declared after everything `participate` uses, and a jthread joins in
+    // its destructor, so a failed thread start still joins the others.
+    std::vector<std::jthread> workers;
+    workers.reserve(participants - 1);
+    for (std::size_t t = 1; t < participants; ++t) {
+      workers.emplace_back(participate);
+    }
+    participate();
   }
-  if (error) std::rethrow_exception(error);
+  if (firstError) std::rethrow_exception(firstError);
 }
 
 bool bitIdenticalIgnoringWall(const ScenarioResult& a,
@@ -457,13 +381,10 @@ std::vector<ScenarioResult> SweepRunner::runCells(
     }
   };
 
-  // Size the pool per batch: the requested (or default) thread count, but
-  // never more workers than pending cells — idle OS threads would only add
-  // spawn and wake overhead. Cell cost dwarfs pool construction.
-  const unsigned requested =
-      opts_.threads > 0 ? opts_.threads : ThreadPool::defaultThreads();
-  ThreadPool pool{
-      static_cast<unsigned>(std::min<std::size_t>(pending.size(), requested))};
+  // What parallelFor runs on, as the progress line reports it: never more
+  // threads than pending cells.
+  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
+      pending.size(), opts_.threads > 0 ? opts_.threads : defaultThreads()));
 
   struct Progress {
     std::mutex mu;
@@ -473,9 +394,9 @@ std::vector<ScenarioResult> SweepRunner::runCells(
     std::chrono::steady_clock::time_point lastPrint{};
   } progress;
 
-  std::exception_ptr poolError;
+  std::exception_ptr sweepError;
   try {
-    pool.parallelFor(pending.size(), [&](std::size_t p) {
+    parallelFor(pending.size(), threads, [&](std::size_t p) {
       const std::size_t i = pending[p];
       runCell(i);
       if (journal) {
@@ -505,14 +426,14 @@ std::vector<ScenarioResult> SweepRunner::runCells(
                        static_cast<double>(stats_.cellsResumed +
                                            progress.done) /
                        static_cast<double>(cells.size()),
-                   stats_.cellsResumed, pool.threadCount(), elapsed,
+                   stats_.cellsResumed, threads, elapsed,
                    last ? 0.0 : eta);
     });
   } catch (...) {
-    poolError = std::current_exception();
+    sweepError = std::current_exception();
   }
   if (journal) std::fclose(journal);
-  if (poolError) std::rethrow_exception(poolError);
+  if (sweepError) std::rethrow_exception(sweepError);
   return results;
 }
 

@@ -211,10 +211,8 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
         "runScenario: checkpointPath set but checkpointEvery is not positive"};
   }
   const auto wallStart = std::chrono::steady_clock::now();
-  // Runs must be independent: the spanner memo cache is thread-local and
-  // would otherwise carry entries (and counters) across scenarios. Purely a
-  // memory/accounting concern — a stale hit requires bit-identical inputs,
-  // for which the memoised answer is the recomputation anyway.
+  // The spanner's route-check count is thread-local: start it at zero so
+  // it counts this run alone.
   spanner::resetLocalSpannerCache();
 
   sim::Rng master{cfg.seed};
@@ -433,7 +431,6 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   r.latencyMax = metrics.latencyMoments().max();
   r.latencyStddev = metrics.latencyMoments().stddev();
   r.duplicateDeliveries = metrics.duplicateDeliveries();
-  r.perturbations = metrics.counter("glr.perturbations");
 
   stats::Summary peaks;
   routing::ProtocolCounters proto;

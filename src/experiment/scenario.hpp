@@ -239,7 +239,6 @@ struct ScenarioConfig {
   F(double, airTimeSeconds)                                                 \
   F(std::uint64_t, faultFrameDrops)                                         \
   F(std::uint64_t, duplicateDeliveries)                                     \
-  F(std::uint64_t, perturbations)                                           \
   /* Protocol internals, harvested via DtnAgent::harvestCounters.        */ \
   GLR_PROTOCOL_COUNTERS(C)                                                  \
   /* Misbehavior counted at the adversary layer: every blackhole or      */ \

@@ -33,6 +33,8 @@ namespace glr::routing {
   X(cacheTimeouts, glrCacheTimeouts)                                        \
   X(txFailures, glrTxFailures)                                              \
   X(faceTransitions, glrFaceTransitions)                                    \
+  /* Stale destination locations re-aimed at a nearby random point.      */ \
+  X(perturbations, perturbations)                                           \
   /* Overload survival, every protocol: no full buffer or queue drops    */ \
   /* silently. Refusals are custody NACKs sent under the watermark.      */ \
   X(sendRejects, sendRejects)                                               \

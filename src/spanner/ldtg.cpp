@@ -1,7 +1,6 @@
 #include "spanner/ldtg.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
@@ -141,97 +140,25 @@ SpannerScratch& spannerScratch() {
   return s;
 }
 
-/// Bit-level double equality: the memo below must hit only when every input
-/// is *identical to the bits*, so value equality (which conflates +0/-0 and
-/// rejects NaN == NaN) is not the right predicate.
-[[nodiscard]] bool sameBits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Memoised (inputs -> result) entry for one computing node. The full input
-/// is retained and compared bit-for-bit on lookup, so a hit can never alias
-/// two distinct neighborhoods (no hash-collision risk).
-struct SpannerMemo {
-  bool valid = false;
-  double radius = 0.0;
-  geom::Point2 selfPos;
-  std::vector<KnownNode> known;
-  std::vector<int> result;
-};
-
-struct SpannerMemoCache {
-  std::vector<SpannerMemo> byId;  // indexed by selfId (dense, >= 0)
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-SpannerMemoCache& spannerMemoCache() {
-  static thread_local SpannerMemoCache c;
-  return c;
-}
-
-[[nodiscard]] bool memoMatches(const SpannerMemo& m, geom::Point2 selfPos,
-                               const std::vector<KnownNode>& known,
-                               double radius) {
-  if (!m.valid || !sameBits(m.radius, radius) ||
-      !sameBits(m.selfPos.x, selfPos.x) || !sameBits(m.selfPos.y, selfPos.y) ||
-      m.known.size() != known.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < known.size(); ++i) {
-    const KnownNode& a = m.known[i];
-    const KnownNode& b = known[i];
-    if (a.id != b.id || a.oneHop != b.oneHop || !sameBits(a.pos.x, b.pos.x) ||
-        !sameBits(a.pos.y, b.pos.y)) {
-      return false;
-    }
-  }
-  return true;
+/// localSpannerNeighbors calls on this thread since the last
+/// resetLocalSpannerCache().
+std::uint64_t& spannerComputations() {
+  static thread_local std::uint64_t n = 0;
+  return n;
 }
 
 }  // namespace
 
 SpannerCacheStats localSpannerCacheStats() {
-  const SpannerMemoCache& c = spannerMemoCache();
-  return {c.hits, c.misses};
+  return {0, spannerComputations()};
 }
 
-void resetLocalSpannerCache() {
-  SpannerMemoCache& c = spannerMemoCache();
-  c.byId.clear();
-  c.byId.shrink_to_fit();
-  c.hits = 0;
-  c.misses = 0;
-}
+void resetLocalSpannerCache() { spannerComputations() = 0; }
 
 std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
                                        const std::vector<KnownNode>& known,
                                        double radius) {
-  // Memo fast path: while a node's gathered knowledge sits still between
-  // route checks (the common steady state), the previous answer is returned
-  // without touching any geometry. The guard compares every input bit for
-  // bit, so a hit is exactly the recomputation it skips.
-  SpannerMemoCache& memoCache = spannerMemoCache();
-  SpannerMemo* memo = nullptr;
-  if (selfId >= 0) {
-    const auto mi = static_cast<std::size_t>(selfId);
-    if (memoCache.byId.size() <= mi) memoCache.byId.resize(mi + 1);
-    memo = &memoCache.byId[mi];
-    if (memoMatches(*memo, selfPos, known, radius)) {
-      ++memoCache.hits;
-      return memo->result;
-    }
-    ++memoCache.misses;
-  }
-  const auto memoise = [&](const std::vector<int>& result) {
-    if (memo == nullptr) return;
-    memo->valid = true;
-    memo->radius = radius;
-    memo->selfPos = selfPos;
-    memo->known = known;
-    memo->result = result;
-  };
-
+  ++spannerComputations();
   const double r2 = radius * radius;
   SpannerScratch& s = spannerScratch();
 
@@ -247,10 +174,7 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
     s.pts.push_back(kn.pos);
     s.oneHop.push_back(kn.oneHop ? 1 : 0);
   }
-  if (s.ids.size() < 2) {
-    memoise({});
-    return {};
-  }
+  if (s.ids.size() < 2) return {};
 
   // Self's star in the Delaunay triangulation of the whole local view
   // (LDel(2) at this node), triangulated only when the star sweep meets a
@@ -268,7 +192,6 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
     accepted.push_back(s.ids[i]);
   }
   std::sort(accepted.begin(), accepted.end());
-  memoise(accepted);
   return accepted;
 }
 

@@ -63,24 +63,24 @@ struct KnownNode {
 /// a tie (points on one ray from the node, or four cocircular), and both
 /// paths give the same star.
 ///
-/// Route checks repeat while neighborhoods sit still, so results are memoised
-/// in a thread-local cache keyed by computing node and guarded by an *exact*
-/// (bit-level) comparison of every input — a hit returns the previous answer
-/// only when the function would recompute it verbatim, so caching is
-/// bit-identical by construction.
+/// Nothing is memoised: on glrbench's golden, saturated and sweep workloads
+/// no route check repeated its node's previous inputs bit for bit (positions
+/// move between checks), so a memo would only add a compare and a copy of
+/// the whole view to every call.
 [[nodiscard]] std::vector<int> localSpannerNeighbors(
     int selfId, geom::Point2 selfPos, const std::vector<KnownNode>& known,
     double radius);
 
-/// Counters for the localSpannerNeighbors memo cache (thread-local).
+/// Per-thread localSpannerNeighbors call counts, read by glrbench. `hits`
+/// is always 0: it stays only until glrbench drops `spanner.memo_hits`.
 struct SpannerCacheStats {
-  std::uint64_t hits = 0;    // answered from the memo, no geometry run
-  std::uint64_t misses = 0;  // recomputed (input changed or first check)
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;  // star computations on this thread
 };
 [[nodiscard]] SpannerCacheStats localSpannerCacheStats();
 
-/// Drops every memoised entry and zeroes the counters (call between
-/// scenarios/benchmark phases so retained entries never outlive a run).
+/// Zeroes this thread's counts (runScenario calls it at the start of every
+/// run).
 void resetLocalSpannerCache();
 
 }  // namespace glr::spanner

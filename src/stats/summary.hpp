@@ -11,7 +11,7 @@
 /// (experiment::SweepRunner) have workers write each ScenarioResult into
 /// its own cell slot by index; Summary/meanCI consume the fully
 /// materialized, index-ordered results on the calling thread *after* the
-/// pool joins. That ordering is what keeps every printed `mean ± CI`
+/// threads join. That ordering is what keeps every printed `mean ± CI`
 /// bit-identical to the serial path — floating-point accumulation is not
 /// associative, so a reduction that depended on worker completion order
 /// would drift run to run. If a worker ever needs local statistics, give it

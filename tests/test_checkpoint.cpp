@@ -247,7 +247,7 @@ TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Format pin: the GLRK v1 bytes of one small snapshot per protocol family
+// Format pin: the GLRK v2 bytes of one small snapshot per protocol family
 // (plus the calendar kernel) are fixed, so existing .ckpt files and in-cell
 // sweep snapshots keep restoring and snapshot sizes cannot drift silently.
 // A deliberate layout change must bump kCheckpointVersion, not re-pin; a
@@ -273,7 +273,7 @@ void expectPinnedDigest(ScenarioConfig cfg, const std::string& name,
   const std::vector<char> bytes = slurp(path);
   EXPECT_EQ(glr::ckpt::fnv1a64(bytes.data(), bytes.size()), digest)
       << name << ": checkpoint bytes changed (" << bytes.size()
-      << " bytes) — the GLRK v1 format is pinned";
+      << " bytes) — the GLRK v2 format is pinned";
   removeSnapshots(path);
 }
 
@@ -281,7 +281,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0x5a1487e4a6d0b194ULL);
+                     0xb1ccec35978531b2ULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -290,7 +290,7 @@ TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
   cfg.traffic.rate = 3.0;
   cfg.messageTtl = 60.0;
   expectPinnedDigest(cfg, "pin_epidemic.bin",
-                     0x6bfe36bd0efc379cULL);
+                     0xa792fce2d0b47f2bULL);
 }
 
 TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
@@ -299,7 +299,7 @@ TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
   cfg.traffic.model = "hotspot";
   cfg.traffic.rate = 3.0;
   expectPinnedDigest(cfg, "pin_spray.bin",
-                     0xa1f2594f58617063ULL);
+                     0x166b6ba5c6ffd507ULL);
 }
 
 TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
@@ -307,7 +307,7 @@ TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
   cfg.traffic.model = "flashcrowd";
   cfg.traffic.rate = 2.0;
   expectPinnedDigest(cfg, "pin_direct.bin",
-                     0x7d374f5c671d1541ULL);
+                     0x6fe6092d841ff5c3ULL);
 }
 
 TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
@@ -315,7 +315,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0xbf2fc381a07c3e2eULL);
+                     0x8114153399acf227ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -343,11 +344,16 @@ ColdWarm runColdWarm(const char* name, const ScenarioConfig& cfg) {
 /// Each cell runs cold, then warm, with the counting allocator installed.
 /// Payload arenas and builder scratch persist per thread, so a warm run
 /// allocates only in the buffer and metrics layers. A budget's slack over
-/// the measured count (golden ~106k, saturated ~113k) absorbs stdlib
-/// variance, not regressions. Only the process's first scenario warms those
-/// per-thread buffers, so only it must allocate strictly less when warm.
+/// the measured count (golden ~105k, saturated ~113k) absorbs stdlib
+/// variance, not regressions. Only a thread's first scenario warms those
+/// per-thread buffers, so golden runs on a newly started thread, whose cold
+/// run is cold whatever ran before it in this process, and only golden must
+/// allocate strictly less when warm.
 TEST(ZeroAllocSteadyState, RepeatScenarioAllocatesLessThanColdRun) {
-  const ColdWarm golden = runColdWarm("golden", goldenCell());
+  const ColdWarm golden =
+      std::async(std::launch::async,
+                 [] { return runColdWarm("golden", goldenCell()); })
+          .get();
   EXPECT_LT(golden.warmAllocs, golden.coldAllocs);
   EXPECT_LE(golden.warmAllocs, 250000);
   EXPECT_LE(runColdWarm("saturated", saturatedCell()).warmAllocs, 250000);

@@ -1,13 +1,19 @@
 // Tests for the deterministic parallel experiment engine (runner.hpp):
-// the work-stealing ThreadPool contract (every index exactly once, serial
-// degeneration, exception propagation, reuse) and the SweepRunner's core
-// guarantee — parallel sweep results bit-identical, field for field, to the
-// serial path for a mid-size GLR + epidemic grid.
+// the parallelFor contract (every index exactly once, inline serial
+// degeneration, min(threads, n) participants at once, a throw stopping the
+// cursor and propagating) and the SweepRunner's core guarantee — parallel
+// sweep results bit-identical, field for field, to the serial path for a
+// mid-size GLR + epidemic grid.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "experiment/runner.hpp"
@@ -15,7 +21,9 @@
 
 namespace {
 
+using glr::experiment::defaultThreads;
 using glr::experiment::firstMismatch;
+using glr::experiment::parallelFor;
 using glr::experiment::Protocol;
 using glr::experiment::runScenario;
 using glr::experiment::runScenarioSeeds;
@@ -23,7 +31,6 @@ using glr::experiment::ScenarioConfig;
 using glr::experiment::ScenarioResult;
 using glr::experiment::seedForRun;
 using glr::experiment::SweepRunner;
-using glr::experiment::ThreadPool;
 
 ScenarioConfig quickConfig(Protocol p) {
   ScenarioConfig cfg;
@@ -48,76 +55,128 @@ void expectIdentical(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(firstMismatch(a, b), "");
 }
 
-TEST(ThreadPool, DefaultsToAtLeastOneThread) {
-  EXPECT_GE(ThreadPool::defaultThreads(), 1u);
-  ThreadPool pool;
-  EXPECT_GE(pool.threadCount(), 1u);
+TEST(ParallelFor, DefaultsToAtLeastOneThread) {
+  EXPECT_GE(defaultThreads(), 1u);
 }
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.threadCount(), 4u);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallelFor(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPool, SingleThreadDegeneratesToSerialInOrder) {
-  ThreadPool pool{1};
-  EXPECT_EQ(pool.threadCount(), 1u);
-  std::vector<std::size_t> order;  // no lock: everything runs inline
-  pool.parallelFor(100, [&](std::size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 100u);
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+TEST(ParallelFor, OneThreadRunsInlineInOrderOnTheCallingThread) {
+  for (const unsigned threads : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    std::vector<std::size_t> order;  // no lock: everything runs inline
+    std::vector<std::thread::id> ranOn;
+    parallelFor(100, threads, [&](std::size_t i) {
+      order.push_back(i);
+      ranOn.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(order.size(), 100u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+    for (const std::thread::id id : ranOn) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+  }
 }
 
-TEST(ThreadPool, FewerTasksThanThreads) {
-  ThreadPool pool{8};
-  std::atomic<int> ran{0};
-  pool.parallelFor(2, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
-  pool.parallelFor(0, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
+TEST(ParallelFor, NeverMoreParticipantsThanIndices) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::vector<int> hits(2, 0);
+  parallelFor(2, 8, [&](std::size_t i) {
+    std::lock_guard lock{mu};
+    ++hits[i];
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(hits, (std::vector<int>{1, 1}));
+  EXPECT_LE(ids.size(), 2u);
+
+  // One index with many threads requested is the inline serial loop.
+  std::thread::id ranOn;
+  parallelFor(1, 8, [&](std::size_t) { ranOn = std::this_thread::get_id(); });
+  EXPECT_EQ(ranOn, std::this_thread::get_id());
+
+  int calls = 0;
+  parallelFor(0, 8, [&](std::size_t) { ++calls; });
+  parallelFor(0, 1, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
-TEST(ThreadPool, UnbalancedTasksAllComplete) {
-  // Indices dealt to participant 0 are long; stealing must let the other
-  // workers drain them. (A correctness check — timing is not asserted.)
-  ThreadPool pool{4};
-  std::atomic<std::uint64_t> sum{0};
-  pool.parallelFor(64, [&](std::size_t i) {
+TEST(ParallelFor, UnbalancedTasksAllComplete) {
+  // Every fourth index is long; the shared cursor lets the other threads
+  // take the short ones meanwhile. (A correctness check; timing is not
+  // asserted.)
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<std::uint64_t> sink{0};  // keeps the spin loops alive
+  parallelFor(64, 4, [&](std::size_t i) {
     std::uint64_t local = 0;
     const std::uint64_t spin = (i % 4 == 0) ? 200000 : 100;
     for (std::uint64_t k = 0; k < spin; ++k) local += k * k + i;
-    sum.fetch_add(local % 1000 + 1);
+    sink.fetch_add(local);
+    hits[i].fetch_add(1);
   });
-  EXPECT_GE(sum.load(), 64u);
-}
-
-TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
-  ThreadPool pool{4};
-  EXPECT_THROW(
-      pool.parallelFor(100,
-                       [](std::size_t i) {
-                         if (i == 37) throw std::runtime_error{"cell 37"};
-                       }),
-      std::runtime_error);
-  // The pool is reusable after a failed batch.
-  std::atomic<int> ran{0};
-  pool.parallelFor(100, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool{3};
-  std::atomic<int> total{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    pool.parallelFor(50, [&](std::size_t) { total.fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  EXPECT_EQ(total.load(), 250);
+}
+
+TEST(ParallelFor, RunsMinOfThreadsAndIndicesAtOnce) {
+  // Each task waits, up to a deadline, until all four have started: only
+  // four participants running at once get every task past the wait.
+  constexpr std::size_t kN = 4;
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> sawAll{0};
+  parallelFor(kN, 8, [&](std::size_t) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < kN && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == kN) sawAll.fetch_add(1);
+  });
+  EXPECT_EQ(sawAll.load(), kN);
+}
+
+TEST(ParallelFor, ThrowStopsTheCursorAndJoinsEveryThread) {
+  // Every task throws, and a participant's throw stops the cursor before
+  // its next claim, so each of the four participants runs at most one.
+  std::atomic<int> ran{0};
+  std::atomic<int> inFlight{0};
+  EXPECT_THROW(parallelFor(100, 4,
+                           [&](std::size_t i) {
+                             inFlight.fetch_add(1);
+                             ran.fetch_add(1);
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                             inFlight.fetch_sub(1);
+                             throw std::runtime_error{std::to_string(i)};
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(inFlight.load(), 0);  // no task still running after the call
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 4);
+}
+
+TEST(ParallelFor, OneThreadStopsAtTheFirstThrow) {
+  std::vector<std::size_t> ran;
+  try {
+    parallelFor(100, 1, [&](std::size_t i) {
+      ran.push_back(i);
+      if (i == 37 || i == 50) throw std::runtime_error{std::to_string(i)};
+    });
+    ADD_FAILURE() << "no exception propagated";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "37");
+  }
+  ASSERT_EQ(ran.size(), 38u);
+  EXPECT_EQ(ran.back(), 37u);
 }
 
 TEST(ResultComparator, NamesEachDifferingFieldAndIgnoresWallTime) {
@@ -211,7 +270,7 @@ TEST(SweepRunner, RunCellsPreservesCellOrder) {
 }
 
 TEST(SweepRunner, RunScenarioSeedsStillDeterministic) {
-  // runScenarioSeeds now rides the pool (GLR_BENCH_THREADS-controlled);
+  // runScenarioSeeds runs on SweepRunner (GLR_BENCH_THREADS-controlled);
   // back-to-back calls must agree exactly whatever the thread count.
   const auto a = runScenarioSeeds(quickConfig(Protocol::kGlr), 2);
   const auto b = runScenarioSeeds(quickConfig(Protocol::kGlr), 2);

@@ -375,11 +375,12 @@ TEST(KernelRegression, MidSizeGlrScenarioIsBitIdenticalToLegacyKernel) {
       .macRadioDownDrops = 0, .macAckTimeouts = 2404,
       .macBusyDeferrals = 1333087, .collisions = 3044,
       .airTimeSeconds = 543.48595200198486, .faultFrameDrops = 0,
-      .duplicateDeliveries = 0, .perturbations = 0, .glrDataSent = 50662,
+      .duplicateDeliveries = 0, .glrDataSent = 50662,
       .glrDataReceived = 50526, .glrDuplicatesDropped = 9,
       .glrCustodyAcksSent = 50526, .glrCustodyAcksReceived = 50510,
       .glrCacheTimeouts = 15, .glrTxFailures = 137,
-      .glrFaceTransitions = 5902, .sendRejects = 0, .bufferEvictions = 0,
+      .glrFaceTransitions = 5902, .perturbations = 0, .sendRejects = 0,
+      .bufferEvictions = 0,
       .custodyRefusals = 0, .glrSuspicionsRaised = 0, .glrSuspectSkips = 0,
       .glrRecoveryActivations = 0, .glrRecoverySprays = 0,
       .expiredDrops = 0, .advBlackholeDrops = 0, .advGreyholeDrops = 0,
