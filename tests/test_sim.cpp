@@ -347,53 +347,270 @@ TEST(InplaceFunction, MoveTransfersOwnership) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel regression: a mid-size GLR scenario must produce exactly the
-// ScenarioResult the pre-slab kernel (shared_ptr + std::function +
-// priority_queue) produced. The delivery, storage, MAC traffic and GLR
-// numbers were captured from that kernel at commit 2ba2f4a with this exact
-// configuration; the remaining fields (MAC ACK/deferral counts, state at
-// end, latency quantiles, and every counter whose mechanism is off and must
-// stay zero) were recorded at commit 375ba33, when the pin was widened to
-// every compared field. Any divergence means the kernel changed event
+// Kernel regression: each pinned cell must produce exactly the recorded
+// ScenarioResult, field for field. The GLR paper cell (glr-50n-400s-200msg,
+// seed 7) holds the numbers the pre-slab kernel (shared_ptr + std::function
+// + priority_queue) produced at commit 2ba2f4a, widened to every compared
+// field at commit 375ba33; a divergence there means the kernel changed event
 // ordering or cancellation semantics. Every knob added since (diversity,
-// overload, adversary, tracing) is pinned to this run by its own test
-// proving its default leaves the config unchanged.
+// overload, adversary, tracing) is pinned to that cell by its own test
+// proving its default leaves the config unchanged. The other rows, recorded
+// at commit d75e9e9, pin each baseline protocol and GLR's overload and
+// adversary machinery, so that every GLR_PROTOCOL_COUNTERS field is non-zero
+// in at least one row: a counter harvested into the wrong slot fails here.
 // ---------------------------------------------------------------------------
 
-TEST(KernelRegression, MidSizeGlrScenarioIsBitIdenticalToLegacyKernel) {
+struct PinnedCell {
+  const char* name;
+  glr::experiment::ScenarioConfig (*config)();
+  glr::experiment::ScenarioResult golden;
+};
+
+/// 30 nodes, 200 s, 100 paper-workload messages at 150 m, seed 7.
+glr::experiment::ScenarioConfig smallCell(glr::experiment::Protocol p) {
   glr::experiment::ScenarioConfig cfg;
-  cfg.protocol = glr::experiment::Protocol::kGlr;
-  cfg.simTime = 400.0;
-  cfg.numMessages = 200;
-  cfg.radius = 100.0;
+  cfg.protocol = p;
+  cfg.numNodes = 30;
+  cfg.trafficNodes = 25;
+  cfg.simTime = 200.0;
+  cfg.numMessages = 100;
+  cfg.radius = 150.0;
   cfg.seed = 7;
-  const glr::experiment::ScenarioResult golden{
-      .created = 200, .delivered = 198, .deliveryRatio = 0.98999999999999999,
-      .avgLatency = 45.265223520228908, .avgHops = 55.247474747474747,
-      .maxPeakStorage = 47.0, .avgPeakStorage = 20.920000000000005,
-      .macDataTx = 130109, .macQueueDrops = 0, .macRetryDrops = 153,
-      .macRadioDownDrops = 0, .macAckTimeouts = 2404,
-      .macBusyDeferrals = 1333087, .collisions = 3044,
-      .airTimeSeconds = 543.48595200198486, .faultFrameDrops = 0,
-      .duplicateDeliveries = 0, .glrDataSent = 50662,
-      .glrDataReceived = 50526, .glrDuplicatesDropped = 9,
-      .glrCustodyAcksSent = 50526, .glrCustodyAcksReceived = 50510,
-      .glrCacheTimeouts = 15, .glrTxFailures = 137,
-      .glrFaceTransitions = 5902, .perturbations = 0, .sendRejects = 0,
-      .bufferEvictions = 0,
-      .custodyRefusals = 0, .glrSuspicionsRaised = 0, .glrSuspectSkips = 0,
-      .glrRecoveryActivations = 0, .glrRecoverySprays = 0,
-      .expiredDrops = 0, .advBlackholeDrops = 0, .advGreyholeDrops = 0,
-      .advSelfishRefusals = 0, .advFlapTransitions = 0,
-      .bufferedAtEnd = 37, .macQueueAtEnd = 1,
-      .latencyP50 = 19.269018118960165, .latencyP90 = 155.32508624144975,
-      .latencyP99 = 221.04039467876257, .latencyMin = 0.0098459999999960246,
-      .latencyMax = 251.40783978792615, .latencyStddev = 59.428553089554349,
-      .traceEventsRecorded = 0, .eventsExecuted = 2385279};
-  EXPECT_EQ(glr::experiment::firstMismatch(
-                glr::experiment::runScenario(cfg), golden),
-            "")
-      << "first field that differs from the golden";
+  return cfg;
+}
+
+TEST(KernelRegression, PinnedCellsAreBitIdentical) {
+  using glr::experiment::Protocol;
+  using glr::experiment::ScenarioConfig;
+  const PinnedCell cells[] = {
+      {"GLR paper cell",
+       [] {
+         ScenarioConfig cfg;
+         cfg.protocol = Protocol::kGlr;
+         cfg.simTime = 400.0;
+         cfg.numMessages = 200;
+         cfg.radius = 100.0;
+         cfg.seed = 7;
+         return cfg;
+       },
+       {.created = 200, .delivered = 198,
+        .deliveryRatio = 0.98999999999999999,
+        .avgLatency = 45.265223520228908, .avgHops = 55.247474747474747,
+        .maxPeakStorage = 47, .avgPeakStorage = 20.920000000000005,
+        .macDataTx = 130109, .macQueueDrops = 0, .macRetryDrops = 153,
+        .macRadioDownDrops = 0, .macAckTimeouts = 2404,
+        .macBusyDeferrals = 1333087, .collisions = 3044,
+        .airTimeSeconds = 543.48595200198486, .faultFrameDrops = 0,
+        .duplicateDeliveries = 0, .glrDataSent = 50662,
+        .glrDataReceived = 50526, .glrDuplicatesDropped = 9,
+        .glrCustodyAcksSent = 50526, .glrCustodyAcksReceived = 50510,
+        .glrCacheTimeouts = 15, .glrTxFailures = 137,
+        .glrFaceTransitions = 5902, .perturbations = 0, .sendRejects = 0,
+        .bufferEvictions = 0, .custodyRefusals = 0,
+        .glrSuspicionsRaised = 0, .glrSuspectSkips = 0,
+        .glrRecoveryActivations = 0, .glrRecoverySprays = 0,
+        .expiredDrops = 0, .advBlackholeDrops = 0, .advGreyholeDrops = 0,
+        .advSelfishRefusals = 0, .advFlapTransitions = 0,
+        .bufferedAtEnd = 37, .macQueueAtEnd = 1,
+        .latencyP50 = 19.269018118960165,
+        .latencyP90 = 155.32508624144975,
+        .latencyP99 = 221.04039467876257,
+        .latencyMin = 0.0098459999999960246,
+        .latencyMax = 251.40783978792615,
+        .latencyStddev = 59.428553089554349, .traceEventsRecorded = 0,
+        .eventsExecuted = 2385279}},
+      // Buffer evictions, TTL expiry and MAC send refusals.
+      {"Epidemic, storage 20, TTL 60 s, queue 4",
+       [] {
+         ScenarioConfig cfg = smallCell(Protocol::kEpidemic);
+         cfg.storageLimit = 20;
+         cfg.messageTtl = 60.0;
+         cfg.queueLimit = 4;
+         return cfg;
+       },
+       {.created = 100, .delivered = 80,
+        .deliveryRatio = 0.80000000000000004,
+        .avgLatency = 23.659303026716422, .avgHops = 6.0125000000000002,
+        .maxPeakStorage = 20, .avgPeakStorage = 20, .macDataTx = 22018,
+        .macQueueDrops = 2285, .macRetryDrops = 209,
+        .macRadioDownDrops = 0, .macAckTimeouts = 2027,
+        .macBusyDeferrals = 66016, .collisions = 509,
+        .airTimeSeconds = 66.91868799999034, .faultFrameDrops = 0,
+        .duplicateDeliveries = 0, .glrDataSent = 7652,
+        .glrDataReceived = 5462, .glrDuplicatesDropped = 0,
+        .glrCustodyAcksSent = 0, .glrCustodyAcksReceived = 0,
+        .glrCacheTimeouts = 0, .glrTxFailures = 0,
+        .glrFaceTransitions = 0, .perturbations = 0, .sendRejects = 2285,
+        .bufferEvictions = 3768, .custodyRefusals = 0,
+        .glrSuspicionsRaised = 0, .glrSuspectSkips = 0,
+        .glrRecoveryActivations = 0, .glrRecoverySprays = 0,
+        .expiredDrops = 1794, .advBlackholeDrops = 0,
+        .advGreyholeDrops = 0, .advSelfishRefusals = 0,
+        .advFlapTransitions = 0, .bufferedAtEnd = 0, .macQueueAtEnd = 0,
+        .latencyP50 = 19.890273793418515,
+        .latencyP90 = 52.14751774033526,
+        .latencyP99 = 59.766623496030924,
+        .latencyMin = 0.33816629269040988,
+        .latencyMax = 59.998384984939051,
+        .latencyStddev = 18.676356221936228, .traceEventsRecorded = 0,
+        .eventsExecuted = 205408}},
+      {"Spray-and-Wait, storage 20, TTL 60 s, queue 2",
+       [] {
+         ScenarioConfig cfg = smallCell(Protocol::kSprayAndWait);
+         cfg.storageLimit = 20;
+         cfg.messageTtl = 60.0;
+         cfg.queueLimit = 2;
+         return cfg;
+       },
+       {.created = 100, .delivered = 67,
+        .deliveryRatio = 0.67000000000000004,
+        .avgLatency = 17.423797579068065, .avgHops = 2.5671641791044775,
+        .maxPeakStorage = 20, .avgPeakStorage = 13.6, .macDataTx = 10517,
+        .macQueueDrops = 825, .macRetryDrops = 40,
+        .macRadioDownDrops = 0, .macAckTimeouts = 353,
+        .macBusyDeferrals = 16718, .collisions = 44,
+        .airTimeSeconds = 12.234512000002098, .faultFrameDrops = 0,
+        .duplicateDeliveries = 0, .glrDataSent = 652,
+        .glrDataReceived = 652, .glrDuplicatesDropped = 0,
+        .glrCustodyAcksSent = 0, .glrCustodyAcksReceived = 0,
+        .glrCacheTimeouts = 0, .glrTxFailures = 0,
+        .glrFaceTransitions = 0, .perturbations = 0, .sendRejects = 825,
+        .bufferEvictions = 16, .custodyRefusals = 0,
+        .glrSuspicionsRaised = 0, .glrSuspectSkips = 0,
+        .glrRecoveryActivations = 0, .glrRecoverySprays = 0,
+        .expiredDrops = 556, .advBlackholeDrops = 0,
+        .advGreyholeDrops = 0, .advSelfishRefusals = 0,
+        .advFlapTransitions = 0, .bufferedAtEnd = 0, .macQueueAtEnd = 0,
+        .latencyP50 = 13.459844711894981,
+        .latencyP90 = 40.157328698057654,
+        .latencyP99 = 60.302457390815754,
+        .latencyMin = 0.01267424800184358,
+        .latencyMax = 60.362395004542918,
+        .latencyStddev = 17.512522899295792, .traceEventsRecorded = 0,
+        .eventsExecuted = 79951}},
+      {"Direct Delivery, storage 5, queue 1, Poisson 4/s",
+       [] {
+         ScenarioConfig cfg = smallCell(Protocol::kDirectDelivery);
+         cfg.storageLimit = 5;
+         cfg.queueLimit = 1;
+         cfg.traffic.model = "poisson";
+         cfg.traffic.rate = 4.0;
+         return cfg;
+       },
+       {.created = 748, .delivered = 215,
+        .deliveryRatio = 0.28743315508021389,
+        .avgLatency = 11.729886744056559, .avgHops = 1,
+        .maxPeakStorage = 5, .avgPeakStorage = 4.166666666666667,
+        .macDataTx = 8280, .macQueueDrops = 23, .macRetryDrops = 9,
+        .macRadioDownDrops = 0, .macAckTimeouts = 72,
+        .macBusyDeferrals = 272, .collisions = 6,
+        .airTimeSeconds = 7.1490079999991671, .faultFrameDrops = 0,
+        .duplicateDeliveries = 0, .glrDataSent = 224,
+        .glrDataReceived = 0, .glrDuplicatesDropped = 0,
+        .glrCustodyAcksSent = 0, .glrCustodyAcksReceived = 0,
+        .glrCacheTimeouts = 0, .glrTxFailures = 0,
+        .glrFaceTransitions = 0, .perturbations = 0, .sendRejects = 23,
+        .bufferEvictions = 407, .custodyRefusals = 0,
+        .glrSuspicionsRaised = 0, .glrSuspectSkips = 0,
+        .glrRecoveryActivations = 0, .glrRecoverySprays = 0,
+        .expiredDrops = 0, .advBlackholeDrops = 0, .advGreyholeDrops = 0,
+        .advSelfishRefusals = 0, .advFlapTransitions = 0,
+        .bufferedAtEnd = 117, .macQueueAtEnd = 0,
+        .latencyP50 = 1.0316884423226529,
+        .latencyP90 = 34.593061709108838,
+        .latencyP99 = 73.002877179099087,
+        .latencyMin = 0.037953408305838821,
+        .latencyMax = 89.77353912263456,
+        .latencyStddev = 17.365415976178138, .traceEventsRecorded = 0,
+        .eventsExecuted = 49394}},
+      // Custody refusals under the watermark, the AIMD window, evictions,
+      // TTL expiry and MAC send refusals.
+      {"GLR overload: watermark 8, AIMD, storage 16, TTL 40 s, queue 4",
+       [] {
+         ScenarioConfig cfg = smallCell(Protocol::kGlr);
+         cfg.simTime = 150.0;
+         cfg.storageLimit = 16;
+         cfg.queueLimit = 4;
+         cfg.traffic.model = "poisson";
+         cfg.traffic.rate = 8.0;
+         cfg.custodyWatermark = 8;
+         cfg.congestionControl = true;
+         cfg.messageTtl = 40.0;
+         return cfg;
+       },
+       {.created = 1068, .delivered = 282,
+        .deliveryRatio = 0.2640449438202247,
+        .avgLatency = 8.770252216246071, .avgHops = 1.5851063829787233,
+        .maxPeakStorage = 16, .avgPeakStorage = 14.666666666666666,
+        .macDataTx = 29892, .macQueueDrops = 430, .macRetryDrops = 46,
+        .macRadioDownDrops = 0, .macAckTimeouts = 554,
+        .macBusyDeferrals = 215017, .collisions = 493,
+        .airTimeSeconds = 126.29635199997165, .faultFrameDrops = 0,
+        .duplicateDeliveries = 0, .glrDataSent = 11724,
+        .glrDataReceived = 11672, .glrDuplicatesDropped = 0,
+        .glrCustodyAcksSent = 1861, .glrCustodyAcksReceived = 1858,
+        .glrCacheTimeouts = 0, .glrTxFailures = 433,
+        .glrFaceTransitions = 5625, .perturbations = 4,
+        .sendRejects = 393, .bufferEvictions = 1733,
+        .custodyRefusals = 9811, .glrSuspicionsRaised = 0,
+        .glrSuspectSkips = 0, .glrRecoveryActivations = 0,
+        .glrRecoverySprays = 0, .expiredDrops = 414,
+        .advBlackholeDrops = 0, .advGreyholeDrops = 0,
+        .advSelfishRefusals = 0, .advFlapTransitions = 0,
+        .bufferedAtEnd = 389, .macQueueAtEnd = 7,
+        .latencyP50 = 3.7132456589574341,
+        .latencyP90 = 26.910133174051694,
+        .latencyP99 = 38.222508318567058,
+        .latencyMin = 0.010226000000017166,
+        .latencyMax = 39.009923687551691,
+        .latencyStddev = 10.179697462979396, .traceEventsRecorded = 0,
+        .eventsExecuted = 439749}},
+      // Suspicion, suspect skips and spray fallback against blackholes;
+      // stale-location perturbations from random initial destinations.
+      {"GLR recovery, 20% blackholes, kNoneKnow",
+       [] {
+         ScenarioConfig cfg = smallCell(Protocol::kGlr);
+         cfg.radius = 120.0;
+         cfg.locationMode = glr::core::LocationMode::kNoneKnow;
+         cfg.glrRecovery = true;
+         cfg.faults.enabled = true;
+         cfg.faults.params.adversary.blackholeFraction = 0.2;
+         return cfg;
+       },
+       {.created = 100, .delivered = 84,
+        .deliveryRatio = 0.83999999999999997,
+        .avgLatency = 52.924565324823824, .avgHops = 36.05952380952381,
+        .maxPeakStorage = 61, .avgPeakStorage = 27.866666666666671,
+        .macDataTx = 42827, .macQueueDrops = 0, .macRetryDrops = 92,
+        .macRadioDownDrops = 0, .macAckTimeouts = 1071,
+        .macBusyDeferrals = 438753, .collisions = 699,
+        .airTimeSeconds = 185.29054399993467, .faultFrameDrops = 0,
+        .duplicateDeliveries = 0, .glrDataSent = 17315,
+        .glrDataReceived = 17231, .glrDuplicatesDropped = 575,
+        .glrCustodyAcksSent = 16537, .glrCustodyAcksReceived = 15923,
+        .glrCacheTimeouts = 627, .glrTxFailures = 84,
+        .glrFaceTransitions = 2779, .perturbations = 22,
+        .sendRejects = 0, .bufferEvictions = 0, .custodyRefusals = 0,
+        .glrSuspicionsRaised = 75, .glrSuspectSkips = 1540,
+        .glrRecoveryActivations = 570, .glrRecoverySprays = 702,
+        .expiredDrops = 0, .advBlackholeDrops = 694,
+        .advGreyholeDrops = 0, .advSelfishRefusals = 0,
+        .advFlapTransitions = 0, .bufferedAtEnd = 95, .macQueueAtEnd = 1,
+        .latencyP50 = 49.156944152691722,
+        .latencyP90 = 100.26216106955641,
+        .latencyP99 = 156.18654656918869,
+        .latencyMin = 0.0099459999999993443,
+        .latencyMax = 156.53463640161883,
+        .latencyStddev = 40.170607276693922, .traceEventsRecorded = 0,
+        .eventsExecuted = 769475}},
+  };
+  for (const PinnedCell& cell : cells) {
+    SCOPED_TRACE(cell.name);
+    EXPECT_EQ(glr::experiment::firstMismatch(
+                  glr::experiment::runScenario(cell.config()), cell.golden),
+              "")
+        << "first field that differs from the golden";
+  }
 }
 
 TEST(Rng, DeterministicForSameSeed) {
