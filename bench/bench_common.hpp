@@ -120,13 +120,10 @@ inline std::string hostJson() {
 }
 
 /// Node-count override shared by the benches: GLR_BENCH_NODES in the
-/// environment, typically mirrored by a --nodes flag. Returns `fallback`
-/// when unset or unparseable.
+/// environment (at least 2), typically mirrored by a --nodes flag. Returns
+/// `fallback` when unset; throws on any other value (see envInt).
 inline int benchNodes(int fallback) {
-  const char* env = std::getenv("GLR_BENCH_NODES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 2 ? static_cast<int>(v) : fallback;
+  return experiment::envInt("GLR_BENCH_NODES", fallback, 2);
 }
 
 /// Rescales a scenario to `nodes` at constant node density: the area grows

@@ -18,17 +18,6 @@ namespace glr::ckpt {
 
 namespace {
 
-/// Section ids (on-disk format: append-only, never renumber).
-enum SectionId : std::uint32_t {
-  kSectionEvents = 1,   // pending (time, seq, desc) records, fire order
-  kSectionChannel = 2,  // transmission history ring + stats
-  kSectionNodes = 3,    // per node: MAC then routing agent
-  kSectionChurn = 4,    // present iff churn is enabled
-  kSectionFaults = 5,   // present iff fault injection is enabled
-  kSectionTraffic = 6,  // present iff a stochastic traffic model runs
-  kSectionMetrics = 7,  // delivery bitmaps, counters, latency sketches
-};
-
 void digestMobility(Encoder& e, const experiment::MobilitySpec& m) {
   e.str(m.model);
   e.i32(m.numClusters);
@@ -113,46 +102,40 @@ void visitNodes(Ar& ar, const ScenarioComponents& c) {
   }
 }
 
-/// Calls `fn(id, name, visit)` for every component section, in file order
-/// (after the events section); `visit(ar)` visits the section's state with
-/// either archive. Absent components have no section.
+/// Calls `fn(id, visit)` for every component section, in file order (after
+/// the events section); `visit(ar)` visits the section's state with either
+/// archive. Absent components have no section.
 template <class Fn>
 void forEachComponentSection(const ScenarioComponents& c, Fn&& fn) {
-  fn(kSectionChannel, "channel",
-     [&](auto& ar) { c.world->channel().visit(ar); });
-  fn(kSectionNodes, "nodes", [&](auto& ar) { visitNodes(ar, c); });
+  fn(kSectionChannel, [&](auto& ar) { c.world->channel().visit(ar); });
+  fn(kSectionNodes, [&](auto& ar) { visitNodes(ar, c); });
   if (c.churn != nullptr) {
-    fn(kSectionChurn, "churn", [&](auto& ar) { c.churn->visit(ar); });
+    fn(kSectionChurn, [&](auto& ar) { c.churn->visit(ar); });
   }
   if (c.faults != nullptr) {
-    fn(kSectionFaults, "faults", [&](auto& ar) { c.faults->visit(ar); });
+    fn(kSectionFaults, [&](auto& ar) { c.faults->visit(ar); });
   }
   if (c.traffic != nullptr) {
-    fn(kSectionTraffic, "traffic", [&](auto& ar) { c.traffic->visit(ar); });
+    fn(kSectionTraffic, [&](auto& ar) { c.traffic->visit(ar); });
   }
-  fn(kSectionMetrics, "metrics", [&](auto& ar) { c.metrics->visit(ar); });
+  fn(kSectionMetrics, [&](auto& ar) { c.metrics->visit(ar); });
 }
 
 [[nodiscard]] Decoder sectionDecoder(const CheckpointFile& f, std::uint32_t id,
-                                     const std::string& path,
-                                     const char* name) {
+                                     const std::string& path) {
   const Section& s = f.section(id, path);
   return Decoder{s.bytes.data(), s.bytes.size(),
-                 path + " " + name + " section"};
+                 path + " " + sectionName(id) + " section"};
 }
 
-[[nodiscard]] bool hasSection(const CheckpointFile& f, std::uint32_t id) {
-  for (const Section& s : f.sections) {
-    if (s.id == id) return true;
-  }
-  return false;
-}
-
-/// Loud agreement check between a config-built component and a section.
-void requireAgreement(bool componentPresent, bool sectionPresent,
-                      const char* what, const std::string& path) {
+/// Loud agreement check between a config-built component and its section.
+void requireAgreement(bool componentPresent, const CheckpointFile& f,
+                      std::uint32_t id, const std::string& path) {
+  bool sectionPresent = false;
+  for (const Section& s : f.sections) sectionPresent |= s.id == id;
   if (componentPresent == sectionPresent) return;
-  throw std::runtime_error{std::string{"checkpoint "} + path + ": " + what +
+  throw std::runtime_error{std::string{"checkpoint "} + path + ": " +
+                           sectionName(id) +
                            (sectionPresent
                                 ? " section present but the configuration "
                                   "does not build that component"
@@ -161,6 +144,19 @@ void requireAgreement(bool componentPresent, bool sectionPresent,
 }
 
 }  // namespace
+
+const char* sectionName(std::uint32_t id) {
+  switch (id) {
+    case kSectionEvents: return "events";
+    case kSectionChannel: return "channel";
+    case kSectionNodes: return "nodes";
+    case kSectionChurn: return "churn";
+    case kSectionFaults: return "faults";
+    case kSectionTraffic: return "traffic";
+    case kSectionMetrics: return "metrics";
+    default: return "unknown";
+  }
+}
 
 std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   Encoder e;
@@ -250,12 +246,11 @@ void writeCheckpoint(const std::string& path, const ScenarioComponents& c) {
   }
   f.addSection(kSectionEvents, events.take());
 
-  forEachComponentSection(
-      c, [&](std::uint32_t id, const char* /*name*/, auto&& visit) {
-        Encoder e;
-        visit(e);
-        f.addSection(id, e.take());
-      });
+  forEachComponentSection(c, [&](std::uint32_t id, auto&& visit) {
+    Encoder e;
+    visit(e);
+    f.addSection(id, e.take());
+  });
 
   f.write(path);
 }
@@ -280,12 +275,9 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
         std::to_string(f.configDigest) + ", this run " +
         std::to_string(expect) + ") — refusing to restore"};
   }
-  requireAgreement(c.churn != nullptr, hasSection(f, kSectionChurn), "churn",
-                   path);
-  requireAgreement(c.faults != nullptr, hasSection(f, kSectionFaults),
-                   "faults", path);
-  requireAgreement(c.traffic != nullptr, hasSection(f, kSectionTraffic),
-                   "traffic", path);
+  requireAgreement(c.churn != nullptr, f, kSectionChurn, path);
+  requireAgreement(c.faults != nullptr, f, kSectionFaults, path);
+  requireAgreement(c.traffic != nullptr, f, kSectionTraffic, path);
 
   // Kernel first: drop every construction-time event, rewind the clock and
   // counters, then overwrite component state before any event re-creation
@@ -295,16 +287,15 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
   c.sim->restoreClock(f.simNow, f.nextSeq, f.executed);
   c.world->invalidatePositionCache();
 
-  forEachComponentSection(
-      c, [&](std::uint32_t id, const char* name, auto&& visit) {
-        Decoder d = sectionDecoder(f, id, path, name);
-        visit(d);
-        d.expectEnd();
-      });
+  forEachComponentSection(c, [&](std::uint32_t id, auto&& visit) {
+    Decoder d = sectionDecoder(f, id, path);
+    visit(d);
+    d.expectEnd();
+  });
 
   // Pending events last, each dispatched to its owning component and
   // re-created under the exact saved (timeBits, seq) key.
-  Decoder d = sectionDecoder(f, kSectionEvents, path, "events");
+  Decoder d = sectionDecoder(f, kSectionEvents, path);
   std::size_t nEvents = 0;
   d.count(nEvents, kEventRecordBytes);
   const int numNodes = static_cast<int>(c.agents->size());

@@ -43,6 +43,21 @@ class TrafficProcess;
 
 namespace glr::ckpt {
 
+/// GLRK section ids (on-disk format: append-only, never renumber).
+enum SectionId : std::uint32_t {
+  kSectionEvents = 1,   // pending (time, seq, desc) records, fire order
+  kSectionChannel = 2,  // transmission history ring + stats
+  kSectionNodes = 3,    // per node: MAC then routing agent
+  kSectionChurn = 4,    // present iff churn is enabled
+  kSectionFaults = 5,   // present iff fault injection is enabled
+  kSectionTraffic = 6,  // present iff a stochastic traffic model runs
+  kSectionMetrics = 7,  // delivery bitmaps, counters, latency sketches
+};
+
+/// The section's name ("events", "channel", ...), or "unknown" for an id
+/// this build does not write.
+[[nodiscard]] const char* sectionName(std::uint32_t id);
+
 /// Live components of one running scenario, wired up by runScenario.
 /// Null pointers mean "this config does not build that component" — the
 /// writer skips the section and the reader enforces agreement.

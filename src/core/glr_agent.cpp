@@ -34,15 +34,9 @@ GlrAgent::GlrAgent(net::World& world, int self, GlrParams params,
 GlrAgent::GlrAgent(net::World& world, int self,
                    std::shared_ptr<const GlrParams> params,
                    dtn::MetricsCollector* metrics, sim::Rng rng)
-    : world_(world),
-      self_(self),
-      params_(std::move(params)),
-      metrics_(metrics),
-      rng_(rng),
-      neighbors_(world.sim(), world.macOf(self), self,
-                 [this] { return myPos(); }, params_->hello, rng.fork(1)),
-      buffer_(params_->storageLimit, params_->expectedBufferedCopies) {
-  buffer_.setTrace(world_.trace(), self_);
+    : AgentBase(world, self, metrics, rng, params->hello,
+                params->storageLimit, params->expectedBufferedCopies),
+      params_(std::move(params)) {
   neighbors_.setLocationSampleCallback(
       [this](int id, geom::Point2 pos, sim::SimTime at) {
         // Only destinations are ever looked up (resolveDestination).
@@ -109,15 +103,8 @@ void GlrAgent::originate(int dstNode) {
   const int copies = copyCount();
   const auto flags = treeFlagsForCopies(copies);
 
-  dtn::Message base;
-  base.id = {self_, nextSeq_++};
-  base.srcNode = self_;
-  base.dstNode = dstNode;
-  base.created = world_.sim().now();
-  base.payloadBytes = params_->payloadBytes;
-  if (params_->messageTtl > 0.0) {
-    base.expiresAt = base.created + params_->messageTtl;
-  }
+  dtn::Message base =
+      newMessage(dstNode, params_->payloadBytes, params_->messageTtl);
 
   switch (params_->locationMode) {
     case LocationMode::kOracleAll:
@@ -136,7 +123,6 @@ void GlrAgent::originate(int dstNode) {
       break;
   }
 
-  if (metrics_ != nullptr) metrics_->onCreated(base);
   for (const dtn::TreeFlag flag : flags) {
     dtn::Message copy = base;
     copy.flag = flag;
@@ -593,7 +579,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
   // still receives its own traffic (and originates normally). A blackhole
   // stays silent — no ack, so the sender's custody timeout fires and feeds
   // suspicion. A selfish node refuses politely with a NACK; the refusal is
-  // counted by the AdversaryModel, not in custodyRefusalsSent, so the
+  // counted by the AdversaryModel, not in custodyRefusals, so the
   // honest-pressure counter keeps its zero-when-off meaning.
   if (m.dstNode != self_) {
     if (net::AdversaryModel* adv = world_.adversary()) {
@@ -619,7 +605,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
       m.dstNode != self_ && !deliveredHere_.contains(m.id) &&
       !buffer_.contains(m.key()) &&
       buffer_.size() >= params_->custodyWatermark) {
-    ++counters_.custodyRefusalsSent;
+    ++counters_.custodyRefusals;
     if (trace::Recorder* t = world_.trace()) {
       t->record(trace::EventType::kCustodyRefuse, self_, fromMac, m.id.src,
                 m.id.seq, 0, static_cast<std::uint8_t>(m.flag));
@@ -640,12 +626,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
   }
 
   if (m.dstNode == self_) {
-    if (deliveredHere_.insert(m.id).second) {
-      ++counters_.deliveredHere;
-      if (metrics_ != nullptr) {
-        metrics_->onDelivered(m, world_.sim().now(), m.hops);
-      }
-    }
+    deliverHere(m, m.hops);
     // Delivered branches of the same message still buffered here (we might
     // have been a relay for them) are pointless now; drop them.
     buffer_.eraseAllBranches(m.id);
@@ -677,7 +658,6 @@ void GlrAgent::handleAck(const net::Packet& packet, int fromMac) {
     // the cache timeout) and back it off exponentially so a saturated next
     // hop is not hammered every check. A refusal is also a congestion
     // signal for the AIMD window.
-    ++counters_.custodyRefusalsReceived;
     if (params_->recovery) noteCustodyFailure(fromMac);
     if (buffer_.returnToStore(ack->key)) {
       if (dtn::Message* m = buffer_.findInStore(ack->key)) {
@@ -724,35 +704,13 @@ void GlrAgent::onTxStatus(const net::Packet& packet, int /*dstMac*/,
 
 template <class Ar>
 void GlrAgent::visitState(Ar& ar) {
-  ar.rng(rng_);
-  neighbors_.visit(ar);
-  buffer_.visit(ar);
+  AgentBase::visit(ar);
   locations_.visit(ar);
-  ar.unorderedSet(deliveredHere_,
-                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
   ar.unorderedMap(suspicion_, [&](int& id, SuspectEntry& s) {
     ar.i32(id);
     ar.i32(s.failures);
     ar.f64(s.until);
   });
-  ar.u64(counters_.dataSent);
-  ar.u64(counters_.dataReceived);
-  ar.u64(counters_.duplicatesDropped);
-  ar.u64(counters_.custodyAcksSent);
-  ar.u64(counters_.custodyAcksReceived);
-  ar.u64(counters_.cacheTimeouts);
-  ar.u64(counters_.txFailures);
-  ar.u64(counters_.faceTransitions);
-  ar.u64(counters_.perturbations);
-  ar.u64(counters_.deliveredHere);
-  ar.u64(counters_.custodyRefusalsSent);
-  ar.u64(counters_.custodyRefusalsReceived);
-  ar.u64(counters_.sendRejects);
-  ar.u64(counters_.suspicionsRaised);
-  ar.u64(counters_.suspectSkips);
-  ar.u64(counters_.recoveryActivations);
-  ar.u64(counters_.recoverySprays);
-  ar.i32(nextSeq_);
   ar.boolean(checkQueued_);
   ar.f64(cwnd_);
   ar.f64(ssthresh_);
@@ -767,9 +725,6 @@ void GlrAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 void GlrAgent::restoreEvent(const sim::EventKey& key,
                             const sim::EventDesc& desc) {
   switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
-      return;
     case ckpt::kGlrPeriodicCheck:
       world_.sim().scheduleKeyed(key, desc, [this] { periodicCheck(); });
       return;
@@ -808,9 +763,7 @@ void GlrAgent::restoreEvent(const sim::EventKey& key,
       return;
     }
     default:
-      throw std::runtime_error{
-          "GlrAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+      AgentBase::restoreEvent(key, desc);
   }
 }
 

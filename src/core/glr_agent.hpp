@@ -16,20 +16,12 @@
 ///    cache timeout rescheduling.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/decision.hpp"
-#include "dtn/buffer.hpp"
 #include "dtn/location_table.hpp"
-#include "dtn/message.hpp"
-#include "dtn/metrics.hpp"
-#include "net/neighbor.hpp"
-#include "net/world.hpp"
 #include "routing/dtn_agent.hpp"
-#include "sim/rng.hpp"
 
 namespace glr::core {
 
@@ -125,28 +117,6 @@ struct GlrParams {
   net::NeighborService::Params hello;
 };
 
-/// Protocol event counters (exported to benches/tests).
-struct GlrCounters {
-  std::uint64_t dataSent = 0;
-  std::uint64_t dataReceived = 0;
-  std::uint64_t duplicatesDropped = 0;
-  std::uint64_t custodyAcksSent = 0;
-  std::uint64_t custodyAcksReceived = 0;
-  std::uint64_t cacheTimeouts = 0;
-  std::uint64_t txFailures = 0;
-  std::uint64_t faceTransitions = 0;
-  std::uint64_t perturbations = 0;
-  std::uint64_t deliveredHere = 0;
-  std::uint64_t custodyRefusalsSent = 0;      // NACKs sent under watermark
-  std::uint64_t custodyRefusalsReceived = 0;  // NACKs received (backed off)
-  std::uint64_t sendRejects = 0;  // data/ack sends the MAC finally refused
-  // Reliability sublayer (all zero unless GlrParams::recovery is on).
-  std::uint64_t suspicionsRaised = 0;      // hops newly marked suspect
-  std::uint64_t suspectSkips = 0;          // forwarding choices that avoided one
-  std::uint64_t recoveryActivations = 0;   // copies that entered spray fallback
-  std::uint64_t recoverySprays = 0;        // custody-free clones actually sent
-};
-
 /// Custody acknowledgement payload (paper: contains source, destination,
 /// message count and tree branch — exactly a CopyKey). `accepted == false`
 /// turns it into a refusal (NACK): the receiver is above its buffer
@@ -160,7 +130,7 @@ struct CustodyAck {
 inline constexpr const char* kGlrDataKind = "glr-data";
 inline constexpr const char* kGlrAckKind = "glr-ack";
 
-class GlrAgent final : public routing::DtnAgent {
+class GlrAgent final : public routing::AgentBase {
  public:
   GlrAgent(net::World& world, int self, GlrParams params,
            dtn::MetricsCollector* metrics, sim::Rng rng);
@@ -179,60 +149,24 @@ class GlrAgent final : public routing::DtnAgent {
   void onTxStatus(const net::Packet& packet, int dstMac,
                   bool success) override;
   void originate(int dstNode) override;
-  void onRadioState(bool up) override {
-    if (!up) neighbors_.reset();
-  }
 
-  [[nodiscard]] std::size_t storageUsed() const override {
-    return buffer_.size();
-  }
-  [[nodiscard]] std::size_t storagePeak() const override {
-    return buffer_.peakSize();
-  }
-
-  void harvestCounters(routing::ProtocolCounters& out) const override {
-    out.dataSent += counters_.dataSent;
-    out.dataReceived += counters_.dataReceived;
-    out.duplicatesDropped += counters_.duplicatesDropped;
-    out.custodyAcksSent += counters_.custodyAcksSent;
-    out.custodyAcksReceived += counters_.custodyAcksReceived;
-    out.cacheTimeouts += counters_.cacheTimeouts;
-    out.txFailures += counters_.txFailures;
-    out.faceTransitions += counters_.faceTransitions;
-    out.perturbations += counters_.perturbations;
-    out.sendRejects += counters_.sendRejects + neighbors_.helloSendFailures();
-    out.bufferEvictions += buffer_.dropCount();
-    out.custodyRefusals += counters_.custodyRefusalsSent;
-    out.suspicionsRaised += counters_.suspicionsRaised;
-    out.suspectSkips += counters_.suspectSkips;
-    out.recoveryActivations += counters_.recoveryActivations;
-    out.recoverySprays += counters_.recoverySprays;
-    out.expiredDrops += buffer_.expiredCount();
-  }
-
-  [[nodiscard]] const GlrCounters& counters() const { return counters_; }
-  [[nodiscard]] const net::NeighborService& neighbors() const {
-    return neighbors_;
-  }
-  [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }
   [[nodiscard]] const dtn::LocationTable& locationTable() const {
     return locations_;
   }
   /// Copies Algorithm 1 chooses for this agent's network profile.
   [[nodiscard]] int copyCount() const;
 
-  /// Checkpoint support: hello service, buffer (Store + Cache), location
-  /// table, delivered set, suspicion ledger, AIMD congestion state,
-  /// counters and RNG. Pending events (hello beacon, periodic/queued route
-  /// checks, custody-ack retries, custody timers) are rebuilt via
-  /// restoreEvent.
+  /// Checkpoint support: AgentBase's state, then the location table, the
+  /// suspicion ledger and the AIMD congestion state. The periodic and queued
+  /// route checks, custody-ack retries and custody timers are rebuilt here,
+  /// the hello beacon by AgentBase.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
   void restoreEvent(const sim::EventKey& key,
                     const sim::EventDesc& desc) override;
 
  private:
-  /// The checkpointed state, listed once for both archives.
+  /// The protocol's own checkpointed state, listed once for both archives.
   template <class Ar>
   void visitState(Ar& ar);
 
@@ -276,22 +210,13 @@ class GlrAgent final : public routing::DtnAgent {
   /// Spray fallback: clones the copy, custody-free, to up to recoveryFanout
   /// non-suspect current neighbors; the original stays in the Store.
   void attemptRecovery(dtn::Message& m);
-  [[nodiscard]] geom::Point2 myPos() { return world_.positionOf(self_); }
 
-  net::World& world_;
-  int self_;
   /// Shared immutable parameter block: every agent in a scenario gets the
   /// same GlrParams, and at city scale a by-value copy per node (~232 B)
   /// is a measurable share of the idle-node budget — so one refcounted
   /// block serves the whole population.
   std::shared_ptr<const GlrParams> params_;
-  dtn::MetricsCollector* metrics_;
-  sim::Rng rng_;
-
-  net::NeighborService neighbors_;
-  dtn::MessageBuffer buffer_;
   dtn::LocationTable locations_;
-  std::unordered_set<dtn::MessageId> deliveredHere_;
   /// Per-next-hop custody failure scores and suspect verdicts (empty and
   /// untouched unless params_->recovery).
   struct SuspectEntry {
@@ -299,9 +224,6 @@ class GlrAgent final : public routing::DtnAgent {
     sim::SimTime until = -1e18;  // verdict active while now < until
   };
   std::unordered_map<int, SuspectEntry> suspicion_;
-  GlrCounters counters_;
-  int nextSeq_ = 0;
-  bool checkQueued_ = false;  // suppress redundant contact-triggered checks
 
   // AIMD congestion state (active only with params_->congestionControl):
   // slow start from a small window up to ssthresh_, then +1/cwnd per
@@ -311,6 +233,7 @@ class GlrAgent final : public routing::DtnAgent {
   double srtt_ = 0.0;
   double rttvar_ = 0.0;
   bool haveRtt_ = false;
+  bool checkQueued_ = false;  // suppress redundant contact-triggered checks
 };
 
 }  // namespace glr::core

@@ -30,7 +30,7 @@ static_assert(std::is_trivially_copyable_v<ScenarioResult>,
               "disjoint vector slots concurrently");
 
 unsigned defaultThreads() {
-  const int env = envInt("GLR_BENCH_THREADS", 0);
+  const int env = envInt("GLR_BENCH_THREADS", 0, 0);
   if (env > 0) return static_cast<unsigned>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1u;

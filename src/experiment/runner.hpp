@@ -40,7 +40,8 @@ void parallelFor(std::size_t n, unsigned threads,
                  const std::function<void(std::size_t)>& fn);
 
 /// `GLR_BENCH_THREADS` if set and positive, else hardware_concurrency()
-/// (else 1 if even that is unknown).
+/// (else 1 if even that is unknown). A value that is not a non-negative
+/// integer throws (see envInt).
 [[nodiscard]] unsigned defaultThreads();
 
 /// The seed used for replicate `i` of a config whose base seed is `base`.

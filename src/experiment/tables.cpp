@@ -1,8 +1,10 @@
 #include "experiment/tables.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 namespace glr::experiment {
 
@@ -21,10 +23,18 @@ std::string fmtPct(double ratio, int precision) {
   return fmt(ratio * 100.0, precision) + "%";
 }
 
-int envInt(const char* name, int fallback) {
+int envInt(const char* name, int fallback, int min) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
+  const char* end = v + std::strlen(v);
+  int out = 0;
+  const auto [last, ec] = std::from_chars(v, end, out);
+  if (ec != std::errc{} || last != end || out < min) {
+    throw std::invalid_argument{
+        std::string{name} + "='" + v + "': expected an integer" +
+        (min > INT_MIN ? " >= " + std::to_string(min) : std::string{})};
+  }
+  return out;
 }
 
 bool paperScale() {
@@ -33,7 +43,7 @@ bool paperScale() {
 }
 
 int benchRuns(int fallback) {
-  return envInt("GLR_BENCH_RUNS", paperScale() ? 10 : fallback);
+  return envInt("GLR_BENCH_RUNS", paperScale() ? 10 : fallback, 1);
 }
 
 }  // namespace glr::experiment

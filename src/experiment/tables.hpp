@@ -3,6 +3,7 @@
 /// Formatting helpers for the paper-vs-measured tables the benches print,
 /// plus environment knobs controlling bench scale.
 
+#include <climits>
 #include <cstdint>
 #include <string>
 
@@ -20,14 +21,17 @@ namespace glr::experiment {
 /// Percentage, e.g. 0.979 -> "97.9%".
 [[nodiscard]] std::string fmtPct(double ratio, int precision = 1);
 
-/// Integer environment variable with default (e.g. GLR_BENCH_RUNS).
-[[nodiscard]] int envInt(const char* name, int fallback);
+/// Integer environment variable (e.g. GLR_BENCH_RUNS): `fallback` when
+/// unset or empty. Otherwise the whole value must be a base-10 int no less
+/// than `min`; anything else (non-numeric, trailing characters, out of
+/// range) throws std::invalid_argument naming the variable and its value.
+[[nodiscard]] int envInt(const char* name, int fallback, int min = INT_MIN);
 
 /// Bench scale control: full paper scale when GLR_PAPER_SCALE=1.
 [[nodiscard]] bool paperScale();
 
-/// Number of seeds per configuration: GLR_BENCH_RUNS, else 10 at paper
-/// scale, else `fallback`.
+/// Number of seeds per configuration: GLR_BENCH_RUNS (at least 1), else 10
+/// at paper scale, else `fallback`.
 [[nodiscard]] int benchRuns(int fallback = 2);
 
 }  // namespace glr::experiment

@@ -1,9 +1,6 @@
 #include "routing/direct.hpp"
 
-#include <stdexcept>
-
 #include "checkpoint/event_kinds.hpp"
-#include "checkpoint/message_codec.hpp"
 #include "trace/recorder.hpp"
 
 namespace glr::routing {
@@ -23,16 +20,9 @@ DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
                                          DirectParams params,
                                          dtn::MetricsCollector* metrics,
                                          sim::Rng rng)
-    : world_(world),
-      self_(self),
-      params_(params),
-      metrics_(metrics),
-      rng_(rng),
-      neighbors_(world.sim(), world.macOf(self), self,
-                 [this] { return myPos(); }, params.hello, rng.fork(1)),
-      buffer_(params.storageLimit, params.expectedBufferedCopies) {
-  buffer_.setTrace(world_.trace(), self_);
-}
+    : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
+                params.expectedBufferedCopies),
+      params_(std::move(params)) {}
 
 void DirectDeliveryAgent::start() {
   neighbors_.start();
@@ -41,14 +31,7 @@ void DirectDeliveryAgent::start() {
 }
 
 void DirectDeliveryAgent::originate(int dstNode) {
-  dtn::Message m;
-  m.id = {self_, nextSeq_++};
-  m.srcNode = self_;
-  m.dstNode = dstNode;
-  m.created = world_.sim().now();
-  m.payloadBytes = params_.payloadBytes;
-  if (metrics_ != nullptr) metrics_->onCreated(m);
-  buffer_.addToStore(std::move(m));
+  buffer_.addToStore(newMessage(dstNode, params_.payloadBytes, /*ttl=*/0.0));
 }
 
 void DirectDeliveryAgent::check() {
@@ -70,9 +53,9 @@ void DirectDeliveryAgent::check() {
                   key.id.seq);
       }
       buffer_.erase(key);
-      ++dataSent_;
+      ++counters_.dataSent;
     } else {
-      ++sendRejects_;
+      ++counters_.sendRejects;
     }
   }
   world_.sim().schedule(params_.checkInterval, checkDesc(self_),
@@ -84,40 +67,16 @@ void DirectDeliveryAgent::onPacket(const net::Packet& packet, int fromMac) {
   if (packet.kind != kDirectDataKind) return;
   const auto* pm = packet.payload.get<dtn::Message>();
   if (pm == nullptr || pm->dstNode != self_) return;
-  if (deliveredHere_.insert(pm->id).second && metrics_ != nullptr) {
-    metrics_->onDelivered(*pm, world_.sim().now(), pm->hops + 1);
-  }
+  deliverHere(*pm, pm->hops + 1);
 }
-
-template <class Ar>
-void DirectDeliveryAgent::visitState(Ar& ar) {
-  ar.rng(rng_);
-  neighbors_.visit(ar);
-  buffer_.visit(ar);
-  ar.unorderedSet(deliveredHere_,
-                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
-  ar.u64(dataSent_);
-  ar.u64(sendRejects_);
-  ar.i32(nextSeq_);
-}
-
-void DirectDeliveryAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
-void DirectDeliveryAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void DirectDeliveryAgent::restoreEvent(const sim::EventKey& key,
                                        const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
-      return;
-    case ckpt::kDirectCheck:
-      world_.sim().scheduleKeyed(key, checkDesc(self_), [this] { check(); });
-      return;
-    default:
-      throw std::runtime_error{
-          "DirectDeliveryAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+  if (desc.kind != ckpt::kDirectCheck) {
+    AgentBase::restoreEvent(key, desc);
+    return;
   }
+  world_.sim().scheduleKeyed(key, checkDesc(self_), [this] { check(); });
 }
 
 }  // namespace glr::routing

@@ -1,6 +1,11 @@
 #include "routing/dtn_agent.hpp"
 
 #include <stdexcept>
+#include <string>
+
+#include "checkpoint/event_kinds.hpp"
+#include "checkpoint/message_codec.hpp"
+#include "dtn/metrics.hpp"
 
 namespace glr::routing {
 
@@ -18,6 +23,75 @@ void DtnAgent::restoreEvent(const sim::EventKey& /*key*/,
                             const sim::EventDesc& /*desc*/) {
   throw std::runtime_error{
       "DtnAgent: this protocol does not implement event restore"};
+}
+
+AgentBase::AgentBase(net::World& world, int self,
+                     dtn::MetricsCollector* metrics, sim::Rng rng,
+                     const net::NeighborService::Params& hello,
+                     std::size_t storageLimit,
+                     std::size_t expectedBufferedCopies)
+    : world_(world),
+      self_(self),
+      metrics_(metrics),
+      rng_(rng),
+      neighbors_(world.sim(), world.macOf(self), self,
+                 [this] { return myPos(); }, hello, rng.fork(1)),
+      buffer_(storageLimit, expectedBufferedCopies) {
+  buffer_.setTrace(world_.trace(), self_);
+}
+
+void AgentBase::harvestCounters(ProtocolCounters& out) const {
+#define GLR_ADD_COUNTER(field, resultField) out.field += counters_.field;
+  GLR_PROTOCOL_COUNTERS(GLR_ADD_COUNTER)
+#undef GLR_ADD_COUNTER
+  out.sendRejects += neighbors_.helloSendFailures();
+  out.bufferEvictions += buffer_.dropCount();
+  out.expiredDrops += buffer_.expiredCount();
+}
+
+dtn::Message AgentBase::newMessage(int dstNode, std::size_t payloadBytes,
+                                   double ttl) {
+  dtn::Message m;
+  m.id = {self_, nextSeq_++};
+  m.srcNode = self_;
+  m.dstNode = dstNode;
+  m.created = world_.sim().now();
+  m.payloadBytes = payloadBytes;
+  if (ttl > 0.0) m.expiresAt = m.created + ttl;
+  if (metrics_ != nullptr) metrics_->onCreated(m);
+  return m;
+}
+
+void AgentBase::deliverHere(const dtn::Message& m, int hops) {
+  if (deliveredHere_.insert(m.id).second && metrics_ != nullptr) {
+    metrics_->onDelivered(m, world_.sim().now(), hops);
+  }
+}
+
+template <class Ar>
+void AgentBase::visitState(Ar& ar) {
+  ar.rng(rng_);
+  neighbors_.visit(ar);
+  buffer_.visit(ar);
+  ar.unorderedSet(deliveredHere_,
+                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+#define GLR_VISIT_COUNTER(field, resultField) ar.u64(counters_.field);
+  GLR_PROTOCOL_COUNTERS(GLR_VISIT_COUNTER)
+#undef GLR_VISIT_COUNTER
+  ar.i32(nextSeq_);
+}
+
+void AgentBase::visit(ckpt::Encoder& ar) { visitState(ar); }
+void AgentBase::visit(ckpt::Decoder& ar) { visitState(ar); }
+
+void AgentBase::restoreEvent(const sim::EventKey& key,
+                             const sim::EventDesc& desc) {
+  if (desc.kind != ckpt::kHello) {
+    throw std::runtime_error{"routing agent of node " + std::to_string(self_) +
+                             ": cannot restore event kind " +
+                             std::to_string(static_cast<int>(desc.kind))};
+  }
+  neighbors_.restoreHelloEvent(key);
 }
 
 }  // namespace glr::routing

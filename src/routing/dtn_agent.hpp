@@ -1,29 +1,39 @@
 #pragma once
 /// \file dtn_agent.hpp
 /// Common interface for DTN routing agents (GLR, epidemic, baselines), so
-/// the experiment harness can drive any protocol uniformly.
+/// the experiment harness can drive any protocol uniformly, and AgentBase,
+/// the per-node scaffolding all four protocols share.
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_set>
 
+#include "dtn/buffer.hpp"
+#include "dtn/message.hpp"
+#include "net/neighbor.hpp"
 #include "net/world.hpp"
+#include "sim/rng.hpp"
 
 namespace glr::ckpt {
 class Encoder;  // checkpoint/codec.hpp
 class Decoder;
 }
+namespace glr::dtn {
+class MetricsCollector;  // dtn/metrics.hpp
+}
 
 namespace glr::routing {
 
-/// Protocol counters a routing agent can export to the experiment harness
-/// when a scenario ends, one X(field, resultField) entry each: `field` is
-/// the ProtocolCounters member, `resultField` the experiment::ScenarioResult
-/// member it is summed into over every agent. The result struct, its
-/// comparator, the end-of-run harvest and the per-node export columns are
-/// all generated from this list, so adding a counter is one entry here plus
-/// the producing agent's harvestCounters line. The vocabulary follows GLR
+/// Protocol counters a routing agent exports to the experiment harness when
+/// a scenario ends, one X(field, resultField) entry each: `field` is the
+/// ProtocolCounters member an agent increments directly (AgentBase's
+/// `counters_`), `resultField` the experiment::ScenarioResult member it is
+/// summed into over every agent. The result struct, its comparator, the
+/// agents' harvest and checkpoint visit, the end-of-run harvest and the
+/// per-node export columns are all generated from this list, so adding a
+/// counter is one entry here plus its increment. The vocabulary follows GLR
 /// (the paper's protocol, which defines every one of them); other protocols
-/// accumulate into whatever maps naturally and leave the rest zero.
+/// increment whatever maps naturally and leave the rest zero.
 #define GLR_PROTOCOL_COUNTERS(X)                                            \
   X(dataSent, glrDataSent)                                                  \
   X(dataReceived, glrDataReceived)                                          \
@@ -88,6 +98,78 @@ class DtnAgent : public net::Agent {
   /// checkpoint/event_kinds.hpp); agents throw on kinds they don't own.
   virtual void restoreEvent(const sim::EventKey& key,
                             const sim::EventDesc& desc);
+};
+
+/// What every routing protocol here keeps per node, written once: the hello
+/// service, the message buffer, the ids delivered here, the next message
+/// sequence number and one ProtocolCounters block that each protocol
+/// increments directly. A protocol derives from it and keeps only its own
+/// parameters, state, events and logic.
+class AgentBase : public DtnAgent {
+ public:
+  // The hello service's callbacks hold `this`.
+  AgentBase(const AgentBase&) = delete;
+  AgentBase& operator=(const AgentBase&) = delete;
+
+  /// A radio going down forgets every neighbor (stale on wake anyway).
+  void onRadioState(bool up) override {
+    if (!up) neighbors_.reset();
+  }
+
+  [[nodiscard]] std::size_t storageUsed() const override {
+    return buffer_.size();
+  }
+  [[nodiscard]] std::size_t storagePeak() const override {
+    return buffer_.peakSize();
+  }
+
+  /// Every listed counter, plus hello send failures (as sendRejects) and the
+  /// buffer's evictions and TTL expiries.
+  void harvestCounters(ProtocolCounters& out) const override;
+
+  /// The shared checkpoint state: RNG, hello service, buffer, delivered
+  /// set, counters in list order and the next sequence number. A protocol
+  /// with state of its own overrides both, visits this first, then its own.
+  void visit(ckpt::Encoder& ar) override;
+  void visit(ckpt::Decoder& ar) override;
+  /// Re-creates the hello beacon and throws on any other kind. A protocol
+  /// with events of its own overrides this and hands back every kind it
+  /// does not own.
+  void restoreEvent(const sim::EventKey& key,
+                    const sim::EventDesc& desc) override;
+
+  [[nodiscard]] const ProtocolCounters& counters() const { return counters_; }
+  [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }
+
+ protected:
+  AgentBase(net::World& world, int self, dtn::MetricsCollector* metrics,
+            sim::Rng rng, const net::NeighborService::Params& hello,
+            std::size_t storageLimit, std::size_t expectedBufferedCopies);
+
+  /// A new message from this node to `dstNode` with the next id, created
+  /// now, expiring `ttl` seconds later (never when `ttl` <= 0), already
+  /// reported to the metrics collector as created.
+  [[nodiscard]] dtn::Message newMessage(int dstNode, std::size_t payloadBytes,
+                                        double ttl);
+
+  /// Reports `m` delivered here after `hops` hops, unless it already was.
+  void deliverHere(const dtn::Message& m, int hops);
+
+  [[nodiscard]] geom::Point2 myPos() { return world_.positionOf(self_); }
+
+  net::World& world_;
+  int self_;
+  int nextSeq_ = 0;
+  dtn::MetricsCollector* metrics_;
+  sim::Rng rng_;
+  net::NeighborService neighbors_;
+  dtn::MessageBuffer buffer_;
+  std::unordered_set<dtn::MessageId> deliveredHere_;
+  ProtocolCounters counters_;
+
+ private:
+  template <class Ar>
+  void visitState(Ar& ar);
 };
 
 }  // namespace glr::routing

@@ -1,7 +1,5 @@
 #include "routing/epidemic.hpp"
 
-#include <stdexcept>
-
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "trace/recorder.hpp"
@@ -24,15 +22,9 @@ sim::EventDesc exchangeDesc(int self) {
 EpidemicAgent::EpidemicAgent(net::World& world, int self,
                              EpidemicParams params,
                              dtn::MetricsCollector* metrics, sim::Rng rng)
-    : world_(world),
-      self_(self),
-      params_(params),
-      metrics_(metrics),
-      rng_(rng),
-      neighbors_(world.sim(), world.macOf(self), self,
-                 [this] { return myPos(); }, params.hello, rng.fork(1)),
-      buffer_(params.storageLimit, params.expectedBufferedCopies) {
-  buffer_.setTrace(world_.trace(), self_);
+    : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
+                params.expectedBufferedCopies),
+      params_(std::move(params)) {
   neighbors_.setContactCallback(
       [this](int id) { sendSummary(id, /*full=*/true); });
 }
@@ -84,19 +76,10 @@ void EpidemicAgent::sendSummary(int to, bool full) {
   p.bytes = params_.svHeaderBytes + params_.svEntryBytes * sv.ids.size();
   p.payload = std::move(payload);
   if (!world_.macOf(self_).send(std::move(p), to)) ++counters_.sendRejects;
-  ++counters_.summariesSent;
 }
 
 void EpidemicAgent::originate(int dstNode) {
-  dtn::Message m;
-  m.id = {self_, nextSeq_++};
-  m.srcNode = self_;
-  m.dstNode = dstNode;
-  m.created = world_.sim().now();
-  m.payloadBytes = params_.payloadBytes;
-  if (params_.messageTtl > 0.0) m.expiresAt = m.created + params_.messageTtl;
-  if (metrics_ != nullptr) metrics_->onCreated(m);
-  addMessage(std::move(m));
+  addMessage(newMessage(dstNode, params_.payloadBytes, params_.messageTtl));
 }
 
 void EpidemicAgent::addMessage(dtn::Message m) {
@@ -137,7 +120,6 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
     if (!world_.macOf(self_).send(std::move(p), fromMac)) {
       ++counters_.sendRejects;
     }
-    ++counters_.requestsSent;
     return;
   }
 
@@ -185,11 +167,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
       return;
     }
     if (m.dstNode == self_) {
-      deliveredHere_.insert(m.id);
-      ++counters_.deliveredHere;
-      if (metrics_ != nullptr) {
-        metrics_->onDelivered(m, world_.sim().now(), m.hops);
-      }
+      deliverHere(m, m.hops);
       // The destination keeps the message buffered (epidemic never clears),
       // which also stops neighbors from re-sending it here.
     }
@@ -199,11 +177,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
 
 template <class Ar>
 void EpidemicAgent::visitState(Ar& ar) {
-  ar.rng(rng_);
-  neighbors_.visit(ar);
-  buffer_.visit(ar);
-  ar.unorderedSet(deliveredHere_,
-                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  AgentBase::visit(ar);
   ar.sequence(additions_, 12,
               [&](std::pair<std::uint64_t, dtn::MessageId>& added) {
                 ar.u64(added.first);
@@ -222,14 +196,6 @@ void EpidemicAgent::visitState(Ar& ar) {
     ckpt::visit(ar, id);
     ar.f64(at);
   });
-  ar.u64(counters_.summariesSent);
-  ar.u64(counters_.requestsSent);
-  ar.u64(counters_.dataSent);
-  ar.u64(counters_.dataReceived);
-  ar.u64(counters_.duplicatesDropped);
-  ar.u64(counters_.deliveredHere);
-  ar.u64(counters_.sendRejects);
-  ar.i32(nextSeq_);
 }
 
 void EpidemicAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
@@ -237,19 +203,12 @@ void EpidemicAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void EpidemicAgent::restoreEvent(const sim::EventKey& key,
                                  const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
-      return;
-    case ckpt::kEpidemicExchange:
-      world_.sim().scheduleKeyed(key, exchangeDesc(self_),
-                                 [this] { exchangeTick(); });
-      return;
-    default:
-      throw std::runtime_error{
-          "EpidemicAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+  if (desc.kind != ckpt::kEpidemicExchange) {
+    AgentBase::restoreEvent(key, desc);
+    return;
   }
+  world_.sim().scheduleKeyed(key, exchangeDesc(self_),
+                             [this] { exchangeTick(); });
 }
 
 }  // namespace glr::routing

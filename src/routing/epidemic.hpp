@@ -13,16 +13,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "dtn/buffer.hpp"
-#include "dtn/message.hpp"
-#include "dtn/metrics.hpp"
-#include "net/neighbor.hpp"
-#include "net/world.hpp"
 #include "routing/dtn_agent.hpp"
-#include "sim/rng.hpp"
 
 namespace glr::routing {
 
@@ -51,16 +44,6 @@ struct EpidemicParams {
   net::NeighborService::Params hello;  // neighbor-list piggyback disabled
 };
 
-struct EpidemicCounters {
-  std::uint64_t summariesSent = 0;
-  std::uint64_t requestsSent = 0;
-  std::uint64_t dataSent = 0;
-  std::uint64_t dataReceived = 0;
-  std::uint64_t duplicatesDropped = 0;
-  std::uint64_t deliveredHere = 0;
-  std::uint64_t sendRejects = 0;  // SV/request/data sends the MAC refused
-};
-
 /// Summary vector / request payloads.
 struct SummaryVector {
   std::vector<dtn::MessageId> ids;
@@ -73,7 +56,7 @@ inline constexpr const char* kEpSvKind = "ep-sv";
 inline constexpr const char* kEpReqKind = "ep-req";
 inline constexpr const char* kEpDataKind = "ep-data";
 
-class EpidemicAgent final : public DtnAgent {
+class EpidemicAgent final : public AgentBase {
  public:
   EpidemicAgent(net::World& world, int self, EpidemicParams params,
                 dtn::MetricsCollector* metrics, sim::Rng rng);
@@ -81,39 +64,17 @@ class EpidemicAgent final : public DtnAgent {
   void start() override;
   void onPacket(const net::Packet& packet, int fromMac) override;
   void originate(int dstNode) override;
-  void onRadioState(bool up) override {
-    if (!up) neighbors_.reset();
-  }
 
-  [[nodiscard]] std::size_t storageUsed() const override {
-    return buffer_.size();
-  }
-  [[nodiscard]] std::size_t storagePeak() const override {
-    return buffer_.peakSize();
-  }
-
-  void harvestCounters(ProtocolCounters& out) const override {
-    out.dataSent += counters_.dataSent;
-    out.dataReceived += counters_.dataReceived;
-    out.duplicatesDropped += counters_.duplicatesDropped;
-    out.sendRejects += counters_.sendRejects + neighbors_.helloSendFailures();
-    out.bufferEvictions += buffer_.dropCount();
-    out.expiredDrops += buffer_.expiredCount();
-  }
-
-  [[nodiscard]] const EpidemicCounters& counters() const { return counters_; }
-  [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }
-
-  /// Checkpoint support: hello service, buffer, delivered set, delta-offer
-  /// log/watermarks, request window, counters and RNG. Pending events
-  /// (hello beacon, exchange tick) are rebuilt via restoreEvent.
+  /// Checkpoint support: AgentBase's state, then the delta-offer
+  /// log/watermarks and the request window. The exchange tick is rebuilt
+  /// here, the hello beacon by AgentBase.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
   void restoreEvent(const sim::EventKey& key,
                     const sim::EventDesc& desc) override;
 
  private:
-  /// The checkpointed state, listed once for both archives.
+  /// The protocol's own checkpointed state, listed once for both archives.
   template <class Ar>
   void visitState(Ar& ar);
 
@@ -122,17 +83,8 @@ class EpidemicAgent final : public DtnAgent {
   void sendSummary(int to, bool full);
   void exchangeTick();
   void addMessage(dtn::Message m);
-  [[nodiscard]] geom::Point2 myPos() { return world_.positionOf(self_); }
 
-  net::World& world_;
-  int self_;
   EpidemicParams params_;
-  dtn::MetricsCollector* metrics_;
-  sim::Rng rng_;
-
-  net::NeighborService neighbors_;
-  dtn::MessageBuffer buffer_;
-  std::unordered_set<dtn::MessageId> deliveredHere_;
   /// Arrival-ordered log of stored message ids, for delta offers.
   std::vector<std::pair<std::uint64_t, dtn::MessageId>> additions_;
   std::uint64_t addSeq_ = 0;
@@ -141,8 +93,6 @@ class EpidemicAgent final : public DtnAgent {
   std::unordered_map<int, sim::SimTime> lastOfferAt_;
   /// Outstanding requests: id -> time requested (pruned lazily).
   std::unordered_map<dtn::MessageId, sim::SimTime> requestedAt_;
-  EpidemicCounters counters_;
-  int nextSeq_ = 0;
 };
 
 }  // namespace glr::routing

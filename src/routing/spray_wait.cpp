@@ -24,15 +24,9 @@ sim::EventDesc expiryDesc(int self) {
 SprayWaitAgent::SprayWaitAgent(net::World& world, int self,
                                SprayWaitParams params,
                                dtn::MetricsCollector* metrics, sim::Rng rng)
-    : world_(world),
-      self_(self),
-      params_(params),
-      metrics_(metrics),
-      rng_(rng),
-      neighbors_(world.sim(), world.macOf(self), self,
-                 [this] { return myPos(); }, params.hello, rng.fork(1)),
-      buffer_(params.storageLimit, params.expectedBufferedCopies) {
-  buffer_.setTrace(world_.trace(), self_);
+    : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
+                params.expectedBufferedCopies),
+      params_(std::move(params)) {
   neighbors_.setContactCallback([this](int id) { onContact(id); });
 }
 
@@ -62,14 +56,8 @@ void SprayWaitAgent::expiryTick() {
 }
 
 void SprayWaitAgent::originate(int dstNode) {
-  dtn::Message m;
-  m.id = {self_, nextSeq_++};
-  m.srcNode = self_;
-  m.dstNode = dstNode;
-  m.created = world_.sim().now();
-  m.payloadBytes = params_.payloadBytes;
-  if (params_.messageTtl > 0.0) m.expiresAt = m.created + params_.messageTtl;
-  if (metrics_ != nullptr) metrics_->onCreated(m);
+  dtn::Message m =
+      newMessage(dstNode, params_.payloadBytes, params_.messageTtl);
   budget_[m.id] = params_.copyBudget;
   buffer_.addToStore(std::move(m));
   // Offer immediately to whoever is already around (a fresh message would
@@ -95,7 +83,7 @@ void SprayWaitAgent::onContact(int id) {
   p.kind = kSwSvKind;
   p.bytes = params_.svHeaderBytes + params_.svEntryBytes * sv.ids.size();
   p.payload = std::move(payload);
-  if (!world_.macOf(self_).send(std::move(p), id)) ++sendRejects_;
+  if (!world_.macOf(self_).send(std::move(p), id)) ++counters_.sendRejects;
 }
 
 void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
@@ -117,7 +105,9 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
     p.kind = kSwReqKind;
     p.bytes = params_.svHeaderBytes + params_.svEntryBytes * req.ids.size();
     p.payload = std::move(payload);
-    if (!world_.macOf(self_).send(std::move(p), fromMac)) ++sendRejects_;
+    if (!world_.macOf(self_).send(std::move(p), fromMac)) {
+      ++counters_.sendRejects;
+    }
     return;
   }
 
@@ -138,12 +128,12 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
       p.bytes = m->payloadBytes + params_.dataHeaderBytes;
       p.payload = net::Payload::of(out);
       if (world_.macOf(self_).send(std::move(p), fromMac)) {
-        ++dataSent_;
+        ++counters_.dataSent;
         if (trace::Recorder* t = world_.trace()) {
           t->record(trace::EventType::kSend, self_, fromMac, id.src, id.seq);
         }
       } else {
-        ++sendRejects_;
+        ++counters_.sendRejects;
       }
       if (toDestination) {
         buffer_.erase({id, dtn::TreeFlag::kNone});
@@ -160,7 +150,7 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
     if (sd == nullptr) return;
     dtn::Message m = sd->message;
     m.hops += 1;
-    ++dataReceived_;
+    ++counters_.dataReceived;
     // Relay-path adversary hook (own traffic always accepted). The sender
     // has already handed over half its budget, so a blackhole relay burns
     // logical copies — exactly the attack surface the resilience bench
@@ -174,9 +164,7 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
       }
     }
     if (m.dstNode == self_) {
-      if (deliveredHere_.insert(m.id).second && metrics_ != nullptr) {
-        metrics_->onDelivered(m, world_.sim().now(), m.hops);
-      }
+      deliverHere(m, m.hops);
       return;
     }
     if (buffer_.containsAnyBranch(m.id)) return;
@@ -194,19 +182,11 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
 
 template <class Ar>
 void SprayWaitAgent::visitState(Ar& ar) {
-  ar.rng(rng_);
-  neighbors_.visit(ar);
-  buffer_.visit(ar);
+  AgentBase::visit(ar);
   ar.unorderedMap(budget_, [&](dtn::MessageId& id, int& budget) {
     ckpt::visit(ar, id);
     ar.i32(budget);
   });
-  ar.unorderedSet(deliveredHere_,
-                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
-  ar.u64(dataSent_);
-  ar.u64(dataReceived_);
-  ar.u64(sendRejects_);
-  ar.i32(nextSeq_);
 }
 
 void SprayWaitAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
@@ -214,23 +194,15 @@ void SprayWaitAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
 void SprayWaitAgent::restoreEvent(const sim::EventKey& key,
                                   const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
-      return;
-    case ckpt::kSprayExpiry:
-      if (params_.messageTtl <= 0.0) {
-        throw std::runtime_error{
-            "SprayWaitAgent: expiry event restored but no TTL configured"};
-      }
-      world_.sim().scheduleKeyed(key, expiryDesc(self_),
-                                 [this] { expiryTick(); });
-      return;
-    default:
-      throw std::runtime_error{
-          "SprayWaitAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+  if (desc.kind != ckpt::kSprayExpiry) {
+    AgentBase::restoreEvent(key, desc);
+    return;
   }
+  if (params_.messageTtl <= 0.0) {
+    throw std::runtime_error{
+        "SprayWaitAgent: expiry event restored but no TTL configured"};
+  }
+  world_.sim().scheduleKeyed(key, expiryDesc(self_), [this] { expiryTick(); });
 }
 
 }  // namespace glr::routing

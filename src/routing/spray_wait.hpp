@@ -6,16 +6,9 @@
 /// holding a single copy waits to meet the destination (direct delivery).
 
 #include <unordered_map>
-#include <unordered_set>
 
-#include "dtn/buffer.hpp"
-#include "dtn/message.hpp"
-#include "dtn/metrics.hpp"
-#include "net/neighbor.hpp"
-#include "net/world.hpp"
 #include "routing/dtn_agent.hpp"
 #include "routing/epidemic.hpp"
-#include "sim/rng.hpp"
 
 namespace glr::routing {
 
@@ -45,7 +38,7 @@ inline constexpr const char* kSwSvKind = "sw-sv";
 inline constexpr const char* kSwReqKind = "sw-req";
 inline constexpr const char* kSwDataKind = "sw-data";
 
-class SprayWaitAgent final : public DtnAgent {
+class SprayWaitAgent final : public AgentBase {
  public:
   SprayWaitAgent(net::World& world, int self, SprayWaitParams params,
                  dtn::MetricsCollector* metrics, sim::Rng rng);
@@ -53,55 +46,25 @@ class SprayWaitAgent final : public DtnAgent {
   void start() override;
   void onPacket(const net::Packet& packet, int fromMac) override;
   void originate(int dstNode) override;
-  void onRadioState(bool up) override {
-    if (!up) neighbors_.reset();
-  }
 
-  [[nodiscard]] std::size_t storageUsed() const override {
-    return buffer_.size();
-  }
-  [[nodiscard]] std::size_t storagePeak() const override {
-    return buffer_.peakSize();
-  }
-
-  void harvestCounters(ProtocolCounters& out) const override {
-    out.dataSent += dataSent_;
-    out.dataReceived += dataReceived_;
-    out.sendRejects += sendRejects_ + neighbors_.helloSendFailures();
-    out.bufferEvictions += buffer_.dropCount();
-    out.expiredDrops += buffer_.expiredCount();
-  }
-
-  /// Checkpoint support: hello service, buffer, per-id copy budgets,
-  /// delivered set, counters and RNG. Pending events (hello beacon, expiry
-  /// sweep when a TTL is configured) are rebuilt via restoreEvent.
+  /// Checkpoint support: AgentBase's state, then the per-id copy budgets.
+  /// The expiry sweep (when a TTL is configured) is rebuilt here, the hello
+  /// beacon by AgentBase.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
   void restoreEvent(const sim::EventKey& key,
                     const sim::EventDesc& desc) override;
 
  private:
-  /// The checkpointed state, listed once for both archives.
+  /// The protocol's own checkpointed state, listed once for both archives.
   template <class Ar>
   void visitState(Ar& ar);
 
   void onContact(int id);
   void expiryTick();
-  [[nodiscard]] geom::Point2 myPos() { return world_.positionOf(self_); }
 
-  net::World& world_;
-  int self_;
   SprayWaitParams params_;
-  dtn::MetricsCollector* metrics_;
-  sim::Rng rng_;
-  net::NeighborService neighbors_;
-  dtn::MessageBuffer buffer_;
   std::unordered_map<dtn::MessageId, int> budget_;  // copies left here
-  std::unordered_set<dtn::MessageId> deliveredHere_;
-  std::uint64_t dataSent_ = 0;
-  std::uint64_t dataReceived_ = 0;
-  std::uint64_t sendRejects_ = 0;  // SV/request/data sends the MAC refused
-  int nextSeq_ = 0;
 };
 
 }  // namespace glr::routing

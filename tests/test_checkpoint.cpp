@@ -247,7 +247,7 @@ TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Format pin: the GLRK v2 bytes of one small snapshot per protocol family
+// Format pin: the GLRK v3 bytes of one small snapshot per protocol family
 // (plus the calendar kernel) are fixed, so existing .ckpt files and in-cell
 // sweep snapshots keep restoring and snapshot sizes cannot drift silently.
 // A deliberate layout change must bump kCheckpointVersion, not re-pin; a
@@ -273,7 +273,7 @@ void expectPinnedDigest(ScenarioConfig cfg, const std::string& name,
   const std::vector<char> bytes = slurp(path);
   EXPECT_EQ(glr::ckpt::fnv1a64(bytes.data(), bytes.size()), digest)
       << name << ": checkpoint bytes changed (" << bytes.size()
-      << " bytes) — the GLRK v2 format is pinned";
+      << " bytes) — the GLRK v3 format is pinned";
   removeSnapshots(path);
 }
 
@@ -281,7 +281,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0xb1ccec35978531b2ULL);
+                     0xd9a4fe2a3f43c060ULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -290,7 +290,7 @@ TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
   cfg.traffic.rate = 3.0;
   cfg.messageTtl = 60.0;
   expectPinnedDigest(cfg, "pin_epidemic.bin",
-                     0xa792fce2d0b47f2bULL);
+                     0x952665414cdef2daULL);
 }
 
 TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
@@ -299,7 +299,7 @@ TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
   cfg.traffic.model = "hotspot";
   cfg.traffic.rate = 3.0;
   expectPinnedDigest(cfg, "pin_spray.bin",
-                     0x166b6ba5c6ffd507ULL);
+                     0xe708346361f69353ULL);
 }
 
 TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
@@ -307,7 +307,7 @@ TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
   cfg.traffic.model = "flashcrowd";
   cfg.traffic.rate = 2.0;
   expectPinnedDigest(cfg, "pin_direct.bin",
-                     0x6fe6092d841ff5c3ULL);
+                     0x82837c181a876d04ULL);
 }
 
 TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
@@ -315,7 +315,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0x8114153399acf227ULL);
+                     0x1bf0c0b29642c4fdULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,29 +380,35 @@ TEST(Checkpoint, VersionMismatchRefused) {
   const std::string path = tmpPath("ckpt_version.bin");
   ScenarioConfig cfg = snapshotScenario(path);
   (void)runScenario(cfg);
+  const std::vector<char> good = slurp(path);
+  ASSERT_GT(good.size(), 16u);
 
-  // Bump the version field (offset 4, u16 LE) and re-seal the checksum so
-  // the version check itself — not the integrity check — is what fires.
-  std::vector<char> bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 16u);
-  bytes[4] = static_cast<char>(glr::ckpt::kCheckpointVersion + 1);
-  const std::uint64_t sum =
-      glr::ckpt::fnv1a64(bytes.data(), bytes.size() - 8);
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<char>((sum >> (8 * i)) & 0xff);
-  }
-  spit(path, bytes);
+  // The previous format and the next one. Rewrite the version field
+  // (offset 4, u16 LE) and re-seal the checksum so the version check
+  // itself — not the integrity check — is what fires.
+  for (const int version : {glr::ckpt::kCheckpointVersion - 1,
+                            glr::ckpt::kCheckpointVersion + 1}) {
+    SCOPED_TRACE(version);
+    std::vector<char> bytes = good;
+    bytes[4] = static_cast<char>(version);
+    const std::uint64_t sum =
+        glr::ckpt::fnv1a64(bytes.data(), bytes.size() - 8);
+    for (int i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+          static_cast<char>((sum >> (8 * i)) & 0xff);
+    }
+    spit(path, bytes);
 
-  ScenarioConfig resumed = cfg;
-  resumed.checkpointPath.clear();
-  resumed.restoreFrom = path;
-  try {
-    (void)runScenario(resumed);
-    FAIL() << "version mismatch not detected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos)
-        << e.what();
+    ScenarioConfig resumed = cfg;
+    resumed.checkpointPath.clear();
+    resumed.restoreFrom = path;
+    try {
+      (void)runScenario(resumed);
+      FAIL() << "version mismatch not detected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }

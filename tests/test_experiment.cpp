@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "checkpoint/scenario_checkpoint.hpp"
 #include "dtn/metrics.hpp"
+#include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "experiment/tables.hpp"
 
@@ -264,6 +270,99 @@ TEST(Tables, Formatting) {
   EXPECT_EQ(fmtCI(ci, 1), "120.2 ± 8.5");
   ci.samples = 1;
   EXPECT_EQ(fmtCI(ci, 1), "120.2");
+}
+
+/// Sets (or, given nullopt, unsets) one environment variable for a scope,
+/// then restores its previous state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, std::optional<std::string> value)
+      : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    set(value);
+  }
+  ~ScopedEnv() { set(old_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void set(const std::optional<std::string>& value) {
+    if (value) {
+      ::setenv(name_, value->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <class Fn>
+std::string invalidArgument(Fn&& fn) {
+  try {
+    (void)fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Tables, EnvIntParsesWholeIntegersOnly) {
+  using glr::experiment::envInt;
+  {
+    const ScopedEnv env{"GLR_TEST_INT", std::nullopt};
+    EXPECT_EQ(envInt("GLR_TEST_INT", 7), 7);
+  }
+  {
+    const ScopedEnv env{"GLR_TEST_INT", ""};
+    EXPECT_EQ(envInt("GLR_TEST_INT", 7), 7);
+  }
+  {
+    const ScopedEnv env{"GLR_TEST_INT", "-12"};
+    EXPECT_EQ(envInt("GLR_TEST_INT", 7), -12);
+  }
+  for (const char* bad : {"4x", "abc", " 4", "4 ", "2.5", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    const ScopedEnv env{"GLR_TEST_INT", bad};
+    const std::string what =
+        invalidArgument([] { return envInt("GLR_TEST_INT", 7); });
+    EXPECT_NE(what.find("GLR_TEST_INT"), std::string::npos) << what;
+    EXPECT_NE(what.find(bad), std::string::npos) << what;
+  }
+}
+
+TEST(Tables, BenchRunsRejectsFewerThanOneSeed) {
+  for (const char* bad : {"0", "-3", "2x"}) {
+    SCOPED_TRACE(bad);
+    const ScopedEnv env{"GLR_BENCH_RUNS", bad};
+    EXPECT_NE(invalidArgument([] { return glr::experiment::benchRuns(2); }),
+              "");
+  }
+  const ScopedEnv env{"GLR_BENCH_RUNS", "3"};
+  EXPECT_EQ(glr::experiment::benchRuns(2), 3);
+}
+
+TEST(Tables, BenchThreadsIsStrictAndZeroMeansHardware) {
+  using glr::experiment::defaultThreads;
+  const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+  {
+    const ScopedEnv env{"GLR_BENCH_THREADS", std::nullopt};
+    EXPECT_EQ(defaultThreads(), hw);
+  }
+  {
+    const ScopedEnv env{"GLR_BENCH_THREADS", "0"};
+    EXPECT_EQ(defaultThreads(), hw);
+  }
+  {
+    const ScopedEnv env{"GLR_BENCH_THREADS", "3"};
+    EXPECT_EQ(defaultThreads(), 3u);
+  }
+  for (const char* bad : {"4x", "-1", "many"}) {
+    SCOPED_TRACE(bad);
+    const ScopedEnv env{"GLR_BENCH_THREADS", bad};
+    EXPECT_NE(invalidArgument([] { return defaultThreads(); }), "");
+  }
 }
 
 }  // namespace

@@ -31,20 +31,6 @@ using glr::ckpt::CheckpointFile;
 using glr::experiment::ScenarioConfig;
 using glr::experiment::ScenarioResult;
 
-/// Section ids assigned by scenario_checkpoint.cpp (append-only).
-const char* sectionName(std::uint32_t id) {
-  switch (id) {
-    case 1: return "events";
-    case 2: return "channel";
-    case 3: return "nodes";
-    case 4: return "churn";
-    case 5: return "faults";
-    case 6: return "traffic";
-    case 7: return "metrics";
-    default: return "unknown";
-  }
-}
-
 int cmdValidate(const std::string& path) {
   const CheckpointFile f = CheckpointFile::read(path);
   std::printf("ok: %zu sections, sim time %.6f\n", f.sections.size(),
@@ -64,7 +50,7 @@ int cmdSummary(const std::string& path) {
   std::printf("sections           %zu\n", f.sections.size());
   for (const glr::ckpt::Section& s : f.sections) {
     std::printf("  [%u] %-8s %zu bytes\n", static_cast<unsigned>(s.id),
-                sectionName(s.id), s.bytes.size());
+                glr::ckpt::sectionName(s.id), s.bytes.size());
   }
   return 0;
 }
