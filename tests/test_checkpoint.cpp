@@ -319,6 +319,136 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
 }
 
 // ---------------------------------------------------------------------------
+// Config digest pin: the digest of the default config, of one that sets
+// every digested knob (nested ones included) to a distinct non-default
+// value, and of one that changes only what the digest skips. Checkpoints
+// and sweep journals record this digest, so none of these values may move.
+// ---------------------------------------------------------------------------
+
+/// Every digested knob off its default, each to a distinct value.
+ScenarioConfig everyKnobConfig() {
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kSprayAndWait;
+  cfg.numNodes = 77;
+  cfg.areaWidth = 1234.5;
+  cfg.areaHeight = 321.5;
+  cfg.radius = 87.5;
+  cfg.speedMin = 0.25;
+  cfg.speedMax = 17.5;
+  cfg.pause = 2.25;
+  cfg.bitRateBps = 2e6;
+  cfg.queueLimit = 99;
+  cfg.mobility.model = "manhattan";
+  cfg.mobility.numClusters = 6;
+  cfg.mobility.params.legDuration = 12.5;
+  cfg.mobility.params.updateInterval = 1.75;
+  cfg.mobility.params.alpha = 0.65;
+  cfg.mobility.params.meanSpeed = 7.25;
+  cfg.mobility.params.gridSpacing = 120.5;
+  cfg.mobility.params.turnProb = 0.35;
+  cfg.mobility.params.clusterStddev = 55.5;
+  cfg.mobility.params.roamProb = 0.15;
+  cfg.churn.enabled = true;
+  cfg.churn.params.fraction = 0.45;
+  cfg.churn.params.upMean = 111.0;
+  cfg.churn.params.downMean = 33.0;
+  cfg.churn.params.start = 4.5;
+  cfg.radiusSpreadMin = 0.8;
+  cfg.radiusSpreadMax = 1.3;
+  cfg.simTime = 555.0;
+  cfg.numMessages = 123;
+  cfg.messageInterval = 1.25;
+  cfg.trafficStart = 12.75;
+  cfg.trafficNodes = 44;
+  cfg.traffic.model = "onoff";
+  cfg.traffic.rate = 6.5;
+  cfg.traffic.maxMessages = 4321;
+  cfg.traffic.onMean = 11.5;
+  cfg.traffic.offMean = 29.5;
+  cfg.traffic.hotspotFraction = 0.12;
+  cfg.traffic.hotspotWeight = 0.85;
+  cfg.traffic.flashStart = 0.42;
+  cfg.traffic.flashDuration = 0.11;
+  cfg.traffic.flashMultiplier = 7.5;
+  cfg.faults.enabled = true;
+  cfg.faults.params.start = 3.5;
+  cfg.faults.params.burstRate = 0.07;
+  cfg.faults.params.burstMean = 2.75;
+  cfg.faults.params.lossProb = 0.55;
+  cfg.faults.params.corruptProb = 0.015;
+  cfg.faults.params.stallRate = 0.025;
+  cfg.faults.params.stallMean = 5.5;
+  cfg.faults.params.adversary.blackholeFraction = 0.05;
+  cfg.faults.params.adversary.greyholeFraction = 0.06;
+  cfg.faults.params.adversary.greyholeDropProb = 0.47;
+  cfg.faults.params.adversary.selfishFraction = 0.04;
+  cfg.faults.params.adversary.flappingFraction = 0.08;
+  cfg.faults.params.adversary.flapUpMean = 21.5;
+  cfg.faults.params.adversary.flapDownMean = 4.75;
+  cfg.storageLimit = 66;
+  cfg.checkInterval = 0.95;
+  cfg.custody = false;
+  cfg.faceRouting = false;
+  cfg.copiesOverride = 3;
+  cfg.locationMode = glr::core::LocationMode::kNoneKnow;
+  cfg.helloInterval = 0.7;
+  cfg.cacheTimeout = 6.25;
+  cfg.sprayBudget = 9;
+  cfg.custodyWatermark = 41;
+  cfg.congestionControl = true;
+  cfg.glrRecovery = true;
+  cfg.glrSuspicionThreshold = 4;
+  cfg.glrRecoveryAfterFailures = 5;
+  cfg.glrRecoveryFanout = 7;
+  cfg.glrRecoveryCooldown = 16.5;
+  cfg.glrSuspicionTtl = 130.0;
+  cfg.messageTtl = 95.0;
+  cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
+  cfg.spatialIndex = glr::experiment::SpatialIndexMode::kTiled;
+  cfg.neighborEvictAfterFactor = 2.5;
+  cfg.locationEvictAfter = 45.0;
+  cfg.checkpointEvery = 25.0;
+  cfg.seed = 987654321;
+  return cfg;
+}
+
+/// The default config with only what the digest skips changed: the host
+/// settings, and the mobility params runScenario overlays per run.
+ScenarioConfig skippedFieldsConfig() {
+  ScenarioConfig cfg;
+  cfg.tracePath = "run.trace";
+  cfg.traceRingCapacity = 1 << 10;
+  cfg.nodeCountersPath = "nodes.json";
+  cfg.checkpointPath = "run.ckpt";
+  cfg.restoreFrom = "old.ckpt";
+  cfg.wallDeadlineSeconds = 30.0;
+  cfg.mobility.params.area = {10.0, 20.0};
+  cfg.mobility.params.speedMin = 1.0;
+  cfg.mobility.params.speedMax = 2.0;
+  cfg.mobility.params.pause = 3.0;
+  cfg.mobility.params.home = {4.0, 5.0};
+  return cfg;
+}
+
+TEST(CheckpointFormat, ConfigDigestPinned) {
+  struct Row {
+    const char* name;
+    ScenarioConfig cfg;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {"default", ScenarioConfig{}, 0xd71cc8386ea4d966ULL},
+      {"every knob", everyKnobConfig(), 0xc19a0a38adde852bULL},
+      {"skipped fields only", skippedFieldsConfig(), 0xd71cc8386ea4d966ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(glr::ckpt::configDigest(row.cfg), row.digest)
+        << std::hex << "0x" << glr::ckpt::configDigest(row.cfg);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Error paths: the reader refuses loudly, never limps.
 // ---------------------------------------------------------------------------
 
