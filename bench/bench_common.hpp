@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +125,23 @@ inline std::string hostJson() {
 /// `fallback` when unset; throws on any other value (see envInt).
 inline int benchNodes(int fallback) {
   return experiment::envInt("GLR_BENCH_NODES", fallback, 2);
+}
+/// The --nodes flag's value, by the GLR_BENCH_NODES rule.
+inline int nodesFlag(const char* value) {
+  return experiment::parseInt("--nodes", value, 2);
+}
+
+/// Runs a bench's `body(argc, argv)`. A rejected integer setting (envInt
+/// and parseInt throw std::invalid_argument) ends it like a bad flag: one
+/// "<bench>: <message>" line on stderr and exit status 2.
+inline int guardedMain(const char* bench, int (*body)(int, char**), int argc,
+                       char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s: %s\n", bench, err.what());
+    return 2;
+  }
 }
 
 /// Rescales a scenario to `nodes` at constant node density: the area grows

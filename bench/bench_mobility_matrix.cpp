@@ -68,7 +68,7 @@ std::vector<ScenarioConfig> matrixGrid(const std::vector<Cell>& cells,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int benchMain(int argc, char** argv) {
   bool quick = false;
   std::string outPath = "BENCH_mobility.json";
   for (int i = 1; i < argc; ++i) {
@@ -187,4 +187,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("\nwrote %s\n", outPath.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return glr::bench::guardedMain("bench_mobility_matrix", benchMain, argc, argv);
 }

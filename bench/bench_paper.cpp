@@ -422,7 +422,7 @@ void runExperiment(const Experiment& e, int runs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int benchMain(int argc, char** argv) {
   const std::vector<Experiment> all = experiments();
   std::vector<const Experiment*> chosen;
   for (int i = 1; i < argc; ++i) {
@@ -444,4 +444,8 @@ int main(int argc, char** argv) {
   const int runs = glr::experiment::benchRuns(2);
   for (const Experiment* e : chosen) runExperiment(*e, runs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return glr::bench::guardedMain("bench_paper", benchMain, argc, argv);
 }

@@ -103,7 +103,7 @@ ScenarioConfig cellConfig(const Variant& v, const char* mobility,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int benchMain(int argc, char** argv) {
   bool quick = false;
   std::string outPath = "BENCH_resilience.json";
   for (int i = 1; i < argc; ++i) {
@@ -293,4 +293,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", outPath.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return glr::bench::guardedMain("bench_resilience", benchMain, argc, argv);
 }

@@ -77,7 +77,7 @@ ScenarioConfig cellConfig(const Variant& v, double load, bool quick) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int benchMain(int argc, char** argv) {
   bool quick = false;
   std::string outPath = "BENCH_saturation.json";
   for (int i = 1; i < argc; ++i) {
@@ -232,4 +232,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("\nwrote %s\n", outPath.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return glr::bench::guardedMain("bench_saturation", benchMain, argc, argv);
 }

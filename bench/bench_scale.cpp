@@ -23,13 +23,13 @@
 ///   --quick   CI mode: 1k + 10k cells only, short horizons, and a hard
 ///             assert that the 10k cell stays under the committed
 ///             resident-bytes-per-node ceiling.
-///   --nodes   run one extra cell at exactly N nodes (also GLR_BENCH_NODES).
+///   --nodes   run one extra cell at exactly N nodes, N an integer >= 2
+///             (also GLR_BENCH_NODES).
 ///   --out     machine-readable results (default BENCH_scale.json).
 /// Full mode sweeps 1k / 10k / 100k full runs plus a 1M-node smoke cell.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -179,7 +179,7 @@ bool abMatrixIdentical(int nodes, double simTime, int messages) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int benchMain(int argc, char** argv) {
   bool quick = false;
   int extraNodes = benchNodes(0);
   std::string outPath = "BENCH_scale.json";
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       outPath = argv[++i];
     } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      extraNodes = std::atoi(argv[++i]);
+      extraNodes = glr::bench::nodesFlag(argv[++i]);
     } else {
       std::fprintf(stderr, "usage: %s [--quick] [--nodes N] [--out FILE]\n",
                    argv[0]);
@@ -277,4 +277,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", outPath.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return glr::bench::guardedMain("bench_scale", benchMain, argc, argv);
 }

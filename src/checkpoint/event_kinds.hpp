@@ -5,10 +5,11 @@
 /// Closures are not serializable, so every schedule site tags its event
 /// with a sim::EventDesc naming the site (kind) and its captures (the
 /// b/i/u/f fields; which field holds what is documented per kind below).
-/// At restore, scenario_checkpoint.cpp dispatches each saved descriptor to
-/// the component that owns the site, which re-creates the exact callback
-/// under the exact original (time, seq) key. Values are part of the on-disk
-/// checkpoint format — append only, never renumber.
+/// At restore, scenario_checkpoint.cpp routes each saved descriptor to the
+/// restoreEvent(key, desc) of the component that owns the site, which
+/// reads its own fields and re-creates the exact callback under the exact
+/// original (time, seq) key and the saved descriptor. Values are part of
+/// the on-disk checkpoint format — append only, never renumber.
 
 #include <cstdint>
 

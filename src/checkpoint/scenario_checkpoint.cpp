@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
@@ -18,57 +19,45 @@ namespace glr::ckpt {
 
 namespace {
 
-void digestMobility(Encoder& e, const experiment::MobilitySpec& m) {
-  e.str(m.model);
-  e.i32(m.numClusters);
-  const mobility::ModelParams& p = m.params;
-  // area/speedMin/speedMax/pause are overlaid from ScenarioConfig (already
-  // digested); home is overlaid per node from the cluster stream.
-  e.f64(p.legDuration);
-  e.f64(p.updateInterval);
-  e.f64(p.alpha);
-  e.f64(p.meanSpeed);
-  e.f64(p.gridSpacing);
-  e.f64(p.turnProb);
-  e.f64(p.clusterStddev);
-  e.f64(p.roamProb);
+/// One digested knob, encoded by type. A struct lands here only when no
+/// overload below walks its field list, which fails to compile.
+template <class T>
+void digest(Encoder& e, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    e.boolean(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    e.f64(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                       std::is_same_v<T, std::size_t>) {
+    e.u64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    e.str(v);
+  } else if constexpr (std::is_same_v<T, int> || std::is_enum_v<T>) {
+    e.i32(static_cast<std::int32_t>(v));
+  } else {
+    static_assert(sizeof(T) == 0,
+                  "no digest encoding: a struct knob needs a field list");
+  }
 }
 
-void digestTraffic(Encoder& e, const experiment::TrafficSpec& t) {
-  e.str(t.model);
-  e.f64(t.rate);
-  e.u64(t.maxMessages);
-  e.f64(t.onMean);
-  e.f64(t.offMean);
-  e.f64(t.hotspotFraction);
-  e.f64(t.hotspotWeight);
-  e.f64(t.flashStart);
-  e.f64(t.flashDuration);
-  e.f64(t.flashMultiplier);
-}
-
-void digestFaults(Encoder& e, const experiment::FaultSpec& f) {
-  e.boolean(f.enabled);
-  const net::FaultProcess::Params& p = f.params;
-  e.f64(p.start);
-  e.f64(p.burstRate);
-  e.f64(p.burstMean);
-  e.f64(p.lossProb);
-  e.f64(p.corruptProb);
-  e.f64(p.stallRate);
-  e.f64(p.stallMean);
-  const net::AdversaryModel::Params& a = p.adversary;
-  e.f64(a.blackholeFraction);
-  e.f64(a.greyholeFraction);
-  e.f64(a.greyholeDropProb);
-  e.f64(a.selfishFraction);
-  e.f64(a.flappingFraction);
-  e.f64(a.flapUpMean);
-  e.f64(a.flapDownMean);
-}
+#define GLR_DIGEST(type, name, def) digest(e, v.name);
+#define GLR_SKIP(type, name, def)
+#define GLR_DIGEST_RETIRED(type, value) digest(e, type{value});
+#define GLR_DIGEST_STRUCT(Type, LIST) \
+  void digest(Encoder& e, const Type& v) { LIST(GLR_DIGEST) }
+// Inner structs first: each walk names the overloads declared above it.
+GLR_DIGEST_STRUCT(mobility::ModelParams, GLR_MOBILITY_MODEL_KNOBS)
+GLR_DIGEST_STRUCT(net::ChurnProcess::Params, GLR_CHURN_PARAMS)
+GLR_DIGEST_STRUCT(net::AdversaryModel::Params, GLR_ADVERSARY_PARAMS)
+GLR_DIGEST_STRUCT(net::FaultProcess::Params, GLR_FAULT_PARAMS)
+GLR_DIGEST_STRUCT(experiment::TrafficSpec, GLR_TRAFFIC_SPEC)
+GLR_DIGEST_STRUCT(experiment::MobilitySpec, GLR_MOBILITY_SPEC)
+GLR_DIGEST_STRUCT(experiment::ChurnSpec, GLR_CHURN_SPEC)
+GLR_DIGEST_STRUCT(experiment::FaultSpec, GLR_FAULT_SPEC)
+#undef GLR_DIGEST_STRUCT
 
 /// Bytes per pending-event record: (timeBits, seq) key + descriptor.
-constexpr std::size_t kEventRecordBytes = 58;
+constexpr std::size_t kEventRecordBytes = 60;
 
 /// One pending-event record: its (timeBits, seq) key and descriptor.
 template <class Ar>
@@ -158,65 +147,16 @@ const char* sectionName(std::uint32_t id) {
   }
 }
 
-std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
+std::uint64_t configDigest(const experiment::ScenarioConfig& v) {
   Encoder e;
   e.u16(1);  // digest schema version
-  e.i32(static_cast<std::int32_t>(cfg.protocol));
-  e.i32(cfg.numNodes);
-  e.f64(cfg.areaWidth);
-  e.f64(cfg.areaHeight);
-  e.f64(cfg.radius);
-  e.f64(cfg.speedMin);
-  e.f64(cfg.speedMax);
-  e.f64(cfg.pause);
-  e.f64(cfg.bitRateBps);
-  e.u64(cfg.queueLimit);
-  digestMobility(e, cfg.mobility);
-  e.boolean(cfg.churn.enabled);
-  e.f64(cfg.churn.params.fraction);
-  e.f64(cfg.churn.params.upMean);
-  e.f64(cfg.churn.params.downMean);
-  e.f64(cfg.churn.params.start);
-  e.f64(cfg.radiusSpreadMin);
-  e.f64(cfg.radiusSpreadMax);
-  e.f64(cfg.simTime);
-  e.i32(cfg.numMessages);
-  e.f64(cfg.messageInterval);
-  e.f64(cfg.trafficStart);
-  e.i32(cfg.trafficNodes);
-  digestTraffic(e, cfg.traffic);
-  digestFaults(e, cfg.faults);
-  e.u64(cfg.storageLimit);
-  e.f64(cfg.checkInterval);
-  e.boolean(cfg.custody);
-  e.boolean(cfg.faceRouting);
-  // Slot of the retired per-node witness-veto switch. It defaulted to on,
-  // so hashing `true` here keeps every config digest, and with it every
-  // checkpoint and sweep-journal digest, unchanged.
-  e.boolean(true);
-  e.i32(cfg.copiesOverride);
-  e.i32(static_cast<std::int32_t>(cfg.locationMode));
-  e.f64(cfg.helloInterval);
-  e.f64(cfg.cacheTimeout);
-  e.i32(cfg.sprayBudget);
-  e.u64(cfg.custodyWatermark);
-  e.boolean(cfg.congestionControl);
-  e.boolean(cfg.glrRecovery);
-  e.i32(cfg.glrSuspicionThreshold);
-  e.i32(cfg.glrRecoveryAfterFailures);
-  e.i32(cfg.glrRecoveryFanout);
-  e.f64(cfg.glrRecoveryCooldown);
-  e.f64(cfg.glrSuspicionTtl);
-  e.f64(cfg.messageTtl);
-  e.i32(static_cast<std::int32_t>(cfg.kernelQueue));
-  e.i32(static_cast<std::int32_t>(cfg.spatialIndex));
-  e.f64(cfg.neighborEvictAfterFactor);
-  e.f64(cfg.locationEvictAfter);
-  e.f64(cfg.checkpointEvery);
-  e.u64(cfg.seed);
+  GLR_SCENARIO_CONFIG(GLR_DIGEST, GLR_SKIP, GLR_DIGEST_RETIRED)
   const std::vector<unsigned char> bytes = e.take();
   return fnv1a64(bytes.data(), bytes.size());
 }
+#undef GLR_DIGEST
+#undef GLR_SKIP
+#undef GLR_DIGEST_RETIRED
 
 void writeCheckpoint(const std::string& path, const ScenarioComponents& c) {
   if (c.sim == nullptr || c.world == nullptr || c.cfg == nullptr ||
@@ -281,7 +221,7 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
 
   // Kernel first: drop every construction-time event, rewind the clock and
   // counters, then overwrite component state before any event re-creation
-  // (restore*Event methods re-arm cancellation handles that the restoring
+  // (restoreEvent methods re-arm cancellation handles that the restoring
   // visits reset).
   c.sim->clearPending();
   c.sim->restoreClock(f.simNow, f.nextSeq, f.executed);
@@ -293,8 +233,9 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
     d.expectEnd();
   });
 
-  // Pending events last, each dispatched to its owning component and
-  // re-created under the exact saved (timeBits, seq) key.
+  // Pending events last, each routed to its owning component, which reads
+  // its own descriptor fields and re-creates the event under the exact
+  // saved (timeBits, seq) key and descriptor.
   Decoder d = sectionDecoder(f, kSectionEvents, path);
   std::size_t nEvents = 0;
   d.count(nEvents, kEventRecordBytes);
@@ -315,52 +256,32 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
 
     switch (desc.kind) {
       case kChannelTxEnd:
-        c.world->channel().restoreTxEndEvent(key, desc.u0);
+        c.world->channel().restoreEvent(key, desc);
         break;
       case kMacAttempt:
-        c.world->macOf(nodeOf(desc.i0)).restoreAttemptEvent(key);
-        break;
       case kMacBackoffExpire:
-        c.world->macOf(nodeOf(desc.i0)).restoreBackoffEvent(key);
-        break;
       case kMacTxEnd:
-        c.world->macOf(nodeOf(desc.i0))
-            .restoreTxEndEvent(key, desc.b0 != 0, desc.u0);
-        break;
       case kMacAckTimeout:
-        c.world->macOf(nodeOf(desc.i0)).restoreAckTimeoutEvent(key);
-        break;
       case kMacAckReply:
-        c.world->macOf(nodeOf(desc.i0))
-            .restoreAckReplyEvent(key, desc.i1, desc.u0, desc.f0, desc.u1);
+        c.world->macOf(nodeOf(desc.i0)).restoreEvent(key, desc);
         break;
       case kAgentStart:
-        c.world->restoreAgentStartEvent(key, nodeOf(desc.i0));
+        nodeOf(desc.i0);
+        c.world->restoreEvent(key, desc);
         break;
       case kChurnToggle:
         if (c.churn == nullptr) d.fail("churn event without churn");
-        c.churn->restoreToggleEvent(key,
-                                    static_cast<std::size_t>(desc.u0));
-        break;
-      case kFaultBurstNext:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreBurstNextEvent(key);
-        break;
-      case kFaultBurstEnd:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreBurstEndEvent(key);
-        break;
-      case kFaultStallNext:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreStallNextEvent(key);
+        c.churn->restoreEvent(key, desc);
         break;
       case kFaultStallEnd:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreStallEndEvent(key, nodeOf(desc.i0));
-        break;
       case kFaultFlap:
+        nodeOf(desc.i0);
+        [[fallthrough]];
+      case kFaultBurstNext:
+      case kFaultBurstEnd:
+      case kFaultStallNext:
         if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreFlapEvent(key, nodeOf(desc.i0), desc.b0 != 0);
+        c.faults->restoreEvent(key, desc);
         break;
       case kHello:
       case kGlrPeriodicCheck:
@@ -373,33 +294,22 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
         (*c.agents)[static_cast<std::size_t>(nodeOf(desc.i0))]->restoreEvent(
             key, desc);
         break;
-      case kTrafficPaperArrival: {
-        routing::DtnAgent* agent =
-            (*c.agents)[static_cast<std::size_t>(nodeOf(desc.i0))];
-        const int dst = nodeOf(desc.i1);
-        c.sim->scheduleKeyed(key, desc,
-                             [agent, dst] { agent->originate(dst); });
+      case kTrafficPaperArrival:
+        nodeOf(desc.i0);
+        nodeOf(desc.i1);
+        experiment::restorePaperArrival(*c.sim, *c.agents, key, desc);
         break;
-      }
       case kTrafficArrival:
-        if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreArrivalEvent(key);
-        break;
       case kTrafficSourceToggle:
-        if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreToggleEvent(key,
-                                      static_cast<std::size_t>(desc.u0));
-        break;
       case kTrafficSourceArrival:
         if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreSourceArrivalEvent(
-            key, static_cast<std::size_t>(desc.u0), desc.u1);
+        c.traffic->restoreEvent(key, desc);
         break;
       case kCheckpointTimer:
         if (!c.restoreCheckpointTimer) {
           d.fail("checkpoint-timer event but no writer hook installed");
         }
-        c.restoreCheckpointTimer(key);
+        c.restoreCheckpointTimer(key, desc);
         break;
       default:
         d.fail("unknown event kind " + std::to_string(desc.kind));

@@ -71,15 +71,20 @@ struct ScenarioComponents {
   net::FaultProcess* faults = nullptr;            // null unless faults enabled
   experiment::TrafficProcess* traffic = nullptr;  // null for the "paper" model
   /// Re-creates the periodic checkpoint-writer event under its saved key
-  /// (the writer is a runScenario lambda, so the scenario supplies the
-  /// hook). Required iff the snapshot holds a kCheckpointTimer event.
-  std::function<void(const sim::EventKey&)> restoreCheckpointTimer;
+  /// and descriptor (the writer is a runScenario lambda, so the scenario
+  /// supplies the hook). Required iff the snapshot holds a kCheckpointTimer
+  /// event.
+  std::function<void(const sim::EventKey&, const sim::EventDesc&)>
+      restoreCheckpointTimer;
 };
 
-/// Digest over every ScenarioConfig field that shapes the simulated event
-/// sequence. Output paths (tracePath, nodeCountersPath, checkpointPath,
-/// restoreFrom) and the trace ring size are excluded; checkpointEvery is
-/// INCLUDED because the periodic writer event is part of the sequence.
+/// Digest over every ScenarioConfig knob that shapes the simulated event
+/// sequence: one walk of GLR_SCENARIO_CONFIG (experiment/scenario.hpp) and
+/// the field lists of the structs it embeds, each K entry encoded by type
+/// in list order. H entries (output paths, the trace ring size, the
+/// wall-clock watchdog) are skipped; checkpointEvery is a K entry because
+/// the periodic writer event is part of the sequence. A struct knob
+/// without a field list does not compile.
 [[nodiscard]] std::uint64_t configDigest(const experiment::ScenarioConfig& cfg);
 
 /// Snapshots the full scenario state to `path` (atomic tmp+rename). Throws

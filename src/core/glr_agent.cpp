@@ -37,6 +37,9 @@ GlrAgent::GlrAgent(net::World& world, int self,
     : AgentBase(world, self, metrics, rng, params->hello,
                 params->storageLimit, params->expectedBufferedCopies),
       params_(std::move(params)) {
+  if (!(params_->checkInterval > 0.0)) {
+    throw std::invalid_argument{"GlrAgent: checkInterval must be > 0"};
+  }
   neighbors_.setLocationSampleCallback(
       [this](int id, geom::Point2 pos, sim::SimTime at) {
         // Only destinations are ever looked up (resolveDestination).

@@ -132,6 +132,8 @@ inline constexpr const char* kGlrAckKind = "glr-ack";
 
 class GlrAgent final : public routing::AgentBase {
  public:
+  /// Throws std::invalid_argument unless checkInterval > 0 (the periodic
+  /// route check would otherwise reschedule itself at +0 s forever).
   GlrAgent(net::World& world, int self, GlrParams params,
            dtn::MetricsCollector* metrics, sim::Rng rng);
 

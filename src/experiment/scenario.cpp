@@ -384,28 +384,24 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   comps.traffic = trafficProcess.get();
   std::function<void()> checkpointTick;
   if (cfg.checkpointEvery > 0.0) {
-    checkpointTick = [&cfg, &simulator, &comps, &checkpointTick] {
-      sim::EventDesc desc{};
-      desc.kind = ckpt::kCheckpointTimer;
-      simulator.schedule(cfg.checkpointEvery, desc,
+    const auto scheduleTick = [&cfg, &simulator, &checkpointTick] {
+      simulator.schedule(cfg.checkpointEvery,
+                         {.kind = ckpt::kCheckpointTimer},
                          [&checkpointTick] { checkpointTick(); });
+    };
+    checkpointTick = [&cfg, &comps, scheduleTick] {
+      scheduleTick();
       if (!cfg.checkpointPath.empty()) {
         ckpt::writeCheckpoint(cfg.checkpointPath, comps);
       }
     };
-    comps.restoreCheckpointTimer = [&simulator,
-                                    &checkpointTick](const sim::EventKey& key) {
-      sim::EventDesc desc{};
-      desc.kind = ckpt::kCheckpointTimer;
+    comps.restoreCheckpointTimer = [&simulator, &checkpointTick](
+                                       const sim::EventKey& key,
+                                       const sim::EventDesc& desc) {
       simulator.scheduleKeyed(key, desc,
                               [&checkpointTick] { checkpointTick(); });
     };
-    if (cfg.restoreFrom.empty()) {
-      sim::EventDesc desc{};
-      desc.kind = ckpt::kCheckpointTimer;
-      simulator.schedule(cfg.checkpointEvery, desc,
-                         [&checkpointTick] { checkpointTick(); });
-    }
+    if (cfg.restoreFrom.empty()) scheduleTick();
   }
 
   world.start();

@@ -34,6 +34,11 @@ enum class Protocol {
 
 [[nodiscard]] const char* protocolName(Protocol p);
 
+// The config structs below are declared from K(type, name, default) field
+// lists, in declaration order, that the checkpoint config digest walks
+// (ckpt::configDigest): a knob's digest slot is its list entry.
+#define GLR_FIELD(type, name, def) type name = def;
+
 /// Which mobility model drives the nodes, selected by registry name
 /// (mobility/registry.hpp) so a sweep's mobility axis is just a vector of
 /// strings. Model knobs live on the embedded mobility::ModelParams and go
@@ -44,19 +49,22 @@ enum class Protocol {
 /// cluster centres only when model == "cluster" (custom home-based models
 /// receive the verbatim value for every node). The default reproduces the
 /// paper's random waypoint bit-identically.
+#define GLR_MOBILITY_SPEC(K)                                                \
+  K(std::string, model, "waypoint")                                         \
+  K(int, numClusters, 4) /* cluster: how many shared home points to draw */ \
+  K(mobility::ModelParams, params, {})
 struct MobilitySpec {
-  std::string model = "waypoint";
-  int numClusters = 4;  // cluster: how many shared home points to draw
-  mobility::ModelParams params;
+  GLR_MOBILITY_SPEC(GLR_FIELD)
 };
 
 /// Duty-cycled node churn: the embedded net::ChurnProcess::Params go to
 /// the churn layer verbatim (fraction/upMean/downMean/start — see
 /// net/churn.hpp). Disabled by default — the default scenario stays
 /// bit-identical to the paper setup.
+#define GLR_CHURN_SPEC(K) \
+  K(bool, enabled, false) K(net::ChurnProcess::Params, params, {})
 struct ChurnSpec {
-  bool enabled = false;
-  net::ChurnProcess::Params params;
+  GLR_CHURN_SPEC(GLR_FIELD)
 };
 
 /// Named churn levels for sweep grids: "none", "light", "moderate",
@@ -67,9 +75,10 @@ struct ChurnSpec {
 /// layer verbatim (burst loss, frame corruption, stuck-node stalls — see
 /// net/faults.hpp). Disabled by default — the default scenario stays
 /// bit-identical to the paper setup.
+#define GLR_FAULT_SPEC(K) \
+  K(bool, enabled, false) K(net::FaultProcess::Params, params, {})
 struct FaultSpec {
-  bool enabled = false;
-  net::FaultProcess::Params params;
+  GLR_FAULT_SPEC(GLR_FIELD)
 };
 
 /// Which structure orders the kernel's pending-event set. Both modes fire
@@ -86,118 +95,123 @@ enum class KernelQueue { kHeap4, kCalendar };
 /// whose position is a pure function of time (all built-in models).
 enum class SpatialIndexMode { kSnapshot, kTiled };
 
+/// Every ScenarioConfig member in declaration order: K(type, name,
+/// default) for a knob the config digest covers, H(type, name, default) for
+/// a host setting it skips (output paths, the trace ring size, the
+/// wall-clock watchdog), and R(type, value) for a retired digest slot that
+/// declares nothing and hashes its old default, so no digest moves.
+#define GLR_SCENARIO_CONFIG(K, H, R)                                          \
+  K(Protocol, protocol, Protocol::kGlr)                                       \
+  /* Topology / radio (paper Table 1).                                     */ \
+  K(int, numNodes, 50)                                                        \
+  K(double, areaWidth, 1500.0)                                                \
+  K(double, areaHeight, 300.0)                                                \
+  K(double, radius, 100.0) /* transmission range, 50-250 m */                 \
+  K(double, speedMin, 0.1) /* "0-20 m/s uniform" with a positive floor */     \
+  K(double, speedMax, 20.0)                                                   \
+  K(double, pause, 0.0)                                                       \
+  K(double, bitRateBps, 1e6)                                                  \
+  K(std::size_t, queueLimit, 150)                                             \
+  /* Scenario diversity: pluggable mobility, node churn, heterogeneous     */ \
+  /* radios. Per-node transmit ranges are radius * U[radiusSpreadMin,      */ \
+  /* radiusSpreadMax]; 1.0/1.0 (default) keeps the homogeneous radio and   */ \
+  /* draws nothing.                                                        */ \
+  K(MobilitySpec, mobility, {})                                               \
+  K(ChurnSpec, churn, {})                                                     \
+  K(double, radiusSpreadMin, 1.0)                                             \
+  K(double, radiusSpreadMax, 1.0)                                             \
+  /* Workload. `traffic` selects the arrival process: the default "paper"  */ \
+  /* model replays the fixed shuffled-pair schedule below bit-identically; */ \
+  /* the stochastic models (poisson/onoff/hotspot/flashcrowd) read         */ \
+  /* traffic.rate and their own knobs instead of numMessages /             */ \
+  /* messageInterval and can offer millions of messages per run.           */ \
+  K(double, simTime, 3800.0)                                                  \
+  K(int, numMessages, 1980)                                                   \
+  K(double, messageInterval, 1.0) /* "packets are generated every second" */  \
+  K(double, trafficStart, 10.0)   /* let neighbor tables converge first */    \
+  K(int, trafficNodes, 45) /* paper: 45 senders/destinations out of 50 */     \
+  K(TrafficSpec, traffic, {})                                                 \
+  /* Fault injection (off by default).                                     */ \
+  K(FaultSpec, faults, {})                                                    \
+  /* Protocol knobs.                                                       */ \
+  K(std::size_t, storageLimit, dtn::kUnlimitedStorage)                        \
+  K(double, checkInterval, 0.9)                                               \
+  K(bool, custody, true)                                                      \
+  K(bool, faceRouting, true)                                                  \
+  /* Slot of the retired per-node witness-veto switch (default on).        */ \
+  R(bool, true)                                                               \
+  K(int, copiesOverride, -1) /* -1: Algorithm 1 decides */                    \
+  K(core::LocationMode, locationMode, core::LocationMode::kSourceKnows)       \
+  K(double, helloInterval, 0.75)                                              \
+  K(double, cacheTimeout, 6.0)                                                \
+  K(int, sprayBudget, 8) /* kSprayAndWait only */                             \
+  /* GLR overload controls (see GlrParams): buffer occupancy at which a    */ \
+  /* node refuses new custody (0 = never, the historical default), and the */ \
+  /* AIMD custody window driven by the custody-ack RTT estimator.          */ \
+  K(std::size_t, custodyWatermark, 0)                                         \
+  K(bool, congestionControl, false)                                           \
+  /* Adversarial-resilience knobs (all off by default — bit-identical      */ \
+  /* goldens). glrRecovery arms GLR's custody-failure detection: suspicion */ \
+  /* scoring on custody timeouts/NACKs, suspect-avoiding reroute, and the  */ \
+  /* bounded spray fallback for copies that keep failing. messageTtl > 0   */ \
+  /* gives bundles a lifetime (counted expiry drops) for every protocol.   */ \
+  /* Misbehaving-node populations ride in faults.params.adversary.         */ \
+  /* Detector tuning for glrRecovery (GlrParams defaults; see              */ \
+  /* core/glr_agent.hpp): custody failures on a hop before it is marked    */ \
+  /* suspect, and failures on a copy before the spray fallback clones it.  */ \
+  K(bool, glrRecovery, false)                                                 \
+  K(int, glrSuspicionThreshold, 2)                                            \
+  K(int, glrRecoveryAfterFailures, 3)                                         \
+  K(int, glrRecoveryFanout, 2)                                                \
+  K(double, glrRecoveryCooldown, 15.0)                                        \
+  K(double, glrSuspicionTtl, 120.0)                                           \
+  K(double, messageTtl, 0.0)                                                  \
+  /* Scaling-path knobs (city-scale worlds). Defaults keep every pinned    */ \
+  /* golden bit-identical; bench_scale and the scale tests flip them.      */ \
+  K(KernelQueue, kernelQueue, KernelQueue::kHeap4)                            \
+  K(SpatialIndexMode, spatialIndex, SpatialIndexMode::kSnapshot)              \
+  /* Steady-state table eviction for long/large runs (0 = keep forever,    */ \
+  /* the historical default): neighbor records stale beyond                */ \
+  /* `neighborEvictAfterFactor * hello expiry` are erased, and GLR         */ \
+  /* location observations older than `locationEvictAfter` seconds are     */ \
+  /* pruned. Both bound an idle node's footprint by its active             */ \
+  /* neighborhood instead of by everything it has ever heard.              */ \
+  K(double, neighborEvictAfterFactor, 0.0)                                    \
+  K(double, locationEvictAfter, 0.0)                                          \
+  /* Observability (all off by default — bit-identical goldens, zero-alloc */ \
+  /* hot path). tracePath non-empty arms the flight recorder: every        */ \
+  /* send/delivery/custody/drop/expiry/suspicion event is streamed through */ \
+  /* a fixed SPSC ring (traceRingCapacity records, rounded up to a power   */ \
+  /* of two) to a length-prefixed binary file a writer thread owns — see   */ \
+  /* trace/recorder.hpp; inspect with tools/trace_inspect.                 */ \
+  /* nodeCountersPath non-empty exports per-node MAC/protocol/storage      */ \
+  /* counters at scenario end; the format follows the extension (".json"   */ \
+  /* or ".csv").                                                           */ \
+  H(std::string, tracePath, {})                                               \
+  H(std::size_t, traceRingCapacity, 1 << 16)                                  \
+  H(std::string, nodeCountersPath, {})                                        \
+  /* Crash safety (see checkpoint/scenario_checkpoint.hpp). checkpointPath */ \
+  /* non-empty + checkpointEvery > 0 snapshots the full simulation state   */ \
+  /* every checkpointEvery sim-seconds (atomic replace, so a crash leaves  */ \
+  /* the previous snapshot intact). restoreFrom non-empty resumes from     */ \
+  /* such a snapshot and continues bit-identically to the uninterrupted    */ \
+  /* run. checkpointEvery changes the event sequence (the writer is a      */ \
+  /* simulated event) and is therefore a digested knob; the paths are not. */ \
+  H(std::string, checkpointPath, {})                                          \
+  K(double, checkpointEvery, 0.0)                                             \
+  H(std::string, restoreFrom, {})                                             \
+  /* Watchdog: abort the run with sim::WallClockTimeout after this many    */ \
+  /* wall-clock seconds (0 = no deadline). Host timing only — never part   */ \
+  /* of the simulated event sequence or the checkpoint config digest.      */ \
+  H(double, wallDeadlineSeconds, 0.0)                                         \
+  K(std::uint64_t, seed, 1)
+
 struct ScenarioConfig {
-  Protocol protocol = Protocol::kGlr;
-
-  // Topology / radio (paper Table 1).
-  int numNodes = 50;
-  double areaWidth = 1500.0;
-  double areaHeight = 300.0;
-  double radius = 100.0;      // transmission range, 50-250 m
-  double speedMin = 0.1;      // "0-20 m/s uniform" with a positive floor
-  double speedMax = 20.0;
-  double pause = 0.0;
-  double bitRateBps = 1e6;
-  std::size_t queueLimit = 150;
-
-  // Scenario diversity: pluggable mobility, node churn, heterogeneous
-  // radios. Per-node transmit ranges are radius * U[radiusSpreadMin,
-  // radiusSpreadMax]; 1.0/1.0 (default) keeps the homogeneous radio and
-  // draws nothing.
-  MobilitySpec mobility;
-  ChurnSpec churn;
-  double radiusSpreadMin = 1.0;
-  double radiusSpreadMax = 1.0;
-
-  // Workload. `traffic` selects the arrival process: the default "paper"
-  // model replays the fixed shuffled-pair schedule below bit-identically;
-  // the stochastic models (poisson/onoff/hotspot/flashcrowd) read
-  // traffic.rate and their own knobs instead of numMessages /
-  // messageInterval and can offer millions of messages per run.
-  double simTime = 3800.0;
-  int numMessages = 1980;
-  double messageInterval = 1.0;  // "packets are generated every second"
-  double trafficStart = 10.0;    // let neighbor tables converge first
-  int trafficNodes = 45;         // paper: 45 senders/destinations out of 50
-  TrafficSpec traffic;
-
-  // Fault injection (off by default).
-  FaultSpec faults;
-
-  // Protocol knobs.
-  std::size_t storageLimit = dtn::kUnlimitedStorage;
-  double checkInterval = 0.9;
-  bool custody = true;
-  bool faceRouting = true;
-  int copiesOverride = -1;  // -1: Algorithm 1 decides
-  core::LocationMode locationMode = core::LocationMode::kSourceKnows;
-  double helloInterval = 0.75;
-  double cacheTimeout = 6.0;
-  int sprayBudget = 8;  // kSprayAndWait only
-  /// GLR overload controls (see GlrParams): buffer occupancy at which a
-  /// node refuses new custody (0 = never, the historical default), and the
-  /// AIMD custody window driven by the custody-ack RTT estimator.
-  std::size_t custodyWatermark = 0;
-  bool congestionControl = false;
-  /// Adversarial-resilience knobs (all off by default — bit-identical
-  /// goldens). glrRecovery arms GLR's custody-failure detection: suspicion
-  /// scoring on custody timeouts/NACKs, suspect-avoiding reroute, and the
-  /// bounded spray fallback for copies that keep failing. messageTtl > 0
-  /// gives bundles a lifetime (counted expiry drops) for every protocol.
-  /// Misbehaving-node populations ride in faults.params.adversary.
-  /// Detector tuning for glrRecovery (GlrParams defaults; see
-  /// core/glr_agent.hpp): custody failures on a hop before it is marked
-  /// suspect, and failures on a copy before the spray fallback clones it.
-  bool glrRecovery = false;
-  int glrSuspicionThreshold = 2;
-  int glrRecoveryAfterFailures = 3;
-  int glrRecoveryFanout = 2;
-  double glrRecoveryCooldown = 15.0;
-  double glrSuspicionTtl = 120.0;
-  double messageTtl = 0.0;
-
-  // Scaling-path knobs (city-scale worlds). Defaults keep every pinned
-  // golden bit-identical; bench_scale and the scale tests flip them.
-  KernelQueue kernelQueue = KernelQueue::kHeap4;
-  SpatialIndexMode spatialIndex = SpatialIndexMode::kSnapshot;
-  /// Steady-state table eviction for long/large runs (0 = keep forever,
-  /// the historical default): neighbor records stale beyond
-  /// `neighborEvictAfterFactor * hello expiry` are erased, and GLR location
-  /// observations older than `locationEvictAfter` seconds are pruned. Both
-  /// bound an idle node's footprint by its active neighborhood instead of
-  /// by everything it has ever heard.
-  double neighborEvictAfterFactor = 0.0;
-  double locationEvictAfter = 0.0;
-
-  // Observability (all off by default — bit-identical goldens, zero-alloc
-  // hot path). tracePath non-empty arms the flight recorder: every
-  // send/delivery/custody/drop/expiry/suspicion event is streamed through a
-  // fixed SPSC ring (traceRingCapacity records, rounded up to a power of
-  // two) to a length-prefixed binary file a writer thread owns — see
-  // trace/recorder.hpp; inspect with tools/trace_inspect. nodeCountersPath
-  // non-empty exports per-node MAC/protocol/storage counters at scenario
-  // end; the format follows the extension (".json" or ".csv").
-  std::string tracePath;
-  std::size_t traceRingCapacity = 1 << 16;
-  std::string nodeCountersPath;
-
-  // Crash safety (see checkpoint/scenario_checkpoint.hpp). checkpointPath
-  // non-empty + checkpointEvery > 0 snapshots the full simulation state
-  // every checkpointEvery sim-seconds (atomic replace, so a crash leaves
-  // the previous snapshot intact). restoreFrom non-empty resumes from such
-  // a snapshot and continues bit-identically to the uninterrupted run.
-  // checkpointEvery changes the event sequence (the writer is a simulated
-  // event) and is therefore part of the config digest; the paths are not.
-  std::string checkpointPath;
-  double checkpointEvery = 0.0;
-  std::string restoreFrom;
-  /// Watchdog: abort the run with sim::WallClockTimeout after this many
-  /// wall-clock seconds (0 = no deadline). Host timing only — never part of
-  /// the simulated event sequence or the checkpoint config digest.
-  double wallDeadlineSeconds = 0.0;
-
-  std::uint64_t seed = 1;
+#define GLR_RETIRED(type, value)
+  GLR_SCENARIO_CONFIG(GLR_FIELD, GLR_FIELD, GLR_RETIRED)
+#undef GLR_RETIRED
 };
+#undef GLR_FIELD
 
 /// The mac::MacStats counters summed over every node into ScenarioResult,
 /// one X(field, resultField) entry each (same shape as

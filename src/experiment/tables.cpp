@@ -23,18 +23,22 @@ std::string fmtPct(double ratio, int precision) {
   return fmt(ratio * 100.0, precision) + "%";
 }
 
-int envInt(const char* name, int fallback, int min) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const char* end = v + std::strlen(v);
+int parseInt(const char* name, const char* value, int min) {
+  const char* end = value + std::strlen(value);
   int out = 0;
-  const auto [last, ec] = std::from_chars(v, end, out);
+  const auto [last, ec] = std::from_chars(value, end, out);
   if (ec != std::errc{} || last != end || out < min) {
     throw std::invalid_argument{
-        std::string{name} + "='" + v + "': expected an integer" +
+        std::string{name} + "='" + value + "': expected an integer" +
         (min > INT_MIN ? " >= " + std::to_string(min) : std::string{})};
   }
   return out;
+}
+
+int envInt(const char* name, int fallback, int min) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  return parseInt(name, v, min);
 }
 
 bool paperScale() {

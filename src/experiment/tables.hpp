@@ -21,10 +21,15 @@ namespace glr::experiment {
 /// Percentage, e.g. 0.979 -> "97.9%".
 [[nodiscard]] std::string fmtPct(double ratio, int precision = 1);
 
+/// `value` as an integer setting called `name`: the whole value must be a
+/// base-10 int no less than `min`; anything else (empty, non-numeric,
+/// trailing characters, out of range) throws std::invalid_argument naming
+/// the setting and its value.
+[[nodiscard]] int parseInt(const char* name, const char* value,
+                           int min = INT_MIN);
+
 /// Integer environment variable (e.g. GLR_BENCH_RUNS): `fallback` when
-/// unset or empty. Otherwise the whole value must be a base-10 int no less
-/// than `min`; anything else (non-numeric, trailing characters, out of
-/// range) throws std::invalid_argument naming the variable and its value.
+/// unset or empty, otherwise parseInt of its value.
 [[nodiscard]] int envInt(const char* name, int fallback, int min = INT_MIN);
 
 /// Bench scale control: full paper scale when GLR_PAPER_SCALE=1.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "checkpoint/codec.hpp"
@@ -10,28 +11,19 @@
 
 namespace glr::experiment {
 
-namespace {
-
-sim::EventDesc trafficDesc(ckpt::EventKind kind) {
-  sim::EventDesc d;
-  d.kind = kind;
-  return d;
-}
-
-}  // namespace
-
 void schedulePaperWorkload(sim::Simulator& sim,
                            const std::vector<routing::DtnAgent*>& agents,
                            int trafficNodes, int numMessages,
                            double trafficStart, double messageInterval,
                            sim::Rng trafficRng) {
+  if (trafficNodes < 2) {
+    throw std::invalid_argument{"schedulePaperWorkload: trafficNodes < 2"};
+  }
   constexpr std::uint64_t kPairEnumerationCap = 1u << 20;
   const auto traffic = static_cast<std::uint64_t>(trafficNodes);
   const auto scheduleMessage = [&](int k, int src, int dst) {
-    sim::EventDesc desc = trafficDesc(ckpt::kTrafficPaperArrival);
-    desc.i0 = src;
-    desc.i1 = dst;
-    sim.schedule(trafficStart + k * messageInterval, desc,
+    sim.schedule(trafficStart + k * messageInterval,
+                 {.kind = ckpt::kTrafficPaperArrival, .i0 = src, .i1 = dst},
                  [agent = agents[static_cast<std::size_t>(src)], dst] {
                    agent->originate(dst);
                  });
@@ -60,6 +52,14 @@ void schedulePaperWorkload(sim::Simulator& sim,
       scheduleMessage(k, src, dst);
     }
   }
+}
+
+void restorePaperArrival(sim::Simulator& sim,
+                         const std::vector<routing::DtnAgent*>& agents,
+                         const sim::EventKey& key, const sim::EventDesc& desc) {
+  sim.scheduleKeyed(key, desc,
+                    [agent = agents[static_cast<std::size_t>(desc.i0)],
+                     dst = desc.i1] { agent->originate(dst); });
 }
 
 TrafficProcess::TrafficProcess(sim::Simulator& sim,
@@ -170,8 +170,7 @@ void TrafficProcess::scheduleArrival() {
   const sim::SimTime at = std::max(params_.start, sim_.now()) +
                           rng_.exponential(1.0 / maxRate_);
   if (at >= params_.horizon) return;  // chain ends inside the horizon
-  sim_.scheduleAt(at, trafficDesc(ckpt::kTrafficArrival),
-                  [this] { arrival(); });
+  sim_.scheduleAt(at, {.kind = ckpt::kTrafficArrival}, [this] { arrival(); });
 }
 
 void TrafficProcess::arrival() {
@@ -210,9 +209,8 @@ void TrafficProcess::togglePhase(std::size_t s) {
   const sim::SimTime at =
       std::max(params_.start, sim_.now()) + src.rng.exponential(mean);
   if (at >= params_.horizon) return;
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceToggle);
-  desc.u0 = static_cast<std::uint64_t>(s);
-  sim_.scheduleAt(at, desc, [this, s] { phaseFlip(s); });
+  sim_.scheduleAt(at, {.kind = ckpt::kTrafficSourceToggle, .u0 = s},
+                  [this, s] { phaseFlip(s); });
 }
 
 void TrafficProcess::phaseFlip(std::size_t s) {
@@ -236,11 +234,9 @@ void TrafficProcess::scheduleSourceArrival(std::size_t s) {
   const sim::SimTime at = std::max(params_.start, sim_.now()) +
                           src.rng.exponential(1.0 / onRate);
   if (at >= params_.horizon) return;
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceArrival);
-  desc.u0 = static_cast<std::uint64_t>(s);
-  desc.u1 = src.epoch;
-  sim_.scheduleAt(at, desc,
-                  [this, s, epoch = src.epoch] { sourceArrival(s, epoch); });
+  sim_.scheduleAt(
+      at, {.kind = ckpt::kTrafficSourceArrival, .u0 = s, .u1 = src.epoch},
+      [this, s, epoch = src.epoch] { sourceArrival(s, epoch); });
 }
 
 void TrafficProcess::sourceArrival(std::size_t s, std::uint64_t epoch) {
@@ -273,32 +269,30 @@ void TrafficProcess::visit(Ar& ar) {
 template void TrafficProcess::visit(ckpt::Encoder&);
 template void TrafficProcess::visit(ckpt::Decoder&);
 
-void TrafficProcess::restoreArrivalEvent(const sim::EventKey& key) {
-  sim_.scheduleKeyed(key, trafficDesc(ckpt::kTrafficArrival),
-                     [this] { arrival(); });
-}
-
-void TrafficProcess::restoreToggleEvent(const sim::EventKey& key,
-                                        std::size_t s) {
-  if (s >= sources_.size()) {
-    throw std::runtime_error{"TrafficProcess: toggle event for bad source"};
+void TrafficProcess::restoreEvent(const sim::EventKey& key,
+                                  const sim::EventDesc& desc) {
+  if (desc.kind == ckpt::kTrafficArrival) {
+    sim_.scheduleKeyed(key, desc, [this] { arrival(); });
+    return;
   }
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceToggle);
-  desc.u0 = static_cast<std::uint64_t>(s);
-  sim_.scheduleKeyed(key, desc, [this, s] { phaseFlip(s); });
-}
-
-void TrafficProcess::restoreSourceArrivalEvent(const sim::EventKey& key,
-                                               std::size_t s,
-                                               std::uint64_t epoch) {
+  // The ON/OFF kinds: u0 names the source.
+  const std::size_t s = desc.u0;
   if (s >= sources_.size()) {
-    throw std::runtime_error{"TrafficProcess: arrival event for bad source"};
+    throw std::runtime_error{"TrafficProcess: event for bad source " +
+                             std::to_string(s)};
   }
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceArrival);
-  desc.u0 = static_cast<std::uint64_t>(s);
-  desc.u1 = epoch;
-  sim_.scheduleKeyed(key, desc,
-                     [this, s, epoch] { sourceArrival(s, epoch); });
+  switch (desc.kind) {
+    case ckpt::kTrafficSourceToggle:
+      sim_.scheduleKeyed(key, desc, [this, s] { phaseFlip(s); });
+      return;
+    case ckpt::kTrafficSourceArrival:
+      sim_.scheduleKeyed(key, desc, [this, s, epoch = desc.u1] {
+        sourceArrival(s, epoch);
+      });
+      return;
+    default:
+      throw std::logic_error{"TrafficProcess: not a traffic event kind"};
+  }
 }
 
 }  // namespace glr::experiment

@@ -27,36 +27,38 @@
 
 namespace glr::experiment {
 
-/// Arrival-process selection + knobs, embedded in ScenarioConfig. The
-/// default ("paper") reproduces the legacy fixed schedule bit-identically;
-/// every other field is read only by the model that names it.
+/// Arrival-process selection + knobs, embedded in ScenarioConfig, as
+/// K(type, name, default) entries in declaration order (the scenario config
+/// digest walks this list). The default ("paper") reproduces the legacy
+/// fixed schedule bit-identically; every other field is read only by the
+/// model that names it.
+#define GLR_TRAFFIC_SPEC(K)                                                  \
+  /* "paper" | "poisson" | "onoff" | "hotspot" | "flashcrowd".           */ \
+  K(std::string, model, "paper")                                            \
+  /* Aggregate offered load in messages/second (all models but "paper",  */ \
+  /* which derives its load from numMessages / messageInterval). For     */ \
+  /* "onoff" this is the long-run mean across sources; instantaneous     */ \
+  /* load during ON periods is higher by (onMean + offMean) / onMean.    */ \
+  K(double, rate, 4.0)                                                      \
+  /* Hard cap on originations; 0 = bounded only by the horizon.          */ \
+  K(std::uint64_t, maxMessages, 0)                                          \
+  /* "onoff": each traffic node alternates exponential ON/OFF periods    */ \
+  /* and generates only while ON.                                        */ \
+  K(double, onMean, 10.0)  /* mean ON duration, seconds */                  \
+  K(double, offMean, 30.0) /* mean OFF duration, seconds */                 \
+  /* "hotspot": a small subset of senders carries most of the load.      */ \
+  K(double, hotspotFraction, 0.1) /* share of traffic nodes that are hot */ \
+  K(double, hotspotWeight, 0.9)   /* probability a message originates hot */ \
+  /* "flashcrowd": a Poisson baseline with one load spike. Start and     */ \
+  /* duration are fractions of the [trafficStart, horizon) window.       */ \
+  K(double, flashStart, 0.4)                                                \
+  K(double, flashDuration, 0.1)                                             \
+  K(double, flashMultiplier, 8.0) /* rate multiplier inside the spike */
+
 struct TrafficSpec {
-  /// "paper" | "poisson" | "onoff" | "hotspot" | "flashcrowd".
-  std::string model = "paper";
-
-  /// Aggregate offered load in messages/second (all models but "paper",
-  /// which derives its load from numMessages / messageInterval). For
-  /// "onoff" this is the long-run mean across sources; instantaneous load
-  /// during ON periods is higher by (onMean + offMean) / onMean.
-  double rate = 4.0;
-
-  /// Hard cap on originations; 0 = bounded only by the horizon.
-  std::uint64_t maxMessages = 0;
-
-  // "onoff": each traffic node alternates exponential ON/OFF periods and
-  // generates only while ON.
-  double onMean = 10.0;   // mean ON duration, seconds
-  double offMean = 30.0;  // mean OFF duration, seconds
-
-  // "hotspot": a small subset of senders carries most of the load.
-  double hotspotFraction = 0.1;  // fraction of traffic nodes that are hot
-  double hotspotWeight = 0.9;    // probability a message originates hot
-
-  // "flashcrowd": a Poisson baseline with one load spike. Start/duration
-  // are fractions of the [trafficStart, horizon) window.
-  double flashStart = 0.4;
-  double flashDuration = 0.1;
-  double flashMultiplier = 8.0;  // rate multiplier inside the spike
+#define GLR_FIELD(type, name, def) type name = def;
+  GLR_TRAFFIC_SPEC(GLR_FIELD)
+#undef GLR_FIELD
 };
 
 /// Schedules the paper's fixed workload: ordered (src, dst) pairs among the
@@ -66,12 +68,20 @@ struct TrafficSpec {
 /// must not change what it draws. Enumerate-then-shuffle is O(T²) in the
 /// traffic population; past the cap each pair is drawn directly (uniform
 /// src, uniform dst != src — the same distribution when messages are few
-/// relative to pairs) without materialising anything.
+/// relative to pairs) without materialising anything. Throws
+/// std::invalid_argument when fewer than two traffic nodes leave no pair.
 void schedulePaperWorkload(sim::Simulator& sim,
                            const std::vector<routing::DtnAgent*>& agents,
                            int trafficNodes, int numMessages,
                            double trafficStart, double messageInterval,
                            sim::Rng trafficRng);
+
+/// Re-creates one pending paper-schedule origination (kTrafficPaperArrival)
+/// under its saved key and descriptor. The caller has checked that both of
+/// its node ids index `agents`.
+void restorePaperArrival(sim::Simulator& sim,
+                         const std::vector<routing::DtnAgent*>& agents,
+                         const sim::EventKey& key, const sim::EventDesc& desc);
 
 /// Owns the generator events of one stochastic traffic model. Must outlive
 /// the simulation run (scheduled arrivals close over its state), like
@@ -105,13 +115,13 @@ class TrafficProcess {
   /// Checkpoint support: generator RNG(s), per-source phase/epoch state and
   /// the generated/thinned counters. Construction-derived knobs (maxRate_,
   /// flash window, hotCount_) are re-derived from the config, not stored.
-  /// Pending generator events are rebuilt via the restore*Event methods.
+  /// Pending generator events are rebuilt via restoreEvent.
   template <class Ar>
   void visit(Ar& ar);
-  void restoreArrivalEvent(const sim::EventKey& key);
-  void restoreToggleEvent(const sim::EventKey& key, std::size_t s);
-  void restoreSourceArrivalEvent(const sim::EventKey& key, std::size_t s,
-                                 std::uint64_t epoch);
+  /// Re-creates one pending generator event (kTrafficArrival,
+  /// kTrafficSourceToggle or kTrafficSourceArrival, see
+  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   enum class Model { kPoisson, kOnOff, kHotspot, kFlashCrowd };

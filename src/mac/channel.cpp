@@ -12,12 +12,6 @@ namespace glr::mac {
 
 namespace {
 
-sim::EventDesc txEndDesc(std::uint64_t txId) {
-  sim::EventDesc d;
-  d.kind = ckpt::kChannelTxEnd;
-  d.u0 = txId;
-  return d;
-}
 /// Power ratio (linear) a signal must have over each interferer to survive
 /// a collision (capture effect); 10 == 10 dB.
 constexpr double kCaptureRatio = 10.0;
@@ -257,7 +251,7 @@ void Channel::startTransmission(int sender, Frame frame, double duration) {
   history_.push_back(std::move(tx));
   ++stats_.framesSent;
   stats_.airTimeSeconds += duration;
-  sim_.schedule(duration, txEndDesc(txId),
+  sim_.schedule(duration, {.kind = ckpt::kChannelTxEnd, .u0 = txId},
                 [this, txId] { finishTransmission(txId); });
 }
 
@@ -476,14 +470,15 @@ void Channel::visit(Ar& ar) {
 template void Channel::visit(ckpt::Encoder&);
 template void Channel::visit(ckpt::Decoder&);
 
-void Channel::restoreTxEndEvent(const sim::EventKey& key, std::uint64_t txId) {
+void Channel::restoreEvent(const sim::EventKey& key,
+                           const sim::EventDesc& desc) {
+  const std::uint64_t txId = desc.u0;
   if (txId >= nextTxId_) {
     throw std::runtime_error{
         "checkpoint: tx-end event names transmission " + std::to_string(txId) +
         " but only " + std::to_string(nextTxId_) + " were ever started"};
   }
-  sim_.scheduleKeyed(key, txEndDesc(txId),
-                     [this, txId] { finishTransmission(txId); });
+  sim_.scheduleKeyed(key, desc, [this, txId] { finishTransmission(txId); });
 }
 
 }  // namespace glr::mac

@@ -153,9 +153,9 @@ class Channel {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates a pending transmission-end event under its original key
-  /// (see checkpoint/event_kinds.hpp kChannelTxEnd, u0 = txId).
-  void restoreTxEndEvent(const sim::EventKey& key, std::uint64_t txId);
+  /// Re-creates a pending transmission-end event (kChannelTxEnd, see
+  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   struct ActiveTx {

@@ -340,44 +340,35 @@ void Mac::visit(Ar& ar) {
 template void Mac::visit(ckpt::Encoder&);
 template void Mac::visit(ckpt::Decoder&);
 
-void Mac::restoreAttemptEvent(const sim::EventKey& key) {
-  attemptHandle_ = sim_.scheduleKeyed(key, macDesc(ckpt::kMacAttempt, self_),
-                                      [this] { attempt(); });
-}
-
-void Mac::restoreBackoffEvent(const sim::EventKey& key) {
-  attemptHandle_ =
-      sim_.scheduleKeyed(key, macDesc(ckpt::kMacBackoffExpire, self_),
-                         [this] { onBackoffExpire(); });
-}
-
-void Mac::restoreTxEndEvent(const sim::EventKey& key, bool expectAck,
-                            std::uint64_t epoch) {
-  sim::EventDesc desc = macDesc(ckpt::kMacTxEnd, self_);
-  desc.b0 = expectAck ? 1 : 0;
-  desc.u0 = epoch;
-  sim_.scheduleKeyed(key, desc, [this, expectAck, epoch] {
-    onDataTxEnd(expectAck, epoch);
-  });
-}
-
-void Mac::restoreAckTimeoutEvent(const sim::EventKey& key) {
-  ackTimeoutHandle_ =
-      sim_.scheduleKeyed(key, macDesc(ckpt::kMacAckTimeout, self_),
-                         [this] { onAckTimeout(); });
-}
-
-void Mac::restoreAckReplyEvent(const sim::EventKey& key, int dst,
-                               std::uint64_t seq, double ackDur,
-                               std::uint64_t epoch) {
-  sim::EventDesc desc = macDesc(ckpt::kMacAckReply, self_);
-  desc.i1 = dst;
-  desc.u0 = seq;
-  desc.u1 = epoch;
-  desc.f0 = ackDur;
-  sim_.scheduleKeyed(key, desc, [this, dst, seq, ackDur, epoch] {
-    sendAckReply(dst, seq, ackDur, epoch);
-  });
+void Mac::restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc) {
+  switch (desc.kind) {
+    case ckpt::kMacAttempt:
+      attemptHandle_ = sim_.scheduleKeyed(key, desc, [this] { attempt(); });
+      return;
+    case ckpt::kMacBackoffExpire:
+      attemptHandle_ =
+          sim_.scheduleKeyed(key, desc, [this] { onBackoffExpire(); });
+      return;
+    case ckpt::kMacTxEnd:
+      sim_.scheduleKeyed(key, desc,
+                         [this, expectAck = desc.b0 != 0, epoch = desc.u0] {
+                           onDataTxEnd(expectAck, epoch);
+                         });
+      return;
+    case ckpt::kMacAckTimeout:
+      ackTimeoutHandle_ =
+          sim_.scheduleKeyed(key, desc, [this] { onAckTimeout(); });
+      return;
+    case ckpt::kMacAckReply:
+      sim_.scheduleKeyed(key, desc,
+                         [this, dst = desc.i1, seq = desc.u0, ackDur = desc.f0,
+                          epoch = desc.u1] {
+                           sendAckReply(dst, seq, ackDur, epoch);
+                         });
+      return;
+    default:
+      throw std::logic_error{"Mac::restoreEvent: not a MAC event kind"};
+  }
 }
 
 }  // namespace glr::mac

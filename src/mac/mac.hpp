@@ -104,22 +104,16 @@ class Mac {
 
   /// Checkpoint support: interface queue (packets by content), contention/
   /// ACK state machine flags, radio gate + epoch, recent-tx ring, duplicate
-  /// table, RNG stream and counters. Event handles are rebuilt by the
-  /// restore*Event methods below, not serialized.
+  /// table, RNG stream and counters. Event handles are rebuilt by
+  /// restoreEvent below, not serialized.
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Restore-path event rebuilders (see checkpoint/event_kinds.hpp). The
-  /// attempt/backoff/ack-timeout variants re-arm the matching cancellation
-  /// handle so a later radio-down flush can still cancel them.
-  void restoreAttemptEvent(const sim::EventKey& key);
-  void restoreBackoffEvent(const sim::EventKey& key);
-  void restoreTxEndEvent(const sim::EventKey& key, bool expectAck,
-                         std::uint64_t epoch);
-  void restoreAckTimeoutEvent(const sim::EventKey& key);
-  void restoreAckReplyEvent(const sim::EventKey& key, int dst,
-                            std::uint64_t seq, double ackDur,
-                            std::uint64_t epoch);
+  /// Re-creates one pending MAC event (kMacAttempt..kMacAckReply, see
+  /// checkpoint/event_kinds.hpp) under its saved key and descriptor. The
+  /// attempt, backoff and ACK-timeout events re-arm their cancellation
+  /// handle, so a later radio-down flush can still cancel them.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   struct Outgoing {

@@ -20,6 +20,19 @@
 
 namespace glr::mobility {
 
+/// The per-model knobs of ModelParams, K(type, name, default) each, in
+/// declaration order (the scenario config digest walks this list). The
+/// shared fields around them are overlaid per run by the scenario.
+#define GLR_MOBILITY_MODEL_KNOBS(K)                                             \
+  K(double, legDuration, 10.0)   /* walk: seconds per heading */                \
+  K(double, updateInterval, 1.0) /* gauss_markov: refresh period (s) */         \
+  K(double, alpha, 0.85)         /* gauss_markov: AR(1) memory in [0, 1] */     \
+  K(double, meanSpeed, -1.0)     /* gauss_markov: mean speed (< 0: midpoint) */ \
+  K(double, gridSpacing, 100.0)  /* manhattan: street spacing (m) */            \
+  K(double, turnProb, 0.25)      /* manhattan: per-side turn probability */     \
+  K(double, clusterStddev, 75.0) /* cluster: waypoint spread around home (m) */ \
+  K(double, roamProb, 0.05)      /* cluster: chance of a uniform roam leg */
+
 /// Parameter bundle a factory may draw from. Shared knobs (area, speeds,
 /// pause) apply to every model; the rest are used only by the model whose
 /// comment names them, so one bundle can configure a whole sweep axis.
@@ -28,16 +41,10 @@ struct ModelParams {
   double speedMin = 0.1;
   double speedMax = 20.0;
   double pause = 0.0;
-
-  double legDuration = 10.0;    // walk: seconds per heading
-  double updateInterval = 1.0;  // gauss_markov: refresh period (s)
-  double alpha = 0.85;          // gauss_markov: AR(1) memory in [0, 1]
-  double meanSpeed = -1.0;      // gauss_markov: mean speed (< 0: midpoint)
-  double gridSpacing = 100.0;   // manhattan: street spacing (m)
-  double turnProb = 0.25;       // manhattan: per-side turn probability
-  double clusterStddev = 75.0;  // cluster: waypoint spread around home (m)
-  double roamProb = 0.05;       // cluster: chance of a uniform roam leg
-  geom::Point2 home;            // cluster: this node's home point
+#define GLR_FIELD(type, name, def) type name = def;
+  GLR_MOBILITY_MODEL_KNOBS(GLR_FIELD)
+#undef GLR_FIELD
+  geom::Point2 home;  // cluster: this node's home point
 };
 
 using MobilityFactory = std::function<std::unique_ptr<MobilityModel>(

@@ -9,17 +9,6 @@
 
 namespace glr::net {
 
-namespace {
-
-sim::EventDesc toggleDesc(std::size_t idx) {
-  sim::EventDesc d;
-  d.kind = ckpt::kChurnToggle;
-  d.u0 = static_cast<std::uint64_t>(idx);
-  return d;
-}
-
-}  // namespace
-
 ChurnProcess::ChurnProcess(World& world, Params params, sim::Rng rng)
     : world_(world), params_(params) {
   if (!(params.fraction > 0.0) || params.fraction > 1.0) {
@@ -55,7 +44,8 @@ void ChurnProcess::scheduleNext(std::size_t idx) {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at =
       std::max(params_.start, sim.now()) + node.rng.exponential(mean);
-  sim.scheduleAt(at, toggleDesc(idx), [this, idx] { toggle(idx); });
+  sim.scheduleAt(at, {.kind = ckpt::kChurnToggle, .u0 = idx},
+                 [this, idx] { toggle(idx); });
 }
 
 template <class Ar>
@@ -72,15 +62,15 @@ void ChurnProcess::visit(Ar& ar) {
 template void ChurnProcess::visit(ckpt::Encoder&);
 template void ChurnProcess::visit(ckpt::Decoder&);
 
-void ChurnProcess::restoreToggleEvent(const sim::EventKey& key,
-                                      std::size_t idx) {
+void ChurnProcess::restoreEvent(const sim::EventKey& key,
+                                const sim::EventDesc& desc) {
+  const std::size_t idx = desc.u0;
   if (idx >= nodes_.size()) {
     throw std::runtime_error{
         "checkpoint: churn toggle event names node index " +
         std::to_string(idx) + " of " + std::to_string(nodes_.size())};
   }
-  world_.sim().scheduleKeyed(key, toggleDesc(idx),
-                             [this, idx] { toggle(idx); });
+  world_.sim().scheduleKeyed(key, desc, [this, idx] { toggle(idx); });
 }
 
 void ChurnProcess::toggle(std::size_t idx) {

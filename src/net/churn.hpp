@@ -19,13 +19,20 @@
 
 namespace glr::net {
 
+/// ChurnProcess::Params, K(type, name, default) each, in declaration order
+/// (the scenario config digest walks this list).
+#define GLR_CHURN_PARAMS(K)                                                  \
+  K(double, fraction, 0.5)  /* fraction of nodes that duty-cycle, (0, 1] */ \
+  K(double, upMean, 120.0)  /* mean ON duration (s), exponential */         \
+  K(double, downMean, 30.0) /* mean OFF duration (s), exponential */        \
+  K(double, start, 0.0)     /* no toggle before this time */
+
 class ChurnProcess {
  public:
   struct Params {
-    double fraction = 0.5;   // fraction of nodes that duty-cycle, (0, 1]
-    double upMean = 120.0;   // mean ON duration (s), exponential
-    double downMean = 30.0;  // mean OFF duration (s), exponential
-    double start = 0.0;      // no toggle before this time
+#define GLR_FIELD(type, name, def) type name = def;
+    GLR_CHURN_PARAMS(GLR_FIELD)
+#undef GLR_FIELD
   };
 
   /// Selects round(fraction * numNodes) churning nodes (at least one),
@@ -48,9 +55,9 @@ class ChurnProcess {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates a pending toggle event under its original key (restore
-  /// path; see checkpoint/event_kinds.hpp kChurnToggle, u0 = node index).
-  void restoreToggleEvent(const sim::EventKey& key, std::size_t idx);
+  /// Re-creates a pending toggle event (kChurnToggle, see
+  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   struct NodeState {

@@ -13,16 +13,6 @@
 
 namespace glr::net {
 
-namespace {
-
-sim::EventDesc faultDesc(ckpt::EventKind kind) {
-  sim::EventDesc d;
-  d.kind = kind;
-  return d;
-}
-
-}  // namespace
-
 AdversaryModel::AdversaryModel(std::size_t numNodes, Params params,
                                sim::Rng rng)
     : params_(params), greyRng_(rng.fork(1)) {
@@ -178,7 +168,7 @@ void FaultProcess::scheduleBurst() {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at = std::max(params_.start, sim.now()) +
                           burstRng_.exponential(1.0 / params_.burstRate);
-  sim.scheduleAt(at, faultDesc(ckpt::kFaultBurstNext),
+  sim.scheduleAt(at, {.kind = ckpt::kFaultBurstNext},
                  [this] { burstArrive(); });
 }
 
@@ -186,7 +176,7 @@ void FaultProcess::burstArrive() {
   ++counters_.burstsStarted;
   ++burstsActive_;  // bursts can overlap; loss applies while any is open
   const double duration = burstRng_.exponential(params_.burstMean);
-  world_.sim().schedule(duration, faultDesc(ckpt::kFaultBurstEnd),
+  world_.sim().schedule(duration, {.kind = ckpt::kFaultBurstEnd},
                         [this] { burstEnd(); });
   scheduleBurst();
 }
@@ -195,7 +185,7 @@ void FaultProcess::scheduleStall() {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at = std::max(params_.start, sim.now()) +
                           stallRng_.exponential(1.0 / params_.stallRate);
-  sim.scheduleAt(at, faultDesc(ckpt::kFaultStallNext),
+  sim.scheduleAt(at, {.kind = ckpt::kFaultStallNext},
                  [this] { stallArrive(); });
 }
 
@@ -208,9 +198,8 @@ void FaultProcess::stallArrive() {
     stalled_[static_cast<std::size_t>(victim)] = 1;
     ++counters_.stallsStarted;
     world_.setRadioUp(victim, false);
-    sim::EventDesc desc = faultDesc(ckpt::kFaultStallEnd);
-    desc.i0 = victim;
-    world_.sim().schedule(duration, desc,
+    world_.sim().schedule(duration,
+                          {.kind = ckpt::kFaultStallEnd, .i0 = victim},
                           [this, victim] { stallEnd(victim); });
   }
   scheduleStall();
@@ -231,10 +220,11 @@ void FaultProcess::scheduleFlap(int node, bool up) {
       up ? params_.adversary.flapUpMean : params_.adversary.flapDownMean;
   const sim::SimTime at =
       std::max(params_.start, sim.now()) + flapRng_.exponential(mean);
-  sim::EventDesc desc = faultDesc(ckpt::kFaultFlap);
-  desc.i0 = node;
-  desc.b0 = up ? 1 : 0;
-  sim.scheduleAt(at, desc, [this, node, up] { flapToggle(node, up); });
+  sim.scheduleAt(at,
+                 {.kind = ckpt::kFaultFlap,
+                  .b0 = static_cast<std::uint8_t>(up),
+                  .i0 = node},
+                 [this, node, up] { flapToggle(node, up); });
 }
 
 void FaultProcess::flapToggle(int node, bool up) {
@@ -282,44 +272,35 @@ template void AdversaryModel::visit(ckpt::Decoder&);
 template void FaultProcess::visit(ckpt::Encoder&);
 template void FaultProcess::visit(ckpt::Decoder&);
 
-void FaultProcess::restoreBurstNextEvent(const sim::EventKey& key) {
-  world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultBurstNext),
-                             [this] { burstArrive(); });
-}
-
-void FaultProcess::restoreBurstEndEvent(const sim::EventKey& key) {
-  world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultBurstEnd),
-                             [this] { burstEnd(); });
-}
-
-void FaultProcess::restoreStallNextEvent(const sim::EventKey& key) {
-  world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultStallNext),
-                             [this] { stallArrive(); });
-}
-
-void FaultProcess::restoreStallEndEvent(const sim::EventKey& key, int victim) {
-  if (victim < 0 || static_cast<std::size_t>(victim) >= stalled_.size()) {
-    throw std::runtime_error{"checkpoint: stall-end event names node " +
-                             std::to_string(victim) + " of " +
-                             std::to_string(stalled_.size())};
+void FaultProcess::restoreEvent(const sim::EventKey& key,
+                                const sim::EventDesc& desc) {
+  sim::Simulator& sim = world_.sim();
+  switch (desc.kind) {
+    case ckpt::kFaultBurstNext:
+      sim.scheduleKeyed(key, desc, [this] { burstArrive(); });
+      return;
+    case ckpt::kFaultBurstEnd:
+      sim.scheduleKeyed(key, desc, [this] { burstEnd(); });
+      return;
+    case ckpt::kFaultStallNext:
+      sim.scheduleKeyed(key, desc, [this] { stallArrive(); });
+      return;
+    case ckpt::kFaultStallEnd:
+      sim.scheduleKeyed(key, desc,
+                        [this, victim = desc.i0] { stallEnd(victim); });
+      return;
+    case ckpt::kFaultFlap:
+      if (!adversary_.has_value()) {
+        throw std::runtime_error{
+            "checkpoint: flap event present but no adversary model is built"};
+      }
+      sim.scheduleKeyed(key, desc, [this, node = desc.i0, up = desc.b0 != 0] {
+        flapToggle(node, up);
+      });
+      return;
+    default:
+      throw std::logic_error{"FaultProcess::restoreEvent: not a fault kind"};
   }
-  sim::EventDesc desc = faultDesc(ckpt::kFaultStallEnd);
-  desc.i0 = victim;
-  world_.sim().scheduleKeyed(key, desc,
-                             [this, victim] { stallEnd(victim); });
-}
-
-void FaultProcess::restoreFlapEvent(const sim::EventKey& key, int node,
-                                    bool up) {
-  if (!adversary_.has_value()) {
-    throw std::runtime_error{
-        "checkpoint: flap event present but no adversary model is built"};
-  }
-  sim::EventDesc desc = faultDesc(ckpt::kFaultFlap);
-  desc.i0 = node;
-  desc.b0 = up ? 1 : 0;
-  world_.sim().scheduleKeyed(key, desc,
-                             [this, node, up] { flapToggle(node, up); });
 }
 
 }  // namespace glr::net

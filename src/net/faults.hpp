@@ -68,6 +68,17 @@
 
 namespace glr::net {
 
+/// AdversaryModel::Params, K(type, name, default) each, in declaration
+/// order (the scenario config digest walks this list).
+#define GLR_ADVERSARY_PARAMS(K)                                               \
+  K(double, blackholeFraction, 0.0)                                           \
+  K(double, greyholeFraction, 0.0)                                            \
+  K(double, greyholeDropProb, 0.5) /* per-relayed-copy drop probability */    \
+  K(double, selfishFraction, 0.0)                                             \
+  K(double, flappingFraction, 0.0)                                            \
+  K(double, flapUpMean, 20.0) /* mean radio-up phase, s (exponential) */      \
+  K(double, flapDownMean, 5.0) /* mean radio-down phase, seconds */
+
 /// Per-node misbehavior assignment and relay-time decisions. Owned by
 /// FaultProcess; routing agents reach it through World::adversary() at the
 /// single point where a relayed copy is accepted, so every protocol faces
@@ -90,13 +101,9 @@ class AdversaryModel {
   };
 
   struct Params {
-    double blackholeFraction = 0.0;
-    double greyholeFraction = 0.0;
-    double greyholeDropProb = 0.5;  // per-relayed-copy drop probability
-    double selfishFraction = 0.0;
-    double flappingFraction = 0.0;
-    double flapUpMean = 20.0;   // mean radio-up phase, seconds (exponential)
-    double flapDownMean = 5.0;  // mean radio-down phase, seconds
+#define GLR_FIELD(type, name, def) type name = def;
+    GLR_ADVERSARY_PARAMS(GLR_FIELD)
+#undef GLR_FIELD
 
     /// True when any behavior is enabled (drives whether the model is built
     /// and the assignment stream is ever forked — the zero-when-off gate).
@@ -156,27 +163,30 @@ class AdversaryModel {
   Counters counters_;
 };
 
+/// FaultProcess::Params, K(type, name, default) each, in declaration order
+/// (the scenario config digest walks this list).
+#define GLR_FAULT_PARAMS(K)                                                   \
+  K(double, start, 0.0) /* no fault before this time */                       \
+  /* Link-loss bursts (0 burstRate disables). */                              \
+  K(double, burstRate, 0.0) /* bursts per second (Poisson arrivals) */        \
+  K(double, burstMean, 2.0) /* mean burst duration, s (exponential) */        \
+  K(double, lossProb, 0.5)  /* per-frame-per-receiver drop prob in a burst */ \
+  /* Frame corruption (0 disables). */                                        \
+  K(double, corruptProb, 0.0) /* per-frame-per-receiver corruption prob */    \
+  /* Stuck-node stalls (0 stallRate disables). */                             \
+  K(double, stallRate, 0.0) /* stalls per second (Poisson arrivals) */        \
+  K(double, stallMean, 5.0) /* mean stall duration, s (exponential) */        \
+  /* Misbehaving-node models (all fractions 0 disables; see            */    \
+  /* AdversaryModel). Flapping phases start at `start` like every other */    \
+  /* fault mechanism.                                                   */    \
+  K(AdversaryModel::Params, adversary, {})
+
 class FaultProcess {
  public:
   struct Params {
-    double start = 0.0;  // no fault before this time
-
-    // Link-loss bursts (0 burstRate disables).
-    double burstRate = 0.0;  // bursts per second (Poisson arrivals)
-    double burstMean = 2.0;  // mean burst duration, seconds (exponential)
-    double lossProb = 0.5;   // per-frame-per-receiver drop prob in a burst
-
-    // Frame corruption (0 disables).
-    double corruptProb = 0.0;  // per-frame-per-receiver corruption prob
-
-    // Stuck-node stalls (0 stallRate disables).
-    double stallRate = 0.0;  // stalls per second (Poisson arrivals)
-    double stallMean = 5.0;  // mean stall duration, seconds (exponential)
-
-    // Misbehaving-node models (all fractions 0 disables; see
-    // AdversaryModel). Flapping phases start at `start` like every other
-    // fault mechanism.
-    AdversaryModel::Params adversary;
+#define GLR_FIELD(type, name, def) type name = def;
+    GLR_FAULT_PARAMS(GLR_FIELD)
+#undef GLR_FIELD
   };
 
   struct Counters {
@@ -212,13 +222,10 @@ class FaultProcess {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Restore-path event rebuilders (see checkpoint/event_kinds.hpp):
-  /// each re-creates one pending fault event under its original key.
-  void restoreBurstNextEvent(const sim::EventKey& key);
-  void restoreBurstEndEvent(const sim::EventKey& key);
-  void restoreStallNextEvent(const sim::EventKey& key);
-  void restoreStallEndEvent(const sim::EventKey& key, int victim);
-  void restoreFlapEvent(const sim::EventKey& key, int node, bool up);
+  /// Re-creates one pending fault event (kFaultBurstNext..kFaultFlap, see
+  /// checkpoint/event_kinds.hpp) under its saved key and descriptor. The
+  /// caller has checked that a stall or flap event names a node.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   /// Channel delivery filter: true = deliver. Draws in a fixed order

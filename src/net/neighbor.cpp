@@ -184,8 +184,9 @@ template void HelloPayload::Entry::visit(ckpt::Decoder&);
 template void NeighborService::visit(ckpt::Encoder&);
 template void NeighborService::visit(ckpt::Decoder&);
 
-void NeighborService::restoreHelloEvent(const sim::EventKey& key) {
-  sim_.scheduleKeyed(key, helloDesc(self_), [this] { sendHello(); });
+void NeighborService::restoreEvent(const sim::EventKey& key,
+                                   const sim::EventDesc& desc) {
+  sim_.scheduleKeyed(key, desc, [this] { sendHello(); });
 }
 
 bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {

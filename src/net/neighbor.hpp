@@ -127,9 +127,9 @@ class NeighborService {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates a pending hello beacon event under its original key
-  /// (restore path; see checkpoint/event_kinds.hpp kHello).
-  void restoreHelloEvent(const sim::EventKey& key);
+  /// Re-creates a pending hello beacon event (kHello, see
+  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   struct NeighborRecord {

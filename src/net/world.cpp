@@ -7,17 +7,6 @@
 
 namespace glr::net {
 
-namespace {
-
-sim::EventDesc startDesc(int id) {
-  sim::EventDesc d;
-  d.kind = ckpt::kAgentStart;
-  d.i0 = id;
-  return d;
-}
-
-}  // namespace
-
 World::World(sim::Simulator& sim, const phy::PropagationModel& model,
              const phy::RadioParams& radio, mac::MacParams macParams)
     : sim_(sim),
@@ -132,8 +121,9 @@ void World::start() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].agent) {
       Agent* raw = nodes_[i].agent.get();
-      sim_.schedule(0.0, startDesc(static_cast<int>(i)),
-                    [raw] { raw->start(); });
+      sim_.schedule(
+          0.0, {.kind = ckpt::kAgentStart, .i0 = static_cast<int>(i)},
+          [raw] { raw->start(); });
     }
   }
 }
@@ -142,14 +132,15 @@ void World::invalidatePositionCache() {
   for (sim::SimTime& at : posAt_) at = -1.0;
 }
 
-void World::restoreAgentStartEvent(const sim::EventKey& key, int id) {
-  Node& node = nodes_.at(static_cast<std::size_t>(id));
+void World::restoreEvent(const sim::EventKey& key,
+                         const sim::EventDesc& desc) {
+  Node& node = nodes_.at(static_cast<std::size_t>(desc.i0));
   if (!node.agent) {
     throw std::runtime_error{"checkpoint: agent-start event names node " +
-                             std::to_string(id) + " which has no agent"};
+                             std::to_string(desc.i0) + " which has no agent"};
   }
   Agent* raw = node.agent.get();
-  sim_.scheduleKeyed(key, startDesc(id), [raw] { raw->start(); });
+  sim_.scheduleKeyed(key, desc, [raw] { raw->start(); });
 }
 
 }  // namespace glr::net

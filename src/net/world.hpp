@@ -139,9 +139,9 @@ class World {
   /// every built-in model, so mobility itself carries no serialized state).
   void invalidatePositionCache();
 
-  /// Re-creates a pending agent-start event under its original key (only
-  /// possible for a t = 0 checkpoint; see event_kinds.hpp kAgentStart).
-  void restoreAgentStartEvent(const sim::EventKey& key, int id);
+  /// Re-creates a pending agent-start event (kAgentStart, only possible
+  /// for a t = 0 checkpoint) under its saved key and descriptor.
+  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   struct Node {

@@ -1,5 +1,7 @@
 #include "routing/direct.hpp"
 
+#include <stdexcept>
+
 #include "checkpoint/event_kinds.hpp"
 #include "trace/recorder.hpp"
 
@@ -22,7 +24,12 @@ DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
                                          sim::Rng rng)
     : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
                 params.expectedBufferedCopies),
-      params_(std::move(params)) {}
+      params_(std::move(params)) {
+  if (!(params_.checkInterval > 0.0)) {
+    throw std::invalid_argument{
+        "DirectDeliveryAgent: checkInterval must be > 0"};
+  }
+}
 
 void DirectDeliveryAgent::start() {
   neighbors_.start();
@@ -76,7 +83,7 @@ void DirectDeliveryAgent::restoreEvent(const sim::EventKey& key,
     AgentBase::restoreEvent(key, desc);
     return;
   }
-  world_.sim().scheduleKeyed(key, checkDesc(self_), [this] { check(); });
+  world_.sim().scheduleKeyed(key, desc, [this] { check(); });
 }
 
 }  // namespace glr::routing

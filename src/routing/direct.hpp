@@ -23,6 +23,7 @@ inline constexpr const char* kDirectDataKind = "dd-data";
 
 class DirectDeliveryAgent final : public AgentBase {
  public:
+  /// Throws std::invalid_argument unless checkInterval > 0.
   DirectDeliveryAgent(net::World& world, int self, DirectParams params,
                       dtn::MetricsCollector* metrics, sim::Rng rng);
 

@@ -91,7 +91,7 @@ void AgentBase::restoreEvent(const sim::EventKey& key,
                              ": cannot restore event kind " +
                              std::to_string(static_cast<int>(desc.kind))};
   }
-  neighbors_.restoreHelloEvent(key);
+  neighbors_.restoreEvent(key, desc);
 }
 
 }  // namespace glr::routing

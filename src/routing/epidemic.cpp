@@ -207,8 +207,7 @@ void EpidemicAgent::restoreEvent(const sim::EventKey& key,
     AgentBase::restoreEvent(key, desc);
     return;
   }
-  world_.sim().scheduleKeyed(key, exchangeDesc(self_),
-                             [this] { exchangeTick(); });
+  world_.sim().scheduleKeyed(key, desc, [this] { exchangeTick(); });
 }
 
 }  // namespace glr::routing

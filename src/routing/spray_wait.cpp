@@ -202,7 +202,7 @@ void SprayWaitAgent::restoreEvent(const sim::EventKey& key,
     throw std::runtime_error{
         "SprayWaitAgent: expiry event restored but no TTL configured"};
   }
-  world_.sim().scheduleKeyed(key, expiryDesc(self_), [this] { expiryTick(); });
+  world_.sim().scheduleKeyed(key, desc, [this] { expiryTick(); });
 }
 
 }  // namespace glr::routing

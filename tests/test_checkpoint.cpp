@@ -17,11 +17,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "checkpoint/codec.hpp"
+#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/file.hpp"
 #include "checkpoint/payload_codec.hpp"
 #include "checkpoint/scenario_checkpoint.hpp"
@@ -74,20 +77,45 @@ std::string runKeepingFirstSnapshot(const ScenarioConfig& cfg,
   return first;
 }
 
+/// The kinds of the pending events a snapshot holds. Each 60-byte event
+/// record is its (timeBits, seq) key, the u16 kind, then the descriptor's
+/// other 42 bytes.
+std::set<int> pendingKinds(const std::string& path) {
+  const glr::ckpt::CheckpointFile f = glr::ckpt::CheckpointFile::read(path);
+  const glr::ckpt::Section& s = f.section(glr::ckpt::kSectionEvents, path);
+  Decoder d{s.bytes.data(), s.bytes.size(), path};
+  std::set<int> kinds;
+  unsigned char skip[42];
+  for (std::uint64_t n = d.u64(); n > 0; --n) {
+    d.bytes(skip, 16);
+    kinds.insert(d.u16());
+    d.bytes(skip, 42);
+  }
+  d.expectEnd();
+  return kinds;
+}
+
 /// Golden vs snapshot-and-restore differential. Runs `cfg` once writing
 /// snapshots every T = cfg.checkpointEvery, then restores the T snapshot
 /// into a fresh scenario and checks the continued run is bit-identical to
-/// the uninterrupted one.
+/// the uninterrupted one. The T snapshot must hold a pending event of each
+/// of `pending`, so the restore re-creates them.
 ///
 /// With a second snapshot (2T < simTime < 3T) it also checks the byte
 /// round-trip law: the snapshot the restored run writes at 2T must equal
 /// the uninterrupted run's 2T snapshot byte for byte. That catches state a
 /// visit forgets even when the forgotten state never moves ScenarioResult.
-void expectRestoreBitIdentical(ScenarioConfig cfg, const std::string& name) {
+void expectRestoreBitIdentical(ScenarioConfig cfg, const std::string& name,
+                               std::initializer_list<int> pending = {}) {
   const std::string path = tmpPath(name);
   cfg.checkpointPath = path;
   ScenarioResult golden;
   const std::string first = runKeepingFirstSnapshot(cfg, golden);
+  const std::set<int> held = pendingKinds(first);
+  for (const int kind : pending) {
+    EXPECT_TRUE(held.count(kind) != 0)
+        << name << ": the T snapshot holds no pending event of kind " << kind;
+  }
 
   ScenarioConfig resumed = cfg;
   resumed.checkpointPath = path + ".resumed";
@@ -119,11 +147,11 @@ void expectRestoreBitIdentical(ScenarioConfig cfg, const std::string& name) {
 // run's own 2T snapshot is held to the byte round-trip law.
 // ---------------------------------------------------------------------------
 
-TEST(Checkpoint, GlrFullStackRestoreBitIdentical) {
-  // Everything on at once: saturating ON/OFF traffic, burst loss +
-  // corruption + stalls, blackhole/greyhole/selfish/flapping adversaries,
-  // churn, TTLs, custody watermark + AIMD congestion control, and the GLR
-  // recovery layer the faults keep busy.
+/// Everything on at once: saturating ON/OFF traffic, burst loss +
+/// corruption + stalls, blackhole/greyhole/selfish/flapping adversaries,
+/// churn, TTLs, custody watermark + AIMD congestion control, and the GLR
+/// recovery layer the faults keep busy.
+ScenarioConfig glrFullStack() {
   ScenarioConfig cfg;
   cfg.protocol = Protocol::kGlr;
   cfg.numNodes = 40;
@@ -156,8 +184,32 @@ TEST(Checkpoint, GlrFullStackRestoreBitIdentical) {
   cfg.faults.params.adversary.selfishFraction = 0.08;
   cfg.faults.params.adversary.flappingFraction = 0.08;
   cfg.glrRecovery = true;
+  return cfg;
+}
+
+TEST(Checkpoint, GlrFullStackRestoreBitIdentical) {
+  ScenarioConfig cfg = glrFullStack();
   cfg.checkpointEvery = 150.0;  // snapshots at t=150 and t=300
   expectRestoreBitIdentical(cfg, "ckpt_glr_fullstack.bin");
+}
+
+TEST(Checkpoint, GlrMidAckExchangeRestoreBitIdentical) {
+  // The full stack with burst-loss windows and stalls long enough to be
+  // open at T, and T placed 5 us after a unicast DATA frame ends (found by
+  // listing the pending frames of a t=149.5 snapshot): the snapshot then
+  // holds the receiver's ACK reply inside its SIFS and the sender's ACK
+  // timeout, which the round instants above never catch in flight. The ACK
+  // arrives after the restore, so the timeout's re-armed handle must cancel
+  // it.
+  ScenarioConfig cfg = glrFullStack();
+  cfg.faults.params.burstMean = 30.0;
+  cfg.faults.params.stallRate = 0.05;
+  cfg.faults.params.stallMean = 30.0;
+  cfg.checkpointEvery = 149.50450384193445;
+  using namespace glr::ckpt;
+  expectRestoreBitIdentical(
+      cfg, "ckpt_glr_midexchange.bin",
+      {kMacAckReply, kMacAckTimeout, kFaultBurstEnd, kFaultStallEnd});
 }
 
 TEST(Checkpoint, GlrPaperWorkloadRestoreBitIdentical) {

@@ -141,6 +141,22 @@ TEST(Scenario, BadConfigThrows) {
   cfg.numNodes = 10;
   cfg.trafficNodes = 20;
   EXPECT_THROW((void)runScenario(cfg), std::invalid_argument);
+  // The paper schedule needs at least one (src, dst) pair.
+  cfg.simTime = 20.0;
+  cfg.numMessages = 5;
+  for (const int trafficNodes : {1, 0, -3}) {
+    cfg.trafficNodes = trafficNodes;
+    EXPECT_THROW((void)runScenario(cfg), std::invalid_argument)
+        << "trafficNodes " << trafficNodes;
+  }
+  // A periodic check every 0 s would never let the clock advance.
+  cfg.trafficNodes = 8;
+  cfg.checkInterval = 0.0;
+  for (const Protocol p : {Protocol::kGlr, Protocol::kDirectDelivery}) {
+    cfg.protocol = p;
+    EXPECT_THROW((void)runScenario(cfg), std::invalid_argument)
+        << protocolName(p);
+  }
 }
 
 TEST(Scenario, ProtocolNames) {
