@@ -626,6 +626,7 @@ TEST(Checkpoint, RestoreWithTracingArmedRefused) {
   resumed.tracePath = tmpPath("ckpt_traced.trace");
   EXPECT_THROW((void)runScenario(resumed), std::runtime_error);
   std::remove(path.c_str());
+  std::remove(resumed.tracePath.c_str());
 }
 
 TEST(Checkpoint, CheckpointPathWithoutPeriodRefused) {
