@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -627,6 +628,159 @@ TEST(Checkpoint, RestoreWithTracingArmedRefused) {
   EXPECT_THROW((void)runScenario(resumed), std::runtime_error);
   std::remove(path.c_str());
   std::remove(resumed.tracePath.c_str());
+}
+
+/// Rewrites record `index` of `path`'s events section (the last record when
+/// `index` is past the end) to carry `desc`, and, when `at` is positive,
+/// the fire time `at`. The rewrite keeps the record's seq; reading and
+/// writing the file re-seals its checksum.
+void rewriteEventRecord(const std::string& path, std::size_t index,
+                        const glr::sim::EventDesc& desc, double at) {
+  glr::ckpt::CheckpointFile f = glr::ckpt::CheckpointFile::read(path);
+  for (glr::ckpt::Section& s : f.sections) {
+    if (s.id != glr::ckpt::kSectionEvents) continue;
+    constexpr std::size_t kRecordBytes = 60;  // key (16) + descriptor (44)
+    const std::size_t count = (s.bytes.size() - 8) / kRecordBytes;
+    ASSERT_GT(count, 0u) << path << ": snapshot holds no pending event";
+    unsigned char* record =
+        s.bytes.data() + 8 + kRecordBytes * std::min(index, count - 1);
+    if (at > 0.0) {
+      Encoder key;
+      key.u64(glr::sim::Simulator::timeToBits(at));
+      std::memcpy(record, key.data().data(), key.data().size());
+    }
+    Encoder e;
+    e.u16(desc.kind);
+    e.u8(desc.b0);
+    e.u8(desc.b1);
+    e.i32(desc.i0);
+    e.i32(desc.i1);
+    e.u64(desc.u0);
+    e.u64(desc.u1);
+    e.f64(desc.f0);
+    e.f64(desc.f1);
+    std::memcpy(record + 16, e.data().data(), e.data().size());
+  }
+  f.write(path);
+}
+
+TEST(Checkpoint, CorruptEventRecordRefusedAtRestore) {
+  // One real snapshot per component set, each restored with one event
+  // record rewritten: every defect must refuse while the restore routes the
+  // record, naming it, and never reach the simulator. The agent-node row
+  // puts its record past simTime, where it would never fire, so a check
+  // deferred to fire time would let that restore succeed.
+  using namespace glr::ckpt;
+  // GLR under the paper schedule: no churn, faults or traffic process.
+  const ScenarioConfig plain = snapshotScenario(tmpPath("ckpt_refuse.bin"));
+  // Churn, stochastic ON/OFF sources and faults without an adversary.
+  ScenarioConfig busy = snapshotScenario(tmpPath("ckpt_refuse_busy.bin"));
+  busy.traffic.model = "onoff";
+  busy.traffic.rate = 2.0;
+  busy.churn.enabled = true;
+  busy.churn.params.fraction = 0.25;
+  busy.faults.enabled = true;
+  busy.faults.params.burstRate = 0.05;
+  busy.faults.params.lossProb = 0.3;
+  busy.faults.params.stallRate = 0.02;
+  // Spray-and-Wait without a TTL, whose agents run no expiry sweep.
+  ScenarioConfig spray = snapshotScenario(tmpPath("ckpt_refuse_spray.bin"));
+  spray.protocol = Protocol::kSprayAndWait;
+  const ScenarioConfig* const snapshots[] = {&plain, &busy, &spray};
+  for (const ScenarioConfig* cfg : snapshots) (void)runScenario(*cfg);
+
+  constexpr std::size_t kLast = ~std::size_t{0};
+  struct Row {
+    const char* name;
+    const ScenarioConfig* cfg;
+    glr::sim::EventDesc desc;
+    const char* defect;
+    std::size_t index = 0;
+    double at = 0.0;
+  };
+  const Row rows[] = {
+      {"unknown kind", &plain, {.kind = 999}, "unknown event kind 999"},
+      {"MAC node out of range",
+       &plain,
+       {.kind = kMacAckTimeout, .i0 = 20},
+       "node 20 outside the population"},
+      {"agent node out of range, past simTime",
+       &plain,
+       {.kind = kGlrPeriodicCheck, .i0 = -1},
+       "node -1 outside the population",
+       kLast,
+       plain.simTime + 50.0},
+      {"fault-stall node out of range",
+       &busy,
+       {.kind = kFaultStallEnd, .i0 = 20},
+       "node 20 outside the population"},
+      {"paper-arrival destination out of range",
+       &plain,
+       {.kind = kTrafficPaperArrival, .i0 = 3, .i1 = 20},
+       "node 20 outside the population"},
+      {"churn record without churn",
+       &plain,
+       {.kind = kChurnToggle},
+       "churn event without churn"},
+      {"churn index past the last churning node",
+       &busy,
+       {.kind = kChurnToggle, .u0 = 5},
+       "node index 5"},
+      {"fault record without faults",
+       &plain,
+       {.kind = kFaultBurstNext},
+       "fault event without faults"},
+      {"traffic record without a traffic process",
+       &plain,
+       {.kind = kTrafficArrival},
+       "traffic event without process"},
+      {"ack-retry tree flag above 3",
+       &plain,
+       {.kind = kGlrAckRetry, .b0 = 4, .i0 = 2},
+       "bad tree flag"},
+      {"custody-timer tree flag above 3",
+       &plain,
+       {.kind = kGlrCustodyTimer, .b0 = 4, .i0 = 2},
+       "bad tree flag"},
+      {"traffic source index past the last source",
+       &busy,
+       {.kind = kTrafficSourceToggle, .u0 = 16},
+       "bad source 16"},
+      {"flap record without an adversary model",
+       &busy,
+       {.kind = kFaultFlap, .i0 = 4},
+       "no adversary model"},
+      {"another protocol's agent event",
+       &plain,
+       {.kind = kEpidemicExchange, .i0 = 1},
+       "event kind 19"},
+      {"expiry sweep without a TTL",
+       &spray,
+       {.kind = kSprayExpiry, .i0 = 1},
+       "no TTL"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path = row.cfg->checkpointPath + ".rewritten";
+    std::filesystem::copy_file(
+        row.cfg->checkpointPath, path,
+        std::filesystem::copy_options::overwrite_existing);
+    rewriteEventRecord(path, row.index, row.desc, row.at);
+    ScenarioConfig resumed = *row.cfg;
+    resumed.checkpointPath.clear();
+    resumed.restoreFrom = path;
+    try {
+      (void)runScenario(resumed);
+      ADD_FAILURE() << "restore accepted the rewritten record";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(row.defect), std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+  for (const ScenarioConfig* cfg : snapshots) {
+    removeSnapshots(cfg->checkpointPath);
+  }
 }
 
 TEST(Checkpoint, CheckpointPathWithoutPeriodRefused) {
