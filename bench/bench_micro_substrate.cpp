@@ -98,16 +98,22 @@ void BM_LocalSpannerNeighbors(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalSpannerNeighbors);
 
+/// Sums the payload each fired event carries in its descriptor.
+struct SummingSink final : glr::sim::EventSink {
+  std::uint64_t sum = 0;
+  void onEvent(const glr::sim::EventDesc& desc) override { sum += desc.u0; }
+};
+
 void BM_EventQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {
     glr::sim::Simulator sim;
     glr::sim::Rng rng{3};
-    int fired = 0;
+    SummingSink sink;
     for (int i = 0; i < 10000; ++i) {
-      sim.schedule(rng.uniform(0.0, 100.0), [&fired] { ++fired; });
+      sim.schedule(rng.uniform(0.0, 100.0), sink, {.u0 = 1});
     }
     sim.run();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.sum);
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }

@@ -34,64 +34,86 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using glr::sim::EventDesc;
 using glr::sim::Simulator;
 
 double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Capture payload mirroring the protocol stack's custody/cache timers
-/// (`[this, key, sentAt]` in glr_agent.cpp): 24 bytes of state that ride in
-/// every closure, inside the slab kernel's 48-byte inline budget. This is
-/// the case the scenario hot path hits millions of times.
-struct TimerPayload {
-  long long key;
-  double deadline;
-  int hop;
+/// Payload mirroring the protocol stack's custody timers (copy key,
+/// deadline and next hop in glr_agent.cpp). It rides in each event's
+/// descriptor, as a custody timer's does: key in u0, hop in i0, deadline
+/// in f0. This is the case the scenario hot path hits millions of times.
+EventDesc timerDesc(std::uint64_t key, double deadline, int hop) {
+  return {.i0 = hop, .u0 = key, .f0 = deadline};
+}
+
+/// Folds the key of every fired event into `acc`.
+struct DrainSink final : glr::sim::EventSink {
+  std::uint64_t acc = 0;
+  void onEvent(const EventDesc& d) override { acc = acc * 31 + d.u0; }
 };
 
 /// Bulk schedule `n` events at uniform random times, then drain.
 void scheduleDrain(std::uint64_t n) {
   Simulator sim;
   glr::sim::Rng rng{42};
-  std::uint64_t sink = 0;
+  DrainSink sink;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const TimerPayload p{static_cast<long long>(i), rng.uniform(0.0, 1000.0),
-                         static_cast<int>(i & 7)};
-    sim.schedule(p.deadline, [p, &sink] {
-      sink = sink * 31 + static_cast<std::uint64_t>(p.key);
-    });
+    const double deadline = rng.uniform(0.0, 1000.0);
+    sim.schedule(deadline, sink,
+                 timerDesc(i, deadline, static_cast<int>(i & 7)));
   }
   sim.run();
 }
 
-struct ChurnCtx {
+/// Steady-state churn: each fired event schedules its successor (periodic
+/// beacons / route checks) until `remaining` events have run. With
+/// `cancelTimeouts`, each also schedules a near-future timeout (kind 1)
+/// that it cancels at once (MAC ACK timeouts, custody timers).
+struct ChurnSink final : glr::sim::EventSink {
   Simulator& sim;
   glr::sim::Rng& rng;
   std::uint64_t remaining;
-  std::uint64_t sink = 0;
+  bool cancelTimeouts;
+  std::uint64_t acc = 0;
+
+  ChurnSink(Simulator& s, glr::sim::Rng& r, std::uint64_t n, bool cancel)
+      : sim(s), rng(r), remaining(n), cancelTimeouts(cancel) {}
+
+  void onEvent(const EventDesc& d) override {
+    acc = acc * 31 + d.u0;
+    if (d.kind == 1 || remaining == 0) return;
+    --remaining;
+    glr::sim::EventHandle timeout;
+    if (cancelTimeouts) {
+      EventDesc t = timerDesc(~d.u0, 2.0 + rng.uniform(0.0, 1.0), d.i0);
+      t.kind = 1;
+      timeout = sim.schedule(t.f0, *this, t);
+    }
+    const double deadline = rng.uniform(0.0, 1.0);
+    sim.schedule(deadline, *this, timerDesc(d.u0 + 1, deadline, d.i0 + 1));
+    timeout.cancel();
+  }
 };
 
-/// Steady-state churn at queue depth `depth`: each fired event schedules its
-/// replacement (periodic beacons / route checks) until `n` events have run.
-void timerChurn(std::uint64_t n, std::uint64_t depth) {
+/// Steady-state churn at queue depth `depth` until `n` events have run.
+void churn(std::uint64_t n, std::uint64_t depth, std::uint64_t seed,
+           bool cancelTimeouts) {
   Simulator sim;
-  glr::sim::Rng rng{43};
-  ChurnCtx ctx{sim, rng, n};
-  struct Tick {
-    static void fire(ChurnCtx& c, const TimerPayload& p) {
-      c.sink = c.sink * 31 + static_cast<std::uint64_t>(p.key);
-      if (c.remaining == 0) return;
-      --c.remaining;
-      const TimerPayload np{p.key + 1, c.rng.uniform(0.0, 1.0), p.hop + 1};
-      c.sim.schedule(np.deadline, [&c, np] { fire(c, np); });
-    }
-  };
+  glr::sim::Rng rng{seed};
+  ChurnSink sink{sim, rng, n, cancelTimeouts};
   for (std::uint64_t i = 0; i < depth; ++i) {
-    const TimerPayload p{static_cast<long long>(i), rng.uniform(0.0, 1.0), 0};
-    sim.schedule(p.deadline, [&ctx, p] { Tick::fire(ctx, p); });
+    const double deadline = rng.uniform(0.0, 1.0);
+    sim.schedule(deadline, sink, timerDesc(i, deadline, 0));
   }
   sim.run();
+}
+
+/// Periodic-timer pattern: every fired event reschedules one successor.
+void timerChurn(std::uint64_t n, std::uint64_t depth) {
+  churn(n, depth, 43, false);
 }
 
 /// Ack-timer pattern: each fired event schedules one successor plus a
@@ -99,28 +121,7 @@ void timerChurn(std::uint64_t n, std::uint64_t depth) {
 /// exercising handle creation and the lazy removal of stale heap records as
 /// simulation time passes them).
 void cancelChurn(std::uint64_t n, std::uint64_t depth) {
-  Simulator sim;
-  glr::sim::Rng rng{44};
-  ChurnCtx ctx{sim, rng, n};
-  struct Tick {
-    static void fire(ChurnCtx& c, const TimerPayload& p) {
-      c.sink = c.sink * 31 + static_cast<std::uint64_t>(p.key);
-      if (c.remaining == 0) return;
-      --c.remaining;
-      const TimerPayload tp{~p.key, 2.0 + c.rng.uniform(0.0, 1.0), p.hop};
-      glr::sim::EventHandle timeout = c.sim.schedule(tp.deadline, [&c, tp] {
-        c.sink = c.sink * 31 + static_cast<std::uint64_t>(tp.key);
-      });
-      const TimerPayload np{p.key + 1, c.rng.uniform(0.0, 1.0), p.hop + 1};
-      c.sim.schedule(np.deadline, [&c, np] { fire(c, np); });
-      timeout.cancel();
-    }
-  };
-  for (std::uint64_t i = 0; i < depth; ++i) {
-    const TimerPayload p{static_cast<long long>(i), rng.uniform(0.0, 1.0), 0};
-    sim.schedule(p.deadline, [&ctx, p] { Tick::fire(ctx, p); });
-  }
-  sim.run();
+  churn(n, depth, 44, true);
 }
 
 struct MicroResult {
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
   std::fprintf(out, "  \"host\": %s,\n", glr::bench::hostJson().c_str());
   std::fprintf(out, "  \"slab\": \"slab+generation-handles+4ary-heap+"
-                    "inplace-function\",\n");
+                    "sink-descriptor\",\n");
   std::fprintf(out, "  \"micro\": [\n");
   for (std::size_t i = 0; i < micros.size(); ++i) {
     const auto& m = micros[i];

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "checkpoint/event_kinds.hpp"
 #include "core/glr_agent.hpp"
 #include "dtn/metrics.hpp"
 #include "mobility/mobility.hpp"
@@ -84,10 +85,15 @@ int main() {
   world.start();
 
   // Village 0 sends hourly-ish reports to the district office at village 4,
-  // which also answers back.
+  // which also answers back. Each message is an origination event on its
+  // source agent (the kind the paper's fixed workload schedules; i1 names
+  // the destination).
+  using glr::ckpt::kTrafficPaperArrival;
   for (int k = 0; k < 10; ++k) {
-    sim.schedule(30.0 + 120.0 * k, [&agents] { agents[0]->originate(4); });
-    sim.schedule(90.0 + 120.0 * k, [&agents] { agents[4]->originate(0); });
+    sim.schedule(30.0 + 120.0 * k, *agents[0],
+                 {.kind = kTrafficPaperArrival, .i0 = 0, .i1 = 4});
+    sim.schedule(90.0 + 120.0 * k, *agents[4],
+                 {.kind = kTrafficPaperArrival, .i0 = 4, .i1 = 0});
   }
   sim.run(3600.0);
 

@@ -2,21 +2,22 @@
 /// \file event_kinds.hpp
 /// Descriptor vocabulary for pending simulator events.
 ///
-/// Closures are not serializable, so every schedule site tags its event
-/// with a sim::EventDesc naming the site (kind) and its captures (the
-/// b/i/u/f fields; which field holds what is documented per kind below).
-/// At restore, scenario_checkpoint.cpp routes each saved descriptor to the
-/// restoreEvent(key, desc) of the component that owns the site, which
-/// reads its own fields and re-creates the exact callback under the exact
-/// original (time, seq) key and the saved descriptor. Values are part of
-/// the on-disk checkpoint format — append only, never renumber.
+/// Every event of a scenario is a sim::EventDesc addressed to the
+/// component that handles it: the kind names the event, the b/i/u/f fields
+/// carry its arguments (which field holds what is documented per kind
+/// below), and firing calls that component's onEvent with the descriptor.
+/// A checkpoint saves each pending event as its (time, seq) key and
+/// descriptor; at restore, scenario_checkpoint.cpp checks each record and
+/// schedules it, under the exact original key, on the component that owns
+/// its kind. Values are part of the on-disk checkpoint format — append
+/// only, never renumber.
 
 #include <cstdint>
 
 namespace glr::ckpt {
 
 enum EventKind : std::uint16_t {
-  kNone = 0,  // undescribed — the checkpoint writer refuses these
+  kNone = 0,  // no scenario event has it; restore refuses it as unknown
 
   // mac/channel.cpp — i0: unused; u0: txId.
   kChannelTxEnd = 1,
@@ -31,7 +32,8 @@ enum EventKind : std::uint16_t {
   // net/neighbor.cpp — i0: self node id.
   kHello = 7,
 
-  // net/world.cpp — i0: node id (start() fan-out at t=0).
+  // net/world.cpp — i0: node id (start() fan-out at t=0). Fires before
+  // any snapshot, so restore refuses it as corrupt.
   kAgentStart = 8,
 
   // net/churn.cpp — u0: churn-node index (not node id).

@@ -76,6 +76,114 @@ void visitEvent(Ar& ar, sim::Simulator::PendingEvent& ev) {
   ar.f64(desc.f1);
 }
 
+/// The component that fires a saved event, once its record passes every
+/// check a restore makes: a known kind whose component the config builds,
+/// node ids, indexes and tree flags in range, and an agent kind of the
+/// configured protocol. Throws through `d`, naming the defect, so a bad
+/// record refuses while restoring, never when it would fire.
+sim::EventSink& ownerOf(const sim::EventDesc& desc,
+                        const ScenarioComponents& c, const Decoder& d) {
+  const auto node = [&](std::int32_t id) {
+    if (id < 0 || static_cast<std::size_t>(id) >= c.agents->size()) {
+      d.fail("event names node " + std::to_string(id) +
+             " outside the population");
+    }
+    return static_cast<std::size_t>(id);
+  };
+  // An agent kind that only `protocol`'s agents schedule.
+  const auto agent = [&](experiment::Protocol protocol) -> sim::EventSink& {
+    routing::DtnAgent& a = *(*c.agents)[node(desc.i0)];
+    if (c.cfg->protocol != protocol) {
+      d.fail(std::string{"a "} + experiment::protocolName(c.cfg->protocol) +
+             " agent schedules no event kind " + std::to_string(desc.kind));
+    }
+    return a;
+  };
+  switch (desc.kind) {
+    case kChannelTxEnd: {
+      mac::Channel& channel = c.world->channel();
+      if (desc.u0 >= channel.transmissionsStarted()) {
+        d.fail("tx-end event names transmission " + std::to_string(desc.u0) +
+               " of " + std::to_string(channel.transmissionsStarted()));
+      }
+      return channel;
+    }
+    case kMacAttempt:
+    case kMacBackoffExpire:
+    case kMacTxEnd:
+    case kMacAckTimeout:
+    case kMacAckReply:
+      return c.world->macOf(static_cast<int>(node(desc.i0)));
+    case kHello:
+      return *(*c.agents)[node(desc.i0)];
+    case kAgentStart:
+      d.fail("agent-start event: every agent starts at t = 0, before the "
+             "first snapshot");
+    case kChurnToggle:
+      if (c.churn == nullptr) d.fail("churn event without churn");
+      if (desc.u0 >= c.churn->churningNodes()) {
+        d.fail("churn toggle event names node index " +
+               std::to_string(desc.u0) + " of " +
+               std::to_string(c.churn->churningNodes()));
+      }
+      return *c.churn;
+    case kFaultStallEnd:
+    case kFaultFlap:
+      node(desc.i0);
+      [[fallthrough]];
+    case kFaultBurstNext:
+    case kFaultBurstEnd:
+    case kFaultStallNext:
+      if (c.faults == nullptr) d.fail("fault event without faults");
+      if (desc.kind == kFaultFlap && c.faults->adversary() == nullptr) {
+        d.fail("flap event but no adversary model is built");
+      }
+      return *c.faults;
+    case kGlrPeriodicCheck:
+    case kGlrQueuedCheck:
+      return agent(experiment::Protocol::kGlr);
+    case kGlrAckRetry:
+    case kGlrCustodyTimer: {
+      sim::EventSink& owner = agent(experiment::Protocol::kGlr);
+      if (desc.b0 > 3) {
+        d.fail("GLR event kind " + std::to_string(desc.kind) +
+               " has bad tree flag " + std::to_string(desc.b0));
+      }
+      return owner;
+    }
+    case kEpidemicExchange:
+      return agent(experiment::Protocol::kEpidemic);
+    case kSprayExpiry: {
+      sim::EventSink& owner = agent(experiment::Protocol::kSprayAndWait);
+      if (c.cfg->messageTtl <= 0.0) {
+        d.fail("expiry-sweep event but no TTL is configured");
+      }
+      return owner;
+    }
+    case kDirectCheck:
+      return agent(experiment::Protocol::kDirectDelivery);
+    case kTrafficPaperArrival:
+      node(desc.i1);
+      return *(*c.agents)[node(desc.i0)];
+    case kTrafficArrival:
+    case kTrafficSourceToggle:
+    case kTrafficSourceArrival:
+      if (c.traffic == nullptr) d.fail("traffic event without process");
+      if (desc.kind != kTrafficArrival &&
+          desc.u0 >= c.traffic->sourceCount()) {
+        d.fail("traffic event for bad source " + std::to_string(desc.u0));
+      }
+      return *c.traffic;
+    case kCheckpointTimer:
+      if (c.checkpointTimer == nullptr) {
+        d.fail("checkpoint-timer event but this run writes no checkpoints");
+      }
+      return *c.checkpointTimer;
+    default:
+      d.fail("unknown event kind " + std::to_string(desc.kind));
+  }
+}
+
 /// Per node: its MAC, then its routing agent.
 template <class Ar>
 void visitNodes(Ar& ar, const ScenarioComponents& c) {
@@ -169,21 +277,11 @@ void writeCheckpoint(const std::string& path, const ScenarioComponents& c) {
   f.nextSeq = c.sim->nextSeq();
   f.executed = c.sim->eventsExecuted();
 
-  // Pending events, in exact fire order. An undescribed event is a silently
-  // unrestorable checkpoint, so it refuses here, at snapshot time.
+  // Pending events, in exact fire order.
   auto pending = c.sim->pendingEvents();
   Encoder events;
   events.count(pending.size(), kEventRecordBytes);
-  for (auto& ev : pending) {
-    if (ev.desc.kind == kNone) {
-      throw std::runtime_error{
-          "writeCheckpoint: pending event at t=" +
-          std::to_string(sim::Simulator::bitsToTime(ev.key.timeBits)) +
-          " seq=" + std::to_string(ev.key.seq) +
-          " has no descriptor (untagged schedule site)"};
-    }
-    visitEvent(events, ev);
-  }
+  for (auto& ev : pending) visitEvent(events, ev);
   f.addSection(kSectionEvents, events.take());
 
   forEachComponentSection(c, [&](std::uint32_t id, auto&& visit) {
@@ -221,8 +319,7 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
 
   // Kernel first: drop every construction-time event, rewind the clock and
   // counters, then overwrite component state before any event re-creation
-  // (restoreEvent methods re-arm cancellation handles that the restoring
-  // visits reset).
+  // (the MAC takes back handles that its restoring visit reset).
   c.sim->clearPending();
   c.sim->restoreClock(f.simNow, f.nextSeq, f.executed);
   c.world->invalidatePositionCache();
@@ -233,86 +330,19 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
     d.expectEnd();
   });
 
-  // Pending events last, each routed to its owning component, which reads
-  // its own descriptor fields and re-creates the event under the exact
-  // saved (timeBits, seq) key and descriptor.
+  // Pending events last, each scheduled under its exact saved (timeBits,
+  // seq) key and descriptor on the component that fires its kind.
   Decoder d = sectionDecoder(f, kSectionEvents, path);
   std::size_t nEvents = 0;
   d.count(nEvents, kEventRecordBytes);
-  const int numNodes = static_cast<int>(c.agents->size());
   for (std::size_t i = 0; i < nEvents; ++i) {
     sim::Simulator::PendingEvent ev;
     visitEvent(d, ev);
-    const sim::EventKey& key = ev.key;
-    const sim::EventDesc& desc = ev.desc;
-
-    const auto nodeOf = [&](std::int32_t id) {
-      if (id < 0 || id >= numNodes) {
-        d.fail("event names node " + std::to_string(id) +
-               " outside the population");
-      }
-      return id;
-    };
-
-    switch (desc.kind) {
-      case kChannelTxEnd:
-        c.world->channel().restoreEvent(key, desc);
-        break;
-      case kMacAttempt:
-      case kMacBackoffExpire:
-      case kMacTxEnd:
-      case kMacAckTimeout:
-      case kMacAckReply:
-        c.world->macOf(nodeOf(desc.i0)).restoreEvent(key, desc);
-        break;
-      case kAgentStart:
-        nodeOf(desc.i0);
-        c.world->restoreEvent(key, desc);
-        break;
-      case kChurnToggle:
-        if (c.churn == nullptr) d.fail("churn event without churn");
-        c.churn->restoreEvent(key, desc);
-        break;
-      case kFaultStallEnd:
-      case kFaultFlap:
-        nodeOf(desc.i0);
-        [[fallthrough]];
-      case kFaultBurstNext:
-      case kFaultBurstEnd:
-      case kFaultStallNext:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreEvent(key, desc);
-        break;
-      case kHello:
-      case kGlrPeriodicCheck:
-      case kGlrQueuedCheck:
-      case kGlrAckRetry:
-      case kGlrCustodyTimer:
-      case kEpidemicExchange:
-      case kSprayExpiry:
-      case kDirectCheck:
-        (*c.agents)[static_cast<std::size_t>(nodeOf(desc.i0))]->restoreEvent(
-            key, desc);
-        break;
-      case kTrafficPaperArrival:
-        nodeOf(desc.i0);
-        nodeOf(desc.i1);
-        experiment::restorePaperArrival(*c.sim, *c.agents, key, desc);
-        break;
-      case kTrafficArrival:
-      case kTrafficSourceToggle:
-      case kTrafficSourceArrival:
-        if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreEvent(key, desc);
-        break;
-      case kCheckpointTimer:
-        if (!c.restoreCheckpointTimer) {
-          d.fail("checkpoint-timer event but no writer hook installed");
-        }
-        c.restoreCheckpointTimer(key, desc);
-        break;
-      default:
-        d.fail("unknown event kind " + std::to_string(desc.kind));
+    const sim::EventHandle handle =
+        c.sim->scheduleKeyed(ev.key, ownerOf(ev.desc, c, d), ev.desc);
+    // The MAC is the one component that holds handles to its events.
+    if (ev.desc.kind >= kMacAttempt && ev.desc.kind <= kMacAckReply) {
+      c.world->macOf(ev.desc.i0).adoptHandle(ev.desc, handle);
     }
   }
   d.expectEnd();

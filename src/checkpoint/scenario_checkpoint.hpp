@@ -15,11 +15,11 @@
 ///
 /// Mismatches refuse loudly: a checkpoint restored into a different
 /// configuration (digest), an unsupported version, a truncated or corrupt
-/// file, or a descriptor whose owning component is absent all throw
-/// std::runtime_error naming the defect.
+/// file, or an event record that names an unknown kind, an absent
+/// component or an out-of-range node all throw std::runtime_error naming
+/// the defect.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,12 +70,9 @@ struct ScenarioComponents {
   net::ChurnProcess* churn = nullptr;             // null unless churn enabled
   net::FaultProcess* faults = nullptr;            // null unless faults enabled
   experiment::TrafficProcess* traffic = nullptr;  // null for the "paper" model
-  /// Re-creates the periodic checkpoint-writer event under its saved key
-  /// and descriptor (the writer is a runScenario lambda, so the scenario
-  /// supplies the hook). Required iff the snapshot holds a kCheckpointTimer
-  /// event.
-  std::function<void(const sim::EventKey&, const sim::EventDesc&)>
-      restoreCheckpointTimer;
+  /// The periodic snapshot writer, sink of the kCheckpointTimer event; null
+  /// unless the config sets checkpointEvery.
+  sim::EventSink* checkpointTimer = nullptr;
 };
 
 /// Digest over every ScenarioConfig knob that shapes the simulated event
@@ -87,16 +84,15 @@ struct ScenarioComponents {
 /// without a field list does not compile.
 [[nodiscard]] std::uint64_t configDigest(const experiment::ScenarioConfig& cfg);
 
-/// Snapshots the full scenario state to `path` (atomic tmp+rename). Throws
-/// if any pending event is undescribed (kind == kNone) — that would be a
-/// silently unrestorable checkpoint.
+/// Snapshots the full scenario state to `path` (atomic tmp+rename).
 void writeCheckpoint(const std::string& path, const ScenarioComponents& c);
 
 /// Restores `path` into a freshly built scenario. Must run after every
 /// component is constructed and started (their initial events are cleared)
 /// and before Simulator::run. Refuses a digest mismatch, a version or
-/// integrity defect, tracing armed on the restored run, or any event whose
-/// owning component is missing.
+/// integrity defect, tracing armed on the restored run, or any event record
+/// that fails a check (see ownerOf in scenario_checkpoint.cpp) — all while
+/// restoring, never when the event would fire.
 void restoreCheckpoint(const std::string& path, const ScenarioComponents& c);
 
 }  // namespace glr::ckpt

@@ -14,17 +14,6 @@
 
 namespace glr::core {
 
-namespace {
-
-sim::EventDesc glrDesc(ckpt::EventKind kind, int self) {
-  sim::EventDesc d;
-  d.kind = kind;
-  d.i0 = self;
-  return d;
-}
-
-}  // namespace
-
 GlrAgent::GlrAgent(net::World& world, int self, GlrParams params,
                    dtn::MetricsCollector* metrics, sim::Rng rng)
     : GlrAgent(world, self,
@@ -60,8 +49,8 @@ GlrAgent::GlrAgent(net::World& world, int self,
     });
     if (checkQueued_) return;
     checkQueued_ = true;
-    world_.sim().schedule(0.01, glrDesc(ckpt::kGlrQueuedCheck, self_),
-                          [this] { onQueuedCheck(); });
+    world_.sim().schedule(0.01, *this,
+                          {.kind = ckpt::kGlrQueuedCheck, .i0 = self_});
   });
 }
 
@@ -78,9 +67,8 @@ int GlrAgent::copyCount() const {
 void GlrAgent::start() {
   neighbors_.start();
   // Desynchronized periodic route checks.
-  world_.sim().schedule(rng_.uniform(0.0, params_->checkInterval),
-                        glrDesc(ckpt::kGlrPeriodicCheck, self_),
-                        [this] { periodicCheck(); });
+  world_.sim().schedule(rng_.uniform(0.0, params_->checkInterval), *this,
+                        {.kind = ckpt::kGlrPeriodicCheck, .i0 = self_});
 }
 
 void GlrAgent::periodicCheck() {
@@ -92,9 +80,8 @@ void GlrAgent::periodicCheck() {
   // copy finds its entry gone and stays silent.
   if (params_->messageTtl > 0.0) buffer_.expireDue(world_.sim().now());
   checkRoutes();
-  world_.sim().schedule(params_->checkInterval,
-                        glrDesc(ckpt::kGlrPeriodicCheck, self_),
-                        [this] { periodicCheck(); });
+  world_.sim().schedule(params_->checkInterval, *this,
+                        {.kind = ckpt::kGlrPeriodicCheck, .i0 = self_});
 }
 
 void GlrAgent::originate(int dstNode) {
@@ -134,8 +121,8 @@ void GlrAgent::originate(int dstNode) {
   // Kick an immediate check so fresh messages don't idle a full interval.
   if (!checkQueued_) {
     checkQueued_ = true;
-    world_.sim().schedule(0.001, glrDesc(ckpt::kGlrQueuedCheck, self_),
-                          [this] { onQueuedCheck(); });
+    world_.sim().schedule(0.001, *this,
+                          {.kind = ckpt::kGlrQueuedCheck, .i0 = self_});
   }
 }
 
@@ -374,19 +361,18 @@ void GlrAgent::sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,
   // Interface queue full: a lost custody ack forks the copy at the sender,
   // so retry shortly rather than relying on the sender's cache timeout.
   if (attempt < params_->ackRetries) {
-    sim::EventDesc desc = glrDesc(ckpt::kGlrAckRetry, self_);
-    desc.i1 = to;
-    desc.u0 = (static_cast<std::uint64_t>(
-                   static_cast<std::uint32_t>(key.id.src))
-               << 32) |
-              static_cast<std::uint32_t>(key.id.seq);
-    desc.b0 = static_cast<std::uint8_t>(key.flag);
-    desc.b1 = accepted ? 1 : 0;
-    desc.u1 = static_cast<std::uint64_t>(attempt + 1);
-    world_.sim().schedule(params_->ackRetryDelay, desc,
-                          [this, key, to, attempt, accepted] {
-                            sendCustodyAck(key, to, attempt + 1, accepted);
-                          });
+    world_.sim().schedule(
+        params_->ackRetryDelay, *this,
+        {.kind = ckpt::kGlrAckRetry,
+         .b0 = static_cast<std::uint8_t>(key.flag),
+         .b1 = static_cast<std::uint8_t>(accepted),
+         .i0 = self_,
+         .i1 = to,
+         .u0 = (static_cast<std::uint64_t>(
+                    static_cast<std::uint32_t>(key.id.src))
+                << 32) |
+               static_cast<std::uint32_t>(key.id.seq),
+         .u1 = static_cast<std::uint64_t>(attempt + 1)});
   } else {
     // Out of retries: the ack is abandoned (the sender's custody timer
     // recovers the copy). Counted, never silent.
@@ -519,15 +505,13 @@ bool GlrAgent::sendCopy(const dtn::CopyKey& key, int nextHop) {
   if (params_->custodyTransfer) {
     const sim::SimTime sentAt = world_.sim().now();
     buffer_.moveToCache(key, nextHop, sentAt);
-    sim::EventDesc desc = glrDesc(ckpt::kGlrCustodyTimer, self_);
-    desc.i1 = key.id.src;
-    desc.u0 = static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(key.id.seq));
-    desc.b0 = static_cast<std::uint8_t>(key.flag);
-    desc.f0 = sentAt;
-    world_.sim().schedule(custodyTimeoutNow(), desc, [this, key, sentAt] {
-      onCustodyTimeout(key, sentAt);
-    });
+    world_.sim().schedule(custodyTimeoutNow(), *this,
+                          {.kind = ckpt::kGlrCustodyTimer,
+                           .b0 = static_cast<std::uint8_t>(key.flag),
+                           .i0 = self_,
+                           .i1 = key.id.src,
+                           .u0 = static_cast<std::uint32_t>(key.id.seq),
+                           .f0 = sentAt});
   } else {
     buffer_.erase(key);
   }
@@ -725,48 +709,31 @@ void GlrAgent::visitState(Ar& ar) {
 void GlrAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
 void GlrAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
-void GlrAgent::restoreEvent(const sim::EventKey& key,
-                            const sim::EventDesc& desc) {
+void GlrAgent::onEvent(const sim::EventDesc& desc) {
   switch (desc.kind) {
     case ckpt::kGlrPeriodicCheck:
-      world_.sim().scheduleKeyed(key, desc, [this] { periodicCheck(); });
+      periodicCheck();
       return;
     case ckpt::kGlrQueuedCheck:
-      world_.sim().scheduleKeyed(key, desc, [this] { onQueuedCheck(); });
+      onQueuedCheck();
       return;
     case ckpt::kGlrAckRetry: {
-      if (desc.b0 > 3) {
-        throw std::runtime_error{"GlrAgent: ack-retry event bad tree flag"};
-      }
-      dtn::CopyKey ackKey;
-      ackKey.id = {static_cast<int>(desc.u0 >> 32),
-                   static_cast<int>(desc.u0 & 0xffffffffu)};
-      ackKey.flag = static_cast<dtn::TreeFlag>(desc.b0);
-      const int to = desc.i1;
-      const int attempt = static_cast<int>(desc.u1);
-      const bool accepted = desc.b1 != 0;
-      world_.sim().scheduleKeyed(key, desc,
-                                 [this, ackKey, to, attempt, accepted] {
-                                   sendCustodyAck(ackKey, to, attempt,
-                                                  accepted);
-                                 });
+      dtn::CopyKey key;
+      key.id = {static_cast<int>(desc.u0 >> 32),
+                static_cast<int>(desc.u0 & 0xffffffffu)};
+      key.flag = static_cast<dtn::TreeFlag>(desc.b0);
+      sendCustodyAck(key, desc.i1, static_cast<int>(desc.u1), desc.b1 != 0);
       return;
     }
     case ckpt::kGlrCustodyTimer: {
-      if (desc.b0 > 3) {
-        throw std::runtime_error{"GlrAgent: custody timer bad tree flag"};
-      }
-      dtn::CopyKey copyKey;
-      copyKey.id = {desc.i1, static_cast<int>(desc.u0)};
-      copyKey.flag = static_cast<dtn::TreeFlag>(desc.b0);
-      const sim::SimTime sentAt = desc.f0;
-      world_.sim().scheduleKeyed(key, desc, [this, copyKey, sentAt] {
-        onCustodyTimeout(copyKey, sentAt);
-      });
+      dtn::CopyKey key;
+      key.id = {desc.i1, static_cast<int>(desc.u0)};
+      key.flag = static_cast<dtn::TreeFlag>(desc.b0);
+      onCustodyTimeout(key, desc.f0);
       return;
     }
     default:
-      AgentBase::restoreEvent(key, desc);
+      AgentBase::onEvent(desc);
   }
 }
 

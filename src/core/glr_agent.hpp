@@ -159,13 +159,13 @@ class GlrAgent final : public routing::AgentBase {
   [[nodiscard]] int copyCount() const;
 
   /// Checkpoint support: AgentBase's state, then the location table, the
-  /// suspicion ledger and the AIMD congestion state. The periodic and queued
-  /// route checks, custody-ack retries and custody timers are rebuilt here,
-  /// the hello beacon by AgentBase.
+  /// suspicion ledger and the AIMD congestion state.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// Fires the periodic and queued route checks, custody-ack retries and
+  /// custody timers (kGlrPeriodicCheck..kGlrCustodyTimer, see
+  /// checkpoint/event_kinds.hpp) and passes every other kind to AgentBase.
+  void onEvent(const sim::EventDesc& desc) override;
 
  private:
   /// The protocol's own checkpointed state, listed once for both archives.
@@ -190,7 +190,7 @@ class GlrAgent final : public routing::AgentBase {
   bool sendCopy(const dtn::CopyKey& key, int nextHop);
   /// Custody timer body: fires custodyTimeoutNow() after a cached send;
   /// no-ops unless this exact custody round (matched by sentAt) is still
-  /// outstanding. Named so checkpoint restore re-creates the same callback.
+  /// outstanding.
   void onCustodyTimeout(const dtn::CopyKey& key, sim::SimTime sentAt);
   /// Contact/originate-triggered deferred route check (checkQueued_ gate).
   void onQueuedCheck();

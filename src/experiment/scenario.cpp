@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
@@ -173,6 +172,31 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
   throw std::invalid_argument{"makeAgent: unknown protocol"};
 }
 
+/// The periodic snapshot writer, itself a simulated event
+/// (kCheckpointTimer), so checkpointEvery is part of the config digest and
+/// of the deterministic sequence. It reschedules FIRST, so the snapshot it
+/// then writes already contains the next timer — a restored run keeps
+/// checkpointing on the same cadence. With checkpointPath empty the timer
+/// still fires (keeping eventsExecuted identical to a writing run of the
+/// same config) but writes nothing.
+class CheckpointTimer final : public sim::EventSink {
+ public:
+  CheckpointTimer(const ScenarioConfig& cfg,
+                  const ckpt::ScenarioComponents& comps)
+      : cfg_(cfg), comps_(comps) {}
+
+  void onEvent(const sim::EventDesc& desc) override {
+    comps_.sim->schedule(cfg_.checkpointEvery, *this, desc);
+    if (!cfg_.checkpointPath.empty()) {
+      ckpt::writeCheckpoint(cfg_.checkpointPath, comps_);
+    }
+  }
+
+ private:
+  const ScenarioConfig& cfg_;
+  const ckpt::ScenarioComponents& comps_;
+};
+
 }  // namespace
 
 ChurnSpec churnPreset(const std::string& name) {
@@ -229,12 +253,6 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   // start event per node.
   const auto nodes = static_cast<std::size_t>(cfg.numNodes);
   simulator.reserve(std::max<std::size_t>(4096, nodes * 4), nodes);
-  // Checkpointing needs every pending event described, so this must precede
-  // the first schedule anywhere. Also required on a restored run: keyed
-  // event re-creation and any further snapshots both read descriptors.
-  if (cfg.checkpointEvery > 0.0 || !cfg.restoreFrom.empty()) {
-    simulator.enableEventDescriptions();
-  }
   if (cfg.wallDeadlineSeconds > 0.0) {
     simulator.setWallDeadline(cfg.wallDeadlineSeconds);
   }
@@ -366,13 +384,7 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
     trafficProcess->start();
   }
 
-  // Crash safety: the periodic snapshot writer is itself a simulated event
-  // (kCheckpointTimer), so checkpointEvery is part of the config digest and
-  // of the deterministic sequence. The callback reschedules FIRST, so the
-  // snapshot it then writes already contains the next timer — a restored
-  // run keeps checkpointing on the same cadence. With checkpointPath empty
-  // the timer still fires (keeping eventsExecuted identical to a writing
-  // run of the same config) but writes nothing.
+  // Crash safety: the components a snapshot covers, and the periodic writer.
   ckpt::ScenarioComponents comps;
   comps.sim = &simulator;
   comps.world = &world;
@@ -382,26 +394,13 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   comps.churn = churn.get();
   comps.faults = faults.get();
   comps.traffic = trafficProcess.get();
-  std::function<void()> checkpointTick;
+  CheckpointTimer checkpointTimer{cfg, comps};
   if (cfg.checkpointEvery > 0.0) {
-    const auto scheduleTick = [&cfg, &simulator, &checkpointTick] {
-      simulator.schedule(cfg.checkpointEvery,
-                         {.kind = ckpt::kCheckpointTimer},
-                         [&checkpointTick] { checkpointTick(); });
-    };
-    checkpointTick = [&cfg, &comps, scheduleTick] {
-      scheduleTick();
-      if (!cfg.checkpointPath.empty()) {
-        ckpt::writeCheckpoint(cfg.checkpointPath, comps);
-      }
-    };
-    comps.restoreCheckpointTimer = [&simulator, &checkpointTick](
-                                       const sim::EventKey& key,
-                                       const sim::EventDesc& desc) {
-      simulator.scheduleKeyed(key, desc,
-                              [&checkpointTick] { checkpointTick(); });
-    };
-    if (cfg.restoreFrom.empty()) scheduleTick();
+    comps.checkpointTimer = &checkpointTimer;
+    if (cfg.restoreFrom.empty()) {
+      simulator.schedule(cfg.checkpointEvery, checkpointTimer,
+                         {.kind = ckpt::kCheckpointTimer});
+    }
   }
 
   world.start();

@@ -23,10 +23,8 @@ void schedulePaperWorkload(sim::Simulator& sim,
   const auto traffic = static_cast<std::uint64_t>(trafficNodes);
   const auto scheduleMessage = [&](int k, int src, int dst) {
     sim.schedule(trafficStart + k * messageInterval,
-                 {.kind = ckpt::kTrafficPaperArrival, .i0 = src, .i1 = dst},
-                 [agent = agents[static_cast<std::size_t>(src)], dst] {
-                   agent->originate(dst);
-                 });
+                 *agents[static_cast<std::size_t>(src)],
+                 {.kind = ckpt::kTrafficPaperArrival, .i0 = src, .i1 = dst});
   };
   if (traffic * (traffic - 1) <= kPairEnumerationCap) {
     std::vector<std::pair<int, int>> pairs;
@@ -52,14 +50,6 @@ void schedulePaperWorkload(sim::Simulator& sim,
       scheduleMessage(k, src, dst);
     }
   }
-}
-
-void restorePaperArrival(sim::Simulator& sim,
-                         const std::vector<routing::DtnAgent*>& agents,
-                         const sim::EventKey& key, const sim::EventDesc& desc) {
-  sim.scheduleKeyed(key, desc,
-                    [agent = agents[static_cast<std::size_t>(desc.i0)],
-                     dst = desc.i1] { agent->originate(dst); });
 }
 
 TrafficProcess::TrafficProcess(sim::Simulator& sim,
@@ -170,7 +160,7 @@ void TrafficProcess::scheduleArrival() {
   const sim::SimTime at = std::max(params_.start, sim_.now()) +
                           rng_.exponential(1.0 / maxRate_);
   if (at >= params_.horizon) return;  // chain ends inside the horizon
-  sim_.scheduleAt(at, {.kind = ckpt::kTrafficArrival}, [this] { arrival(); });
+  sim_.scheduleAt(at, *this, {.kind = ckpt::kTrafficArrival});
 }
 
 void TrafficProcess::arrival() {
@@ -209,8 +199,7 @@ void TrafficProcess::togglePhase(std::size_t s) {
   const sim::SimTime at =
       std::max(params_.start, sim_.now()) + src.rng.exponential(mean);
   if (at >= params_.horizon) return;
-  sim_.scheduleAt(at, {.kind = ckpt::kTrafficSourceToggle, .u0 = s},
-                  [this, s] { phaseFlip(s); });
+  sim_.scheduleAt(at, *this, {.kind = ckpt::kTrafficSourceToggle, .u0 = s});
 }
 
 void TrafficProcess::phaseFlip(std::size_t s) {
@@ -235,8 +224,8 @@ void TrafficProcess::scheduleSourceArrival(std::size_t s) {
                           src.rng.exponential(1.0 / onRate);
   if (at >= params_.horizon) return;
   sim_.scheduleAt(
-      at, {.kind = ckpt::kTrafficSourceArrival, .u0 = s, .u1 = src.epoch},
-      [this, s, epoch = src.epoch] { sourceArrival(s, epoch); });
+      at, *this,
+      {.kind = ckpt::kTrafficSourceArrival, .u0 = s, .u1 = src.epoch});
 }
 
 void TrafficProcess::sourceArrival(std::size_t s, std::uint64_t epoch) {
@@ -269,26 +258,16 @@ void TrafficProcess::visit(Ar& ar) {
 template void TrafficProcess::visit(ckpt::Encoder&);
 template void TrafficProcess::visit(ckpt::Decoder&);
 
-void TrafficProcess::restoreEvent(const sim::EventKey& key,
-                                  const sim::EventDesc& desc) {
-  if (desc.kind == ckpt::kTrafficArrival) {
-    sim_.scheduleKeyed(key, desc, [this] { arrival(); });
-    return;
-  }
-  // The ON/OFF kinds: u0 names the source.
-  const std::size_t s = desc.u0;
-  if (s >= sources_.size()) {
-    throw std::runtime_error{"TrafficProcess: event for bad source " +
-                             std::to_string(s)};
-  }
+void TrafficProcess::onEvent(const sim::EventDesc& desc) {
   switch (desc.kind) {
+    case ckpt::kTrafficArrival:
+      arrival();
+      return;
     case ckpt::kTrafficSourceToggle:
-      sim_.scheduleKeyed(key, desc, [this, s] { phaseFlip(s); });
+      phaseFlip(desc.u0);
       return;
     case ckpt::kTrafficSourceArrival:
-      sim_.scheduleKeyed(key, desc, [this, s, epoch = desc.u1] {
-        sourceArrival(s, epoch);
-      });
+      sourceArrival(desc.u0, desc.u1);
       return;
     default:
       throw std::logic_error{"TrafficProcess: not a traffic event kind"};

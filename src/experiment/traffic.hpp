@@ -70,23 +70,17 @@ struct TrafficSpec {
 /// src, uniform dst != src — the same distribution when messages are few
 /// relative to pairs) without materialising anything. Throws
 /// std::invalid_argument when fewer than two traffic nodes leave no pair.
+/// Each message is a kTrafficPaperArrival event on its source agent.
 void schedulePaperWorkload(sim::Simulator& sim,
                            const std::vector<routing::DtnAgent*>& agents,
                            int trafficNodes, int numMessages,
                            double trafficStart, double messageInterval,
                            sim::Rng trafficRng);
 
-/// Re-creates one pending paper-schedule origination (kTrafficPaperArrival)
-/// under its saved key and descriptor. The caller has checked that both of
-/// its node ids index `agents`.
-void restorePaperArrival(sim::Simulator& sim,
-                         const std::vector<routing::DtnAgent*>& agents,
-                         const sim::EventKey& key, const sim::EventDesc& desc);
-
 /// Owns the generator events of one stochastic traffic model. Must outlive
-/// the simulation run (scheduled arrivals close over its state), like
+/// the simulation run (it is the sink of its scheduled arrivals), like
 /// net::ChurnProcess.
-class TrafficProcess {
+class TrafficProcess : public sim::EventSink {
  public:
   struct Params {
     TrafficSpec spec;
@@ -111,17 +105,17 @@ class TrafficProcess {
   [[nodiscard]] std::uint64_t generated() const { return generated_; }
   /// Arrival candidates suppressed by flash-crowd thinning (diagnostic).
   [[nodiscard]] std::uint64_t thinned() const { return thinned_; }
+  /// ON/OFF sources (one per traffic node; none for the other models).
+  [[nodiscard]] std::size_t sourceCount() const { return sources_.size(); }
 
   /// Checkpoint support: generator RNG(s), per-source phase/epoch state and
   /// the generated/thinned counters. Construction-derived knobs (maxRate_,
   /// flash window, hotCount_) are re-derived from the config, not stored.
-  /// Pending generator events are rebuilt via restoreEvent.
   template <class Ar>
   void visit(Ar& ar);
-  /// Re-creates one pending generator event (kTrafficArrival,
-  /// kTrafficSourceToggle or kTrafficSourceArrival, see
-  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
+  /// Fires one generator event (kTrafficArrival, kTrafficSourceToggle or
+  /// kTrafficSourceArrival, see checkpoint/event_kinds.hpp).
+  void onEvent(const sim::EventDesc& desc) override;
 
  private:
   enum class Model { kPoisson, kOnOff, kHotspot, kFlashCrowd };

@@ -251,8 +251,7 @@ void Channel::startTransmission(int sender, Frame frame, double duration) {
   history_.push_back(std::move(tx));
   ++stats_.framesSent;
   stats_.airTimeSeconds += duration;
-  sim_.schedule(duration, {.kind = ckpt::kChannelTxEnd, .u0 = txId},
-                [this, txId] { finishTransmission(txId); });
+  sim_.schedule(duration, *this, {.kind = ckpt::kChannelTxEnd, .u0 = txId});
 }
 
 bool Channel::mediumBusy(int nodeId) const {
@@ -469,16 +468,5 @@ void Channel::visit(Ar& ar) {
 
 template void Channel::visit(ckpt::Encoder&);
 template void Channel::visit(ckpt::Decoder&);
-
-void Channel::restoreEvent(const sim::EventKey& key,
-                           const sim::EventDesc& desc) {
-  const std::uint64_t txId = desc.u0;
-  if (txId >= nextTxId_) {
-    throw std::runtime_error{
-        "checkpoint: tx-end event names transmission " + std::to_string(txId) +
-        " but only " + std::to_string(nextTxId_) + " were ever started"};
-  }
-  sim_.scheduleKeyed(key, desc, [this, txId] { finishTransmission(txId); });
-}
 
 }  // namespace glr::mac

@@ -49,7 +49,7 @@ struct ChannelStats {
   double airTimeSeconds = 0.0;
 };
 
-class Channel {
+class Channel : public sim::EventSink {
  public:
   using PositionFn = std::function<geom::Point2(int nodeId)>;
   /// Batch position gather: out[k] = position of ids[k], all at the current
@@ -153,9 +153,16 @@ class Channel {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates a pending transmission-end event (kChannelTxEnd, see
-  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
+  /// Transmissions started so far; a tx-end event names one of them.
+  [[nodiscard]] std::uint64_t transmissionsStarted() const {
+    return nextTxId_;
+  }
+
+  /// Fires a transmission-end event (kChannelTxEnd, u0: txId; see
+  /// checkpoint/event_kinds.hpp).
+  void onEvent(const sim::EventDesc& desc) override {
+    finishTransmission(desc.u0);
+  }
 
  private:
   struct ActiveTx {

@@ -9,17 +9,6 @@
 
 namespace glr::mac {
 
-namespace {
-
-sim::EventDesc macDesc(ckpt::EventKind kind, int self) {
-  sim::EventDesc d;
-  d.kind = kind;
-  d.i0 = self;
-  return d;
-}
-
-}  // namespace
-
 Mac::Mac(sim::Simulator& sim, Channel& channel, int self, MacParams params,
          sim::Rng rng)
     : sim_(sim), channel_(channel), self_(self), params_(params), rng_(rng) {
@@ -65,8 +54,8 @@ void Mac::scheduleAttempt() {
     return;
   }
   attemptScheduled_ = true;
-  attemptHandle_ = sim_.schedule(0.0, macDesc(ckpt::kMacAttempt, self_),
-                                 [this] { attempt(); });
+  attemptHandle_ =
+      sim_.schedule(0.0, *this, {.kind = ckpt::kMacAttempt, .i0 = self_});
 }
 
 void Mac::attempt() {
@@ -80,9 +69,9 @@ void Mac::attempt() {
     ++stats_.busyDeferrals;
     const sim::SimTime idleAt =
         std::max(channel_.nextIdleHint(self_), sim_.now());
-    attemptHandle_ = sim_.scheduleAt(
-        idleAt + rng_.uniform(0.0, params_.slotTime),
-        macDesc(ckpt::kMacAttempt, self_), [this] { attempt(); });
+    attemptHandle_ =
+        sim_.scheduleAt(idleAt + rng_.uniform(0.0, params_.slotTime), *this,
+                        {.kind = ckpt::kMacAttempt, .i0 = self_});
     return;
   }
   const int cw = contentionWindow(queue_.front().attempts);
@@ -90,9 +79,8 @@ void Mac::attempt() {
       static_cast<double>(rng_.below(static_cast<std::uint64_t>(cw) + 1)) *
       params_.slotTime;
   attemptHandle_ =
-      sim_.schedule(params_.difs + backoff,
-                    macDesc(ckpt::kMacBackoffExpire, self_),
-                    [this] { onBackoffExpire(); });
+      sim_.schedule(params_.difs + backoff, *this,
+                    {.kind = ckpt::kMacBackoffExpire, .i0 = self_});
 }
 
 void Mac::onBackoffExpire() {
@@ -129,12 +117,11 @@ void Mac::transmitHead() {
   if (out.attempts > 0) ++stats_.retries;
 
   channel_.startTransmission(self_, std::move(frame), duration);
-  sim::EventDesc desc = macDesc(ckpt::kMacTxEnd, self_);
-  desc.b0 = broadcast ? 0 : 1;  // expectAck
-  desc.u0 = radioEpoch_;
-  sim_.schedule(duration, desc, [this, broadcast, epoch = radioEpoch_] {
-    onDataTxEnd(!broadcast, epoch);
-  });
+  sim_.schedule(duration, *this,
+                {.kind = ckpt::kMacTxEnd,
+                 .b0 = static_cast<std::uint8_t>(!broadcast),  // expectAck
+                 .i0 = self_,
+                 .u0 = radioEpoch_});
 }
 
 void Mac::onDataTxEnd(bool expectAck, std::uint64_t epoch) {
@@ -153,9 +140,8 @@ void Mac::onDataTxEnd(bool expectAck, std::uint64_t epoch) {
   awaitedSeq_ = queue_.front().seq;
   const double ackTimeout = params_.sifs + frameDuration(params_.ackBytes) +
                             2.0 * params_.slotTime + 20e-6;
-  ackTimeoutHandle_ =
-      sim_.schedule(ackTimeout, macDesc(ckpt::kMacAckTimeout, self_),
-                    [this] { onAckTimeout(); });
+  ackTimeoutHandle_ = sim_.schedule(
+      ackTimeout, *this, {.kind = ckpt::kMacAckTimeout, .i0 = self_});
 }
 
 void Mac::onAckTimeout() {
@@ -224,19 +210,14 @@ void Mac::onFrameReceived(const Frame& frame) {
   const bool unicastToMe = frame.dst == self_;
   if (unicastToMe) {
     // Reply with an ACK after SIFS (ACKs skip contention by design). The
-    // lambda captures only the scalars and builds the Frame when it fires so
-    // the closure stays inside the kernel's inline-callback budget.
-    const double ackDur = frameDuration(params_.ackBytes);
-    sim::EventDesc desc = macDesc(ckpt::kMacAckReply, self_);
-    desc.i1 = frame.src;
-    desc.u0 = frame.seq;
-    desc.u1 = radioEpoch_;
-    desc.f0 = ackDur;
-    sim_.schedule(params_.sifs, desc,
-                  [this, dst = frame.src, seq = frame.seq, ackDur,
-                   epoch = radioEpoch_] {
-                    sendAckReply(dst, seq, ackDur, epoch);
-                  });
+    // descriptor carries only the scalars; the Frame is built when it fires.
+    sim_.schedule(params_.sifs, *this,
+                  {.kind = ckpt::kMacAckReply,
+                   .i0 = self_,
+                   .i1 = frame.src,
+                   .u0 = frame.seq,
+                   .u1 = radioEpoch_,
+                   .f0 = frameDuration(params_.ackBytes)});
   } else if (frame.dst != net::kBroadcast) {
     return;  // unicast for someone else
   }
@@ -340,34 +321,34 @@ void Mac::visit(Ar& ar) {
 template void Mac::visit(ckpt::Encoder&);
 template void Mac::visit(ckpt::Decoder&);
 
-void Mac::restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc) {
+void Mac::onEvent(const sim::EventDesc& desc) {
   switch (desc.kind) {
     case ckpt::kMacAttempt:
-      attemptHandle_ = sim_.scheduleKeyed(key, desc, [this] { attempt(); });
+      attempt();
       return;
     case ckpt::kMacBackoffExpire:
-      attemptHandle_ =
-          sim_.scheduleKeyed(key, desc, [this] { onBackoffExpire(); });
+      onBackoffExpire();
       return;
     case ckpt::kMacTxEnd:
-      sim_.scheduleKeyed(key, desc,
-                         [this, expectAck = desc.b0 != 0, epoch = desc.u0] {
-                           onDataTxEnd(expectAck, epoch);
-                         });
+      onDataTxEnd(desc.b0 != 0, desc.u0);
       return;
     case ckpt::kMacAckTimeout:
-      ackTimeoutHandle_ =
-          sim_.scheduleKeyed(key, desc, [this] { onAckTimeout(); });
+      onAckTimeout();
       return;
     case ckpt::kMacAckReply:
-      sim_.scheduleKeyed(key, desc,
-                         [this, dst = desc.i1, seq = desc.u0, ackDur = desc.f0,
-                          epoch = desc.u1] {
-                           sendAckReply(dst, seq, ackDur, epoch);
-                         });
+      sendAckReply(desc.i1, desc.u0, desc.f0, desc.u1);
       return;
     default:
-      throw std::logic_error{"Mac::restoreEvent: not a MAC event kind"};
+      throw std::logic_error{"Mac: not a MAC event kind"};
+  }
+}
+
+void Mac::adoptHandle(const sim::EventDesc& desc, sim::EventHandle handle) {
+  if (desc.kind == ckpt::kMacAckTimeout) {
+    ackTimeoutHandle_ = handle;
+  } else if (desc.kind == ckpt::kMacAttempt ||
+             desc.kind == ckpt::kMacBackoffExpire) {
+    attemptHandle_ = handle;
   }
 }
 

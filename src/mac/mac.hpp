@@ -55,7 +55,7 @@ struct MacStats {
   std::uint64_t radioDownDrops = 0;   // sends attempted/flushed while down
 };
 
-class Mac {
+class Mac : public sim::EventSink {
  public:
   /// (packet, srcMacId) for every successfully received DATA frame.
   using ReceiveCallback = std::function<void(const net::Packet&, int)>;
@@ -104,16 +104,19 @@ class Mac {
 
   /// Checkpoint support: interface queue (packets by content), contention/
   /// ACK state machine flags, radio gate + epoch, recent-tx ring, duplicate
-  /// table, RNG stream and counters. Event handles are rebuilt by
-  /// restoreEvent below, not serialized.
+  /// table, RNG stream and counters. Event handles are not serialized: the
+  /// restore takes them back through adoptHandle below.
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates one pending MAC event (kMacAttempt..kMacAckReply, see
-  /// checkpoint/event_kinds.hpp) under its saved key and descriptor. The
-  /// attempt, backoff and ACK-timeout events re-arm their cancellation
-  /// handle, so a later radio-down flush can still cancel them.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
+  /// Fires one MAC event (kMacAttempt..kMacAckReply, see
+  /// checkpoint/event_kinds.hpp).
+  void onEvent(const sim::EventDesc& desc) override;
+
+  /// Restore support: takes back the handle of a re-created attempt,
+  /// backoff or ACK-timeout event, so a later radio-down flush can still
+  /// cancel it. The other kinds hold no handle.
+  void adoptHandle(const sim::EventDesc& desc, sim::EventHandle handle);
 
  private:
   struct Outgoing {

@@ -44,8 +44,7 @@ void ChurnProcess::scheduleNext(std::size_t idx) {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at =
       std::max(params_.start, sim.now()) + node.rng.exponential(mean);
-  sim.scheduleAt(at, {.kind = ckpt::kChurnToggle, .u0 = idx},
-                 [this, idx] { toggle(idx); });
+  sim.scheduleAt(at, *this, {.kind = ckpt::kChurnToggle, .u0 = idx});
 }
 
 template <class Ar>
@@ -61,17 +60,6 @@ void ChurnProcess::visit(Ar& ar) {
 
 template void ChurnProcess::visit(ckpt::Encoder&);
 template void ChurnProcess::visit(ckpt::Decoder&);
-
-void ChurnProcess::restoreEvent(const sim::EventKey& key,
-                                const sim::EventDesc& desc) {
-  const std::size_t idx = desc.u0;
-  if (idx >= nodes_.size()) {
-    throw std::runtime_error{
-        "checkpoint: churn toggle event names node index " +
-        std::to_string(idx) + " of " + std::to_string(nodes_.size())};
-  }
-  world_.sim().scheduleKeyed(key, desc, [this, idx] { toggle(idx); });
-}
 
 void ChurnProcess::toggle(std::size_t idx) {
   NodeState& node = nodes_[idx];

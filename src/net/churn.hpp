@@ -27,7 +27,7 @@ namespace glr::net {
   K(double, downMean, 30.0) /* mean OFF duration (s), exponential */        \
   K(double, start, 0.0)     /* no toggle before this time */
 
-class ChurnProcess {
+class ChurnProcess : public sim::EventSink {
  public:
   struct Params {
 #define GLR_FIELD(type, name, def) type name = def;
@@ -37,8 +37,8 @@ class ChurnProcess {
 
   /// Selects round(fraction * numNodes) churning nodes (at least one),
   /// spread uniformly across the id space so churn hits traffic endpoints
-  /// and relays alike. Must outlive the simulation run (it owns the state
-  /// the scheduled toggle events close over).
+  /// and relays alike. Must outlive the simulation run (it is the sink of
+  /// its scheduled toggle events).
   ChurnProcess(World& world, Params params, sim::Rng rng);
 
   ChurnProcess(const ChurnProcess&) = delete;
@@ -55,9 +55,9 @@ class ChurnProcess {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates a pending toggle event (kChurnToggle, see
-  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
+  /// Fires a toggle event (kChurnToggle, u0: churning-node index; see
+  /// checkpoint/event_kinds.hpp).
+  void onEvent(const sim::EventDesc& desc) override { toggle(desc.u0); }
 
  private:
   struct NodeState {

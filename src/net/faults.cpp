@@ -168,16 +168,14 @@ void FaultProcess::scheduleBurst() {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at = std::max(params_.start, sim.now()) +
                           burstRng_.exponential(1.0 / params_.burstRate);
-  sim.scheduleAt(at, {.kind = ckpt::kFaultBurstNext},
-                 [this] { burstArrive(); });
+  sim.scheduleAt(at, *this, {.kind = ckpt::kFaultBurstNext});
 }
 
 void FaultProcess::burstArrive() {
   ++counters_.burstsStarted;
   ++burstsActive_;  // bursts can overlap; loss applies while any is open
   const double duration = burstRng_.exponential(params_.burstMean);
-  world_.sim().schedule(duration, {.kind = ckpt::kFaultBurstEnd},
-                        [this] { burstEnd(); });
+  world_.sim().schedule(duration, *this, {.kind = ckpt::kFaultBurstEnd});
   scheduleBurst();
 }
 
@@ -185,8 +183,7 @@ void FaultProcess::scheduleStall() {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at = std::max(params_.start, sim.now()) +
                           stallRng_.exponential(1.0 / params_.stallRate);
-  sim.scheduleAt(at, {.kind = ckpt::kFaultStallNext},
-                 [this] { stallArrive(); });
+  sim.scheduleAt(at, *this, {.kind = ckpt::kFaultStallNext});
 }
 
 void FaultProcess::stallArrive() {
@@ -198,9 +195,8 @@ void FaultProcess::stallArrive() {
     stalled_[static_cast<std::size_t>(victim)] = 1;
     ++counters_.stallsStarted;
     world_.setRadioUp(victim, false);
-    world_.sim().schedule(duration,
-                          {.kind = ckpt::kFaultStallEnd, .i0 = victim},
-                          [this, victim] { stallEnd(victim); });
+    world_.sim().schedule(duration, *this,
+                          {.kind = ckpt::kFaultStallEnd, .i0 = victim});
   }
   scheduleStall();
 }
@@ -220,11 +216,10 @@ void FaultProcess::scheduleFlap(int node, bool up) {
       up ? params_.adversary.flapUpMean : params_.adversary.flapDownMean;
   const sim::SimTime at =
       std::max(params_.start, sim.now()) + flapRng_.exponential(mean);
-  sim.scheduleAt(at,
+  sim.scheduleAt(at, *this,
                  {.kind = ckpt::kFaultFlap,
                   .b0 = static_cast<std::uint8_t>(up),
-                  .i0 = node},
-                 [this, node, up] { flapToggle(node, up); });
+                  .i0 = node});
 }
 
 void FaultProcess::flapToggle(int node, bool up) {
@@ -272,34 +267,25 @@ template void AdversaryModel::visit(ckpt::Decoder&);
 template void FaultProcess::visit(ckpt::Encoder&);
 template void FaultProcess::visit(ckpt::Decoder&);
 
-void FaultProcess::restoreEvent(const sim::EventKey& key,
-                                const sim::EventDesc& desc) {
-  sim::Simulator& sim = world_.sim();
+void FaultProcess::onEvent(const sim::EventDesc& desc) {
   switch (desc.kind) {
     case ckpt::kFaultBurstNext:
-      sim.scheduleKeyed(key, desc, [this] { burstArrive(); });
+      burstArrive();
       return;
     case ckpt::kFaultBurstEnd:
-      sim.scheduleKeyed(key, desc, [this] { burstEnd(); });
+      --burstsActive_;
       return;
     case ckpt::kFaultStallNext:
-      sim.scheduleKeyed(key, desc, [this] { stallArrive(); });
+      stallArrive();
       return;
     case ckpt::kFaultStallEnd:
-      sim.scheduleKeyed(key, desc,
-                        [this, victim = desc.i0] { stallEnd(victim); });
+      stallEnd(desc.i0);
       return;
     case ckpt::kFaultFlap:
-      if (!adversary_.has_value()) {
-        throw std::runtime_error{
-            "checkpoint: flap event present but no adversary model is built"};
-      }
-      sim.scheduleKeyed(key, desc, [this, node = desc.i0, up = desc.b0 != 0] {
-        flapToggle(node, up);
-      });
+      flapToggle(desc.i0, desc.b0 != 0);
       return;
     default:
-      throw std::logic_error{"FaultProcess::restoreEvent: not a fault kind"};
+      throw std::logic_error{"FaultProcess: not a fault event kind"};
   }
 }
 

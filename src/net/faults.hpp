@@ -181,7 +181,7 @@ class AdversaryModel {
   /* fault mechanism.                                                   */    \
   K(AdversaryModel::Params, adversary, {})
 
-class FaultProcess {
+class FaultProcess : public sim::EventSink {
  public:
   struct Params {
 #define GLR_FIELD(type, name, def) type name = def;
@@ -197,9 +197,9 @@ class FaultProcess {
   };
 
   /// Validates params (throws std::invalid_argument on out-of-range
-  /// values). Must outlive the run: scheduled fault events, the installed
-  /// delivery filter and the World's adversary pointer close over this
-  /// object.
+  /// values). Must outlive the run: it is the sink of its scheduled fault
+  /// events, and the installed delivery filter and the World's adversary
+  /// pointer refer to it.
   FaultProcess(World& world, Params params, sim::Rng rng);
 
   FaultProcess(const FaultProcess&) = delete;
@@ -222,10 +222,9 @@ class FaultProcess {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates one pending fault event (kFaultBurstNext..kFaultFlap, see
-  /// checkpoint/event_kinds.hpp) under its saved key and descriptor. The
-  /// caller has checked that a stall or flap event names a node.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
+  /// Fires one fault event (kFaultBurstNext..kFaultFlap, see
+  /// checkpoint/event_kinds.hpp).
+  void onEvent(const sim::EventDesc& desc) override;
 
  private:
   /// Channel delivery filter: true = deliver. Draws in a fixed order
@@ -237,9 +236,8 @@ class FaultProcess {
   /// Schedules the next flap toggle for `node`; `up` is the state the radio
   /// is about to LEAVE (an up phase ends with a down toggle).
   void scheduleFlap(int node, bool up);
-  /// Event bodies, shared by the live schedulers and the restore path.
+  /// Event bodies, fired by onEvent.
   void burstArrive();
-  void burstEnd() { --burstsActive_; }
   void stallArrive();
   void stallEnd(int victim);
   void flapToggle(int node, bool up);

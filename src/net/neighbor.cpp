@@ -12,13 +12,6 @@ namespace glr::net {
 
 namespace {
 
-sim::EventDesc helloDesc(int self) {
-  sim::EventDesc d;
-  d.kind = ckpt::kHello;
-  d.i0 = self;
-  return d;
-}
-
 /// knowledge()'s id -> output slot table, indexed by (dense, non-negative)
 /// node id and generation-stamped: a lookup is O(1) and the per-call
 /// "clear" is one counter bump. Negative ids fall back to a linear probe of
@@ -100,8 +93,8 @@ bool NeighborService::fresh(const NeighborRecord& r) const {
 
 void NeighborService::start() {
   // Desynchronize: first beacon at a uniform offset inside one interval.
-  sim_.schedule(rng_.uniform(0.0, params_.helloInterval), helloDesc(self_),
-                [this] { sendHello(); });
+  sim_.schedule(rng_.uniform(0.0, params_.helloInterval), *this,
+                {.kind = ckpt::kHello, .i0 = self_});
 }
 
 void NeighborService::sendHello() {
@@ -154,7 +147,7 @@ void NeighborService::sendHello() {
   // Jittered periodic re-beacon (+/-10%) to avoid phase locking.
   const double next =
       params_.helloInterval * rng_.uniform(0.9, 1.1);
-  sim_.schedule(next, helloDesc(self_), [this] { sendHello(); });
+  sim_.schedule(next, *this, {.kind = ckpt::kHello, .i0 = self_});
 }
 
 template <class Ar>
@@ -183,11 +176,6 @@ template void HelloPayload::Entry::visit(ckpt::Encoder&);
 template void HelloPayload::Entry::visit(ckpt::Decoder&);
 template void NeighborService::visit(ckpt::Encoder&);
 template void NeighborService::visit(ckpt::Decoder&);
-
-void NeighborService::restoreEvent(const sim::EventKey& key,
-                                   const sim::EventDesc& desc) {
-  sim_.scheduleKeyed(key, desc, [this] { sendHello(); });
-}
 
 bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {
   if (packet.kind != kHelloKind) return false;

@@ -44,7 +44,7 @@ struct HelloPayload {
 /// Packet kind tag used by the service.
 inline constexpr const char* kHelloKind = "hello";
 
-class NeighborService {
+class NeighborService : public sim::EventSink {
  public:
   struct Params {
     double helloInterval = 0.75;   // seconds between beacons
@@ -127,9 +127,8 @@ class NeighborService {
   template <class Ar>
   void visit(Ar& ar);
 
-  /// Re-creates a pending hello beacon event (kHello, see
-  /// checkpoint/event_kinds.hpp) under its saved key and descriptor.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
+  /// Fires a hello beacon event (kHello, see checkpoint/event_kinds.hpp).
+  void onEvent(const sim::EventDesc& /*desc*/) override { sendHello(); }
 
  private:
   struct NeighborRecord {

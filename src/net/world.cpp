@@ -117,30 +117,25 @@ Agent& World::agentOf(int id) {
   return *node.agent;
 }
 
+void Agent::onEvent(const sim::EventDesc& desc) {
+  if (desc.kind != ckpt::kAgentStart) {
+    throw std::logic_error{"Agent: no handler for event kind " +
+                           std::to_string(desc.kind)};
+  }
+  start();
+}
+
 void World::start() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].agent) {
-      Agent* raw = nodes_[i].agent.get();
-      sim_.schedule(
-          0.0, {.kind = ckpt::kAgentStart, .i0 = static_cast<int>(i)},
-          [raw] { raw->start(); });
+      sim_.schedule(0.0, *nodes_[i].agent,
+                    {.kind = ckpt::kAgentStart, .i0 = static_cast<int>(i)});
     }
   }
 }
 
 void World::invalidatePositionCache() {
   for (sim::SimTime& at : posAt_) at = -1.0;
-}
-
-void World::restoreEvent(const sim::EventKey& key,
-                         const sim::EventDesc& desc) {
-  Node& node = nodes_.at(static_cast<std::size_t>(desc.i0));
-  if (!node.agent) {
-    throw std::runtime_error{"checkpoint: agent-start event names node " +
-                             std::to_string(desc.i0) + " which has no agent"};
-  }
-  Agent* raw = node.agent.get();
-  sim_.scheduleKeyed(key, desc, [raw] { raw->start(); });
 }
 
 }  // namespace glr::net

@@ -24,7 +24,7 @@ class AdversaryModel;  // net/faults.hpp
 
 /// Routing-protocol interface. Agents live on a node, receive packets from
 /// the MAC and send through it.
-class Agent {
+class Agent : public sim::EventSink {
  public:
   virtual ~Agent() = default;
   /// Called once at simulation start (t = 0).
@@ -38,6 +38,10 @@ class Agent {
   /// typically drop neighbor state on a down transition — on wake it would
   /// be stale beyond the freshness horizon anyway.
   virtual void onRadioState(bool /*up*/) {}
+  /// Fires the agent-start event World::start schedules (kAgentStart) and
+  /// throws on any other kind. An agent that schedules events of its own
+  /// handles its kinds and passes the rest to its base.
+  void onEvent(const sim::EventDesc& desc) override;
 };
 
 /// Owns the simulator-facing pieces of one scenario: the channel and all
@@ -139,9 +143,6 @@ class World {
   /// every built-in model, so mobility itself carries no serialized state).
   void invalidatePositionCache();
 
-  /// Re-creates a pending agent-start event (kAgentStart, only possible
-  /// for a t = 0 checkpoint) under its saved key and descriptor.
-  void restoreEvent(const sim::EventKey& key, const sim::EventDesc& desc);
 
  private:
   struct Node {

@@ -7,17 +7,6 @@
 
 namespace glr::routing {
 
-namespace {
-
-sim::EventDesc checkDesc(int self) {
-  sim::EventDesc d;
-  d.kind = ckpt::kDirectCheck;
-  d.i0 = self;
-  return d;
-}
-
-}  // namespace
-
 DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
                                          DirectParams params,
                                          dtn::MetricsCollector* metrics,
@@ -33,8 +22,8 @@ DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
 
 void DirectDeliveryAgent::start() {
   neighbors_.start();
-  world_.sim().schedule(rng_.uniform(0.0, params_.checkInterval),
-                        checkDesc(self_), [this] { check(); });
+  world_.sim().schedule(rng_.uniform(0.0, params_.checkInterval), *this,
+                        {.kind = ckpt::kDirectCheck, .i0 = self_});
 }
 
 void DirectDeliveryAgent::originate(int dstNode) {
@@ -65,8 +54,8 @@ void DirectDeliveryAgent::check() {
       ++counters_.sendRejects;
     }
   }
-  world_.sim().schedule(params_.checkInterval, checkDesc(self_),
-                        [this] { check(); });
+  world_.sim().schedule(params_.checkInterval, *this,
+                        {.kind = ckpt::kDirectCheck, .i0 = self_});
 }
 
 void DirectDeliveryAgent::onPacket(const net::Packet& packet, int fromMac) {
@@ -77,13 +66,12 @@ void DirectDeliveryAgent::onPacket(const net::Packet& packet, int fromMac) {
   deliverHere(*pm, pm->hops + 1);
 }
 
-void DirectDeliveryAgent::restoreEvent(const sim::EventKey& key,
-                                       const sim::EventDesc& desc) {
-  if (desc.kind != ckpt::kDirectCheck) {
-    AgentBase::restoreEvent(key, desc);
-    return;
+void DirectDeliveryAgent::onEvent(const sim::EventDesc& desc) {
+  if (desc.kind == ckpt::kDirectCheck) {
+    check();
+  } else {
+    AgentBase::onEvent(desc);
   }
-  world_.sim().scheduleKeyed(key, desc, [this] { check(); });
 }
 
 }  // namespace glr::routing

@@ -31,10 +31,9 @@ class DirectDeliveryAgent final : public AgentBase {
   void onPacket(const net::Packet& packet, int fromMac) override;
   void originate(int dstNode) override;
 
-  /// Checkpoint support: AgentBase's state is all there is; the delivery
-  /// check is rebuilt here, the hello beacon by AgentBase.
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// Fires the delivery check (kDirectCheck) and passes every other kind to
+  /// AgentBase, whose checkpoint state is all this protocol has.
+  void onEvent(const sim::EventDesc& desc) override;
 
  private:
   void check();

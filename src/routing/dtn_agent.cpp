@@ -1,7 +1,6 @@
 #include "routing/dtn_agent.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
@@ -19,10 +18,12 @@ void DtnAgent::visit(ckpt::Decoder& /*ar*/) {
       "DtnAgent: this protocol does not implement checkpoint restore"};
 }
 
-void DtnAgent::restoreEvent(const sim::EventKey& /*key*/,
-                            const sim::EventDesc& /*desc*/) {
-  throw std::runtime_error{
-      "DtnAgent: this protocol does not implement event restore"};
+void DtnAgent::onEvent(const sim::EventDesc& desc) {
+  if (desc.kind == ckpt::kTrafficPaperArrival) {
+    originate(desc.i1);
+  } else {
+    net::Agent::onEvent(desc);
+  }
 }
 
 AgentBase::AgentBase(net::World& world, int self,
@@ -84,14 +85,12 @@ void AgentBase::visitState(Ar& ar) {
 void AgentBase::visit(ckpt::Encoder& ar) { visitState(ar); }
 void AgentBase::visit(ckpt::Decoder& ar) { visitState(ar); }
 
-void AgentBase::restoreEvent(const sim::EventKey& key,
-                             const sim::EventDesc& desc) {
-  if (desc.kind != ckpt::kHello) {
-    throw std::runtime_error{"routing agent of node " + std::to_string(self_) +
-                             ": cannot restore event kind " +
-                             std::to_string(static_cast<int>(desc.kind))};
+void AgentBase::onEvent(const sim::EventDesc& desc) {
+  if (desc.kind == ckpt::kHello) {
+    neighbors_.onEvent(desc);
+  } else {
+    DtnAgent::onEvent(desc);
   }
-  neighbors_.restoreEvent(key, desc);
 }
 
 }  // namespace glr::routing

@@ -93,11 +93,10 @@ class DtnAgent : public net::Agent {
   /// test stubs that never checkpoint don't have to implement them.)
   virtual void visit(ckpt::Encoder& ar);
   virtual void visit(ckpt::Decoder& ar);
-  /// Re-creates one pending simulator event this agent owns, under its
-  /// original key. `desc` is the descriptor recorded at schedule time (see
-  /// checkpoint/event_kinds.hpp); agents throw on kinds they don't own.
-  virtual void restoreEvent(const sim::EventKey& key,
-                            const sim::EventDesc& desc);
+
+  /// Fires a paper-schedule origination (kTrafficPaperArrival, i1: the
+  /// destination) and passes every other kind to net::Agent.
+  void onEvent(const sim::EventDesc& desc) override;
 };
 
 /// What every routing protocol here keeps per node, written once: the hello
@@ -132,11 +131,11 @@ class AgentBase : public DtnAgent {
   /// with state of its own overrides both, visits this first, then its own.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
-  /// Re-creates the hello beacon and throws on any other kind. A protocol
-  /// with events of its own overrides this and hands back every kind it
-  /// does not own.
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// Fires a hello beacon restored from a checkpoint (kHello) on the hello
+  /// service and passes every other kind to DtnAgent. A protocol with
+  /// events of its own overrides this and hands back every kind it does
+  /// not own.
+  void onEvent(const sim::EventDesc& desc) override;
 
   [[nodiscard]] const ProtocolCounters& counters() const { return counters_; }
   [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }

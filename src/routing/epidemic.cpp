@@ -8,17 +8,6 @@
 
 namespace glr::routing {
 
-namespace {
-
-sim::EventDesc exchangeDesc(int self) {
-  sim::EventDesc d;
-  d.kind = ckpt::kEpidemicExchange;
-  d.i0 = self;
-  return d;
-}
-
-}  // namespace
-
 EpidemicAgent::EpidemicAgent(net::World& world, int self,
                              EpidemicParams params,
                              dtn::MetricsCollector* metrics, sim::Rng rng)
@@ -32,7 +21,7 @@ EpidemicAgent::EpidemicAgent(net::World& world, int self,
 void EpidemicAgent::start() {
   neighbors_.start();
   world_.sim().schedule(rng_.uniform(0.0, params_.exchangeCheckInterval),
-                        exchangeDesc(self_), [this] { exchangeTick(); });
+                        *this, {.kind = ckpt::kEpidemicExchange, .i0 = self_});
 }
 
 void EpidemicAgent::exchangeTick() {
@@ -52,8 +41,8 @@ void EpidemicAgent::exchangeTick() {
       sendSummary(j, /*full=*/false);
     }
   }
-  world_.sim().schedule(params_.exchangeCheckInterval, exchangeDesc(self_),
-                        [this] { exchangeTick(); });
+  world_.sim().schedule(params_.exchangeCheckInterval, *this,
+                        {.kind = ckpt::kEpidemicExchange, .i0 = self_});
 }
 
 void EpidemicAgent::sendSummary(int to, bool full) {
@@ -201,13 +190,12 @@ void EpidemicAgent::visitState(Ar& ar) {
 void EpidemicAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
 void EpidemicAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
-void EpidemicAgent::restoreEvent(const sim::EventKey& key,
-                                 const sim::EventDesc& desc) {
-  if (desc.kind != ckpt::kEpidemicExchange) {
-    AgentBase::restoreEvent(key, desc);
-    return;
+void EpidemicAgent::onEvent(const sim::EventDesc& desc) {
+  if (desc.kind == ckpt::kEpidemicExchange) {
+    exchangeTick();
+  } else {
+    AgentBase::onEvent(desc);
   }
-  world_.sim().scheduleKeyed(key, desc, [this] { exchangeTick(); });
 }
 
 }  // namespace glr::routing

@@ -66,12 +66,12 @@ class EpidemicAgent final : public AgentBase {
   void originate(int dstNode) override;
 
   /// Checkpoint support: AgentBase's state, then the delta-offer
-  /// log/watermarks and the request window. The exchange tick is rebuilt
-  /// here, the hello beacon by AgentBase.
+  /// log/watermarks and the request window.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// Fires the exchange tick (kEpidemicExchange) and passes every other
+  /// kind to AgentBase.
+  void onEvent(const sim::EventDesc& desc) override;
 
  private:
   /// The protocol's own checkpointed state, listed once for both archives.

@@ -1,7 +1,5 @@
 #include "routing/spray_wait.hpp"
 
-#include <stdexcept>
-
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "trace/recorder.hpp"
@@ -9,17 +7,6 @@
 #include "net/faults.hpp"
 
 namespace glr::routing {
-
-namespace {
-
-sim::EventDesc expiryDesc(int self) {
-  sim::EventDesc d;
-  d.kind = ckpt::kSprayExpiry;
-  d.i0 = self;
-  return d;
-}
-
-}  // namespace
 
 SprayWaitAgent::SprayWaitAgent(net::World& world, int self,
                                SprayWaitParams params,
@@ -36,7 +23,7 @@ void SprayWaitAgent::start() {
   // execute a bit-identical event sequence to the historical behavior.
   if (params_.messageTtl > 0.0) {
     world_.sim().schedule(rng_.uniform(0.0, params_.expiryCheckInterval),
-                          expiryDesc(self_), [this] { expiryTick(); });
+                          *this, {.kind = ckpt::kSprayExpiry, .i0 = self_});
   }
 }
 
@@ -51,8 +38,8 @@ void SprayWaitAgent::expiryTick() {
       }
     }
   }
-  world_.sim().schedule(params_.expiryCheckInterval, expiryDesc(self_),
-                        [this] { expiryTick(); });
+  world_.sim().schedule(params_.expiryCheckInterval, *this,
+                        {.kind = ckpt::kSprayExpiry, .i0 = self_});
 }
 
 void SprayWaitAgent::originate(int dstNode) {
@@ -192,17 +179,12 @@ void SprayWaitAgent::visitState(Ar& ar) {
 void SprayWaitAgent::visit(ckpt::Encoder& ar) { visitState(ar); }
 void SprayWaitAgent::visit(ckpt::Decoder& ar) { visitState(ar); }
 
-void SprayWaitAgent::restoreEvent(const sim::EventKey& key,
-                                  const sim::EventDesc& desc) {
-  if (desc.kind != ckpt::kSprayExpiry) {
-    AgentBase::restoreEvent(key, desc);
-    return;
+void SprayWaitAgent::onEvent(const sim::EventDesc& desc) {
+  if (desc.kind == ckpt::kSprayExpiry) {
+    expiryTick();
+  } else {
+    AgentBase::onEvent(desc);
   }
-  if (params_.messageTtl <= 0.0) {
-    throw std::runtime_error{
-        "SprayWaitAgent: expiry event restored but no TTL configured"};
-  }
-  world_.sim().scheduleKeyed(key, desc, [this] { expiryTick(); });
 }
 
 }  // namespace glr::routing

@@ -48,12 +48,11 @@ class SprayWaitAgent final : public AgentBase {
   void originate(int dstNode) override;
 
   /// Checkpoint support: AgentBase's state, then the per-id copy budgets.
-  /// The expiry sweep (when a TTL is configured) is rebuilt here, the hello
-  /// beacon by AgentBase.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// Fires the expiry sweep (kSprayExpiry, scheduled only when a TTL is
+  /// configured) and passes every other kind to AgentBase.
+  void onEvent(const sim::EventDesc& desc) override;
 
  private:
   /// The protocol's own checkpointed state, listed once for both archives.

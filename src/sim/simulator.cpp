@@ -44,8 +44,8 @@ void Simulator::reserve(std::size_t events, std::size_t burst) {
 }
 
 std::uint64_t Simulator::fireTop(Tier t) {
-  // One peek serves the stale check, the callback fetch, and the clock
-  // bump: the slot's cacheline is loaded exactly once per event.
+  // One peek serves the stale check, the event fetch, and the clock bump:
+  // the slot's cacheline is loaded exactly once per event.
   const EventAux aux = topAux(t);
   Slot& s = slab_[aux.slot];
   if (s.generation != aux.generation) {
@@ -55,24 +55,20 @@ std::uint64_t Simulator::fireTop(Tier t) {
   }
   now_ = bitsToTime(topKey(t).timeBits);
   pop(t);
-  // Move the callback out and free the slot *before* invoking: the callback
-  // may schedule new events (reusing this very slot) and late cancels on it
-  // must already be no-ops. `s` stays valid — only the callback can grow
-  // the slab, and it has not run yet.
-  Callback fn = std::move(s.fn);
+  // Copy the event out and free the slot *before* firing: the sink may
+  // schedule new events (reusing this very slot or growing the slab) and
+  // late cancels on it must already be no-ops.
+  EventSink* const sink = s.sink;
+  const EventDesc desc = s.desc;
   releaseSlot(aux.slot);
-  // Counted before invoking so a checkpoint written from inside a callback
+  // Counted before firing so a checkpoint written from inside an event
   // includes the event in progress — the restored run will not re-run it.
   ++executed_;
-  fn();
+  sink->onEvent(desc);
   return 1;
 }
 
 std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
-  if (!descEnabled_) {
-    throw std::logic_error{
-        "Simulator::pendingEvents: event descriptions are not enabled"};
-  }
   // Drain every record in fire order, shedding stale (cancelled) ones, then
   // re-insert the survivors. Re-insertion in ascending key order is cheap in
   // every tier (heap pushes never sift, calendar pushes are O(1)) and cannot
@@ -95,20 +91,13 @@ std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
   out.reserve(records.size());
   for (const auto& [key, aux] : records) {
     push(key, aux);
-    // Events scheduled before descriptor storage was enabled fall outside
-    // descs_; report them as undescribed so the checkpoint writer can refuse
-    // loudly instead of silently losing them.
-    out.push_back(PendingEvent{
-        key, aux.slot < descs_.size() ? descs_[aux.slot] : EventDesc{}});
+    out.push_back(PendingEvent{key, slab_[aux.slot].desc});
   }
   return out;
 }
 
-EventHandle Simulator::scheduleKeyed(EventKey key, const EventDesc& desc,
-                                     Callback fn) {
-  if (!fn) {
-    throw std::invalid_argument{"Simulator::scheduleKeyed: empty callback"};
-  }
+EventHandle Simulator::scheduleKeyed(EventKey key, EventSink& sink,
+                                     const EventDesc& desc) {
   if (bitsToTime(key.timeBits) < now_) {
     throw std::invalid_argument{
         "Simulator::scheduleKeyed: event time is in the past"};
@@ -117,15 +106,7 @@ EventHandle Simulator::scheduleKeyed(EventKey key, const EventDesc& desc,
     throw std::invalid_argument{
         "Simulator::scheduleKeyed: seq not covered by restored clock"};
   }
-  const std::uint32_t slot = acquireSlot();
-  if (descEnabled_) {
-    if (descs_.size() < slab_.size()) descs_.resize(slab_.size());
-    descs_[slot] = desc;
-  }
-  Slot& s = slab_[slot];
-  s.fn = std::move(fn);
-  push(key, EventAux{slot, s.generation});
-  return EventHandle{this, slot, s.generation};
+  return arm(key, sink, desc);
 }
 
 void Simulator::clearPending() {

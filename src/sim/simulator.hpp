@@ -2,20 +2,23 @@
 /// \file simulator.hpp
 /// Discrete-event simulation kernel.
 ///
-/// A `Simulator` owns a time-ordered event queue. Events are arbitrary
-/// callbacks scheduled at absolute or relative times; ties are broken by
-/// insertion order so runs are fully deterministic. Scheduled events can be
-/// cancelled through the returned `EventHandle` (used heavily by MAC timers
-/// and DTN cache timeouts).
+/// A `Simulator` owns a time-ordered event queue. An event is a descriptor
+/// (`EventDesc`: a kind and its arguments) addressed to a sink
+/// (`EventSink`), scheduled at an absolute or relative time; firing it
+/// calls `sink.onEvent(desc)`. Ties are broken by insertion order so runs
+/// are fully deterministic. Scheduled events can be cancelled through the
+/// returned `EventHandle` (used by the MAC's attempt and ACK timers).
+/// Because the descriptor is the whole event, the checkpoint layer saves a
+/// pending event as its (time, seq) key and descriptor, and restoring it is
+/// one `scheduleKeyed` call on the component that owns the kind.
 ///
-/// The kernel is allocation-free on the hot path: callbacks live in a
-/// free-listed slab of slots (`InplaceFunction` keeps captures inline), the
-/// pending set is small `{time, seq, slot, generation}` records, and
-/// cancellation is an O(1) generation bump with lazy removal — no
-/// `shared_ptr` flags, no `std::function`, and no event copies on pop. Once
-/// the slab and queues have grown to the scenario's working set,
-/// scheduling, cancelling, and firing events touch the allocator only for
-/// the rare callback larger than `kSimCallbackCapacity` bytes.
+/// The kernel is allocation-free on the hot path: sink and descriptor live
+/// in a free-listed slab of 64-byte slots, the pending set is small
+/// `{time, seq, slot, generation}` records, and cancellation is an O(1)
+/// generation bump with lazy removal — no `shared_ptr` flags, no closures,
+/// and no event copies on pop. Once the slab and queues have grown to the
+/// scenario's working set, scheduling, cancelling and firing events never
+/// touch the allocator.
 ///
 /// The pending set has two tiers. A record due less than `kNearHorizon`
 /// after the clock when scheduled goes to the near tier, a 4-ary heap
@@ -34,12 +37,10 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
 #include "sim/event_heap.hpp"
-#include "sim/inplace_function.hpp"
 
 namespace glr::sim {
 
@@ -48,14 +49,11 @@ using SimTime = double;
 
 class Simulator;
 
-/// Optional per-event description: a small POD tag that lets the checkpoint
-/// layer re-create a pending event's callback after a restore (closures are
-/// not serializable, so each schedule site names itself and its captures
-/// here instead). Field meaning is owned by the schedule sites — see
-/// checkpoint/event_kinds.hpp; the kernel only stores and returns the tag.
-/// kind == 0 means "undescribed": the checkpoint writer refuses to snapshot
-/// a queue holding an undescribed live event, so a forgotten tag is a loud
-/// error at snapshot time, never silent divergence at restore time.
+/// What a pending event does: its kind and arguments, a 48-byte POD that the
+/// kernel stores with the event and hands to the sink when it fires. Field
+/// meaning is owned by the sink that handles the kind — see
+/// checkpoint/event_kinds.hpp for the scenario's kinds; the kernel only
+/// stores and returns it.
 struct EventDesc {
   std::uint16_t kind = 0;
   std::uint8_t b0 = 0;
@@ -66,6 +64,19 @@ struct EventDesc {
   std::uint64_t u1 = 0;
   double f0 = 0.0;
   double f1 = 0.0;
+};
+
+/// Receiver of fired events: a component that schedules events implements
+/// this one method with a switch over the kinds it schedules, and the
+/// kernel calls it with the descriptor the event was scheduled under. A
+/// sink must outlive its pending events, like the `Simulator&` every
+/// component holds.
+class EventSink {
+ public:
+  virtual void onEvent(const EventDesc& desc) = 0;
+
+ protected:
+  ~EventSink() = default;
 };
 
 /// Thrown by run()/step() when a wall-clock deadline armed via
@@ -113,8 +124,6 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  using Callback = InplaceFunction<void(), kSimCallbackCapacity>;
-
   /// Which structure orders the far tier (the near tier is always a heap).
   /// Both fire the identical event sequence (same (time, seq) tie-break);
   /// they differ only in cost profile — the 4-ary heap is the default, the
@@ -142,28 +151,15 @@ class Simulator {
   /// Current simulation time (seconds).
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `t` (>= now). Returns a handle
-  /// that can cancel the event. Defined inline below: scheduling runs once
-  /// per event on the hot path and must not cost a cross-TU call.
-  EventHandle scheduleAt(SimTime t, Callback fn);
+  /// Schedules `sink.onEvent(desc)` at absolute time `t` (>= now). Returns
+  /// a handle that can cancel the event. Defined inline below: scheduling
+  /// runs once per event on the hot path and must not cost a cross-TU call.
+  EventHandle scheduleAt(SimTime t, EventSink& sink, const EventDesc& desc);
 
-  /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
-  EventHandle schedule(SimTime delay, Callback fn) {
-    return scheduleAt(now_ + delay, std::move(fn));
+  /// Schedules `sink.onEvent(desc)` `delay` seconds from now (delay >= 0).
+  EventHandle schedule(SimTime delay, EventSink& sink, const EventDesc& desc) {
+    return scheduleAt(now_ + delay, sink, desc);
   }
-
-  /// Tagged variants: identical scheduling semantics, but the descriptor is
-  /// recorded alongside the event when enableEventDescriptions() is active
-  /// (one predicted branch and a 48-byte store; nothing when inactive).
-  EventHandle scheduleAt(SimTime t, const EventDesc& desc, Callback fn);
-  EventHandle schedule(SimTime delay, const EventDesc& desc, Callback fn) {
-    return scheduleAt(now_ + delay, desc, std::move(fn));
-  }
-
-  /// Turns on descriptor storage. Must be enabled before the first schedule
-  /// for pendingEvents() to see every live event described.
-  void enableEventDescriptions() { descEnabled_ = true; }
-  [[nodiscard]] bool eventDescriptionsEnabled() const { return descEnabled_; }
 
   /// One live pending event, as the checkpoint layer sees it.
   struct PendingEvent {
@@ -172,17 +168,18 @@ class Simulator {
   };
 
   /// Snapshot of every live (non-cancelled) pending event in exact fire
-  /// order. Requires enableEventDescriptions(). Internally drains and
-  /// re-inserts the queue records; the observable event sequence is
-  /// unchanged — both queue modes pop the exact (time, seq) minimum
-  /// regardless of internal layout, so re-insertion cannot reorder fires.
+  /// order. Internally drains and re-inserts the queue records; the
+  /// observable event sequence is unchanged — both queue modes pop the exact
+  /// (time, seq) minimum regardless of internal layout, so re-insertion
+  /// cannot reorder fires.
   [[nodiscard]] std::vector<PendingEvent> pendingEvents();
 
   /// Restore support: re-creates one pending event under an exact
   /// pre-assigned (timeBits, seq) key so tie-breaking after a restore is
   /// bit-identical to the snapshotted run. The key must lie in the past of
   /// nextSeq (set via restoreClock first) and not before now().
-  EventHandle scheduleKeyed(EventKey key, const EventDesc& desc, Callback fn);
+  EventHandle scheduleKeyed(EventKey key, EventSink& sink,
+                            const EventDesc& desc);
 
   /// Restore support: discards every queued record (cancelled ones included)
   /// and releases their slots. The clock and counters are untouched.
@@ -255,16 +252,19 @@ class Simulator {
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
 
-  /// Slab cell. An armed slot holds the callback; a free slot links the
-  /// free list. The generation counter is bumped whenever the slot's event
-  /// fires or is cancelled, instantly invalidating stale handles and stale
-  /// queue records. Cacheline-aligned: callback + metadata are exactly one
-  /// line, so arming/firing a slot touches a single line of the slab.
+  /// Slab cell. An armed slot holds the event's sink and descriptor; a free
+  /// slot links the free list. The generation counter is bumped whenever
+  /// the slot's event fires or is cancelled, instantly invalidating stale
+  /// handles and stale queue records. Cacheline-aligned: sink, descriptor
+  /// and metadata are exactly one line, so arming/firing a slot touches a
+  /// single line of the slab.
   struct alignas(64) Slot {
-    Callback fn;
+    EventSink* sink = nullptr;
+    EventDesc desc;
     std::uint32_t generation = 0;
     std::uint32_t nextFree = kNilSlot;
   };
+  static_assert(sizeof(Slot) == 64, "a slot is one cacheline");
 
   [[nodiscard]] bool stale(const EventAux& a) const {
     return slab_[a.slot].generation != a.generation;
@@ -334,11 +334,9 @@ class Simulator {
     return slot;
   }
 
-  /// Destroys the slot's callback, bumps its generation, and returns it to
-  /// the free list.
+  /// Bumps the slot's generation and returns it to the free list.
   void releaseSlot(std::uint32_t slot) {
     Slot& s = slab_[slot];
-    s.fn.reset();
     ++s.generation;  // stale handles and queue records become inert here
     s.nextFree = freeHead_;
     freeHead_ = slot;
@@ -369,10 +367,15 @@ class Simulator {
     return slot < slab_.size() && slab_[slot].generation == generation;
   }
 
-  /// Shared body of the tagged and untagged schedule paths. `desc` is null
-  /// for the untagged overload (stored as kind 0 = undescribed when
-  /// descriptor storage is on, so slot reuse never leaks a stale tag).
-  EventHandle scheduleTagged(SimTime t, const EventDesc* desc, Callback fn);
+  /// Arms a free slot with `sink` and `desc` and queues it under `key`.
+  EventHandle arm(EventKey key, EventSink& sink, const EventDesc& desc) {
+    const std::uint32_t slot = acquireSlot();
+    Slot& s = slab_[slot];
+    s.sink = &sink;
+    s.desc = desc;
+    push(key, EventAux{slot, s.generation});
+    return EventHandle{this, slot, s.generation};
+  }
 
   /// Throws WallClockTimeout if the armed deadline has passed. Out of line:
   /// only reached every kWallCheckMask+1 events.
@@ -391,15 +394,10 @@ class Simulator {
   /// Queued records whose event was cancelled (fired events pop
   /// immediately, cancelled ones linger); drives the compaction heuristic.
   std::size_t staleCount_ = 0;
-  /// Per-slot event descriptors, parallel to `slab_`. Grown lazily and only
-  /// when descriptor storage is enabled, so checkpoint-less runs pay no
-  /// memory for it.
-  std::vector<EventDesc> descs_;
   SimTime now_ = 0;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  bool descEnabled_ = false;
   /// Wall-clock deadline (steady-clock nanoseconds since epoch; 0 = none)
   /// and the event counter that rate-limits the clock reads.
   std::uint64_t wallDeadlineNs_ = 0;
@@ -414,32 +412,12 @@ inline bool EventHandle::pending() const {
   return sim_ != nullptr && sim_->eventPending(slot_, generation_);
 }
 
-inline EventHandle Simulator::scheduleTagged(SimTime t, const EventDesc* desc,
-                                             Callback fn) {
+inline EventHandle Simulator::scheduleAt(SimTime t, EventSink& sink,
+                                         const EventDesc& desc) {
   if (t < now_) {
     throw std::invalid_argument{"Simulator::scheduleAt: time is in the past"};
   }
-  if (!fn) {
-    throw std::invalid_argument{"Simulator::scheduleAt: empty callback"};
-  }
-  const std::uint32_t slot = acquireSlot();
-  if (descEnabled_) {
-    if (descs_.size() < slab_.size()) descs_.resize(slab_.size());
-    descs_[slot] = desc != nullptr ? *desc : EventDesc{};
-  }
-  Slot& s = slab_[slot];
-  s.fn = std::move(fn);
-  push(EventKey{timeToBits(t), nextSeq_++}, EventAux{slot, s.generation});
-  return EventHandle{this, slot, s.generation};
-}
-
-inline EventHandle Simulator::scheduleAt(SimTime t, Callback fn) {
-  return scheduleTagged(t, nullptr, std::move(fn));
-}
-
-inline EventHandle Simulator::scheduleAt(SimTime t, const EventDesc& desc,
-                                         Callback fn) {
-  return scheduleTagged(t, &desc, std::move(fn));
+  return arm(EventKey{timeToBits(t), nextSeq_++}, sink, desc);
 }
 
 }  // namespace glr::sim

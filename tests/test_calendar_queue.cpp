@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "sim/calendar_queue.hpp"
@@ -28,6 +29,7 @@ namespace {
 using glr::sim::CalendarQueue;
 using glr::sim::EventAux;
 using glr::sim::EventHandle;
+using glr::test::ClosureSink;
 using glr::sim::EventKey;
 using glr::sim::Rng;
 using glr::sim::Simulator;
@@ -74,11 +76,12 @@ TEST(CalendarQueue, SparseFarFutureTailStillOrders) {
 TEST(SimulatorCalendar, RunsEventsInTimeOrderWithInsertionTieBreak) {
   Simulator sim;
   sim.setQueueMode(Simulator::QueueMode::kCalendar);
+  ClosureSink events{sim};
   std::vector<int> order;
-  sim.schedule(3.0, [&] { order.push_back(30); });
-  sim.schedule(1.0, [&] { order.push_back(10); });
+  events.schedule(3.0, [&] { order.push_back(30); });
+  events.schedule(1.0, [&] { order.push_back(10); });
   for (int i = 0; i < 5; ++i) {
-    sim.schedule(2.0, [&order, i] { order.push_back(20 + i); });
+    events.schedule(2.0, [&order, i] { order.push_back(20 + i); });
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{10, 20, 21, 22, 23, 24, 30}));
@@ -87,7 +90,8 @@ TEST(SimulatorCalendar, RunsEventsInTimeOrderWithInsertionTieBreak) {
 
 TEST(SimulatorCalendar, SwitchRequiresEmptyQueue) {
   Simulator sim;
-  sim.schedule(1.0, [] {});
+  ClosureSink events{sim};
+  events.schedule(1.0, [] {});
   EXPECT_THROW(sim.setQueueMode(Simulator::QueueMode::kCalendar),
                std::logic_error);
   sim.run();
@@ -151,6 +155,7 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
                                               std::uint64_t seed) {
   Simulator sim;
   if (calendar) sim.setQueueMode(Simulator::QueueMode::kCalendar);
+  ClosureSink events{sim};
   Rng rng{seed};
   std::vector<std::pair<double, int>> fired;
   std::vector<EventHandle> handles;
@@ -159,7 +164,7 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
     for (int k = 0; k < script.perRound; ++k) {
       const double t = script.timeIn(rng, round);
       const int id = nextId++;
-      handles.push_back(sim.scheduleAt(
+      handles.push_back(events.scheduleAt(
           t, [&fired, &sim, id] { fired.emplace_back(sim.now(), id); }));
       if (rng.below(4) == 0 && !handles.empty()) {
         // Cancel a random earlier event; already-fired handles are inert.
@@ -233,8 +238,11 @@ TEST(SimulatorCalendar, SameTimeBurstDrainsFastInEitherMode) {
   for (const bool calendar : {false, true}) {
     Simulator sim;
     if (calendar) sim.setQueueMode(Simulator::QueueMode::kCalendar);
+    ClosureSink events{sim};
     std::uint64_t fired = 0;
-    for (int i = 0; i < kBurst; ++i) sim.schedule(0.0, [&fired] { ++fired; });
+    for (int i = 0; i < kBurst; ++i) {
+      events.schedule(0.0, [&fired] { ++fired; });
+    }
     sim.setWallDeadline(5.0);
     EXPECT_NO_THROW(sim.run()) << (calendar ? "calendar" : "heap");
     EXPECT_EQ(fired, static_cast<std::uint64_t>(kBurst));

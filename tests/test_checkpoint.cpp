@@ -700,6 +700,10 @@ TEST(Checkpoint, CorruptEventRecordRefusedAtRestore) {
   };
   const Row rows[] = {
       {"unknown kind", &plain, {.kind = 999}, "unknown event kind 999"},
+      {"agent start, which fires before the first snapshot",
+       &plain,
+       {.kind = kAgentStart, .i0 = 0},
+       "agent-start event"},
       {"MAC node out of range",
        &plain,
        {.kind = kMacAckTimeout, .i0 = 20},

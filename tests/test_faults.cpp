@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "checkpoint/scenario_checkpoint.hpp"
+#include "closure_sink.hpp"
 #include "dtn/buffer.hpp"
 #include "experiment/scenario.hpp"
 #include "mac/mac.hpp"
@@ -191,6 +192,7 @@ struct TinyWorld {
     }
   }
 
+  glr::test::ClosureSink events{sim};
   std::function<void()> tick;  // member: outlives sim events it reschedules
 
   void pumpBroadcasts(double horizon, double interval = 0.1) {
@@ -200,9 +202,9 @@ struct TinyWorld {
       p.bytes = 64;
       p.kind = "tick";
       (void)world->macOf(0).send(p, glr::net::kBroadcast);
-      sim.schedule(interval, [this] { tick(); });
+      events.schedule(interval, [this] { tick(); });
     };
-    sim.schedule(0.0, [this] { tick(); });
+    events.schedule(0.0, [this] { tick(); });
     sim.run(horizon);
   }
 };

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "geometry/delaunay.hpp"
@@ -138,8 +139,9 @@ TEST(PositionCache, MatchesDirectQueriesForAllRegisteredModels) {
   // model — the property the cache rests on).
   const std::vector<SimTime> times = {0.0, 0.0,  0.4, 1.1, 1.1, 1.1, 2.7,
                                       5.0, 5.0,  8.3, 12.9, 12.9, 20.0};
+  glr::test::ClosureSink events{sim};
   for (const SimTime t : times) {
-    sim.scheduleAt(t, [&world, &reference, &names] {
+    events.scheduleAt(t, [&world, &reference, &names] {
       for (std::size_t i = 0; i < names.size(); ++i) {
         const Point2 direct =
             reference[i]->positionAt(world.sim().now());
@@ -151,8 +153,8 @@ TEST(PositionCache, MatchesDirectQueriesForAllRegisteredModels) {
     });
   }
   // Churn mid-epoch: radio state must not perturb positions or the cache.
-  sim.scheduleAt(6.0, [&world] { world.setRadioUp(1, false); });
-  sim.scheduleAt(10.0, [&world] { world.setRadioUp(1, true); });
+  events.scheduleAt(6.0, [&world] { world.setRadioUp(1, false); });
+  events.scheduleAt(10.0, [&world] { world.setRadioUp(1, true); });
   sim.run();
   EXPECT_EQ(sim.now(), 20.0);
 }

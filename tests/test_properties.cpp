@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "dtn/buffer.hpp"
 #include "core/trees.hpp"
 #include "experiment/scenario.hpp"
@@ -272,6 +273,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SimulatorStress, RandomScheduleCancelReplay) {
   const auto run = [](std::uint64_t seed) {
     glr::sim::Simulator sim;
+    glr::test::ClosureSink events{sim};
     Rng rng{seed};
     std::vector<glr::sim::EventHandle> handles;
     std::uint64_t checksum = 0;
@@ -279,8 +281,8 @@ TEST(SimulatorStress, RandomScheduleCancelReplay) {
       checksum = checksum * 1099511628211ULL + sim.eventsExecuted();
       if (depth < 3) {
         for (int i = 0; i < 3; ++i) {
-          handles.push_back(sim.schedule(rng.uniform(0.0, 5.0),
-                                         [&spawn, depth] { spawn(depth + 1); }));
+          handles.push_back(events.schedule(
+              rng.uniform(0.0, 5.0), [&spawn, depth] { spawn(depth + 1); }));
         }
       }
       if (!handles.empty() && rng.bernoulli(0.3)) {
@@ -289,7 +291,7 @@ TEST(SimulatorStress, RandomScheduleCancelReplay) {
     };
     for (int i = 0; i < 50; ++i) {
       handles.push_back(
-          sim.schedule(rng.uniform(0.0, 10.0), [&spawn] { spawn(0); }));
+          events.schedule(rng.uniform(0.0, 10.0), [&spawn] { spawn(0); }));
     }
     sim.run(100.0);
     return checksum ^ sim.eventsExecuted();

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "core/glr_agent.hpp"
 #include "dtn/metrics.hpp"
 #include "mobility/mobility.hpp"
@@ -48,6 +49,7 @@ std::vector<std::unique_ptr<MobilityModel>> staticModels(
 /// pluggable agents.
 struct Net {
   Simulator sim;
+  glr::test::ClosureSink events{sim};
   TwoRayGround model;
   std::unique_ptr<World> world;
   MetricsCollector metrics;
@@ -89,7 +91,7 @@ struct Net {
 TEST(GlrProtocol, DirectNeighborDelivery) {
   Net net{{{0, 0}, {100, 0}}, 150.0};
   auto agents = net.addGlrAgents(net.glrParams(150.0));
-  net.sim.schedule(2.0, [&] { agents[0]->originate(1); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(1); });
   net.sim.run(10.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   EXPECT_DOUBLE_EQ(net.metrics.avgHops(), 1.0);
@@ -100,7 +102,7 @@ TEST(GlrProtocol, MultiHopChainDelivery) {
   // 5-node chain, 120 m spacing, 150 m range: strictly multi-hop.
   Net net{{{0, 0}, {120, 0}, {240, 0}, {360, 0}, {480, 0}}, 150.0};
   auto agents = net.addGlrAgents(net.glrParams(150.0));
-  net.sim.schedule(2.0, [&] { agents[0]->originate(4); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(4); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   EXPECT_DOUBLE_EQ(net.metrics.avgHops(), 4.0);
@@ -129,7 +131,7 @@ TEST(GlrProtocol, MultipleCopiesStoredWithDistinctFlags) {
   GlrParams p = net.glrParams(50.0);
   p.copiesOverride = 3;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(1.0, [&] { agents[0]->originate(1); });
+  net.events.schedule(1.0, [&] { agents[0]->originate(1); });
   net.sim.run(5.0);
   EXPECT_EQ(agents[0]->buffer().storeSize(), 3u);
   EXPECT_TRUE(agents[0]->buffer().inStore(
@@ -145,7 +147,7 @@ TEST(GlrProtocol, CustodyClearsCacheOnAck) {
   GlrParams p = net.glrParams(150.0);
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   // All custody copies cleared along the path after acknowledgements.
@@ -161,7 +163,7 @@ TEST(GlrProtocol, WithoutCustodyNoCacheUsed) {
   p.custodyTransfer = false;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   EXPECT_EQ(agents[0]->counters().custodyAcksReceived, 0u);
@@ -178,6 +180,7 @@ TEST(GlrProtocol, StoresWhenPartitionedAndDeliversAfterHealing) {
   radio.nominalRange = 100.0;
   World world{sim, model, radio, glr::mac::MacParams{}};
   MetricsCollector metrics;
+  glr::test::ClosureSink events{sim};
 
   // Source at x=0, destination at x=500 (never in range of each other);
   // courier moves 0 -> 500 along x starting at t=10 at 10 m/s.
@@ -206,7 +209,7 @@ TEST(GlrProtocol, StoresWhenPartitionedAndDeliversAfterHealing) {
     world.setAgent(i, std::move(a));
   }
   world.start();
-  sim.schedule(1.0, [&] { agents[0]->originate(1); });
+  events.schedule(1.0, [&] { agents[0]->originate(1); });
 
   sim.run(20.0);
   EXPECT_EQ(metrics.deliveredCount(), 0u);  // still partitioned-ish
@@ -220,7 +223,7 @@ TEST(GlrProtocol, OracleLocationModeDelivers) {
   p.locationMode = LocationMode::kOracleAll;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
 }
@@ -233,7 +236,7 @@ TEST(GlrProtocol, NoneKnowModeStillDeliversViaDiffusion) {
   p.locationMode = LocationMode::kNoneKnow;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(3.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(3.0, [&] { agents[0]->originate(2); });
   net.sim.run(60.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
 }
@@ -244,7 +247,7 @@ TEST(GlrProtocol, StorageLimitEnforced) {
   p.storageLimit = 5;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(1.0, [&] {
+  net.events.schedule(1.0, [&] {
     for (int k = 0; k < 20; ++k) agents[0]->originate(1);
   });
   net.sim.run(10.0);
@@ -280,10 +283,10 @@ TEST(GlrProtocol, TrackingOnlyDestinationsChangesNothing) {
     for (int k = 0; k < 40; ++k) {
       const int src = k % kDestinations;
       const int dst = (src + 1 + (k / kDestinations)) % kDestinations;
-      net.sim.schedule(5.0 + 4.0 * k,
-                       [agent = agents[static_cast<std::size_t>(src)], dst] {
-                         agent->originate(dst);
-                       });
+      net.events.schedule(5.0 + 4.0 * k,
+                          [agent = agents[static_cast<std::size_t>(src)], dst] {
+                            agent->originate(dst);
+                          });
     }
     net.sim.run(200.0);
     return agents;
@@ -344,7 +347,7 @@ TEST(Epidemic, SpreadsAndDelivers) {
   Net net{{{0, 0}, {100, 0}, {200, 0}, {300, 0}}, 150.0};
   auto agents =
       addAgents<glr::routing::EpidemicAgent>(net, glr::routing::EpidemicParams{});
-  net.sim.schedule(2.0, [&] { agents[0]->originate(3); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(3); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   // Epidemic never clears: every node in the chain holds a copy.
@@ -355,7 +358,7 @@ TEST(Epidemic, NoDuplicateStorage) {
   Net net{{{0, 0}, {100, 0}, {100, 80}}, 150.0};
   auto agents =
       addAgents<glr::routing::EpidemicAgent>(net, glr::routing::EpidemicParams{});
-  net.sim.schedule(2.0, [&] {
+  net.events.schedule(2.0, [&] {
     for (int k = 0; k < 5; ++k) agents[0]->originate(2);
   });
   net.sim.run(30.0);
@@ -368,7 +371,7 @@ TEST(Epidemic, FifoDropUnderStorageLimit) {
   p.storageLimit = 3;
   Net net{{{0, 0}, {100, 0}}, 150.0};
   auto agents = addAgents<glr::routing::EpidemicAgent>(net, p);
-  net.sim.schedule(2.0, [&] {
+  net.events.schedule(2.0, [&] {
     for (int k = 0; k < 10; ++k) agents[0]->originate(1);
   });
   net.sim.run(30.0);
@@ -380,7 +383,7 @@ TEST(DirectDelivery, OnlyMeetsDeliver) {
   Net net{{{0, 0}, {100, 0}, {400, 0}}, 150.0};
   auto agents =
       addAgents<glr::routing::DirectDeliveryAgent>(net, glr::routing::DirectParams{});
-  net.sim.schedule(2.0, [&] {
+  net.events.schedule(2.0, [&] {
     agents[0]->originate(1);  // neighbor: deliverable
     agents[0]->originate(2);  // out of range: must wait forever (static)
   });
@@ -394,7 +397,7 @@ TEST(SprayAndWait, BudgetHalvesAndDelivers) {
   p.copyBudget = 4;
   Net net{{{0, 0}, {100, 0}, {200, 0}, {300, 0}}, 150.0};
   auto agents = addAgents<glr::routing::SprayWaitAgent>(net, p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(3); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(3); });
   net.sim.run(60.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
 }

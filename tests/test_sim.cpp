@@ -2,31 +2,31 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
-#include "dtn/message.hpp"
+#include "closure_sink.hpp"
 #include "experiment/scenario.hpp"
-#include "sim/inplace_function.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using glr::sim::EventHandle;
-using glr::sim::InplaceFunction;
 using glr::sim::Rng;
 using glr::sim::Simulator;
+using glr::test::ClosureSink;
 
 TEST(Simulator, RunsEventsInTimeOrder) {
   Simulator sim;
+  ClosureSink events{sim};
   std::vector<int> order;
-  sim.schedule(3.0, [&] { order.push_back(3); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(2.0, [&] { order.push_back(2); });
+  events.schedule(3.0, [&] { order.push_back(3); });
+  events.schedule(1.0, [&] { order.push_back(1); });
+  events.schedule(2.0, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
@@ -34,9 +34,10 @@ TEST(Simulator, RunsEventsInTimeOrder) {
 
 TEST(Simulator, TiesBreakByInsertionOrder) {
   Simulator sim;
+  ClosureSink events{sim};
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.schedule(1.0, [&order, i] { order.push_back(i); });
+    events.schedule(1.0, [&order, i] { order.push_back(i); });
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -44,10 +45,11 @@ TEST(Simulator, TiesBreakByInsertionOrder) {
 
 TEST(Simulator, RunUntilStopsAtHorizon) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  sim.schedule(1.0, [&] { ++fired; });
-  sim.schedule(2.0, [&] { ++fired; });
-  sim.schedule(5.0, [&] { ++fired; });
+  events.schedule(1.0, [&] { ++fired; });
+  events.schedule(2.0, [&] { ++fired; });
+  events.schedule(5.0, [&] { ++fired; });
   const auto ran = sim.run(2.0);
   EXPECT_EQ(ran, 2u);
   EXPECT_EQ(fired, 2);
@@ -59,12 +61,13 @@ TEST(Simulator, RunUntilStopsAtHorizon) {
 
 TEST(Simulator, NestedSchedulingFromCallbacks) {
   Simulator sim;
+  ClosureSink events{sim};
   std::vector<double> times;
   std::function<void()> tick = [&] {
     times.push_back(sim.now());
-    if (times.size() < 5) sim.schedule(1.5, tick);
+    if (times.size() < 5) events.schedule(1.5, tick);
   };
-  sim.schedule(0.0, tick);
+  events.schedule(0.0, tick);
   sim.run();
   ASSERT_EQ(times.size(), 5u);
   for (std::size_t i = 0; i < times.size(); ++i) {
@@ -74,8 +77,9 @@ TEST(Simulator, NestedSchedulingFromCallbacks) {
 
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  EventHandle h = sim.schedule(1.0, [&] { ++fired; });
+  EventHandle h = events.schedule(1.0, [&] { ++fired; });
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
@@ -85,8 +89,9 @@ TEST(Simulator, CancelPreventsExecution) {
 
 TEST(Simulator, CancelAfterFireIsNoop) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  EventHandle h = sim.schedule(1.0, [&] { ++fired; });
+  EventHandle h = events.schedule(1.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(h.pending());
@@ -102,12 +107,13 @@ TEST(Simulator, DefaultHandleIsInert) {
 
 TEST(Simulator, StopEndsRunEarly) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  sim.schedule(1.0, [&] {
+  events.schedule(1.0, [&] {
     ++fired;
     sim.stop();
   });
-  sim.schedule(2.0, [&] { ++fired; });
+  events.schedule(2.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.hasPending());
@@ -115,21 +121,18 @@ TEST(Simulator, StopEndsRunEarly) {
 
 TEST(Simulator, SchedulingInPastThrows) {
   Simulator sim;
-  sim.schedule(5.0, [] {});
+  ClosureSink events{sim};
+  events.schedule(5.0, [] {});
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-  EXPECT_THROW(sim.scheduleAt(1.0, [] {}), std::invalid_argument);
-}
-
-TEST(Simulator, EmptyCallbackThrows) {
-  Simulator sim;
-  EXPECT_THROW(sim.schedule(1.0, Simulator::Callback{}), std::invalid_argument);
+  EXPECT_THROW(events.scheduleAt(1.0, [] {}), std::invalid_argument);
 }
 
 TEST(Simulator, StepExecutesExactlyN) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  for (int i = 0; i < 5; ++i) sim.schedule(i, [&] { ++fired; });
+  for (int i = 0; i < 5; ++i) events.schedule(i, [&] { ++fired; });
   EXPECT_EQ(sim.step(2), 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.step(10), 3u);
@@ -144,11 +147,12 @@ TEST(Simulator, AdvancesToHorizonWhenQueueEmpty) {
 
 TEST(Simulator, RunWithHorizonInPastFiresNothing) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  sim.schedule(5.0, [&] { ++fired; });
+  events.schedule(5.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
-  sim.schedule(1.0, [&] { ++fired; });  // pending at t = 6
+  events.schedule(1.0, [&] { ++fired; });  // pending at t = 6
   EXPECT_EQ(sim.run(2.0), 0u);  // horizon already behind now: no-op
   EXPECT_EQ(sim.run(-1.0), 0u);
   EXPECT_EQ(fired, 1);
@@ -159,13 +163,14 @@ TEST(Simulator, RunWithHorizonInPastFiresNothing) {
 
 TEST(Simulator, StepHonorsStop) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  sim.schedule(1.0, [&] {
+  events.schedule(1.0, [&] {
     ++fired;
     sim.stop();
   });
-  sim.schedule(2.0, [&] { ++fired; });
-  sim.schedule(3.0, [&] { ++fired; });
+  events.schedule(2.0, [&] { ++fired; });
+  events.schedule(3.0, [&] { ++fired; });
   // stop() from inside an event ends the step() batch early, exactly like
   // run(); the remaining events stay queued.
   EXPECT_EQ(sim.step(3), 1u);
@@ -188,8 +193,9 @@ TEST(EventHandle, IsTriviallyCopyable) {
 
 TEST(EventHandle, DoubleCancelIsNoop) {
   Simulator sim;
+  ClosureSink events{sim};
   int fired = 0;
-  EventHandle h = sim.schedule(1.0, [&] { ++fired; });
+  EventHandle h = events.schedule(1.0, [&] { ++fired; });
   EventHandle copy = h;  // value token: copies target the same event
   h.cancel();
   EXPECT_FALSE(h.pending());
@@ -202,11 +208,12 @@ TEST(EventHandle, DoubleCancelIsNoop) {
 
 TEST(EventHandle, CancelledHandleOutlivingReusedSlotIsInert) {
   Simulator sim;
+  ClosureSink events{sim};
   int oldFired = 0;
   int newFired = 0;
-  EventHandle stale = sim.schedule(1.0, [&] { ++oldFired; });
+  EventHandle stale = events.schedule(1.0, [&] { ++oldFired; });
   stale.cancel();  // frees the slot: the next schedule reuses it
-  EventHandle fresh = sim.schedule(2.0, [&] { ++newFired; });
+  EventHandle fresh = events.schedule(2.0, [&] { ++newFired; });
   EXPECT_FALSE(stale.pending());
   EXPECT_TRUE(fresh.pending());
   stale.cancel();  // must NOT kill the new occupant of the recycled slot
@@ -218,13 +225,14 @@ TEST(EventHandle, CancelledHandleOutlivingReusedSlotIsInert) {
 
 TEST(EventHandle, FiredHandleOutlivingReusedSlotIsInert) {
   Simulator sim;
+  ClosureSink events{sim};
   int firstFired = 0;
-  EventHandle stale = sim.schedule(1.0, [&] { ++firstFired; });
+  EventHandle stale = events.schedule(1.0, [&] { ++firstFired; });
   sim.run();
   EXPECT_EQ(firstFired, 1);
 
   int secondFired = 0;
-  EventHandle fresh = sim.schedule(1.0, [&] { ++secondFired; });
+  EventHandle fresh = events.schedule(1.0, [&] { ++secondFired; });
   EXPECT_FALSE(stale.pending());
   stale.cancel();  // stale generation: the recycled slot must be untouched
   EXPECT_TRUE(fresh.pending());
@@ -234,13 +242,14 @@ TEST(EventHandle, FiredHandleOutlivingReusedSlotIsInert) {
 
 TEST(EventHandle, CancelFromInsideOwnCallbackIsNoop) {
   Simulator sim;
+  ClosureSink events{sim};
   int other = 0;
   EventHandle self;
-  self = sim.schedule(1.0, [&] {
+  self = events.schedule(1.0, [&] {
     // By firing time the slot is already released; a self-cancel must not
     // disturb whatever reuses it.
     self.cancel();
-    sim.schedule(1.0, [&] { ++other; });
+    events.schedule(1.0, [&] { ++other; });
   });
   sim.run();
   EXPECT_EQ(other, 1);
@@ -251,6 +260,7 @@ TEST(EventHandle, CancellationStressChurn) {
   // exactly once or was cancelled, never both, across enough rounds that the
   // slab free list cycles thousands of times.
   Simulator sim;
+  ClosureSink events{sim};
   Rng rng{2024};
   constexpr int kEvents = 20000;
   std::vector<int> fired(kEvents, 0);
@@ -259,7 +269,7 @@ TEST(EventHandle, CancellationStressChurn) {
   handles.reserve(kEvents);
   for (int i = 0; i < kEvents; ++i) {
     handles.push_back(
-        sim.schedule(rng.uniform(0.0, 50.0), [&fired, i] { ++fired[i]; }));
+        events.schedule(rng.uniform(0.0, 50.0), [&fired, i] { ++fired[i]; }));
     // Cancel a random earlier (possibly already cancelled) event now and
     // then, and sometimes the one just scheduled.
     if (rng.bernoulli(0.4)) {
@@ -280,70 +290,6 @@ TEST(EventHandle, CancellationStressChurn) {
   }
   EXPECT_EQ(sim.eventsExecuted(), static_cast<std::uint64_t>(firedCount));
   EXPECT_EQ(sim.queueSize(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// InplaceFunction: the kernel's small-buffer callback type. Every callback
-// the protocol stack schedules must fit the inline buffer (the no-allocation
-// invariant); larger callables must still work via the heap fallback.
-// ---------------------------------------------------------------------------
-
-TEST(InplaceFunction, ProtocolStackCallbacksFitInline) {
-  using Callback = Simulator::Callback;
-  void* self = nullptr;
-  // Capture shapes taken from the actual call sites.
-  auto macTimer = [self] { (void)self; };              // mac.cpp backoff/ack
-  bool broadcast = true;
-  auto macTxEnd = [self, broadcast] { (void)self, (void)broadcast; };
-  std::uint64_t txId = 0;
-  auto channelEnd = [self, txId] { (void)self, (void)txId; };  // channel.cpp
-  int dst = 0;
-  std::uint64_t seq = 0;
-  double ackDur = 0.0;
-  auto macAck = [self, dst, seq, ackDur] {             // mac.cpp ACK reply
-    (void)self, (void)dst, (void)seq, (void)ackDur;
-  };
-  glr::dtn::CopyKey key;
-  int to = 0, attempt = 0;
-  auto custodyAck = [self, key, to, attempt] {         // glr_agent.cpp
-    (void)self, (void)key, (void)to, (void)attempt;
-  };
-  double sentAt = 0.0;
-  auto cacheTimeout = [self, key, sentAt] {            // glr_agent.cpp
-    (void)self, (void)key, (void)sentAt;
-  };
-  static_assert(Callback::kFitsInline<decltype(macTimer)>);
-  static_assert(Callback::kFitsInline<decltype(macTxEnd)>);
-  static_assert(Callback::kFitsInline<decltype(channelEnd)>);
-  static_assert(Callback::kFitsInline<decltype(macAck)>);
-  static_assert(Callback::kFitsInline<decltype(custodyAck)>);
-  static_assert(Callback::kFitsInline<decltype(cacheTimeout)>);
-  SUCCEED();
-}
-
-TEST(InplaceFunction, OversizedCallableFallsBackToHeapAndRuns) {
-  using Callback = Simulator::Callback;
-  std::array<std::uint64_t, 16> big{};  // 128 bytes: over the inline budget
-  big[7] = 42;
-  int out = 0;
-  auto fat = [big, &out] { out = static_cast<int>(big[7]); };
-  static_assert(!Callback::kFitsInline<decltype(fat)>);
-  Simulator sim;
-  sim.schedule(1.0, fat);
-  sim.run();
-  EXPECT_EQ(out, 42);
-}
-
-TEST(InplaceFunction, MoveTransfersOwnership) {
-  InplaceFunction<int()> a = [] { return 7; };
-  InplaceFunction<int()> b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  ASSERT_TRUE(static_cast<bool>(b));
-  EXPECT_EQ(b(), 7);
-  a = std::move(b);
-  EXPECT_EQ(a(), 7);
-  a.reset();
-  EXPECT_FALSE(static_cast<bool>(a));
 }
 
 // ---------------------------------------------------------------------------
