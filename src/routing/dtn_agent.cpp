@@ -76,7 +76,14 @@ void AgentBase::visitState(Ar& ar) {
   buffer_.visit(ar);
   ar.unorderedSet(deliveredHere_,
                   [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
-#define GLR_VISIT_COUNTER(field, resultField) ar.u64(counters_.field);
+  // The buffer counts its own evictions and expiries (visited above) and
+  // only the harvest adds them, so those two slots of counters_ stay zero.
+  constexpr auto bufferOwned = [](std::uint64_t ProtocolCounters::*c) {
+    return c == &ProtocolCounters::bufferEvictions ||
+           c == &ProtocolCounters::expiredDrops;
+  };
+#define GLR_VISIT_COUNTER(field, resultField) \
+  if (!bufferOwned(&ProtocolCounters::field)) ar.u64(counters_.field);
   GLR_PROTOCOL_COUNTERS(GLR_VISIT_COUNTER)
 #undef GLR_VISIT_COUNTER
   ar.i32(nextSeq_);

@@ -127,7 +127,8 @@ class AgentBase : public DtnAgent {
   void harvestCounters(ProtocolCounters& out) const override;
 
   /// The shared checkpoint state: RNG, hello service, buffer, delivered
-  /// set, counters in list order and the next sequence number. A protocol
+  /// set, counters in list order (but for the two the buffer keeps) and the
+  /// next sequence number. A protocol
   /// with state of its own overrides both, visits this first, then its own.
   void visit(ckpt::Encoder& ar) override;
   void visit(ckpt::Decoder& ar) override;

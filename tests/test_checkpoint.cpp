@@ -300,7 +300,7 @@ TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Format pin: the GLRK v3 bytes of one small snapshot per protocol family
+// Format pin: the GLRK v4 bytes of one small snapshot per protocol family
 // (plus the calendar kernel) are fixed, so existing .ckpt files and in-cell
 // sweep snapshots keep restoring and snapshot sizes cannot drift silently.
 // A deliberate layout change must bump kCheckpointVersion, not re-pin; a
@@ -326,7 +326,7 @@ void expectPinnedDigest(ScenarioConfig cfg, const std::string& name,
   const std::vector<char> bytes = slurp(path);
   EXPECT_EQ(glr::ckpt::fnv1a64(bytes.data(), bytes.size()), digest)
       << name << ": checkpoint bytes changed (" << bytes.size()
-      << " bytes) — the GLRK v3 format is pinned";
+      << " bytes) — the GLRK v4 format is pinned";
   removeSnapshots(path);
 }
 
@@ -334,7 +334,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0xd9a4fe2a3f43c060ULL);
+                     0xb8c9f825f678792eULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -343,7 +343,7 @@ TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
   cfg.traffic.rate = 3.0;
   cfg.messageTtl = 60.0;
   expectPinnedDigest(cfg, "pin_epidemic.bin",
-                     0x952665414cdef2daULL);
+                     0x219e1c4c0ed2fadeULL);
 }
 
 TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
@@ -352,7 +352,7 @@ TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
   cfg.traffic.model = "hotspot";
   cfg.traffic.rate = 3.0;
   expectPinnedDigest(cfg, "pin_spray.bin",
-                     0xe708346361f69353ULL);
+                     0xfd5dead30f49cc94ULL);
 }
 
 TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
@@ -360,7 +360,7 @@ TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
   cfg.traffic.model = "flashcrowd";
   cfg.traffic.rate = 2.0;
   expectPinnedDigest(cfg, "pin_direct.bin",
-                     0x82837c181a876d04ULL);
+                     0xaa566815cdace929ULL);
 }
 
 TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
@@ -368,7 +368,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0x1bf0c0b29642c4fdULL);
+                     0x80cc9c44f79bbaa7ULL);
 }
 
 // ---------------------------------------------------------------------------
