@@ -99,6 +99,8 @@ struct ChurnSink final : glr::sim::EventSink {
 };
 
 /// Steady-state churn at queue depth `depth` until `n` events have run.
+/// The cancel variant exercises handle creation and the lazy removal of
+/// stale heap records as simulation time passes them.
 void churn(std::uint64_t n, std::uint64_t depth, std::uint64_t seed,
            bool cancelTimeouts) {
   Simulator sim;
@@ -109,19 +111,6 @@ void churn(std::uint64_t n, std::uint64_t depth, std::uint64_t seed,
     sim.schedule(deadline, sink, timerDesc(i, deadline, 0));
   }
   sim.run();
-}
-
-/// Periodic-timer pattern: every fired event reschedules one successor.
-void timerChurn(std::uint64_t n, std::uint64_t depth) {
-  churn(n, depth, 43, false);
-}
-
-/// Ack-timer pattern: each fired event schedules one successor plus a
-/// near-future timeout it immediately cancels (one cancel per fired event,
-/// exercising handle creation and the lazy removal of stale heap records as
-/// simulation time passes them).
-void cancelChurn(std::uint64_t n, std::uint64_t depth) {
-  churn(n, depth, 44, true);
 }
 
 struct MicroResult {
@@ -145,9 +134,9 @@ MicroResult runMicro(const std::string& name, std::uint64_t events,
     if (name == "schedule-drain") {
       scheduleDrain(events);
     } else if (name == "timer-churn") {
-      timerChurn(events, depth);
+      churn(events, depth, 43, /*cancelTimeouts=*/false);
     } else {
-      cancelChurn(events, depth);
+      churn(events, depth, 44, /*cancelTimeouts=*/true);
     }
     m.seconds = std::min(m.seconds, secondsSince(t0));
   }

@@ -95,9 +95,6 @@ class TrafficProcess : public sim::EventSink {
                  std::vector<routing::DtnAgent*> agents, Params params,
                  sim::Rng rng);
 
-  TrafficProcess(const TrafficProcess&) = delete;
-  TrafficProcess& operator=(const TrafficProcess&) = delete;
-
   /// Schedules the first arrival (or per-source phase events for "onoff").
   void start();
 

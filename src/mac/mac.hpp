@@ -65,9 +65,6 @@ class Mac : public sim::EventSink {
   Mac(sim::Simulator& sim, Channel& channel, int self, MacParams params,
       sim::Rng rng);
 
-  Mac(const Mac&) = delete;
-  Mac& operator=(const Mac&) = delete;
-
   [[nodiscard]] int id() const { return self_; }
 
   void setReceiveCallback(ReceiveCallback cb) { onReceive_ = std::move(cb); }

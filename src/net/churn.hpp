@@ -41,9 +41,6 @@ class ChurnProcess : public sim::EventSink {
   /// its scheduled toggle events).
   ChurnProcess(World& world, Params params, sim::Rng rng);
 
-  ChurnProcess(const ChurnProcess&) = delete;
-  ChurnProcess& operator=(const ChurnProcess&) = delete;
-
   /// Schedules every churning node's first OFF transition.
   void start();
 

@@ -202,9 +202,6 @@ class FaultProcess : public sim::EventSink {
   /// pointer refer to it.
   FaultProcess(World& world, Params params, sim::Rng rng);
 
-  FaultProcess(const FaultProcess&) = delete;
-  FaultProcess& operator=(const FaultProcess&) = delete;
-
   /// Installs the delivery filter (only when loss/corruption is active),
   /// publishes the adversary model on the World and schedules the first
   /// burst/stall arrivals and flapping phases.

@@ -143,7 +143,6 @@ class World {
   /// every built-in model, so mobility itself carries no serialized state).
   void invalidatePositionCache();
 
-
  private:
   struct Node {
     std::unique_ptr<mobility::MobilityModel> mobility;

@@ -106,10 +106,6 @@ class DtnAgent : public net::Agent {
 /// parameters, state, events and logic.
 class AgentBase : public DtnAgent {
  public:
-  // The hello service's callbacks hold `this`.
-  AgentBase(const AgentBase&) = delete;
-  AgentBase& operator=(const AgentBase&) = delete;
-
   /// A radio going down forgets every neighbor (stale on wake anyway).
   void onRadioState(bool up) override {
     if (!up) neighbors_.reset();

@@ -68,14 +68,18 @@ struct EventDesc {
 
 /// Receiver of fired events: a component that schedules events implements
 /// this one method with a switch over the kinds it schedules, and the
-/// kernel calls it with the descriptor the event was scheduled under. A
-/// sink must outlive its pending events, like the `Simulator&` every
-/// component holds.
+/// kernel calls it with the descriptor the event was scheduled under. Its
+/// pending events hold its address, so a sink is neither copyable nor
+/// movable and must outlive them, like the `Simulator&` every component
+/// holds.
 class EventSink {
  public:
   virtual void onEvent(const EventDesc& desc) = 0;
 
  protected:
+  EventSink() = default;
+  EventSink(const EventSink&) = delete;
+  EventSink& operator=(const EventSink&) = delete;
   ~EventSink() = default;
 };
 
