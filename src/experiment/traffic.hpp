@@ -128,7 +128,7 @@ class TrafficProcess : public sim::EventSink {
   void scheduleArrival();              // kPoisson / kHotspot / kFlashCrowd
   void arrival();
   void togglePhase(std::size_t s);     // kOnOff
-  /// Phase-toggle event body (named so restore recreates the callback).
+  /// Phase-toggle event body (kTrafficSourceToggle).
   void phaseFlip(std::size_t s);
   void scheduleSourceArrival(std::size_t s);
   void sourceArrival(std::size_t s, std::uint64_t epoch);
