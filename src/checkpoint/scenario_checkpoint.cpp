@@ -1,5 +1,6 @@
 #include "checkpoint/scenario_checkpoint.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -184,6 +185,26 @@ sim::EventSink& ownerOf(const sim::EventDesc& desc,
   }
 }
 
+/// A saved event must lie in the snapshot's future: a finite time no
+/// earlier than its clock, and a seq its clock already handed out. Throws
+/// through `d`, naming the defect, before the kernel sees the key.
+void checkEventKey(const sim::EventKey& key, const CheckpointFile& f,
+                   const Decoder& d) {
+  const double at = sim::Simulator::bitsToTime(key.timeBits);
+  if (!std::isfinite(at)) {
+    d.fail("event time " + std::to_string(at) + " is not a finite time");
+  }
+  if (at < f.simNow) {
+    d.fail("event time " + std::to_string(at) +
+           " is before the snapshot clock " + std::to_string(f.simNow));
+  }
+  if (key.seq >= f.nextSeq) {
+    d.fail("event seq " + std::to_string(key.seq) +
+           " is at or past the snapshot's next seq " +
+           std::to_string(f.nextSeq));
+  }
+}
+
 /// Per node: its MAC, then its routing agent.
 template <class Ar>
 void visitNodes(Ar& ar, const ScenarioComponents& c) {
@@ -338,6 +359,7 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
   for (std::size_t i = 0; i < nEvents; ++i) {
     sim::Simulator::PendingEvent ev;
     visitEvent(d, ev);
+    checkEventKey(ev.key, f, d);
     const sim::EventHandle handle =
         c.sim->scheduleKeyed(ev.key, ownerOf(ev.desc, c, d), ev.desc);
     // The MAC is the one component that holds handles to its events.

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -631,11 +632,13 @@ TEST(Checkpoint, RestoreWithTracingArmedRefused) {
 }
 
 /// Rewrites record `index` of `path`'s events section (the last record when
-/// `index` is past the end) to carry `desc`, and, when `at` is positive,
-/// the fire time `at`. The rewrite keeps the record's seq; reading and
+/// `index` is past the end) to carry `desc`, and, when `at` is nonzero
+/// (NaN included), the fire time `at`. The rewrite keeps the record's seq
+/// unless `seqAtNextSeq` sets it to the snapshot's next seq; reading and
 /// writing the file re-seals its checksum.
 void rewriteEventRecord(const std::string& path, std::size_t index,
-                        const glr::sim::EventDesc& desc, double at) {
+                        const glr::sim::EventDesc& desc, double at,
+                        bool seqAtNextSeq) {
   glr::ckpt::CheckpointFile f = glr::ckpt::CheckpointFile::read(path);
   for (glr::ckpt::Section& s : f.sections) {
     if (s.id != glr::ckpt::kSectionEvents) continue;
@@ -644,10 +647,15 @@ void rewriteEventRecord(const std::string& path, std::size_t index,
     ASSERT_GT(count, 0u) << path << ": snapshot holds no pending event";
     unsigned char* record =
         s.bytes.data() + 8 + kRecordBytes * std::min(index, count - 1);
-    if (at > 0.0) {
+    if (at != 0.0) {
       Encoder key;
       key.u64(glr::sim::Simulator::timeToBits(at));
       std::memcpy(record, key.data().data(), key.data().size());
+    }
+    if (seqAtNextSeq) {
+      Encoder seq;
+      seq.u64(f.nextSeq);
+      std::memcpy(record + 8, seq.data().data(), seq.data().size());
     }
     Encoder e;
     e.u16(desc.kind);
@@ -697,7 +705,11 @@ TEST(Checkpoint, CorruptEventRecordRefusedAtRestore) {
     const char* defect;
     std::size_t index = 0;
     double at = 0.0;
+    bool seqAtNextSeq = false;
   };
+  // A record any GLR snapshot may hold, for the rows whose defect is the
+  // record's key.
+  const glr::sim::EventDesc check{.kind = kGlrPeriodicCheck, .i0 = 2};
   const Row rows[] = {
       {"unknown kind", &plain, {.kind = 999}, "unknown event kind 999"},
       {"agent start, which fires before the first snapshot",
@@ -762,6 +774,31 @@ TEST(Checkpoint, CorruptEventRecordRefusedAtRestore) {
        &spray,
        {.kind = kSprayExpiry, .i0 = 1},
        "no TTL"},
+      {"time before the snapshot clock",
+       &plain,
+       check,
+       "before the snapshot clock",
+       0,
+       1.0},
+      {"NaN time",
+       &plain,
+       check,
+       "not a finite time",
+       0,
+       std::numeric_limits<double>::quiet_NaN()},
+      {"infinite time",
+       &plain,
+       check,
+       "not a finite time",
+       0,
+       std::numeric_limits<double>::infinity()},
+      {"seq at the snapshot's next seq",
+       &plain,
+       check,
+       "at or past the snapshot's next seq",
+       0,
+       0.0,
+       true},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
@@ -769,7 +806,7 @@ TEST(Checkpoint, CorruptEventRecordRefusedAtRestore) {
     std::filesystem::copy_file(
         row.cfg->checkpointPath, path,
         std::filesystem::copy_options::overwrite_existing);
-    rewriteEventRecord(path, row.index, row.desc, row.at);
+    rewriteEventRecord(path, row.index, row.desc, row.at, row.seqAtNextSeq);
     ScenarioConfig resumed = *row.cfg;
     resumed.checkpointPath.clear();
     resumed.restoreFrom = path;
