@@ -144,9 +144,13 @@ void BM_MacSaturatedPair(benchmark::State& state) {
     world.addNode(
         std::make_unique<glr::mobility::StaticMobility>(Point2{100, 0}),
         glr::sim::Rng{2});
-    int delivered = 0;
-    world.macOf(1).setReceiveCallback(
-        [&delivered](const glr::net::Packet&, int) { ++delivered; });
+    struct Counter final : glr::mac::MacClient {
+      int delivered = 0;
+      void onPacket(const glr::net::Packet& /*p*/, int /*from*/) override {
+        ++delivered;
+      }
+    } receiver;
+    world.macOf(1).setClient(&receiver);
     for (int i = 0; i < 100; ++i) {
       glr::net::Packet p;
       p.bytes = 1000;
@@ -154,7 +158,7 @@ void BM_MacSaturatedPair(benchmark::State& state) {
       world.macOf(0).send(std::move(p), 1);
     }
     sim.run(10.0);
-    benchmark::DoNotOptimize(delivered);
+    benchmark::DoNotOptimize(receiver.delivered);
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }

@@ -31,6 +31,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -342,5 +343,26 @@ class Decoder {
   std::size_t pos_ = 0;
   std::string context_;
 };
+
+/// An unordered map or set that its owner builds on first insert, so `c`
+/// stays null until then; `visit(container)` visits a built one. Null is
+/// written as the empty, never-filled container it stands for (the bytes an
+/// always-built one writes), and a snapshot holding exactly that restores
+/// as null.
+template <class Ar, class C, class Visit>
+void visitBuiltOnUse(Ar& /*ar*/, std::unique_ptr<C>& c, Visit&& visit) {
+  if constexpr (Ar::kLoading) {
+    C loaded;
+    visit(loaded);
+    const bool neverFilled =
+        loaded.empty() && loaded.bucket_count() == C{}.bucket_count();
+    c = neverFilled ? nullptr : std::make_unique<C>(std::move(loaded));
+  } else if (c != nullptr) {
+    visit(*c);
+  } else {
+    C none;
+    visit(none);
+  }
+}
 
 }  // namespace glr::ckpt

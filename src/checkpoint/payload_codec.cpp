@@ -108,8 +108,7 @@ void visit(Ar& ar, net::Payload& p) {
         ar.i32(hello.id);
         visit(ar, hello.pos);
         ar.f64(hello.sentAt);
-        ar.sequence(hello.neighbors, 20,
-                    [&](net::HelloPayload::Entry& e) { e.visit(ar); });
+        hello.neighbors.visit(ar);
       });
       break;
     case kMessage:

@@ -23,35 +23,35 @@ GlrAgent::GlrAgent(net::World& world, int self, GlrParams params,
 GlrAgent::GlrAgent(net::World& world, int self,
                    std::shared_ptr<const GlrParams> params,
                    dtn::MetricsCollector* metrics, sim::Rng rng)
-    : AgentBase(world, self, metrics, rng, params->hello,
-                params->storageLimit, params->expectedBufferedCopies),
+    : AgentBase(world, self, metrics, rng,
+                {params, &params->hello}, params->storageLimit,
+                params->expectedBufferedCopies),
       params_(std::move(params)) {
   if (!(params_->checkInterval > 0.0)) {
     throw std::invalid_argument{"GlrAgent: checkInterval must be > 0"};
   }
-  neighbors_.setLocationSampleCallback(
-      [this](int id, geom::Point2 pos, sim::SimTime at) {
-        // Only destinations are ever looked up (resolveDestination).
-        if (params_->destinationIds > 0 && id >= params_->destinationIds) {
-          return;
-        }
-        locations_.update(id, pos, at);
-      });
-  neighbors_.setContactCallback([this](int /*id*/) {
-    // "When its relative location with respect to the neighboring nodes
-    // changes and new path emerges ... it will send the stored messages."
-    // A new contact clears every stored copy's retry backoff and triggers
-    // an immediate route check.
-    if (buffer_.storeSize() == 0) return;
-    buffer_.forEachInStore([](dtn::Message& m) {
-      m.waitChecks = 0;
-      m.retryBackoff = 1;
-    });
-    if (checkQueued_) return;
-    checkQueued_ = true;
-    world_.sim().schedule(0.01, *this,
-                          {.kind = ckpt::kGlrQueuedCheck, .i0 = self_});
+}
+
+void GlrAgent::onLocationSample(int id, geom::Point2 pos, sim::SimTime at) {
+  // Only destinations are ever looked up (resolveDestination).
+  if (params_->destinationIds > 0 && id >= params_->destinationIds) return;
+  locations_.update(id, pos, at);
+}
+
+void GlrAgent::onContact(int /*id*/) {
+  // "When its relative location with respect to the neighboring nodes
+  // changes and new path emerges ... it will send the stored messages."
+  // A new contact clears every stored copy's retry backoff and triggers
+  // an immediate route check.
+  if (buffer_.storeSize() == 0) return;
+  buffer_.forEachInStore([](dtn::Message& m) {
+    m.waitChecks = 0;
+    m.retryBackoff = 1;
   });
+  if (checkQueued_) return;
+  checkQueued_ = true;
+  world_.sim().schedule(0.01, *this,
+                        {.kind = ckpt::kGlrQueuedCheck, .i0 = self_});
 }
 
 void GlrAgent::onQueuedCheck() {
@@ -182,8 +182,10 @@ void GlrAgent::checkRoutes() {
   const geom::Point2 self = myPos();
 
   // Local LDTG star: computed once per check from beacon knowledge, gathered
-  // into a per-thread buffer that keeps its capacity across checks.
+  // into a per-thread buffer that keeps its capacity across checks, as the
+  // progress candidates of each stored copy are below.
   static thread_local std::vector<spanner::KnownNode> knowledge;
+  static thread_local std::vector<ProgressNeighbor> candidates;
   neighbors_.knowledge(knowledge);
   const auto spannerIds = spanner::localSpannerNeighbors(
       self_, self, knowledge, params_->network.radius);
@@ -240,7 +242,7 @@ void GlrAgent::checkRoutes() {
       continue;
     }
 
-    const auto candidates = progressNeighbors(self, destPos, spannerNbrs);
+    progressNeighbors(self, destPos, spannerNbrs, candidates);
 
     // Face-mode exit: we are closer to the destination than where the copy
     // entered the face (standard perimeter-mode recovery rule).
@@ -409,12 +411,16 @@ void GlrAgent::onCongestionSignal() {
 }
 
 bool GlrAgent::isSuspect(int id) const {
-  const auto it = suspicion_.find(id);
-  return it != suspicion_.end() && world_.sim().now() < it->second.until;
+  if (suspicion_ == nullptr) return false;
+  const auto it = suspicion_->find(id);
+  return it != suspicion_->end() && world_.sim().now() < it->second.until;
 }
 
 void GlrAgent::noteCustodyFailure(int hop) {
-  SuspectEntry& s = suspicion_[hop];
+  if (suspicion_ == nullptr) {
+    suspicion_ = std::make_unique<std::unordered_map<int, SuspectEntry>>();
+  }
+  SuspectEntry& s = (*suspicion_)[hop];
   ++s.failures;
   if (s.failures >= params_->suspicionThreshold) {
     const sim::SimTime now = world_.sim().now();
@@ -436,7 +442,7 @@ void GlrAgent::noteCustodySuccess(int hop) {
   // score and any active verdict. A blackhole never produces one, so its
   // verdict only lapses by TTL; a greyhole must keep re-earning suspicion,
   // which is the price of its partial acking.
-  suspicion_.erase(hop);
+  if (suspicion_ != nullptr) suspicion_->erase(hop);
 }
 
 void GlrAgent::attemptRecovery(dtn::Message& m) {
@@ -589,7 +595,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
   // instead of accepting and evicting copies it already holds custody of.
   // Final delivery and fork merges are always accepted: they free storage.
   if (params_->custodyTransfer && params_->custodyWatermark > 0 &&
-      m.dstNode != self_ && !deliveredHere_.contains(m.id) &&
+      m.dstNode != self_ && !deliveredHere(m.id) &&
       !buffer_.contains(m.key()) &&
       buffer_.size() >= params_->custodyWatermark) {
     ++counters_.custodyRefusals;
@@ -623,7 +629,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
   // Dropping a duplicate is safe only when this node itself still holds an
   // instance (or is the destination): the custody ack then merges the fork
   // without ever deleting the last live copy.
-  if (deliveredHere_.contains(m.id) || buffer_.contains(m.key())) {
+  if (deliveredHere(m.id) || buffer_.contains(m.key())) {
     ++counters_.duplicatesDropped;
     return;
   }
@@ -693,10 +699,12 @@ template <class Ar>
 void GlrAgent::visitState(Ar& ar) {
   AgentBase::visit(ar);
   locations_.visit(ar);
-  ar.unorderedMap(suspicion_, [&](int& id, SuspectEntry& s) {
-    ar.i32(id);
-    ar.i32(s.failures);
-    ar.f64(s.until);
+  ckpt::visitBuiltOnUse(ar, suspicion_, [&](auto& suspicion) {
+    ar.unorderedMap(suspicion, [&](int& id, SuspectEntry& s) {
+      ar.i32(id);
+      ar.i32(s.failures);
+      ar.f64(s.until);
+    });
   });
   ar.boolean(checkQueued_);
   ar.f64(cwnd_);

@@ -172,6 +172,12 @@ class GlrAgent final : public routing::AgentBase {
   template <class Ar>
   void visitState(Ar& ar);
 
+  /// Records a hello location sample of a possible destination.
+  void onLocationSample(int id, geom::Point2 pos, sim::SimTime at) override;
+  /// A new contact: clears stored copies' retry backoff and queues a route
+  /// check.
+  void onContact(int id) override;
+
   void periodicCheck();
   void checkRoutes();
   void sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,
@@ -219,13 +225,13 @@ class GlrAgent final : public routing::AgentBase {
   /// block serves the whole population.
   std::shared_ptr<const GlrParams> params_;
   dtn::LocationTable locations_;
-  /// Per-next-hop custody failure scores and suspect verdicts (empty and
-  /// untouched unless params_->recovery).
+  /// Per-next-hop custody failure scores and suspect verdicts, built at the
+  /// first custody failure (never without params_->recovery).
   struct SuspectEntry {
     int failures = 0;
     sim::SimTime until = -1e18;  // verdict active while now < until
   };
-  std::unordered_map<int, SuspectEntry> suspicion_;
+  std::unique_ptr<std::unordered_map<int, SuspectEntry>> suspicion_;
 
   // AIMD congestion state (active only with params_->congestionControl):
   // slow start from a small window up to ssthresh_, then +1/cwnd per

@@ -4,11 +4,12 @@
 
 namespace glr::core {
 
-std::vector<ProgressNeighbor> progressNeighbors(
+void progressNeighbors(
     geom::Point2 selfPos, geom::Point2 destPos,
-    const std::vector<std::pair<int, geom::Point2>>& neighbors) {
+    const std::vector<std::pair<int, geom::Point2>>& neighbors,
+    std::vector<ProgressNeighbor>& out) {
   const double selfDist = geom::dist(selfPos, destPos);
-  std::vector<ProgressNeighbor> out;
+  out.clear();
   for (const auto& [id, pos] : neighbors) {
     const double d = geom::dist(pos, destPos);
     if (d < selfDist) out.push_back({id, pos, d});
@@ -20,7 +21,6 @@ std::vector<ProgressNeighbor> progressNeighbors(
               }
               return a.id < b.id;  // deterministic tie-break
             });
-  return out;
 }
 
 std::optional<ProgressNeighbor> selectNextHop(
@@ -68,11 +68,13 @@ std::vector<int> extractPath(const graph::Graph& g,
                              int src, geom::Point2 destPos,
                              dtn::TreeFlag flag, int maxHops) {
   std::vector<int> path{src};
+  std::vector<std::pair<int, geom::Point2>> nbrs;
+  std::vector<ProgressNeighbor> cands;
   int cur = src;
   for (int hop = 0; hop < maxHops; ++hop) {
-    std::vector<std::pair<int, geom::Point2>> nbrs;
+    nbrs.clear();
     for (int v : g.neighbors(cur)) nbrs.emplace_back(v, positions[v]);
-    const auto cands = progressNeighbors(positions[cur], destPos, nbrs);
+    progressNeighbors(positions[cur], destPos, nbrs, cands);
     const auto next = selectNextHop(flag, cands);
     if (!next.has_value()) break;
     cur = next->id;

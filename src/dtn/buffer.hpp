@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -36,9 +37,10 @@ class MessageBuffer {
   /// `expectedCopies` pre-sizes the key/branch hash indexes (0 = no hint).
   /// Scenario drivers derive it from the population/workload so steady-state
   /// inserts never rehash; it is purely a bucket-count hint — list order
-  /// drives every observable iteration, so results are unaffected. The
-  /// reserve is applied lazily on the first insert, so idle nodes that
-  /// never buffer a message pay nothing for the hint.
+  /// drives every observable iteration, so results are unaffected. The two
+  /// areas and their indexes are built, and the reserve applied, on the
+  /// first insert, so an idle node that never buffers a message keeps only
+  /// this object's few words.
   explicit MessageBuffer(std::size_t capacity = kUnlimitedStorage,
                          std::size_t expectedCopies = 0);
 
@@ -118,16 +120,24 @@ class MessageBuffer {
   /// unconditionally without perturbing TTL-less runs.
   std::size_t expireDue(sim::SimTime now);
 
-  [[nodiscard]] std::uint64_t expiredCount() const { return expired_; }
-
-  [[nodiscard]] std::size_t storeSize() const { return store_.size(); }
-  [[nodiscard]] std::size_t cacheSize() const { return cache_.size(); }
-  [[nodiscard]] std::size_t size() const {
-    return store_.size() + cache_.size();
+  [[nodiscard]] std::uint64_t expiredCount() const {
+    return areas_ != nullptr ? areas_->expired : 0;
   }
+
+  [[nodiscard]] std::size_t storeSize() const {
+    return areas_ != nullptr ? areas_->store.size() : 0;
+  }
+  [[nodiscard]] std::size_t cacheSize() const {
+    return areas_ != nullptr ? areas_->cache.size() : 0;
+  }
+  [[nodiscard]] std::size_t size() const { return storeSize() + cacheSize(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t peakSize() const { return peak_; }
-  [[nodiscard]] std::uint64_t dropCount() const { return drops_; }
+  [[nodiscard]] std::size_t peakSize() const {
+    return areas_ != nullptr ? areas_->peak : 0;
+  }
+  [[nodiscard]] std::uint64_t dropCount() const {
+    return areas_ != nullptr ? areas_->drops : 0;
+  }
 
   /// Checkpoint support. The FIFO lists are the source of truth (their order
   /// drives eviction and iteration determinism) and are serialized verbatim;
@@ -144,37 +154,43 @@ class MessageBuffer {
     sim::SimTime sentAt = 0;
   };
 
-  void notePeak();
-  /// Applies the deferred `expectedCopies` index reserve (first insert).
-  void applyReserveHint();
+  /// Everything a buffer keeps once it has held a message. The lists are
+  /// the source of truth (their FIFO order drives eviction and iteration
+  /// determinism); the maps only make key lookups O(1). std::list iterators
+  /// are stable, so indexed iterators survive unrelated insertions/erasures.
+  struct Areas {
+    std::list<Message> store;     // FIFO: front = oldest
+    std::list<CacheEntry> cache;  // FIFO: front = oldest
+    std::unordered_map<CopyKey, std::list<Message>::iterator> storeIndex;
+    std::unordered_map<CopyKey, std::list<CacheEntry>::iterator> cacheIndex;
+    /// Copies held per message id across both areas (any-branch queries).
+    std::unordered_map<MessageId, std::uint32_t> branchCount;
+    std::size_t peak = 0;
+    std::uint64_t drops = 0;
+    std::uint64_t expired = 0;
+
+    void indexStoreInsert(std::list<Message>::iterator it);
+    void indexStoreErase(std::list<Message>::iterator it);
+    void indexCacheInsert(std::list<CacheEntry>::iterator it);
+    void indexCacheErase(std::list<CacheEntry>::iterator it);
+    [[nodiscard]] bool contains(const CopyKey& key) const {
+      return storeIndex.contains(key) || cacheIndex.contains(key);
+    }
+  };
+
+  /// The areas, built on the first call, with the deferred index reserve.
+  Areas& areas();
   /// Evicts one message per the paper's policy; false if nothing evictable.
   bool evictOne();
   /// Emits a kDrop/kExpiry trace record for `m` (caller checks trace_).
   void traceDrop(trace::EventType type, const Message& m);
 
-  /// Index maintenance. The lists stay the source of truth (their FIFO order
-  /// drives eviction and iteration determinism); the maps only make key
-  /// lookups O(1). std::list iterators are stable, so indexed iterators
-  /// survive unrelated insertions/erasures.
-  void indexStoreInsert(std::list<Message>::iterator it);
-  void indexStoreErase(std::list<Message>::iterator it);
-  void indexCacheInsert(std::list<CacheEntry>::iterator it);
-  void indexCacheErase(std::list<CacheEntry>::iterator it);
-
   std::size_t capacity_;
-  std::list<Message> store_;       // FIFO: front = oldest
-  std::list<CacheEntry> cache_;    // FIFO: front = oldest
-  std::unordered_map<CopyKey, std::list<Message>::iterator> storeIndex_;
-  std::unordered_map<CopyKey, std::list<CacheEntry>::iterator> cacheIndex_;
-  /// Copies held per message id across both areas (any-branch queries).
-  std::unordered_map<MessageId, std::uint32_t> branchCount_;
-  std::size_t peak_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t expired_ = 0;
-  trace::Recorder* trace_ = nullptr;  // owned by the experiment layer
-  int selfNode_ = -1;
   /// Deferred index reserve size; consumed (zeroed) on the first insert.
   std::size_t reserveHint_ = 0;
+  trace::Recorder* trace_ = nullptr;  // owned by the experiment layer
+  int selfNode_ = -1;
+  std::unique_ptr<Areas> areas_;  // null until the first insert
 };
 
 }  // namespace glr::dtn

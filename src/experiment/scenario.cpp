@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
@@ -64,10 +65,26 @@ enum Stream : std::uint64_t {
   kFaults = 10,       // fault injection (loss/burst/stall forks inside)
 };
 
-std::unique_ptr<routing::DtnAgent> makeAgent(
-    const ScenarioConfig& cfg, net::World& world, int id,
-    dtn::MetricsCollector* metrics, sim::Rng rng,
-    std::shared_ptr<const core::GlrParams>& glrShared) {
+/// Builds one node's routing agent from its world, id, metrics sink and RNG
+/// stream.
+using AgentFactory = std::function<std::unique_ptr<routing::DtnAgent>(
+    net::World&, int, dtn::MetricsCollector*, sim::Rng)>;
+
+/// A factory whose agents all share `params` as one immutable block: the
+/// params are identical for every node, and a by-value copy per agent is a
+/// measurable share of the idle-node budget at city scale.
+template <class AgentT, class Params>
+AgentFactory sharedParamsFactory(Params params) {
+  auto shared = std::make_shared<const Params>(std::move(params));
+  return [shared](net::World& world, int id, dtn::MetricsCollector* metrics,
+                  sim::Rng rng) -> std::unique_ptr<routing::DtnAgent> {
+    return std::make_unique<AgentT>(world, id, shared, metrics, rng);
+  };
+}
+
+/// The agent factory of `cfg`'s protocol, with its parameters built once
+/// for the whole population.
+AgentFactory agentFactory(const ScenarioConfig& cfg) {
   net::NeighborService::Params hello;
   hello.helloInterval = cfg.helloInterval;
   hello.expiry = 3.0 * cfg.helloInterval;
@@ -102,40 +119,33 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
 
   switch (cfg.protocol) {
     case Protocol::kGlr: {
-      // One immutable parameter block shared by the whole population: the
-      // params are identical for every node, and a by-value copy per agent
-      // is a measurable share of the idle-node budget at city scale.
-      if (glrShared == nullptr) {
-        core::GlrParams p;
-        p.expectedBufferedCopies = copiesHint;
-        p.checkInterval = cfg.checkInterval;
-        p.cacheTimeout = cfg.cacheTimeout;
-        p.custodyTransfer = cfg.custody;
-        p.faceRouting = cfg.faceRouting;
-        p.copiesOverride = cfg.copiesOverride;
-        p.network.numNodes = static_cast<std::size_t>(cfg.numNodes);
-        p.network.radius = cfg.radius;
-        p.network.areaWidth = cfg.areaWidth;
-        p.network.areaHeight = cfg.areaHeight;
-        p.locationMode = cfg.locationMode;
-        p.storageLimit = cfg.storageLimit;
-        p.locationEvictAfter = cfg.locationEvictAfter;
-        p.destinationIds = cfg.trafficNodes;
-        p.custodyWatermark = cfg.custodyWatermark;
-        p.congestionControl = cfg.congestionControl;
-        p.recovery = cfg.glrRecovery;
-        p.suspicionThreshold = cfg.glrSuspicionThreshold;
-        p.recoveryAfterFailures = cfg.glrRecoveryAfterFailures;
-        p.recoveryFanout = cfg.glrRecoveryFanout;
-        p.recoveryCooldown = cfg.glrRecoveryCooldown;
-        p.suspicionTtl = cfg.glrSuspicionTtl;
-        p.messageTtl = cfg.messageTtl;
-        hello.includeNeighborList = true;  // 2-hop knowledge for the LDTG
-        p.hello = hello;
-        glrShared = std::make_shared<const core::GlrParams>(std::move(p));
-      }
-      return std::make_unique<core::GlrAgent>(world, id, glrShared, metrics,
-                                              rng);
+      core::GlrParams p;
+      p.expectedBufferedCopies = copiesHint;
+      p.checkInterval = cfg.checkInterval;
+      p.cacheTimeout = cfg.cacheTimeout;
+      p.custodyTransfer = cfg.custody;
+      p.faceRouting = cfg.faceRouting;
+      p.copiesOverride = cfg.copiesOverride;
+      p.network.numNodes = static_cast<std::size_t>(cfg.numNodes);
+      p.network.radius = cfg.radius;
+      p.network.areaWidth = cfg.areaWidth;
+      p.network.areaHeight = cfg.areaHeight;
+      p.locationMode = cfg.locationMode;
+      p.storageLimit = cfg.storageLimit;
+      p.locationEvictAfter = cfg.locationEvictAfter;
+      p.destinationIds = cfg.trafficNodes;
+      p.custodyWatermark = cfg.custodyWatermark;
+      p.congestionControl = cfg.congestionControl;
+      p.recovery = cfg.glrRecovery;
+      p.suspicionThreshold = cfg.glrSuspicionThreshold;
+      p.recoveryAfterFailures = cfg.glrRecoveryAfterFailures;
+      p.recoveryFanout = cfg.glrRecoveryFanout;
+      p.recoveryCooldown = cfg.glrRecoveryCooldown;
+      p.suspicionTtl = cfg.glrSuspicionTtl;
+      p.messageTtl = cfg.messageTtl;
+      hello.includeNeighborList = true;  // 2-hop knowledge for the LDTG
+      p.hello = hello;
+      return sharedParamsFactory<core::GlrAgent>(std::move(p));
     }
     case Protocol::kEpidemic: {
       routing::EpidemicParams p;
@@ -144,8 +154,7 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
       p.messageTtl = cfg.messageTtl;
       hello.includeNeighborList = false;
       p.hello = hello;
-      return std::make_unique<routing::EpidemicAgent>(world, id, p, metrics,
-                                                      rng);
+      return sharedParamsFactory<routing::EpidemicAgent>(std::move(p));
     }
     case Protocol::kDirectDelivery: {
       routing::DirectParams p;
@@ -154,8 +163,7 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
       p.checkInterval = cfg.checkInterval;
       hello.includeNeighborList = false;
       p.hello = hello;
-      return std::make_unique<routing::DirectDeliveryAgent>(world, id, p,
-                                                            metrics, rng);
+      return sharedParamsFactory<routing::DirectDeliveryAgent>(std::move(p));
     }
     case Protocol::kSprayAndWait: {
       routing::SprayWaitParams p;
@@ -165,11 +173,10 @@ std::unique_ptr<routing::DtnAgent> makeAgent(
       p.messageTtl = cfg.messageTtl;
       hello.includeNeighborList = false;
       p.hello = hello;
-      return std::make_unique<routing::SprayWaitAgent>(world, id, p, metrics,
-                                                       rng);
+      return sharedParamsFactory<routing::SprayWaitAgent>(std::move(p));
     }
   }
-  throw std::invalid_argument{"makeAgent: unknown protocol"};
+  throw std::invalid_argument{"agentFactory: unknown protocol"};
 }
 
 /// The periodic snapshot writer, itself a simulated event
@@ -314,7 +321,7 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
 
   sim::Rng placementRng = master.fork(kPlacement);
   std::vector<routing::DtnAgent*> agents;
-  std::shared_ptr<const core::GlrParams> sharedGlrParams;
+  const AgentFactory makeAgent = agentFactory(cfg);
   for (int i = 0; i < cfg.numNodes; ++i) {
     const geom::Point2 start = mobility::randomPosition(area, placementRng);
     if (!clusterCenters.empty()) {
@@ -327,9 +334,8 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
     world.addNode(std::move(mob),
                   master.fork(kMac * 1000 + static_cast<std::uint64_t>(i)));
     auto agent = makeAgent(
-        cfg, world, i, &metrics,
-        master.fork(kAgent * 1000 + static_cast<std::uint64_t>(i)),
-        sharedGlrParams);
+        world, i, &metrics,
+        master.fork(kAgent * 1000 + static_cast<std::uint64_t>(i)));
     agents.push_back(agent.get());
     world.setAgent(i, std::move(agent));
   }

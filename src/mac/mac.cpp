@@ -1,6 +1,7 @@
 #include "mac/mac.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -9,22 +10,31 @@
 
 namespace glr::mac {
 
-Mac::Mac(sim::Simulator& sim, Channel& channel, int self, MacParams params,
-         sim::Rng rng)
-    : sim_(sim), channel_(channel), self_(self), params_(params), rng_(rng) {
+Mac::Mac(sim::Simulator& sim, Channel& channel, int self,
+         std::shared_ptr<const MacParams> params, sim::Rng rng)
+    : sim_(sim),
+      channel_(channel),
+      self_(self),
+      params_(std::move(params)),
+      rng_(rng) {
   if (self < 0) throw std::invalid_argument{"Mac: negative node id"};
+  if (params_ == nullptr) throw std::invalid_argument{"Mac: params required"};
   channel_.attach(this);
 }
 
+Mac::Mac(sim::Simulator& sim, Channel& channel, int self,
+         const MacParams& params, sim::Rng rng)
+    : Mac(sim, channel, self, std::make_shared<const MacParams>(params), rng) {}
+
 double Mac::frameDuration(std::size_t bytes) const {
-  return params_.phyOverhead +
-         static_cast<double>(bytes) * 8.0 / params_.bitRateBps;
+  return params_->phyOverhead +
+         static_cast<double>(bytes) * 8.0 / params_->bitRateBps;
 }
 
 int Mac::contentionWindow(int attempts) const {
-  long cw = params_.cwMin;
+  long cw = params_->cwMin;
   for (int i = 0; i < attempts; ++i) {
-    cw = std::min<long>(2 * (cw + 1) - 1, params_.cwMax);
+    cw = std::min<long>(2 * (cw + 1) - 1, params_->cwMax);
   }
   return static_cast<int>(cw);
 }
@@ -34,7 +44,7 @@ bool Mac::send(net::Packet packet, int dstMac) {
     ++stats_.radioDownDrops;
     return false;
   }
-  if (queue_.size() >= params_.queueLimit) {
+  if (queue_.size() >= params_->queueLimit) {
     ++stats_.queueDrops;
     return false;
   }
@@ -70,16 +80,16 @@ void Mac::attempt() {
     const sim::SimTime idleAt =
         std::max(channel_.nextIdleHint(self_), sim_.now());
     attemptHandle_ =
-        sim_.scheduleAt(idleAt + rng_.uniform(0.0, params_.slotTime), *this,
+        sim_.scheduleAt(idleAt + rng_.uniform(0.0, params_->slotTime), *this,
                         {.kind = ckpt::kMacAttempt, .i0 = self_});
     return;
   }
   const int cw = contentionWindow(queue_.front().attempts);
   const double backoff =
       static_cast<double>(rng_.below(static_cast<std::uint64_t>(cw) + 1)) *
-      params_.slotTime;
+      params_->slotTime;
   attemptHandle_ =
-      sim_.schedule(params_.difs + backoff, *this,
+      sim_.schedule(params_->difs + backoff, *this,
                     {.kind = ckpt::kMacBackoffExpire, .i0 = self_});
 }
 
@@ -105,7 +115,7 @@ void Mac::transmitHead() {
   frame.src = self_;
   frame.dst = out.dst;
   frame.seq = out.seq;
-  frame.bytes = out.packet.bytes + params_.macHeaderBytes;
+  frame.bytes = out.packet.bytes + params_->macHeaderBytes;
   frame.packet = out.packet;
 
   const double duration = frameDuration(frame.bytes);
@@ -138,8 +148,8 @@ void Mac::onDataTxEnd(bool expectAck, std::uint64_t epoch) {
   }
   awaitingAck_ = true;
   awaitedSeq_ = queue_.front().seq;
-  const double ackTimeout = params_.sifs + frameDuration(params_.ackBytes) +
-                            2.0 * params_.slotTime + 20e-6;
+  const double ackTimeout = params_->sifs + frameDuration(params_->ackBytes) +
+                            2.0 * params_->slotTime + 20e-6;
   ackTimeoutHandle_ = sim_.schedule(
       ackTimeout, *this, {.kind = ckpt::kMacAckTimeout, .i0 = self_});
 }
@@ -150,7 +160,7 @@ void Mac::onAckTimeout() {
   ++stats_.ackTimeouts;
   Outgoing& out = queue_.front();
   ++out.attempts;
-  if (out.attempts > params_.retryLimit) {
+  if (out.attempts > params_->retryLimit) {
     ++stats_.retryDrops;
     finishHead(false);
     return;
@@ -161,8 +171,8 @@ void Mac::onAckTimeout() {
 void Mac::finishHead(bool success) {
   Outgoing out = std::move(queue_.front());
   queue_.pop_front();
-  if (onTxStatus_ && out.dst != net::kBroadcast) {
-    onTxStatus_(out.packet, out.dst, success);
+  if (client_ != nullptr && out.dst != net::kBroadcast) {
+    client_->onTxStatus(out.packet, out.dst, success);
   }
   scheduleAttempt();
 }
@@ -188,8 +198,8 @@ void Mac::setRadioUp(bool up) {
     Outgoing out = std::move(queue_.front());
     queue_.pop_front();
     ++stats_.radioDownDrops;
-    if (onTxStatus_ && out.dst != net::kBroadcast) {
-      onTxStatus_(out.packet, out.dst, false);
+    if (client_ != nullptr && out.dst != net::kBroadcast) {
+      client_->onTxStatus(out.packet, out.dst, false);
     }
   }
 }
@@ -211,13 +221,13 @@ void Mac::onFrameReceived(const Frame& frame) {
   if (unicastToMe) {
     // Reply with an ACK after SIFS (ACKs skip contention by design). The
     // descriptor carries only the scalars; the Frame is built when it fires.
-    sim_.schedule(params_.sifs, *this,
+    sim_.schedule(params_->sifs, *this,
                   {.kind = ckpt::kMacAckReply,
                    .i0 = self_,
                    .i1 = frame.src,
                    .u0 = frame.seq,
                    .u1 = radioEpoch_,
-                   .f0 = frameDuration(params_.ackBytes)});
+                   .f0 = frameDuration(params_->ackBytes)});
   } else if (frame.dst != net::kBroadcast) {
     return;  // unicast for someone else
   }
@@ -232,16 +242,17 @@ void Mac::onFrameReceived(const Frame& frame) {
       }
       seq = frame.seq;
       ++stats_.rxData;
-      if (onReceive_) onReceive_(frame.packet, frame.src);
+      if (client_ != nullptr) client_->onPacket(frame.packet, frame.src);
       return;
     }
   }
   lastSeqFrom_.emplace_back(frame.src, frame.seq);
   ++stats_.rxData;
-  if (onReceive_) onReceive_(frame.packet, frame.src);
+  if (client_ != nullptr) client_->onPacket(frame.packet, frame.src);
 }
 
 bool Mac::transmittedDuring(sim::SimTime start, sim::SimTime end) const {
+  if (start >= recentTxEndMax_) return false;
   for (std::size_t i = 0; i < recentTxCount_; ++i) {
     const auto& [s, e] = recentTx_[i];
     if (s <= end && start < e) return true;
@@ -257,7 +268,7 @@ void Mac::sendAckReply(int dst, std::uint64_t seq, double ackDur,
   ack.src = self_;
   ack.dst = dst;
   ack.seq = seq;
-  ack.bytes = params_.ackBytes;
+  ack.bytes = params_->ackBytes;
   recordOwnTx(sim_.now(), sim_.now() + ackDur);
   ++stats_.ackTx;
   channel_.startTransmission(self_, std::move(ack), ackDur);
@@ -293,6 +304,12 @@ void Mac::visit(Ar& ar) {
   for (auto& [start, end] : recentTx_) {
     ar.f64(start);
     ar.f64(end);
+  }
+  if constexpr (Ar::kLoading) {
+    recentTxEndMax_ = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < recentTxCount_; ++i) {
+      recentTxEndMax_ = std::max(recentTxEndMax_, recentTx_[i].second);
+    }
   }
   ar.sequence(lastSeqFrom_, 12, [&](std::pair<int, std::uint64_t>& seen) {
     ar.i32(seen.first);

@@ -10,9 +10,11 @@
 /// busy — fairness differs slightly from real DCF but saturation behaviour
 /// (collision loss, delay growth under load) is preserved.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -55,20 +57,39 @@ struct MacStats {
   std::uint64_t radioDownDrops = 0;   // sends attempted/flushed while down
 };
 
+/// The layer above a MAC (a node's routing agent): it is handed every DATA
+/// frame the MAC receives and the outcome of every unicast it sent. A MAC
+/// keeps one pointer to it, so the client must stay alive while the MAC can
+/// still deliver to it.
+class MacClient {
+ public:
+  /// A DATA packet arrived for this node (unicast to it, or broadcast) from
+  /// MAC `fromMac`.
+  virtual void onPacket(const net::Packet& packet, int fromMac) = 0;
+  /// A unicast to `dstMac` completed (`success`: its MAC-level ACK was
+  /// seen) or was dropped.
+  virtual void onTxStatus(const net::Packet& /*packet*/, int /*dstMac*/,
+                          bool /*success*/) {}
+
+ protected:
+  MacClient() = default;
+  ~MacClient() = default;
+};
+
 class Mac : public sim::EventSink {
  public:
-  /// (packet, srcMacId) for every successfully received DATA frame.
-  using ReceiveCallback = std::function<void(const net::Packet&, int)>;
-  /// (packet, dstMacId, success) after a unicast completes or is dropped.
-  using TxStatusCallback = std::function<void(const net::Packet&, int, bool)>;
-
-  Mac(sim::Simulator& sim, Channel& channel, int self, MacParams params,
-      sim::Rng rng);
+  /// `params` is one immutable block the whole population shares.
+  Mac(sim::Simulator& sim, Channel& channel, int self,
+      std::shared_ptr<const MacParams> params, sim::Rng rng);
+  /// Convenience for a lone MAC: wraps `params` into a block of its own.
+  Mac(sim::Simulator& sim, Channel& channel, int self,
+      const MacParams& params, sim::Rng rng);
 
   [[nodiscard]] int id() const { return self_; }
 
-  void setReceiveCallback(ReceiveCallback cb) { onReceive_ = std::move(cb); }
-  void setTxStatusCallback(TxStatusCallback cb) { onTxStatus_ = std::move(cb); }
+  /// The layer that receives this MAC's packets and unicast outcomes (null:
+  /// none, and they are dropped).
+  void setClient(MacClient* client) { client_ = client; }
 
   /// Queues `packet` for transmission to `dstMac` (net::kBroadcast for
   /// broadcast). Returns false if the interface queue is full (drop-tail).
@@ -76,11 +97,13 @@ class Mac : public sim::EventSink {
 
   [[nodiscard]] std::size_t queueLength() const { return queue_.size(); }
   [[nodiscard]] const MacStats& stats() const { return stats_; }
-  [[nodiscard]] const MacParams& params() const { return params_; }
+  [[nodiscard]] const MacParams& params() const { return *params_; }
 
   /// Channel-facing: frame arrived intact at this node.
   void onFrameReceived(const Frame& frame);
   /// Channel-facing: true if this MAC was transmitting during [start, end].
+  /// A query starting at or after the end of this MAC's last recorded
+  /// transmission returns at once, without scanning the ring.
   [[nodiscard]] bool transmittedDuring(sim::SimTime start,
                                        sim::SimTime end) const;
 
@@ -127,6 +150,7 @@ class Mac : public sim::EventSink {
     recentTx_[recentTxNext_] = {start, end};
     recentTxNext_ = (recentTxNext_ + 1) % recentTx_.size();
     if (recentTxCount_ < recentTx_.size()) ++recentTxCount_;
+    recentTxEndMax_ = std::max(recentTxEndMax_, end);
   }
 
   void scheduleAttempt();
@@ -146,7 +170,7 @@ class Mac : public sim::EventSink {
   sim::Simulator& sim_;
   Channel& channel_;
   int self_;
-  MacParams params_;
+  std::shared_ptr<const MacParams> params_;
   sim::Rng rng_;
 
   // Grow-only ring (no per-block allocator churn as the FIFO slides).
@@ -171,12 +195,15 @@ class Mac : public sim::EventSink {
   std::array<std::pair<sim::SimTime, sim::SimTime>, 16> recentTx_{};
   std::size_t recentTxCount_ = 0;  // valid entries (caps at 16)
   std::size_t recentTxNext_ = 0;   // slot the next record overwrites
+  // The latest end recorded (-inf before the first): no ring entry ends
+  // after it, so no interval starting at or after it overlaps one. A
+  // restore rebuilds it from the ring instead of saving it.
+  sim::SimTime recentTxEndMax_ = -std::numeric_limits<double>::infinity();
 
   // Duplicate detection: last sequence number seen per source.
   std::vector<std::pair<int, std::uint64_t>> lastSeqFrom_;
 
-  ReceiveCallback onReceive_;
-  TxStatusCallback onTxStatus_;
+  MacClient* client_ = nullptr;
   MacStats stats_;
 };
 

@@ -68,75 +68,103 @@ KnowledgeScratch& knowledgeScratch() {
 }  // namespace
 
 NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
-                                 std::function<geom::Point2()> myPosition,
-                                 Params params, sim::Rng rng)
+                                 Owner& owner,
+                                 std::shared_ptr<const Params> params,
+                                 sim::Rng rng)
     : sim_(sim),
       mac_(mac),
       self_(self),
-      myPosition_(std::move(myPosition)),
-      params_(params),
+      owner_(&owner),
+      params_(std::move(params)),
       rng_(rng) {
-  if (!myPosition_) {
-    throw std::invalid_argument{"NeighborService: myPosition required"};
+  if (params_ == nullptr) {
+    throw std::invalid_argument{"NeighborService: params required"};
   }
-  if (params_.helloInterval <= 0.0 || params_.expiry <= 0.0) {
+  if (params_->helloInterval <= 0.0 || params_->expiry <= 0.0) {
     throw std::invalid_argument{"NeighborService: bad interval/expiry"};
   }
   // Size the 1-hop table for the expected neighborhood up front so the
   // per-hello inserts on the hot path never rehash.
-  table_.reserve(params_.expectedNeighbors);
+  table_.reserve(params_->expectedNeighbors);
 }
 
+NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
+                                 Owner& owner, const Params& params,
+                                 sim::Rng rng)
+    : NeighborService(sim, mac, self, owner,
+                      std::make_shared<const Params>(params), rng) {}
+
 bool NeighborService::fresh(const NeighborRecord& r) const {
-  return sim_.now() - r.heard <= params_.expiry;
+  return sim_.now() - r.heard <= params_->expiry;
 }
 
 void NeighborService::start() {
   // Desynchronize: first beacon at a uniform offset inside one interval.
-  sim_.schedule(rng_.uniform(0.0, params_.helloInterval), *this,
+  sim_.schedule(rng_.uniform(0.0, params_->helloInterval), *this,
                 {.kind = ckpt::kHello, .i0 = self_});
 }
 
+NeighborList& NeighborService::freeHelloList(std::size_t entries) {
+  // The front block carries the latest hello, whose receivers keep it until
+  // this node's next one arrives, so the older block is usually free and
+  // moves to the front. Otherwise the front block is reused if nobody
+  // holds it. When both are still held (a receiver missed a hello, or went
+  // stale without sweeping yet), a new block takes the older one's slot;
+  // the older one lives on with its holders until the last lets go. A
+  // block too small for this hello is replaced by an exact fit.
+  if (helloLists_[1].unique() || !helloLists_[0].unique()) {
+    std::swap(helloLists_[0], helloLists_[1]);
+  }
+  NeighborList& list = helloLists_[0];
+  if (!list.unique() || list.capacity() < entries) {
+    list = NeighborList::withCapacity(entries);
+  }
+  return list;
+}
+
 void NeighborService::sendHello() {
-  // The payload block comes from the per-thread hello arena: `neighbors` is
-  // the recycled block's own vector, so clear() + refill is the reused
-  // scratch buffer — its capacity persists across beacons and the refill
-  // never allocates once the neighborhood size has been seen.
+  // The payload block comes from the per-thread hello arena, and the
+  // neighbor list is written into a block of this node's list pool, which
+  // keeps its capacity: once both have grown, a beacon allocates nothing.
   Payload payload = Payload::create<HelloPayload>();
   HelloPayload& hello = payload.mutableValue<HelloPayload>();
   hello.id = self_;
-  hello.pos = myPosition_();
+  hello.pos = owner_->helloPosition();
   hello.sentAt = sim_.now();
-  hello.neighbors.clear();
-  std::size_t bytes = params_.baseBytes;
-  const double evictHorizon = params_.evictAfterFactor > 0.0
-                                  ? params_.evictAfterFactor * params_.expiry
+  NeighborList* list = nullptr;
+  if (params_->includeNeighborList) {
+    std::size_t freshCount = 0;
+    for (const auto& [id, rec] : table_) freshCount += fresh(rec) ? 1 : 0;
+    list = &freeHelloList(freshCount);
+    list->clear();
+  }
+  std::size_t bytes = params_->baseBytes;
+  const double evictHorizon = params_->evictAfterFactor > 0.0
+                                  ? params_->evictAfterFactor * params_->expiry
                                   : 0.0;
   for (auto it = table_.begin(); it != table_.end();) {
     NeighborRecord& rec = it->second;
     if (fresh(rec)) {
-      if (params_.includeNeighborList) {
-        hello.neighbors.push_back({it->first, rec.pos, rec.heard});
-        bytes += params_.perNeighborBytes;
+      if (list != nullptr) {
+        list->push_back({it->first, rec.pos, rec.heard});
+        bytes += params_->perNeighborBytes;
       }
       ++it;
       continue;
     }
-    // Stale record. Its `reported` list is dead weight: no reader looks at
-    // a stale record's entries, and a future hello from this id overwrites
-    // them — so freeing the heap now is observation-equivalent and keeps
-    // long runs from accumulating one 2-hop snapshot per node ever heard.
-    if (!rec.reported.empty()) {
-      rec.reported.clear();
-      rec.reported.shrink_to_fit();
-    }
+    // Stale record. Its reported list is dead weight: no reader looks at a
+    // stale record's entries, and a future hello from this id replaces
+    // them, so dropping the reference now is observation-equivalent and
+    // lets the sender reuse or free the block.
+    rec.reported.reset();
     if (evictHorizon > 0.0 &&
-        sim_.now() - rec.heard > params_.expiry + evictHorizon) {
+        sim_.now() - rec.heard > params_->expiry + evictHorizon) {
       it = table_.erase(it);
     } else {
       ++it;
     }
   }
+  if (list != nullptr) hello.neighbors = *list;
   Packet p;
   p.bytes = bytes;
   p.kind = kHelloKind;
@@ -146,15 +174,31 @@ void NeighborService::sendHello() {
 
   // Jittered periodic re-beacon (+/-10%) to avoid phase locking.
   const double next =
-      params_.helloInterval * rng_.uniform(0.9, 1.1);
+      params_->helloInterval * rng_.uniform(0.9, 1.1);
   sim_.schedule(next, *this, {.kind = ckpt::kHello, .i0 = self_});
 }
 
 template <class Ar>
-void HelloPayload::Entry::visit(Ar& ar) {
+void HelloEntry::visit(Ar& ar) {
   ar.i32(id);
   ckpt::visit(ar, pos);
   ar.f64(heardAt);
+}
+
+template <class Ar>
+void NeighborList::visit(Ar& ar) {
+  if constexpr (Ar::kLoading) {
+    std::vector<HelloEntry> entries;
+    ar.sequence(entries, 20, [&](HelloEntry& e) { e.visit(ar); });
+    reset();
+    if (!entries.empty()) {
+      *this = withCapacity(entries.size());
+      for (const HelloEntry& e : entries) push_back(e);
+    }
+  } else {
+    ar.count(size(), 20);
+    for (HelloEntry e : *this) e.visit(ar);
+  }
 }
 
 template <class Ar>
@@ -164,16 +208,17 @@ void NeighborService::visit(Ar& ar) {
     ar.i32(id);
     ckpt::visit(ar, rec.pos);
     ar.f64(rec.heard);
-    ar.sequence(rec.reported, 20,
-                [&](HelloPayload::Entry& entry) { entry.visit(ar); });
+    rec.reported.visit(ar);
   });
   ar.u64(hellosSent_);
   ar.u64(hellosReceived_);
   ar.u64(helloSendFailures_);
 }
 
-template void HelloPayload::Entry::visit(ckpt::Encoder&);
-template void HelloPayload::Entry::visit(ckpt::Decoder&);
+template void HelloEntry::visit(ckpt::Encoder&);
+template void HelloEntry::visit(ckpt::Decoder&);
+template void NeighborList::visit(ckpt::Encoder&);
+template void NeighborList::visit(ckpt::Decoder&);
 template void NeighborService::visit(ckpt::Encoder&);
 template void NeighborService::visit(ckpt::Decoder&);
 
@@ -187,15 +232,13 @@ bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {
   const bool wasFresh = fresh(rec);
   rec.pos = hello->pos;
   rec.heard = sim_.now();
-  rec.reported = hello->neighbors;
+  rec.reported = hello->neighbors;  // shares the sender's block
 
-  if (onLocationSample_) {
-    onLocationSample_(hello->id, hello->pos, hello->sentAt);
-    for (const auto& e : hello->neighbors) {
-      if (e.id != self_) onLocationSample_(e.id, e.pos, e.heardAt);
-    }
+  owner_->onLocationSample(hello->id, hello->pos, hello->sentAt);
+  for (const HelloEntry& e : hello->neighbors) {
+    if (e.id != self_) owner_->onLocationSample(e.id, e.pos, e.heardAt);
   }
-  if (!wasFresh && onContact_) onContact_(hello->id);
+  if (!wasFresh) owner_->onContact(hello->id);
   return true;
 }
 
@@ -220,6 +263,12 @@ std::optional<geom::Point2> NeighborService::neighborPosition(int id) const {
   return it->second.pos;
 }
 
+const NeighborList& NeighborService::reportedBy(int id) const {
+  static const NeighborList kNone;
+  const auto it = table_.find(id);
+  return it != table_.end() ? it->second.reported : kNone;
+}
+
 void NeighborService::knowledge(std::vector<spanner::KnownNode>& out) const {
   KnowledgeScratch& s = knowledgeScratch();
   s.begin();
@@ -229,7 +278,7 @@ void NeighborService::knowledge(std::vector<spanner::KnownNode>& out) const {
   }
   for (const auto& [id, rec] : table_) {
     if (!fresh(rec)) continue;
-    for (const auto& e : rec.reported) {
+    for (const HelloEntry& e : rec.reported) {
       if (e.id == self_) continue;
       const std::size_t i = s.find(e.id, out);
       if (i == out.size()) {

@@ -11,9 +11,15 @@
 /// uses. Because beacons are periodic, positions known to neighbors are
 /// slightly stale — the same artifact the paper notes for IMEP.
 
-#include <functional>
+#include <array>
+#include <cassert>
+#include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -25,20 +31,120 @@
 
 namespace glr::net {
 
+/// One neighbor a hello reports: its id, where the sender last saw it and
+/// when the sender last heard it.
+struct HelloEntry {
+  int id = -1;
+  geom::Point2 pos;
+  sim::SimTime heardAt = 0;
+
+  template <class Ar>
+  void visit(Ar& ar);  // checkpoint support
+};
+
+/// A hello's neighbor list: one immutable, reference-counted block (a
+/// small header and the entries, in one allocation) that its sender writes
+/// once and then shares with the packet and with every receiver's record
+/// of it, so a beacon heard by k neighbors costs one list, not k + 1
+/// copies. Copying a handle bumps a plain counter; the last release frees
+/// the block. Like Payload, a list is created, shared and released on one
+/// scenario thread.
+class NeighborList {
+ public:
+  NeighborList() noexcept = default;
+  NeighborList(const NeighborList& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) ++block_->refs;
+  }
+  NeighborList(NeighborList&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  NeighborList& operator=(NeighborList other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~NeighborList() { reset(); }
+
+  /// A new block with room for `capacity` entries and none in it, held by
+  /// this handle alone.
+  [[nodiscard]] static NeighborList withCapacity(std::size_t capacity) {
+    void* raw =
+        ::operator new(sizeof(Block) + capacity * sizeof(HelloEntry));
+    NeighborList list;
+    list.block_ = ::new (raw)
+        Block{.capacity = static_cast<std::uint32_t>(capacity)};
+    return list;
+  }
+
+  void reset() noexcept {
+    if (block_ != nullptr && --block_->refs == 0) ::operator delete(block_);
+    block_ = nullptr;
+  }
+
+  /// True when this handle is the block's only holder, so its writer may
+  /// refill it without any reader seeing the change.
+  [[nodiscard]] bool unique() const {
+    return block_ != nullptr && block_->refs == 1;
+  }
+  [[nodiscard]] std::size_t capacity() const {
+    return block_ != nullptr ? block_->capacity : 0;
+  }
+
+  /// Writer side, while this handle is the only holder: empties the list,
+  /// then appends entries up to its capacity.
+  void clear() {
+    assert(unique() && "NeighborList::clear: block is shared");
+    block_->size = 0;
+  }
+  void push_back(const HelloEntry& entry) {
+    assert(unique() && "NeighborList::push_back: block is shared");
+    assert(block_->size < block_->capacity && "NeighborList: block is full");
+    std::construct_at(block_->entries() + block_->size++, entry);
+  }
+
+  [[nodiscard]] const HelloEntry* begin() const {
+    return block_ != nullptr ? block_->entries() : nullptr;
+  }
+  [[nodiscard]] const HelloEntry* end() const { return begin() + size(); }
+  [[nodiscard]] std::size_t size() const {
+    return block_ != nullptr ? block_->size : 0;
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+
+  /// Checkpoint support: the entry count, then each entry, the bytes a
+  /// plain vector of entries writes. A restored list is a block of its own
+  /// (or none, when empty).
+  template <class Ar>
+  void visit(Ar& ar);
+
+ private:
+  /// The header; `capacity` entries follow it in the same allocation.
+  struct alignas(HelloEntry) Block {
+    std::uint32_t refs = 1;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+
+    [[nodiscard]] HelloEntry* entries() {
+      return reinterpret_cast<HelloEntry*>(this + 1);
+    }
+    [[nodiscard]] const HelloEntry* entries() const {
+      return reinterpret_cast<const HelloEntry*>(this + 1);
+    }
+  };
+  static_assert(std::is_trivially_copyable_v<HelloEntry> &&
+                std::is_trivially_destructible_v<HelloEntry>);
+
+  Block* block_ = nullptr;
+};
+
 /// In-simulator hello beacon payload.
 struct HelloPayload {
-  struct Entry {
-    int id = -1;
-    geom::Point2 pos;
-    sim::SimTime heardAt = 0;  // when the sender last heard this neighbor
-
-    template <class Ar>
-    void visit(Ar& ar);  // checkpoint support
-  };
   int id = -1;
   geom::Point2 pos;
   sim::SimTime sentAt = 0;
-  std::vector<Entry> neighbors;  // sender's fresh 1-hop table
+  NeighborList neighbors;  // sender's fresh 1-hop table (empty if not sent)
+
+  /// Payload's recycle hook: a parked arena block must not keep a list
+  /// alive, so each list goes with the last packet and record holding it.
+  void onRecycle() { neighbors.reset(); }
 };
 
 /// Packet kind tag used by the service.
@@ -66,17 +172,32 @@ class NeighborService : public sim::EventSink {
     double evictAfterFactor = 0.0;
   };
 
-  /// New-contact callback: fires when a hello arrives from a node that was
-  /// not a fresh neighbor (first contact or re-contact after expiry).
-  using ContactCallback = std::function<void(int id)>;
-  /// Location sample: every position observation carried by hellos
-  /// (sender position and piggybacked 2-hop entries), with its timestamp.
-  using LocationSampleCallback =
-      std::function<void(int id, geom::Point2 pos, sim::SimTime at)>;
+  /// The node a service runs on: where it is, and what it hears. The
+  /// service keeps one pointer to it, and the owner must outlive it (an
+  /// agent owns its service).
+  class Owner {
+   public:
+    /// The node's current position, stamped on each hello it sends.
+    virtual geom::Point2 helloPosition() = 0;
+    /// A hello arrived from a node that was not a fresh neighbor (first
+    /// contact or re-contact after expiry).
+    virtual void onContact(int /*id*/) {}
+    /// A position a hello carried, with its timestamp: the sender's own,
+    /// then each neighbor it reports except this node.
+    virtual void onLocationSample(int /*id*/, geom::Point2 /*pos*/,
+                                  sim::SimTime /*at*/) {}
 
-  NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
-                  std::function<geom::Point2()> myPosition, Params params,
-                  sim::Rng rng);
+   protected:
+    Owner() = default;
+    ~Owner() = default;
+  };
+
+  /// `params` is one immutable block the whole population shares.
+  NeighborService(sim::Simulator& sim, mac::Mac& mac, int self, Owner& owner,
+                  std::shared_ptr<const Params> params, sim::Rng rng);
+  /// Convenience for a lone service: wraps `params` into a block of its own.
+  NeighborService(sim::Simulator& sim, mac::Mac& mac, int self, Owner& owner,
+                  const Params& params, sim::Rng rng);
 
   /// Begins periodic beaconing (first beacon after a random sub-interval
   /// offset so nodes don't beacon in lockstep).
@@ -85,11 +206,6 @@ class NeighborService : public sim::EventSink {
   /// Feed packets from Agent::onPacket; returns true if it was a hello and
   /// has been consumed.
   bool handlePacket(const Packet& packet, int fromMac);
-
-  void setContactCallback(ContactCallback cb) { onContact_ = std::move(cb); }
-  void setLocationSampleCallback(LocationSampleCallback cb) {
-    onLocationSample_ = std::move(cb);
-  }
 
   /// Forgets all neighbor/location state. The churn layer calls this when
   /// the node's radio duty-cycles off: on wake, everything in the table
@@ -103,6 +219,10 @@ class NeighborService : public sim::EventSink {
   [[nodiscard]] bool isNeighbor(int id) const;
   /// Last known position of a fresh 1-hop neighbor.
   [[nodiscard]] std::optional<geom::Point2> neighborPosition(int id) const;
+  /// The neighbor list of `id`'s latest hello as this node holds it: the
+  /// sender's block itself, shared. Empty if no hello from `id` was heard,
+  /// or once the stale record has been swept.
+  [[nodiscard]] const NeighborList& reportedBy(int id) const;
 
   /// Replaces `out` with the node's <= 2-hop knowledge for LDTG
   /// construction: fresh 1-hop neighbors (as oneHop) in table order, then
@@ -131,25 +251,34 @@ class NeighborService : public sim::EventSink {
   void onEvent(const sim::EventDesc& /*desc*/) override { sendHello(); }
 
  private:
+  /// What this node knows of one neighbor: where it was and when it was
+  /// last heard, and the neighbor list of its latest hello. That list is
+  /// the sender's block itself, shared, not a copy; a stale record drops it
+  /// at this node's next beacon sweep.
   struct NeighborRecord {
     geom::Point2 pos;
     sim::SimTime heard = -1e18;
-    std::vector<HelloPayload::Entry> reported;
+    NeighborList reported;
   };
 
   void sendHello();
+  /// A block of the hello list pool that no receiver holds, with room for
+  /// `entries`, moved to the front slot.
+  NeighborList& freeHelloList(std::size_t entries);
   [[nodiscard]] bool fresh(const NeighborRecord& r) const;
 
   sim::Simulator& sim_;
   mac::Mac& mac_;
   int self_;
-  std::function<geom::Point2()> myPosition_;
-  Params params_;
+  Owner* owner_;
+  std::shared_ptr<const Params> params_;
   sim::Rng rng_;
 
   std::unordered_map<int, NeighborRecord> table_;
-  ContactCallback onContact_;
-  LocationSampleCallback onLocationSample_;
+  /// This node's two hello list blocks, the newest in front. A hello's
+  /// receivers hold its block until the next hello from here replaces it,
+  /// so a beacon can nearly always refill the older block in place.
+  std::array<NeighborList, 2> helloLists_;
   std::uint64_t hellosSent_ = 0;
   std::uint64_t hellosReceived_ = 0;
   std::uint64_t helloSendFailures_ = 0;

@@ -11,9 +11,16 @@
 /// per-thread free-list arena (the PR-2 slab idiom): creating a payload pops
 /// a recycled block, copying a Packet bumps a refcount, and the last release
 /// pushes the block back — with its value still constructed, so contained
-/// buffers (e.g. HelloPayload::neighbors) keep their capacity across reuse.
+/// buffers (e.g. SummaryVector::ids) keep their capacity across reuse.
 /// Steady-state packet traffic therefore performs no heap allocations at
 /// all; test_hotpath.cpp pins this under a counting allocator.
+///
+/// A value that refers to state shared beyond its packet gives its type a
+/// `void onRecycle()` member, which the release runs before parking the
+/// block. HelloPayload is the one such type: its neighbor list is a block
+/// of the sender's list pool (net/neighbor.hpp), shared with every
+/// receiver's record, not part of the arena block, and a parked hello must
+/// not keep that list alive.
 ///
 /// Contract: payloads are *immutable once shared*. Build the value through
 /// `mutableValue()` while the handle is still unique, then hand it to a
@@ -135,7 +142,9 @@ class Payload {
     static void recycleSelf(void* block) {
       auto* b = static_cast<Block*>(block);
       // The value stays constructed (containers keep capacity); the block
-      // just rejoins its creating thread's free list.
+      // just rejoins its creating thread's free list, after dropping
+      // whatever it shares (see file comment).
+      if constexpr (requires { b->value.onRecycle(); }) b->value.onRecycle();
       Arena<T>& arena = arenaFor<T>();
       b->nextFree = arena.freeHead;
       arena.freeHead = b;

@@ -10,11 +10,11 @@ namespace glr::net {
 World::World(sim::Simulator& sim, const phy::PropagationModel& model,
              const phy::RadioParams& radio, mac::MacParams macParams)
     : sim_(sim),
-      macParams_(macParams),
       nominalRange_(radio.nominalRange),
       channel_(sim, model, phy::solveThresholds(model, radio),
                radio.txPowerW, [this](int id) { return positionOf(id); }) {
-  macParams_.bitRateBps = radio.bitRateBps;
+  macParams.bitRateBps = radio.bitRateBps;
+  macParams_ = std::make_shared<const mac::MacParams>(macParams);
   // Candidate gathers pull whole receiver sets from the epoch cache in one
   // call instead of one std::function dispatch (and potential mobility
   // replay) per receiver.
@@ -45,11 +45,7 @@ void World::setAgent(int id, std::unique_ptr<Agent> agent) {
   if (!agent) throw std::invalid_argument{"World::setAgent: null agent"};
   Node& node = nodes_.at(static_cast<std::size_t>(id));
   node.agent = std::move(agent);
-  Agent* raw = node.agent.get();
-  node.mac->setReceiveCallback(
-      [raw](const Packet& p, int from) { raw->onPacket(p, from); });
-  node.mac->setTxStatusCallback(
-      [raw](const Packet& p, int dst, bool ok) { raw->onTxStatus(p, dst, ok); });
+  node.mac->setClient(node.agent.get());
 }
 
 void World::enableSpatialIndex(double maxSpeed, double rebuildInterval,

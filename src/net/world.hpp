@@ -23,17 +23,13 @@ namespace glr::net {
 class AdversaryModel;  // net/faults.hpp
 
 /// Routing-protocol interface. Agents live on a node, receive packets from
-/// the MAC and send through it.
-class Agent : public sim::EventSink {
+/// the MAC and send through it: an agent is its MAC's client
+/// (mac::MacClient::onPacket and onTxStatus).
+class Agent : public sim::EventSink, public mac::MacClient {
  public:
   virtual ~Agent() = default;
   /// Called once at simulation start (t = 0).
   virtual void start() = 0;
-  /// A DATA packet arrived for this node (unicast to it, or broadcast).
-  virtual void onPacket(const Packet& packet, int fromMac) = 0;
-  /// Outcome of a unicast this node sent (success == MAC-level ACK seen).
-  virtual void onTxStatus(const Packet& /*packet*/, int /*dstMac*/,
-                          bool /*success*/) {}
   /// The node's radio duty-cycled on (`up`) or off (churn layer). Agents
   /// typically drop neighbor state on a down transition — on wake it would
   /// be stale beyond the freshness horizon anyway.
@@ -58,7 +54,7 @@ class World {
   int addNode(std::unique_ptr<mobility::MobilityModel> mobility,
               sim::Rng macRng);
 
-  /// Installs the routing agent for `id` and wires MAC callbacks to it.
+  /// Installs the routing agent for `id` as its MAC's client.
   void setAgent(int id, std::unique_ptr<Agent> agent);
 
   /// Enables the channel's spatial receiver index (see
@@ -154,7 +150,7 @@ class World {
   [[nodiscard]] geom::Point2 cachedPositionAt(std::size_t i, sim::SimTime now);
 
   sim::Simulator& sim_;
-  mac::MacParams macParams_;
+  std::shared_ptr<const mac::MacParams> macParams_;  // one block, every MAC
   double nominalRange_;
   mac::Channel channel_;
   AdversaryModel* adversary_ = nullptr;  // owned by FaultProcess

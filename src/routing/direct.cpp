@@ -7,27 +7,34 @@
 
 namespace glr::routing {
 
-DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
-                                         DirectParams params,
-                                         dtn::MetricsCollector* metrics,
-                                         sim::Rng rng)
-    : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
-                params.expectedBufferedCopies),
+DirectDeliveryAgent::DirectDeliveryAgent(
+    net::World& world, int self, std::shared_ptr<const DirectParams> params,
+    dtn::MetricsCollector* metrics, sim::Rng rng)
+    : AgentBase(world, self, metrics, rng, {params, &params->hello},
+                params->storageLimit, params->expectedBufferedCopies),
       params_(std::move(params)) {
-  if (!(params_.checkInterval > 0.0)) {
+  if (!(params_->checkInterval > 0.0)) {
     throw std::invalid_argument{
         "DirectDeliveryAgent: checkInterval must be > 0"};
   }
 }
 
+DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
+                                         DirectParams params,
+                                         dtn::MetricsCollector* metrics,
+                                         sim::Rng rng)
+    : DirectDeliveryAgent(
+          world, self, std::make_shared<const DirectParams>(std::move(params)),
+          metrics, rng) {}
+
 void DirectDeliveryAgent::start() {
   neighbors_.start();
-  world_.sim().schedule(rng_.uniform(0.0, params_.checkInterval), *this,
+  world_.sim().schedule(rng_.uniform(0.0, params_->checkInterval), *this,
                         {.kind = ckpt::kDirectCheck, .i0 = self_});
 }
 
 void DirectDeliveryAgent::originate(int dstNode) {
-  buffer_.addToStore(newMessage(dstNode, params_.payloadBytes, /*ttl=*/0.0));
+  buffer_.addToStore(newMessage(dstNode, params_->payloadBytes, /*ttl=*/0.0));
 }
 
 void DirectDeliveryAgent::check() {
@@ -37,7 +44,7 @@ void DirectDeliveryAgent::check() {
     if (!neighbors_.isNeighbor(m->dstNode)) continue;
     net::Packet p;
     p.kind = kDirectDataKind;
-    p.bytes = m->payloadBytes + params_.dataHeaderBytes;
+    p.bytes = m->payloadBytes + params_->dataHeaderBytes;
     p.payload = net::Payload::of(*m);
     const int dst = m->dstNode;
     // Drop the copy only once the MAC accepted the frame: a refused send
@@ -54,7 +61,7 @@ void DirectDeliveryAgent::check() {
       ++counters_.sendRejects;
     }
   }
-  world_.sim().schedule(params_.checkInterval, *this,
+  world_.sim().schedule(params_->checkInterval, *this,
                         {.kind = ckpt::kDirectCheck, .i0 = self_});
 }
 

@@ -5,6 +5,8 @@
 /// lower bound on overhead / upper bound on delay among DTN strategies;
 /// used in extension benches.
 
+#include <memory>
+
 #include "routing/dtn_agent.hpp"
 
 namespace glr::routing {
@@ -23,7 +25,12 @@ inline constexpr const char* kDirectDataKind = "dd-data";
 
 class DirectDeliveryAgent final : public AgentBase {
  public:
-  /// Throws std::invalid_argument unless checkInterval > 0.
+  /// Throws std::invalid_argument unless checkInterval > 0. `params` is
+  /// one immutable block the whole population shares.
+  DirectDeliveryAgent(net::World& world, int self,
+                      std::shared_ptr<const DirectParams> params,
+                      dtn::MetricsCollector* metrics, sim::Rng rng);
+  /// Convenience for a lone agent: wraps `params` into a block of its own.
   DirectDeliveryAgent(net::World& world, int self, DirectParams params,
                       dtn::MetricsCollector* metrics, sim::Rng rng);
 
@@ -38,7 +45,7 @@ class DirectDeliveryAgent final : public AgentBase {
  private:
   void check();
 
-  DirectParams params_;
+  std::shared_ptr<const DirectParams> params_;
 };
 
 }  // namespace glr::routing

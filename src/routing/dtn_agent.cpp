@@ -28,15 +28,15 @@ void DtnAgent::onEvent(const sim::EventDesc& desc) {
 
 AgentBase::AgentBase(net::World& world, int self,
                      dtn::MetricsCollector* metrics, sim::Rng rng,
-                     const net::NeighborService::Params& hello,
+                     std::shared_ptr<const net::NeighborService::Params> hello,
                      std::size_t storageLimit,
                      std::size_t expectedBufferedCopies)
     : world_(world),
       self_(self),
       metrics_(metrics),
       rng_(rng),
-      neighbors_(world.sim(), world.macOf(self), self,
-                 [this] { return myPos(); }, hello, rng.fork(1)),
+      neighbors_(world.sim(), world.macOf(self), self, *this, std::move(hello),
+                 rng.fork(1)),
       buffer_(storageLimit, expectedBufferedCopies) {
   buffer_.setTrace(world_.trace(), self_);
 }
@@ -64,7 +64,10 @@ dtn::Message AgentBase::newMessage(int dstNode, std::size_t payloadBytes,
 }
 
 void AgentBase::deliverHere(const dtn::Message& m, int hops) {
-  if (deliveredHere_.insert(m.id).second && metrics_ != nullptr) {
+  if (deliveredHere_ == nullptr) {
+    deliveredHere_ = std::make_unique<std::unordered_set<dtn::MessageId>>();
+  }
+  if (deliveredHere_->insert(m.id).second && metrics_ != nullptr) {
     metrics_->onDelivered(m, world_.sim().now(), hops);
   }
 }
@@ -74,8 +77,10 @@ void AgentBase::visitState(Ar& ar) {
   ar.rng(rng_);
   neighbors_.visit(ar);
   buffer_.visit(ar);
-  ar.unorderedSet(deliveredHere_,
-                  [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  ckpt::visitBuiltOnUse(ar, deliveredHere_, [&](auto& delivered) {
+    ar.unorderedSet(delivered,
+                    [&](dtn::MessageId& id) { ckpt::visit(ar, id); });
+  });
   // The buffer counts its own evictions and expiries (visited above) and
   // only the harvest adds them, so those two slots of counters_ stay zero.
   constexpr auto bufferOwned = [](std::uint64_t ProtocolCounters::*c) {

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 
 #include "dtn/buffer.hpp"
@@ -100,11 +101,12 @@ class DtnAgent : public net::Agent {
 };
 
 /// What every routing protocol here keeps per node, written once: the hello
-/// service, the message buffer, the ids delivered here, the next message
-/// sequence number and one ProtocolCounters block that each protocol
-/// increments directly. A protocol derives from it and keeps only its own
-/// parameters, state, events and logic.
-class AgentBase : public DtnAgent {
+/// service (whose owner it is), the message buffer, the ids delivered here,
+/// the next message sequence number and one ProtocolCounters block that
+/// each protocol increments directly. A protocol derives from it and keeps
+/// only its own parameters, state, events and logic; it hears of new
+/// contacts and hello location samples by overriding the Owner hooks.
+class AgentBase : public DtnAgent, public net::NeighborService::Owner {
  public:
   /// A radio going down forgets every neighbor (stale on wake anyway).
   void onRadioState(bool up) override {
@@ -138,9 +140,20 @@ class AgentBase : public DtnAgent {
   [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }
 
  protected:
+  /// `hello` is the population's shared hello parameter block (usually an
+  /// aliasing pointer into the protocol's own shared parameters).
   AgentBase(net::World& world, int self, dtn::MetricsCollector* metrics,
-            sim::Rng rng, const net::NeighborService::Params& hello,
+            sim::Rng rng,
+            std::shared_ptr<const net::NeighborService::Params> hello,
             std::size_t storageLimit, std::size_t expectedBufferedCopies);
+
+  /// Stamps this node's position on its hellos.
+  geom::Point2 helloPosition() override { return myPos(); }
+
+  /// True if message `id` was delivered here.
+  [[nodiscard]] bool deliveredHere(const dtn::MessageId& id) const {
+    return deliveredHere_ != nullptr && deliveredHere_->contains(id);
+  }
 
   /// A new message from this node to `dstNode` with the next id, created
   /// now, expiring `ttl` seconds later (never when `ttl` <= 0), already
@@ -160,10 +173,13 @@ class AgentBase : public DtnAgent {
   sim::Rng rng_;
   net::NeighborService neighbors_;
   dtn::MessageBuffer buffer_;
-  std::unordered_set<dtn::MessageId> deliveredHere_;
   ProtocolCounters counters_;
 
  private:
+  /// Ids delivered here; built at the first delivery, as most nodes of a
+  /// large world are never a destination.
+  std::unique_ptr<std::unordered_set<dtn::MessageId>> deliveredHere_;
+
   template <class Ar>
   void visitState(Ar& ar);
 };

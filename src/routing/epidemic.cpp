@@ -9,23 +9,27 @@
 namespace glr::routing {
 
 EpidemicAgent::EpidemicAgent(net::World& world, int self,
+                             std::shared_ptr<const EpidemicParams> params,
+                             dtn::MetricsCollector* metrics, sim::Rng rng)
+    : AgentBase(world, self, metrics, rng, {params, &params->hello},
+                params->storageLimit, params->expectedBufferedCopies),
+      params_(std::move(params)) {}
+
+EpidemicAgent::EpidemicAgent(net::World& world, int self,
                              EpidemicParams params,
                              dtn::MetricsCollector* metrics, sim::Rng rng)
-    : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
-                params.expectedBufferedCopies),
-      params_(std::move(params)) {
-  neighbors_.setContactCallback(
-      [this](int id) { sendSummary(id, /*full=*/true); });
-}
+    : EpidemicAgent(world, self,
+                    std::make_shared<const EpidemicParams>(std::move(params)),
+                    metrics, rng) {}
 
 void EpidemicAgent::start() {
   neighbors_.start();
-  world_.sim().schedule(rng_.uniform(0.0, params_.exchangeCheckInterval),
+  world_.sim().schedule(rng_.uniform(0.0, params_->exchangeCheckInterval),
                         *this, {.kind = ckpt::kEpidemicExchange, .i0 = self_});
 }
 
 void EpidemicAgent::exchangeTick() {
-  if (params_.messageTtl > 0.0) buffer_.expireDue(world_.sim().now());
+  if (params_->messageTtl > 0.0) buffer_.expireDue(world_.sim().now());
   // Delta re-offers to neighbors that have not seen our latest additions,
   // rate-limited per pair (covers messages originated during a long-lived
   // contact without flooding full summary vectors every second).
@@ -35,13 +39,13 @@ void EpidemicAgent::exchangeTick() {
       if (it != offeredUpTo_.end() && it->second >= addSeq_) continue;
       const auto at = lastOfferAt_.find(j);
       if (at != lastOfferAt_.end() &&
-          world_.sim().now() - at->second < params_.svMinInterval) {
+          world_.sim().now() - at->second < params_->svMinInterval) {
         continue;
       }
       sendSummary(j, /*full=*/false);
     }
   }
-  world_.sim().schedule(params_.exchangeCheckInterval, *this,
+  world_.sim().schedule(params_->exchangeCheckInterval, *this,
                         {.kind = ckpt::kEpidemicExchange, .i0 = self_});
 }
 
@@ -62,13 +66,13 @@ void EpidemicAgent::sendSummary(int to, bool full) {
 
   net::Packet p;
   p.kind = kEpSvKind;
-  p.bytes = params_.svHeaderBytes + params_.svEntryBytes * sv.ids.size();
+  p.bytes = params_->svHeaderBytes + params_->svEntryBytes * sv.ids.size();
   p.payload = std::move(payload);
   if (!world_.macOf(self_).send(std::move(p), to)) ++counters_.sendRejects;
 }
 
 void EpidemicAgent::originate(int dstNode) {
-  addMessage(newMessage(dstNode, params_.payloadBytes, params_.messageTtl));
+  addMessage(newMessage(dstNode, params_->payloadBytes, params_->messageTtl));
 }
 
 void EpidemicAgent::addMessage(dtn::Message m) {
@@ -88,14 +92,14 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
     RequestVector& req = payload.mutableValue<RequestVector>();
     req.ids.clear();
     for (const dtn::MessageId& id : sv->ids) {
-      if (buffer_.containsAnyBranch(id) || deliveredHere_.contains(id)) {
+      if (buffer_.containsAnyBranch(id) || deliveredHere(id)) {
         continue;
       }
       // One outstanding request per id: dense networks offer the same
       // message from many neighbors within milliseconds.
       const auto it = requestedAt_.find(id);
       if (it != requestedAt_.end() &&
-          world_.sim().now() - it->second < params_.requestWindow) {
+          world_.sim().now() - it->second < params_->requestWindow) {
         continue;
       }
       requestedAt_[id] = world_.sim().now();
@@ -104,7 +108,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
     if (req.ids.empty()) return;
     net::Packet p;
     p.kind = kEpReqKind;
-    p.bytes = params_.svHeaderBytes + params_.svEntryBytes * req.ids.size();
+    p.bytes = params_->svHeaderBytes + params_->svEntryBytes * req.ids.size();
     p.payload = std::move(payload);
     if (!world_.macOf(self_).send(std::move(p), fromMac)) {
       ++counters_.sendRejects;
@@ -120,7 +124,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
       if (m == nullptr) continue;  // dropped since the summary was sent
       net::Packet p;
       p.kind = kEpDataKind;
-      p.bytes = m->payloadBytes + params_.dataHeaderBytes;
+      p.bytes = m->payloadBytes + params_->dataHeaderBytes;
       p.payload = net::Payload::of(*m);
       if (!world_.macOf(self_).send(std::move(p), fromMac)) {
         ++counters_.sendRejects;
@@ -151,7 +155,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
         }
       }
     }
-    if (buffer_.containsAnyBranch(m.id) || deliveredHere_.contains(m.id)) {
+    if (buffer_.containsAnyBranch(m.id) || deliveredHere(m.id)) {
       ++counters_.duplicatesDropped;
       return;
     }

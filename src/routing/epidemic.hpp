@@ -12,6 +12,7 @@
 /// within communication range of each other".
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +59,11 @@ inline constexpr const char* kEpDataKind = "ep-data";
 
 class EpidemicAgent final : public AgentBase {
  public:
+  /// `params` is one immutable block the whole population shares.
+  EpidemicAgent(net::World& world, int self,
+                std::shared_ptr<const EpidemicParams> params,
+                dtn::MetricsCollector* metrics, sim::Rng rng);
+  /// Convenience for a lone agent: wraps `params` into a block of its own.
   EpidemicAgent(net::World& world, int self, EpidemicParams params,
                 dtn::MetricsCollector* metrics, sim::Rng rng);
 
@@ -81,10 +87,12 @@ class EpidemicAgent final : public AgentBase {
   /// Offers message ids to `to`: those added after the per-neighbor
   /// watermark (0 == full buffer, used on fresh contacts).
   void sendSummary(int to, bool full);
+  /// A fresh contact gets the full summary vector.
+  void onContact(int id) override { sendSummary(id, /*full=*/true); }
   void exchangeTick();
   void addMessage(dtn::Message m);
 
-  EpidemicParams params_;
+  std::shared_ptr<const EpidemicParams> params_;
   /// Arrival-ordered log of stored message ids, for delta offers.
   std::vector<std::pair<std::uint64_t, dtn::MessageId>> additions_;
   std::uint64_t addSeq_ = 0;

@@ -9,20 +9,26 @@
 namespace glr::routing {
 
 SprayWaitAgent::SprayWaitAgent(net::World& world, int self,
+                               std::shared_ptr<const SprayWaitParams> params,
+                               dtn::MetricsCollector* metrics, sim::Rng rng)
+    : AgentBase(world, self, metrics, rng, {params, &params->hello},
+                params->storageLimit, params->expectedBufferedCopies),
+      params_(std::move(params)) {}
+
+SprayWaitAgent::SprayWaitAgent(net::World& world, int self,
                                SprayWaitParams params,
                                dtn::MetricsCollector* metrics, sim::Rng rng)
-    : AgentBase(world, self, metrics, rng, params.hello, params.storageLimit,
-                params.expectedBufferedCopies),
-      params_(std::move(params)) {
-  neighbors_.setContactCallback([this](int id) { onContact(id); });
-}
+    : SprayWaitAgent(
+          world, self,
+          std::make_shared<const SprayWaitParams>(std::move(params)), metrics,
+          rng) {}
 
 void SprayWaitAgent::start() {
   neighbors_.start();
   // The expiry sweep exists only when a TTL is configured, so TTL-less runs
   // execute a bit-identical event sequence to the historical behavior.
-  if (params_.messageTtl > 0.0) {
-    world_.sim().schedule(rng_.uniform(0.0, params_.expiryCheckInterval),
+  if (params_->messageTtl > 0.0) {
+    world_.sim().schedule(rng_.uniform(0.0, params_->expiryCheckInterval),
                           *this, {.kind = ckpt::kSprayExpiry, .i0 = self_});
   }
 }
@@ -38,14 +44,14 @@ void SprayWaitAgent::expiryTick() {
       }
     }
   }
-  world_.sim().schedule(params_.expiryCheckInterval, *this,
+  world_.sim().schedule(params_->expiryCheckInterval, *this,
                         {.kind = ckpt::kSprayExpiry, .i0 = self_});
 }
 
 void SprayWaitAgent::originate(int dstNode) {
   dtn::Message m =
-      newMessage(dstNode, params_.payloadBytes, params_.messageTtl);
-  budget_[m.id] = params_.copyBudget;
+      newMessage(dstNode, params_->payloadBytes, params_->messageTtl);
+  budget_[m.id] = params_->copyBudget;
   buffer_.addToStore(std::move(m));
   // Offer immediately to whoever is already around (a fresh message would
   // otherwise wait for the next contact event).
@@ -68,7 +74,7 @@ void SprayWaitAgent::onContact(int id) {
   if (sv.ids.empty()) return;
   net::Packet p;
   p.kind = kSwSvKind;
-  p.bytes = params_.svHeaderBytes + params_.svEntryBytes * sv.ids.size();
+  p.bytes = params_->svHeaderBytes + params_->svEntryBytes * sv.ids.size();
   p.payload = std::move(payload);
   if (!world_.macOf(self_).send(std::move(p), id)) ++counters_.sendRejects;
 }
@@ -83,14 +89,14 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
     RequestVector& req = payload.mutableValue<RequestVector>();
     req.ids.clear();
     for (const dtn::MessageId& id : sv->ids) {
-      if (!buffer_.containsAnyBranch(id) && !deliveredHere_.contains(id)) {
+      if (!buffer_.containsAnyBranch(id) && !deliveredHere(id)) {
         req.ids.push_back(id);
       }
     }
     if (req.ids.empty()) return;
     net::Packet p;
     p.kind = kSwReqKind;
-    p.bytes = params_.svHeaderBytes + params_.svEntryBytes * req.ids.size();
+    p.bytes = params_->svHeaderBytes + params_->svEntryBytes * req.ids.size();
     p.payload = std::move(payload);
     if (!world_.macOf(self_).send(std::move(p), fromMac)) {
       ++counters_.sendRejects;
@@ -112,7 +118,7 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
       out.budget = toDestination ? 1 : b - b / 2;  // hand over half (binary)
       net::Packet p;
       p.kind = kSwDataKind;
-      p.bytes = m->payloadBytes + params_.dataHeaderBytes;
+      p.bytes = m->payloadBytes + params_->dataHeaderBytes;
       p.payload = net::Payload::of(out);
       if (world_.macOf(self_).send(std::move(p), fromMac)) {
         ++counters_.dataSent;

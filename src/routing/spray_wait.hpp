@@ -5,6 +5,7 @@
 /// ([4,5,19,20]): a fixed copy budget L is halved at each handover; a node
 /// holding a single copy waits to meet the destination (direct delivery).
 
+#include <memory>
 #include <unordered_map>
 
 #include "routing/dtn_agent.hpp"
@@ -40,6 +41,11 @@ inline constexpr const char* kSwDataKind = "sw-data";
 
 class SprayWaitAgent final : public AgentBase {
  public:
+  /// `params` is one immutable block the whole population shares.
+  SprayWaitAgent(net::World& world, int self,
+                 std::shared_ptr<const SprayWaitParams> params,
+                 dtn::MetricsCollector* metrics, sim::Rng rng);
+  /// Convenience for a lone agent: wraps `params` into a block of its own.
   SprayWaitAgent(net::World& world, int self, SprayWaitParams params,
                  dtn::MetricsCollector* metrics, sim::Rng rng);
 
@@ -59,10 +65,12 @@ class SprayWaitAgent final : public AgentBase {
   template <class Ar>
   void visitState(Ar& ar);
 
-  void onContact(int id);
+  /// Offers this node's summary vector to `id` (a fresh contact, or each
+  /// neighbor after an origination).
+  void onContact(int id) override;
   void expiryTick();
 
-  SprayWaitParams params_;
+  std::shared_ptr<const SprayWaitParams> params_;
   std::unordered_map<dtn::MessageId, int> budget_;  // copies left here
 };
 

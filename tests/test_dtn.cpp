@@ -1,9 +1,14 @@
 // Tests for DTN message management: Store/Cache custody semantics, the
 // paper's eviction policy (cache dropped first, FIFO within area), peak
-// tracking and the location table's freshest-wins rule.
+// tracking, the never-filled buffer (whose areas are built at the first
+// insert), the buffer's checkpoint round trip and the location table's
+// freshest-wins rule.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "checkpoint/codec.hpp"
 #include "dtn/buffer.hpp"
 #include "dtn/location_table.hpp"
 #include "dtn/message.hpp"
@@ -150,6 +155,87 @@ TEST(Buffer, FindInStoreAllowsHeaderUpdates) {
   m->destLocKnown = true;
   EXPECT_EQ(b.findInStore(makeMsg(1, 1).key())->destLoc.x, 42.0);
   EXPECT_EQ(b.findInStore(makeMsg(9, 9).key()), nullptr);
+}
+
+TEST(Buffer, NeverFilledBufferAnswersEveryQuery) {
+  MessageBuffer b{10, 64};
+  const CopyKey key = makeMsg(1, 1).key();
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.storeSize(), 0u);
+  EXPECT_EQ(b.cacheSize(), 0u);
+  EXPECT_EQ(b.peakSize(), 0u);
+  EXPECT_EQ(b.dropCount(), 0u);
+  EXPECT_EQ(b.expiredCount(), 0u);
+  EXPECT_FALSE(b.contains(key));
+  EXPECT_FALSE(b.containsAnyBranch(key.id));
+  EXPECT_EQ(b.findInStore(key), nullptr);
+  EXPECT_TRUE(b.storeKeys().empty());
+  EXPECT_TRUE(b.cachedSentBefore(1e9).empty());
+  EXPECT_FALSE(b.cacheEntrySentAt(key).has_value());
+  EXPECT_FALSE(b.cacheEntryNextHop(key).has_value());
+  EXPECT_FALSE(b.moveToCache(key, 2, 1.0));
+  EXPECT_FALSE(b.removeFromCache(key).has_value());
+  EXPECT_FALSE(b.returnToStore(key));
+  EXPECT_FALSE(b.erase(key));
+  EXPECT_EQ(b.eraseAllBranches(key.id), 0u);
+  EXPECT_EQ(b.expireDue(1e9), 0u);
+  int visited = 0;
+  b.forEachInStore([&](Message&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  // The first insert builds the areas.
+  EXPECT_TRUE(b.addToStore(makeMsg(1, 1)));
+  EXPECT_TRUE(b.inStore(key));
+  EXPECT_EQ(b.peakSize(), 1u);
+}
+
+/// Encodes `b`'s checkpoint state.
+std::vector<unsigned char> snapshot(MessageBuffer& b) {
+  glr::ckpt::Encoder e;
+  b.visit(e);
+  return e.take();
+}
+
+/// Restores `bytes` into a fresh buffer of the same capacity.
+MessageBuffer restored(const std::vector<unsigned char>& bytes,
+                       std::size_t capacity) {
+  MessageBuffer b{capacity};
+  glr::ckpt::Decoder d{bytes.data(), bytes.size(), "buffer test"};
+  b.visit(d);
+  d.expectEnd();
+  return b;
+}
+
+TEST(Buffer, CheckpointRoundTripsNeverFilledAndUsedBuffers) {
+  // Never filled: the reserve hint is still pending, and survives.
+  MessageBuffer idle{10, 64};
+  const auto idleBytes = snapshot(idle);
+  MessageBuffer idleBack = restored(idleBytes, 10);
+  EXPECT_EQ(snapshot(idleBack), idleBytes);
+  EXPECT_EQ(idleBack.size(), 0u);
+
+  // Used: a stored copy, a cached one, and an emptied third.
+  MessageBuffer used{10, 64};
+  used.addToStore(makeMsg(1, 1));
+  used.addToStore(makeMsg(2, 1, TreeFlag::kMin));
+  used.addToStore(makeMsg(3, 1));
+  used.moveToCache(makeMsg(2, 1, TreeFlag::kMin).key(), 7, 4.5);
+  used.erase(makeMsg(3, 1).key());
+  const auto usedBytes = snapshot(used);
+  MessageBuffer usedBack = restored(usedBytes, 10);
+  EXPECT_EQ(snapshot(usedBack), usedBytes);
+  EXPECT_TRUE(usedBack.inStore(makeMsg(1, 1).key()));
+  EXPECT_EQ(usedBack.cacheEntryNextHop(makeMsg(2, 1, TreeFlag::kMin).key()),
+            7);
+  EXPECT_EQ(usedBack.peakSize(), 3u);
+
+  // Used, then emptied: its peak keeps the areas it had.
+  used.erase(makeMsg(1, 1).key());
+  used.erase(makeMsg(2, 1, TreeFlag::kMin).key());
+  const auto emptiedBytes = snapshot(used);
+  MessageBuffer emptiedBack = restored(emptiedBytes, 10);
+  EXPECT_EQ(snapshot(emptiedBack), emptiedBytes);
+  EXPECT_EQ(emptiedBack.size(), 0u);
+  EXPECT_EQ(emptiedBack.peakSize(), 3u);
 }
 
 TEST(LocationTable, FreshestWins) {

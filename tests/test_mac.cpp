@@ -30,14 +30,29 @@ using glr::phy::TwoRayGround;
 using glr::sim::Rng;
 using glr::sim::Simulator;
 
-/// Static test harness: a channel with fixed node positions.
+/// One node's upper layer: records each packet it receives (kind, sender)
+/// and the outcomes of its unicasts.
+struct Recorder final : glr::mac::MacClient {
+  std::vector<std::pair<std::string, int>> received;
+  std::vector<bool> txOutcomes;
+
+  void onPacket(const Packet& p, int from) override {
+    received.emplace_back(p.kind, from);
+  }
+  void onTxStatus(const Packet& /*p*/, int /*dst*/, bool success) override {
+    txOutcomes.push_back(success);
+  }
+};
+
+/// Static test harness: a channel with fixed node positions. Every MAC gets
+/// its own copy of `mp`, as a lone MAC does.
 struct StaticNet {
   Simulator sim;
   TwoRayGround model;
   std::vector<Point2> positions;
   std::unique_ptr<Channel> channel;
   std::vector<std::unique_ptr<Mac>> macs;
-  std::vector<std::vector<std::pair<std::string, int>>> received;  // per node
+  std::vector<Recorder> nodes;  // per node; sized once, never grown
 
   explicit StaticNet(std::vector<Point2> pos, double range = 250.0,
                      MacParams mp = {}, double csFactor = 2.2)
@@ -48,15 +63,12 @@ struct StaticNet {
     channel = std::make_unique<Channel>(
         sim, model, solveThresholds(model, radio), radio.txPowerW,
         [this](int id) { return positions[static_cast<std::size_t>(id)]; });
-    received.resize(positions.size());
+    nodes.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       macs.push_back(std::make_unique<Mac>(sim, *channel,
                                            static_cast<int>(i), mp,
                                            Rng{100 + i}));
-      auto* sink = &received[i];
-      macs.back()->setReceiveCallback([sink](const Packet& p, int from) {
-        sink->emplace_back(p.kind, from);
-      });
+      macs.back()->setClient(&nodes[i]);
     }
   }
 
@@ -70,31 +82,23 @@ struct StaticNet {
 
 TEST(Mac, UnicastDeliveredInRange) {
   StaticNet net{{{0, 0}, {100, 0}}};
-  bool ok = false;
-  net.macs[0]->setTxStatusCallback(
-      [&](const Packet&, int, bool success) { ok = success; });
   EXPECT_TRUE(net.macs[0]->send(net.makePacket("x"), 1));
   net.sim.run(1.0);
-  ASSERT_EQ(net.received[1].size(), 1u);
-  EXPECT_EQ(net.received[1][0].first, "x");
-  EXPECT_EQ(net.received[1][0].second, 0);
-  EXPECT_TRUE(ok);  // MAC-level ACK seen
+  ASSERT_EQ(net.nodes[1].received.size(), 1u);
+  EXPECT_EQ(net.nodes[1].received[0].first, "x");
+  EXPECT_EQ(net.nodes[1].received[0].second, 0);
+  // MAC-level ACK seen.
+  EXPECT_EQ(net.nodes[0].txOutcomes, std::vector<bool>{true});
   EXPECT_EQ(net.macs[1]->stats().ackTx, 1u);
   EXPECT_EQ(net.macs[0]->stats().rxAck, 1u);
 }
 
 TEST(Mac, UnicastOutOfRangeFailsAfterRetries) {
   StaticNet net{{{0, 0}, {400, 0}}};  // beyond 250 m
-  bool called = false, ok = true;
-  net.macs[0]->setTxStatusCallback([&](const Packet&, int, bool success) {
-    called = true;
-    ok = success;
-  });
   net.macs[0]->send(net.makePacket("x"), 1);
   net.sim.run(5.0);
-  EXPECT_TRUE(net.received[1].empty());
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(ok);
+  EXPECT_TRUE(net.nodes[1].received.empty());
+  EXPECT_EQ(net.nodes[0].txOutcomes, std::vector<bool>{false});
   // retryLimit retries happened.
   EXPECT_EQ(net.macs[0]->stats().retryDrops, 1u);
   EXPECT_EQ(net.macs[0]->stats().dataTx, 8u);  // 1 + 7 retries
@@ -104,9 +108,9 @@ TEST(Mac, BroadcastReachesAllInRange) {
   StaticNet net{{{0, 0}, {100, 0}, {200, 0}, {600, 0}}};
   net.macs[0]->send(net.makePacket("b"), kBroadcast);
   net.sim.run(1.0);
-  EXPECT_EQ(net.received[1].size(), 1u);
-  EXPECT_EQ(net.received[2].size(), 1u);
-  EXPECT_TRUE(net.received[3].empty());  // out of range
+  EXPECT_EQ(net.nodes[1].received.size(), 1u);
+  EXPECT_EQ(net.nodes[2].received.size(), 1u);
+  EXPECT_TRUE(net.nodes[3].received.empty());  // out of range
 }
 
 TEST(Mac, QueueDropTail) {
@@ -120,7 +124,7 @@ TEST(Mac, QueueDropTail) {
   EXPECT_EQ(accepted, 3);
   EXPECT_EQ(net.macs[0]->stats().queueDrops, 7u);
   net.sim.run(5.0);
-  EXPECT_EQ(net.received[1].size(), 3u);
+  EXPECT_EQ(net.nodes[1].received.size(), 3u);
 }
 
 TEST(Mac, BackToBackPacketsAllArrive) {
@@ -136,10 +140,11 @@ TEST(Mac, BackToBackPacketsAllArrive) {
     ASSERT_TRUE(net.macs[0]->send(net.makePacket(name(i)), 1));
   }
   net.sim.run(10.0);
-  ASSERT_EQ(net.received[1].size(), 20u);
+  ASSERT_EQ(net.nodes[1].received.size(), 20u);
   // In order.
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(net.received[1][static_cast<std::size_t>(i)].first, name(i));
+    EXPECT_EQ(net.nodes[1].received[static_cast<std::size_t>(i)].first,
+              name(i));
   }
 }
 
@@ -150,8 +155,8 @@ TEST(Mac, BidirectionalTrafficCompletes) {
     net.macs[1]->send(net.makePacket("b"), 0);
   }
   net.sim.run(10.0);
-  EXPECT_EQ(net.received[0].size(), 10u);
-  EXPECT_EQ(net.received[1].size(), 10u);
+  EXPECT_EQ(net.nodes[0].received.size(), 10u);
+  EXPECT_EQ(net.nodes[1].received.size(), 10u);
 }
 
 TEST(Mac, HiddenTerminalCausesLossOrRetry) {
@@ -166,7 +171,7 @@ TEST(Mac, HiddenTerminalCausesLossOrRetry) {
   net.sim.run(30.0);
   EXPECT_GT(net.channel->stats().collisions, 0u);
   // Retries recover most frames.
-  EXPECT_GT(net.received[1].size(), 30u);
+  EXPECT_GT(net.nodes[1].received.size(), 30u);
 }
 
 TEST(Mac, CarrierSenseSerializesNeighbors) {
@@ -178,7 +183,7 @@ TEST(Mac, CarrierSenseSerializesNeighbors) {
     net.macs[2]->send(net.makePacket("c", 1000), 1);
   }
   net.sim.run(30.0);
-  EXPECT_EQ(net.received[1].size(), 50u);
+  EXPECT_EQ(net.nodes[1].received.size(), 50u);
 }
 
 TEST(Mac, DuplicateSuppressionOnAckLoss) {
@@ -194,7 +199,7 @@ TEST(Mac, DuplicateSuppressionOnAckLoss) {
   net.sim.run(60.0);
   // Each upper-layer delivery of "a" (resp. "c") is distinct: at most 40.
   std::size_t aCount = 0, cCount = 0;
-  for (const auto& [kind, from] : net.received[1]) {
+  for (const auto& [kind, from] : net.nodes[1].received) {
     if (kind == "a") ++aCount;
     if (kind == "c") ++cCount;
   }
