@@ -3,13 +3,15 @@
 // same cancellation semantics — across unit workloads, randomized
 // schedule/cancel interleavings (where both modes must also match an
 // ordered-set reference, including scripts that straddle the near/far tier
-// split), resize-heavy loads, a same-time burst, and the full
+// split and a cancel-heavy one that keeps the compaction sweep busy),
+// resize-heavy loads, a same-time burst, and the full
 // KernelRegression golden scenario.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -99,15 +101,24 @@ TEST(SimulatorCalendar, SwitchRequiresEmptyQueue) {
   EXPECT_EQ(sim.queueMode(), Simulator::QueueMode::kCalendar);
 }
 
+/// Picks a random event among the `scheduled` so far; one that already
+/// fired or was cancelled makes the cancel a no-op.
+std::size_t randomEarlier(Rng& rng, std::size_t scheduled) {
+  return static_cast<std::size_t>(rng.below(scheduled));
+}
+
 /// A randomized schedule/cancel/horizon script: `rounds` rounds of
 /// `perRound` events at absolute times drawn by `timeIn`, each followed by
-/// a cancel with probability 1/4, and each round closed by run(until).
+/// a cancel with probability `cancelsIn4` / 4 of the event `victimOf`
+/// picks, and each round closed by run(until).
 struct Script {
   const char* name;
   int rounds;
   int perRound;
   double (*timeIn)(Rng& rng, int round);
   double (*untilOf)(int round);
+  std::uint64_t cancelsIn4 = 1;
+  std::size_t (*victimOf)(Rng& rng, std::size_t scheduled) = randomEarlier;
 };
 
 /// Coarse times in 10 s rounds, plus a rare far-future event. Only the
@@ -149,6 +160,19 @@ const Script kStraddle{
       return kTick * static_cast<double>(kStraddleRoundTicks * (round + 1));
     }};
 
+/// Cancel-heavy: about 3 of 4 events are cancelled as soon as they are
+/// scheduled, mostly while due 0.25-10 s ahead in the far tier, so stale
+/// records outnumber live ones and the kernel's compaction sweep runs
+/// through both tiers many times per round.
+const Script kCancelHeavy{
+    "cancel-heavy", 40, 200,
+    [](Rng& rng, int round) {
+      return 1.0 * round + 0.25 * static_cast<double>(rng.below(41));
+    },
+    [](int round) { return 1.0 + 1.0 * round; },
+    3,
+    [](Rng& /*rng*/, std::size_t scheduled) { return scheduled - 1; }};
+
 /// Runs `script` against one queue mode and returns the exact firing log.
 std::vector<std::pair<double, int>> runScript(bool calendar,
                                               const Script& script,
@@ -166,9 +190,8 @@ std::vector<std::pair<double, int>> runScript(bool calendar,
       const int id = nextId++;
       handles.push_back(events.scheduleAt(
           t, [&fired, &sim, id] { fired.emplace_back(sim.now(), id); }));
-      if (rng.below(4) == 0 && !handles.empty()) {
-        // Cancel a random earlier event; already-fired handles are inert.
-        handles[rng.below(handles.size())].cancel();
+      if (rng.below(4) < script.cancelsIn4) {
+        handles[script.victimOf(rng, handles.size())].cancel();
       }
     }
     sim.run(script.untilOf(round));
@@ -199,9 +222,9 @@ std::vector<std::pair<double, int>> runScriptReference(const Script& script,
       const int id = static_cast<int>(timeOf.size());
       timeOf.push_back(t);
       pending.emplace(t, id);
-      if (rng.below(4) == 0) {
-        const auto victim = static_cast<int>(rng.below(timeOf.size()));
-        pending.erase({timeOf[victim], victim});
+      if (rng.below(4) < script.cancelsIn4) {
+        const std::size_t victim = script.victimOf(rng, timeOf.size());
+        pending.erase({timeOf[victim], static_cast<int>(victim)});
       }
     }
     runUntil(script.untilOf(round));
@@ -212,7 +235,7 @@ std::vector<std::pair<double, int>> runScriptReference(const Script& script,
 }
 
 TEST(SimulatorCalendar, HeapAndCalendarMatchReferenceOnScheduleCancelScripts) {
-  for (const Script* script : {&kCoarse, &kStraddle}) {
+  for (const Script* script : {&kCoarse, &kStraddle, &kCancelHeavy}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       const auto want = runScriptReference(*script, seed);
       for (const bool calendar : {false, true}) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -205,6 +206,47 @@ TEST(Mac, DuplicateSuppressionOnAckLoss) {
   }
   EXPECT_LE(aCount, 40u);
   EXPECT_LE(cCount, 40u);
+}
+
+TEST(Mac, DuplicateFilterSuppressesUnicastRetriesOnly) {
+  // Sender 0 interleaves unicasts to receiver 1 with broadcasts, while a
+  // jammer, node 2, floods broadcasts from the sender's far side. The
+  // sender and the jammer hear each other; the receiver and the jammer do
+  // not. So every frame the sender puts on air reaches the receiver
+  // intact, but the jammer, deaf to the receiver's ACK, often starts
+  // during it and the ACK collides at the sender, which then retries a
+  // unicast the receiver already holds.
+  StaticNet net{{{0, 0}, {600, 0}, {-600, 0}}, 650.0, MacParams{}, 1.0};
+  constexpr int kEach = 40;
+  const auto label = [](char kind, int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%c%d", kind, i);
+    return std::string{buf};
+  };
+  for (int i = 0; i < kEach; ++i) {
+    net.macs[0]->send(net.makePacket(label('u', i), 500), 1);
+    net.macs[0]->send(net.makePacket(label('b', i), 500), kBroadcast);
+  }
+  for (int i = 0; i < 150; ++i) {
+    net.macs[2]->send(net.makePacket("j", 500), kBroadcast);
+  }
+  net.sim.run(60.0);
+
+  std::map<std::string, int> deliveries;
+  for (const auto& [kind, from] : net.nodes[1].received) {
+    EXPECT_EQ(from, 0) << kind;
+    ++deliveries[kind];
+  }
+  for (int i = 0; i < kEach; ++i) {
+    const std::string u = label('u', i);
+    const std::string b = label('b', i);
+    EXPECT_LE(deliveries[u], 1) << u;  // a retry never reaches the client
+    EXPECT_EQ(deliveries[b], 1) << b;  // each broadcast aired once, heard
+  }
+  const auto& rx = net.macs[1]->stats();
+  EXPECT_GT(rx.duplicatesSuppressed, 0u);
+  EXPECT_EQ(rx.rxData, net.nodes[1].received.size());
+  EXPECT_GT(net.macs[0]->stats().retries, 0u);
 }
 
 TEST(Mac, AirTimeAccounted) {
