@@ -217,8 +217,7 @@ void Mac::onFrameReceived(const Frame& frame) {
   }
 
   // DATA frame.
-  const bool unicastToMe = frame.dst == self_;
-  if (unicastToMe) {
+  if (frame.dst == self_) {
     // Reply with an ACK after SIFS (ACKs skip contention by design). The
     // descriptor carries only the scalars; the Frame is built when it fires.
     sim_.schedule(params_->sifs, *this,
@@ -228,25 +227,25 @@ void Mac::onFrameReceived(const Frame& frame) {
                    .u0 = frame.seq,
                    .u1 = radioEpoch_,
                    .f0 = frameDuration(params_->ackBytes)});
+    // Suppress retry-duplicates: the sender repeats a unicast when our ACK
+    // was lost; the upper layer must see the packet only once. A sender
+    // retries only its queue head and every packet has a seq of its own,
+    // so a repeat always carries the seq of the last unicast taken from
+    // that sender. Broadcasts are never retried and never need an entry.
+    const auto seen = std::find_if(
+        lastSeqFrom_.begin(), lastSeqFrom_.end(),
+        [&](const auto& entry) { return entry.first == frame.src; });
+    if (seen == lastSeqFrom_.end()) {
+      lastSeqFrom_.emplace_back(frame.src, frame.seq);
+    } else if (seen->second == frame.seq) {
+      ++stats_.duplicatesSuppressed;
+      return;
+    } else {
+      seen->second = frame.seq;
+    }
   } else if (frame.dst != net::kBroadcast) {
     return;  // unicast for someone else
   }
-
-  // Suppress retry-duplicates: the sender repeats a frame when our ACK was
-  // lost; the upper layer must see the packet only once.
-  for (auto& [src, seq] : lastSeqFrom_) {
-    if (src == frame.src) {
-      if (seq == frame.seq && unicastToMe) {
-        ++stats_.duplicatesSuppressed;
-        return;
-      }
-      seq = frame.seq;
-      ++stats_.rxData;
-      if (client_ != nullptr) client_->onPacket(frame.packet, frame.src);
-      return;
-    }
-  }
-  lastSeqFrom_.emplace_back(frame.src, frame.seq);
   ++stats_.rxData;
   if (client_ != nullptr) client_->onPacket(frame.packet, frame.src);
 }

@@ -200,7 +200,9 @@ class Mac : public sim::EventSink {
   // restore rebuilds it from the ring instead of saving it.
   sim::SimTime recentTxEndMax_ = -std::numeric_limits<double>::infinity();
 
-  // Duplicate detection: last sequence number seen per source.
+  // Duplicate detection: the seq of the last unicast to this node, per
+  // sender. Only unicast senders get an entry (broadcasts are never
+  // retried), so a node that only hears hellos never allocates the table.
   std::vector<std::pair<int, std::uint64_t>> lastSeqFrom_;
 
   MacClient* client_ = nullptr;

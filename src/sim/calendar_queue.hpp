@@ -22,10 +22,18 @@
 /// KernelRegression golden) and is what makes the queue a drop-in far tier
 /// behind the existing `Simulator` API rather than a fork of the kernel.
 ///
+/// Storage is one pooled array of records with a free list. A bucket is a
+/// singly linked list threaded through the pool by `uint32_t` indexes from
+/// one head array, so a bucket costs 4 bytes and a record 40. Once the
+/// pool has grown to the peak pending count, pushes and pops never
+/// allocate, and a resize relinks the records in place: only a growing
+/// head array is reallocated.
+///
 /// Stale records (cancelled events) are handled exactly like the heap's:
 /// they linger until popped or until the owner runs a `removeIf` sweep.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -38,7 +46,7 @@ namespace glr::sim {
 
 class CalendarQueue {
  public:
-  CalendarQueue() { initBuckets(kMinBuckets); }
+  CalendarQueue() : heads_(kMinBuckets, kNil) {}
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -46,7 +54,7 @@ class CalendarQueue {
   /// Pre-sizes the wheel for `events` concurrently-pending records so the
   /// first scheduling burst triggers no grow/rebuild cascade.
   void reserve(std::size_t events) {
-    if (events / 2 > buckets_.size()) {
+    if (events / 2 > heads_.size()) {
       rebuild(std::bit_ceil(std::max<std::size_t>(events / 2, kMinBuckets)),
               width_);
     }
@@ -54,8 +62,10 @@ class CalendarQueue {
 
   void push(EventKey key, EventAux aux) {
     const std::uint64_t day = dayOf(key.timeBits);
-    auto& bucket = buckets_[day & mask()];
-    bucket.push_back(Rec{key, aux, day});
+    const std::size_t bucket = day & mask();
+    const std::uint32_t rec = acquire();
+    pool_[rec] = Rec{key, aux, day, heads_[bucket]};
+    heads_[bucket] = rec;
     ++size_;
     // An event earlier than the cursor's day would be missed by the forward
     // bucket walk; pull the cursor back so the next search starts at or
@@ -63,45 +73,35 @@ class CalendarQueue {
     // one day ahead after serving the tail of the previous day.)
     if (day < curDay_) curDay_ = day;
     if (topCached_) {
-      if (earlierKey(key, cachedKey())) {
-        topBucket_ = day & mask();
-        topPos_ = bucket.size() - 1;
+      if (earlierKey(key, pool_[top_].key)) {
+        cacheTop(bucket, rec, kNil);
+      } else if (bucket == topBucket_ && topPrev_ == kNil) {
+        topPrev_ = rec;  // the cached top was this bucket's head
       }
     }
-    if (size_ > buckets_.size() * kGrowOccupancy) {
-      rebuild(buckets_.size() * 2, chooseWidth());
-      return;
+    if (size_ > heads_.size() * kGrowOccupancy) {
+      rebuild(heads_.size() * 2, chooseWidth());
     }
   }
 
   /// Minimum record by (timeBits, seq). Valid until the next mutation.
   [[nodiscard]] const EventKey& topKey() {
     locateTop();
-    return buckets_[topBucket_][topPos_].key;
+    return pool_[top_].key;
   }
   [[nodiscard]] const EventAux& topAux() {
     locateTop();
-    return buckets_[topBucket_][topPos_].aux;
+    return pool_[top_].aux;
   }
 
   void popTop() {
     locateTop();
-    auto& bucket = buckets_[topBucket_];
-    bucket[topPos_] = bucket.back();
-    bucket.pop_back();
-    // A well-calibrated wheel leaves ~1–2 records per bucket, so capacity
-    // above the release threshold marks a miscalibrated burst: give the
-    // block back when the bucket drains or the sliding active window would
-    // pin one bloated vector per bucket it ever crossed (bucket-count x
-    // burst-capacity resident, ~6 KB/node at 10k nodes before this fix).
-    if (bucket.empty() && bucket.capacity() > kReleaseCapacity) {
-      bucket.shrink_to_fit();
-    }
+    unlink(top_, topBucket_, topPrev_);
     --size_;
     topCached_ = false;
-    if (buckets_.size() > kMinBuckets &&
-        size_ * kShrinkOccupancy < buckets_.size()) {
-      rebuild(buckets_.size() / 2, chooseWidth());
+    if (heads_.size() > kMinBuckets &&
+        size_ * kShrinkOccupancy < heads_.size()) {
+      rebuild(heads_.size() / 2, chooseWidth());
       return;
     }
     // Periodic width recalibration: resizing is the only width trigger in
@@ -118,20 +118,7 @@ class CalendarQueue {
       popsSinceCalibrate_ = 0;
       const double w = chooseWidth();
       if (w > 2.0 * width_ || w < 0.5 * width_) {
-        rebuild(buckets_.size(), w);
-      } else {
-        // Capacity sweep at the same once-per-turnover cadence (rebuild
-        // reallocates everything anyway, so only the no-rebuild path needs
-        // it): empty buckets keeping a block above the sweep threshold are
-        // returned to the allocator. Doing this here instead of on every
-        // pop matters — a cap-8 bucket in the active window refills within
-        // the same turnover, and releasing it per-drain doubles the
-        // kernel's allocation traffic (measured 2x scenario wall time).
-        // One sweep per turnover frees the same memory with O(1) amortized
-        // cost per event.
-        for (auto& b : buckets_) {
-          if (b.empty() && b.capacity() > kSweepCapacity) b.shrink_to_fit();
-        }
+        rebuild(heads_.size(), w);
       }
     }
   }
@@ -140,13 +127,17 @@ class CalendarQueue {
   /// cancelled events, mirroring the heap's compaction sweep). O(n).
   template <class Pred>
   void removeIf(Pred pred) {
-    for (auto& bucket : buckets_) {
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < bucket.size(); ++r) {
-        if (!pred(bucket[r].aux)) bucket[w++] = bucket[r];
+    for (std::uint32_t& head : heads_) {
+      for (std::uint32_t* link = &head; *link != kNil;) {
+        const std::uint32_t rec = *link;
+        if (pred(pool_[rec].aux)) {
+          *link = pool_[rec].next;
+          release(rec);
+          --size_;
+        } else {
+          link = &pool_[rec].next;
+        }
       }
-      size_ -= bucket.size() - w;
-      bucket.resize(w);
     }
     topCached_ = false;
   }
@@ -155,29 +146,22 @@ class CalendarQueue {
   struct Rec {
     EventKey key;
     EventAux aux;
-    std::uint64_t day;  // floor(time / width) at insertion width
+    std::uint64_t day;   // floor(time / width) at the current width
+    std::uint32_t next;  // next record of its bucket (or of the free list)
   };
+  static_assert(sizeof(Rec) == 40, "a pooled record is 40 bytes");
 
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::size_t kMinBuckets = 32;
   /// Grow when buckets hold more than this many records on average…
   static constexpr std::size_t kGrowOccupancy = 2;
   /// …shrink only when occupancy drops below 1/8 (hysteresis gap avoids
   /// rebuild thrash around a stable queue depth).
   static constexpr std::size_t kShrinkOccupancy = 8;
-  /// Bucket capacity above which an emptied bucket's block is returned to
-  /// the allocator immediately on drain (see popTop). High enough that a
-  /// calibrated wheel never churns; low enough that burst bloat cannot
-  /// stick to the whole wheel.
-  static constexpr std::size_t kReleaseCapacity = 8;
-  /// Tighter bar used by the once-per-turnover sweep: steady-state buckets
-  /// hold 1-2 records (capacity <= 4); anything above is burst residue.
-  static constexpr std::size_t kSweepCapacity = 4;
+  /// How many of the earliest records set the bucket width.
+  static constexpr std::size_t kWidthSample = 64;
 
-  [[nodiscard]] std::size_t mask() const { return buckets_.size() - 1; }
-
-  [[nodiscard]] const EventKey& cachedKey() const {
-    return buckets_[topBucket_][topPos_].key;
-  }
+  [[nodiscard]] std::size_t mask() const { return heads_.size() - 1; }
 
   [[nodiscard]] std::uint64_t dayOf(std::uint64_t timeBits) const {
     const double t = std::bit_cast<double>(timeBits);
@@ -189,10 +173,42 @@ class CalendarQueue {
                        : static_cast<std::uint64_t>(d);
   }
 
-  void initBuckets(std::size_t n) {
-    buckets_.assign(n, {});
-    curDay_ = 0;
-    topCached_ = false;
+  /// A free pool slot, reusing released ones first.
+  std::uint32_t acquire() {
+    if (freeHead_ == kNil) {
+      pool_.emplace_back();
+      return static_cast<std::uint32_t>(pool_.size() - 1);
+    }
+    const std::uint32_t rec = freeHead_;
+    freeHead_ = pool_[rec].next;
+    return rec;
+  }
+
+  void release(std::uint32_t rec) {
+    pool_[rec].next = freeHead_;
+    freeHead_ = rec;
+  }
+
+  /// Unlinks `rec` from `bucket`, where `prev` is its predecessor there
+  /// (kNil: it is the head), and returns it to the free list.
+  void unlink(std::uint32_t rec, std::size_t bucket, std::uint32_t prev) {
+    (prev == kNil ? heads_[bucket] : pool_[prev].next) = pool_[rec].next;
+    release(rec);
+  }
+
+  void cacheTop(std::size_t bucket, std::uint32_t rec, std::uint32_t prev) {
+    topBucket_ = bucket;
+    top_ = rec;
+    topPrev_ = prev;
+    topCached_ = true;
+  }
+
+  /// Calls `f(rec)` for every queued record.
+  template <class F>
+  void forEachRec(F&& f) const {
+    for (const std::uint32_t head : heads_) {
+      for (std::uint32_t r = head; r != kNil; r = pool_[r].next) f(pool_[r]);
+    }
   }
 
   /// Finds the minimum record: walk buckets day by day from the cursor; a
@@ -203,104 +219,120 @@ class CalendarQueue {
     if (topCached_) return;
     assert(size_ > 0 && "locateTop on empty CalendarQueue");
     std::uint64_t day = curDay_;
-    for (std::size_t probed = 0; probed < buckets_.size(); ++probed, ++day) {
-      const auto& bucket = buckets_[day & mask()];
-      std::size_t best = bucket.size();
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].day != day) continue;
-        if (best == bucket.size() || earlierKey(bucket[i].key, bucket[best].key)) {
-          best = i;
+    for (std::size_t probed = 0; probed < heads_.size(); ++probed, ++day) {
+      const std::size_t bucket = day & mask();
+      std::uint32_t best = kNil;
+      std::uint32_t bestPrev = kNil;
+      for (std::uint32_t prev = kNil, r = heads_[bucket]; r != kNil;
+           prev = r, r = pool_[r].next) {
+        if (pool_[r].day != day) continue;
+        if (best == kNil || earlierKey(pool_[r].key, pool_[best].key)) {
+          best = r;
+          bestPrev = prev;
         }
       }
-      if (best != bucket.size()) {
+      if (best != kNil) {
         curDay_ = day;
-        topBucket_ = day & mask();
-        topPos_ = best;
-        topCached_ = true;
+        cacheTop(bucket, best, bestPrev);
         return;
       }
     }
     // Direct search (rare: sparse far-future tail).
-    std::size_t bestB = 0;
-    std::size_t bestP = 0;
-    bool found = false;
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      for (std::size_t i = 0; i < buckets_[b].size(); ++i) {
-        if (!found || earlierKey(buckets_[b][i].key,
-                                 buckets_[bestB][bestP].key)) {
-          bestB = b;
-          bestP = i;
-          found = true;
+    std::size_t bestBucket = 0;
+    std::uint32_t best = kNil;
+    std::uint32_t bestPrev = kNil;
+    for (std::size_t b = 0; b < heads_.size(); ++b) {
+      for (std::uint32_t prev = kNil, r = heads_[b]; r != kNil;
+           prev = r, r = pool_[r].next) {
+        if (best == kNil || earlierKey(pool_[r].key, pool_[best].key)) {
+          bestBucket = b;
+          best = r;
+          bestPrev = prev;
         }
       }
     }
-    assert(found);
-    curDay_ = buckets_[bestB][bestP].day;
-    topBucket_ = bestB;
-    topPos_ = bestP;
-    topCached_ = true;
+    assert(best != kNil);
+    curDay_ = pool_[best].day;
+    cacheTop(bestBucket, best, bestPrev);
   }
 
   /// Picks a bucket width from the current population: ~3x the mean gap of
   /// the earliest records (Brown's sampling, computed over the k smallest so
   /// a sparse far-future tail cannot inflate the width and collapse the
   /// active window into one bucket). Deterministic: the sampled set is the
-  /// k minimum keys, unique because seq is unique.
-  [[nodiscard]] double chooseWidth() {
+  /// k minimum keys, unique because seq is unique. They are gathered in a
+  /// k-entry max-heap, so the sample needs no buffer the size of the queue.
+  [[nodiscard]] double chooseWidth() const {
     if (size_ < 2) return width_;
-    scratch_.clear();
-    for (const auto& bucket : buckets_) {
-      for (const auto& rec : bucket) scratch_.push_back(rec.key);
-    }
-    const std::size_t k = std::min<std::size_t>(scratch_.size(), 64);
-    std::nth_element(scratch_.begin(), scratch_.begin() + (k - 1),
-                     scratch_.end(),
-                     [](const EventKey& a, const EventKey& b) {
-                       return earlierKey(a, b);
-                     });
+    std::array<EventKey, kWidthSample> earliest{};
+    std::size_t k = 0;
+    const auto lessEarly = [](const EventKey& a, const EventKey& b) {
+      return earlierKey(a, b);
+    };
+    forEachRec([&](const Rec& rec) {
+      if (k < earliest.size()) {
+        earliest[k++] = rec.key;
+        std::push_heap(earliest.begin(), earliest.begin() + k, lessEarly);
+      } else if (earlierKey(rec.key, earliest.front())) {
+        std::pop_heap(earliest.begin(), earliest.end(), lessEarly);
+        earliest.back() = rec.key;
+        std::push_heap(earliest.begin(), earliest.end(), lessEarly);
+      }
+    });
     auto timeOf = [](const EventKey& key) {
       return std::bit_cast<double>(key.timeBits);
     };
-    double lo = timeOf(scratch_[0]);
+    double lo = timeOf(earliest[0]);
     double hi = lo;
     for (std::size_t i = 1; i < k; ++i) {
-      lo = std::min(lo, timeOf(scratch_[i]));
-      hi = std::max(hi, timeOf(scratch_[i]));
+      lo = std::min(lo, timeOf(earliest[i]));
+      hi = std::max(hi, timeOf(earliest[i]));
     }
     const double span = hi - lo;
     if (!(span > 0.0)) return width_;
     return 3.0 * span / static_cast<double>(k - 1);
   }
 
+  /// Re-hashes every record into `newBucketCount` buckets of `newWidth`:
+  /// the records are unthreaded into one chain and relinked, in place.
   void rebuild(std::size_t newBucketCount, double newWidth) {
-    scratchRecs_.clear();
-    scratchRecs_.reserve(size_);
-    for (auto& bucket : buckets_) {
-      scratchRecs_.insert(scratchRecs_.end(), bucket.begin(), bucket.end());
-      bucket.clear();
+    std::uint32_t chain = kNil;
+    for (std::uint32_t& head : heads_) {
+      while (head != kNil) {
+        const std::uint32_t rec = head;
+        head = pool_[rec].next;
+        pool_[rec].next = chain;
+        chain = rec;
+      }
     }
-    if (newBucketCount != buckets_.size()) {
-      buckets_.resize(newBucketCount);
-    }
+    heads_.assign(newBucketCount, kNil);
     width_ = newWidth;
     invWidth_ = 1.0 / width_;
     bool haveMin = false;
     std::uint64_t minDay = 0;
     EventKey minKey{};
-    for (auto& rec : scratchRecs_) {
+    while (chain != kNil) {
+      Rec& rec = pool_[chain];
+      const std::uint32_t next = rec.next;
       rec.day = dayOf(rec.key.timeBits);
-      buckets_[rec.day & mask()].push_back(rec);
+      std::uint32_t& head = heads_[rec.day & mask()];
+      rec.next = head;
+      head = chain;
       if (!haveMin || earlierKey(rec.key, minKey)) {
         haveMin = true;
         minKey = rec.key;
         minDay = rec.day;
       }
+      chain = next;
     }
     curDay_ = haveMin ? minDay : 0;
     topCached_ = false;
   }
 
-  std::vector<std::vector<Rec>> buckets_;
+  std::vector<Rec> pool_;
+  std::uint32_t freeHead_ = kNil;
+  /// First record of each bucket (kNil: empty); a power-of-two count.
+  std::vector<std::uint32_t> heads_;
   double width_ = 1.0e-3;
   double invWidth_ = 1.0e3;
   std::size_t size_ = 0;
@@ -308,9 +340,8 @@ class CalendarQueue {
   std::size_t popsSinceCalibrate_ = 0;
   bool topCached_ = false;
   std::size_t topBucket_ = 0;
-  std::size_t topPos_ = 0;
-  std::vector<EventKey> scratch_;
-  std::vector<Rec> scratchRecs_;
+  std::uint32_t top_ = kNil;
+  std::uint32_t topPrev_ = kNil;  // top_'s predecessor in its bucket
 };
 
 }  // namespace glr::sim

@@ -8,10 +8,13 @@
 /// when the queue depth is stable. RingDeque backs the same interface with
 /// one power-of-two ring that doubles on overflow and never shrinks: after
 /// the first few seconds of simulation the structure reaches its working
-/// size and every later push/pop is pointer arithmetic only. Elements are
-/// constructed on push and destroyed on pop (destructors run exactly as
-/// with std::deque), so held resources — payload arena references in
-/// particular — are released with the same timing the deque gave them.
+/// size and every later push/pop is pointer arithmetic only. The first
+/// push allocates a single slot, so a queue that never holds more than one
+/// element (an idle node's MAC queue, one hello at a time) costs one block
+/// the size of its element. Elements are constructed on push and destroyed
+/// on pop (destructors run exactly as with std::deque), so held resources —
+/// payload arena references in particular — are released with the same
+/// timing the deque gave them.
 
 #include <cstddef>
 #include <memory>
@@ -71,11 +74,6 @@ class RingDeque {
     while (size_ > 0) pop_front();
   }
 
-  /// Pre-sizes the ring for at least `n` elements.
-  void reserve(std::size_t n) {
-    while (capacity_ < n) grow();
-  }
-
  private:
   static constexpr std::align_val_t kAlign{alignof(T)};
 
@@ -84,7 +82,7 @@ class RingDeque {
   }
 
   void grow() {
-    const std::size_t newCap = capacity_ == 0 ? 8 : capacity_ * 2;
+    const std::size_t newCap = capacity_ == 0 ? 1 : capacity_ * 2;
     T* fresh =
         static_cast<T*>(::operator new(newCap * sizeof(T), kAlign));
     for (std::size_t i = 0; i < size_; ++i) {

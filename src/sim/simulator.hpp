@@ -240,7 +240,8 @@ class Simulator {
   /// Pre-sizes the slab and the far tier for `events` concurrently-pending
   /// events, and the near tier for a `burst` of events due at once (one
   /// start event per node at t=0), so even the first scheduling burst never
-  /// reallocates.
+  /// reallocates. In calendar mode that sizes the wheel; its record pool
+  /// grows to the peak pending count on its own.
   void reserve(std::size_t events, std::size_t burst);
 
   static constexpr SimTime kForever = 1e300;

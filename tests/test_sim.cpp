@@ -1,8 +1,10 @@
-// Tests for the discrete-event kernel and the deterministic RNG.
+// Tests for the discrete-event kernel, its ring FIFO and the deterministic
+// RNG.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -10,12 +12,14 @@
 
 #include "closure_sink.hpp"
 #include "experiment/scenario.hpp"
+#include "sim/ring_deque.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using glr::sim::EventHandle;
+using glr::sim::RingDeque;
 using glr::sim::Rng;
 using glr::sim::Simulator;
 using glr::test::ClosureSink;
@@ -557,6 +561,84 @@ TEST(KernelRegression, PinnedCellsAreBitIdentical) {
               "")
         << "first field that differs from the golden";
   }
+}
+
+TEST(RingDeque, KeepsFifoOrderAcrossWrapAroundGrowth) {
+  // Three pushes and two pops per round walk the front around the ring, so
+  // most growths find the elements wrapped past the end of the old block.
+  RingDeque<int> q;
+  int pushed = 0;
+  int popped = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 0; k < 3; ++k) q.push_back(pushed++);
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_EQ(q.front(), popped++);
+      q.pop_front();
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(pushed - popped));
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      ASSERT_EQ(q[i], popped + static_cast<int>(i));
+    }
+    ASSERT_EQ(q.back(), pushed - 1);
+  }
+  EXPECT_EQ(q.capacity(), 64u);
+  while (!q.empty()) {
+    ASSERT_EQ(q.front(), popped++);
+    q.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+}
+
+/// Counts its own constructions, moves and destructions.
+struct Tracked {
+  static inline int made = 0;
+  static inline int moved = 0;
+  static inline int destroyed = 0;
+  static int live() { return made + moved - destroyed; }
+
+  explicit Tracked(int v) : value(v) { ++made; }
+  Tracked(Tracked&& other) noexcept : value(other.value) { ++moved; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { ++destroyed; }
+
+  int value;
+};
+
+TEST(RingDeque, ConstructsOncePerPushAndDestroysEveryElement) {
+  Tracked::made = Tracked::moved = Tracked::destroyed = 0;
+  {
+    RingDeque<Tracked> q;
+    for (int i = 0; i < 5; ++i) q.emplace_back(i);  // grows 1 -> 2 -> 4 -> 8
+    EXPECT_EQ(Tracked::made, 5);
+    EXPECT_EQ(Tracked::live(), 5);  // growth destroys what it moves from
+    for (int i = 0; i < 2; ++i) {
+      const int before = Tracked::destroyed;
+      EXPECT_EQ(q.front().value, i);
+      q.pop_front();
+      EXPECT_EQ(Tracked::destroyed, before + 1);
+    }
+    EXPECT_EQ(Tracked::live(), 3);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(Tracked::live(), 0);
+    for (int i = 0; i < 4; ++i) q.emplace_back(i);
+    EXPECT_EQ(Tracked::made, 9);
+    EXPECT_EQ(Tracked::live(), 4);
+  }
+  EXPECT_EQ(Tracked::live(), 0);  // the destructor destroyed the rest
+}
+
+TEST(RingDeque, FirstPushAllocatesOneSlot) {
+  RingDeque<int> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  q.push_back(7);
+  EXPECT_EQ(q.capacity(), 1u);
+  q.pop_front();
+  q.push_back(8);  // a queue one element deep never grows
+  EXPECT_EQ(q.capacity(), 1u);
+  q.push_back(9);
+  EXPECT_EQ(q.capacity(), 2u);
 }
 
 TEST(Rng, DeterministicForSameSeed) {
