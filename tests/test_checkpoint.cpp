@@ -335,7 +335,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0xb8c9f825f678792eULL);
+                     0xc9997c22c9b95350ULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -344,7 +344,7 @@ TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
   cfg.traffic.rate = 3.0;
   cfg.messageTtl = 60.0;
   expectPinnedDigest(cfg, "pin_epidemic.bin",
-                     0x219e1c4c0ed2fadeULL);
+                     0x39bb84e67b628246ULL);
 }
 
 TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
@@ -353,7 +353,7 @@ TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
   cfg.traffic.model = "hotspot";
   cfg.traffic.rate = 3.0;
   expectPinnedDigest(cfg, "pin_spray.bin",
-                     0xfd5dead30f49cc94ULL);
+                     0xedb815e86aa99397ULL);
 }
 
 TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
@@ -361,7 +361,7 @@ TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
   cfg.traffic.model = "flashcrowd";
   cfg.traffic.rate = 2.0;
   expectPinnedDigest(cfg, "pin_direct.bin",
-                     0xaa566815cdace929ULL);
+                     0xa69517094ddb1fa3ULL);
 }
 
 TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
@@ -369,7 +369,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0x80cc9c44f79bbaa7ULL);
+                     0x79a9bc7218b37a07ULL);
 }
 
 // ---------------------------------------------------------------------------
