@@ -96,7 +96,9 @@ class CalendarQueue {
 
   void popTop() {
     locateTop();
-    unlink(top_, topBucket_, topPrev_);
+    (topPrev_ == kNil ? heads_[topBucket_] : pool_[topPrev_].next) =
+        pool_[top_].next;
+    release(top_);
     --size_;
     topCached_ = false;
     if (heads_.size() > kMinBuckets &&
@@ -189,26 +191,11 @@ class CalendarQueue {
     freeHead_ = rec;
   }
 
-  /// Unlinks `rec` from `bucket`, where `prev` is its predecessor there
-  /// (kNil: it is the head), and returns it to the free list.
-  void unlink(std::uint32_t rec, std::size_t bucket, std::uint32_t prev) {
-    (prev == kNil ? heads_[bucket] : pool_[prev].next) = pool_[rec].next;
-    release(rec);
-  }
-
   void cacheTop(std::size_t bucket, std::uint32_t rec, std::uint32_t prev) {
     topBucket_ = bucket;
     top_ = rec;
     topPrev_ = prev;
     topCached_ = true;
-  }
-
-  /// Calls `f(rec)` for every queued record.
-  template <class F>
-  void forEachRec(F&& f) const {
-    for (const std::uint32_t head : heads_) {
-      for (std::uint32_t r = head; r != kNil; r = pool_[r].next) f(pool_[r]);
-    }
   }
 
   /// Finds the minimum record: walk buckets day by day from the cursor; a
@@ -269,16 +256,19 @@ class CalendarQueue {
     const auto lessEarly = [](const EventKey& a, const EventKey& b) {
       return earlierKey(a, b);
     };
-    forEachRec([&](const Rec& rec) {
-      if (k < earliest.size()) {
-        earliest[k++] = rec.key;
-        std::push_heap(earliest.begin(), earliest.begin() + k, lessEarly);
-      } else if (earlierKey(rec.key, earliest.front())) {
-        std::pop_heap(earliest.begin(), earliest.end(), lessEarly);
-        earliest.back() = rec.key;
-        std::push_heap(earliest.begin(), earliest.end(), lessEarly);
+    for (const std::uint32_t head : heads_) {
+      for (std::uint32_t r = head; r != kNil; r = pool_[r].next) {
+        const EventKey& key = pool_[r].key;
+        if (k < earliest.size()) {
+          earliest[k++] = key;
+          std::push_heap(earliest.begin(), earliest.begin() + k, lessEarly);
+        } else if (earlierKey(key, earliest.front())) {
+          std::pop_heap(earliest.begin(), earliest.end(), lessEarly);
+          earliest.back() = key;
+          std::push_heap(earliest.begin(), earliest.end(), lessEarly);
+        }
       }
-    });
+    }
     auto timeOf = [](const EventKey& key) {
       return std::bit_cast<double>(key.timeBits);
     };
