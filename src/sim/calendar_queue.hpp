@@ -96,6 +96,7 @@ class CalendarQueue {
 
   void popTop() {
     locateTop();
+    if (top_ == runHead_) runHead_ = pool_[top_].next;
     (topPrev_ == kNil ? heads_[topBucket_] : pool_[topPrev_].next) =
         pool_[top_].next;
     release(top_);
@@ -141,6 +142,7 @@ class CalendarQueue {
         }
       }
     }
+    runHead_ = kNil;
     topCached_ = false;
   }
 
@@ -162,6 +164,9 @@ class CalendarQueue {
   static constexpr std::size_t kShrinkOccupancy = 8;
   /// How many of the earliest records set the bucket width.
   static constexpr std::size_t kWidthSample = 64;
+  /// A pop that had to scan more records than this in its bucket sorts the
+  /// bucket (see `runHead_`).
+  static constexpr std::size_t kSortAfter = 16;
 
   [[nodiscard]] std::size_t mask() const { return heads_.size() - 1; }
 
@@ -210,15 +215,24 @@ class CalendarQueue {
       const std::size_t bucket = day & mask();
       std::uint32_t best = kNil;
       std::uint32_t bestPrev = kNil;
+      std::size_t scanned = 0;
       for (std::uint32_t prev = kNil, r = heads_[bucket]; r != kNil;
            prev = r, r = pool_[r].next) {
-        if (pool_[r].day != day) continue;
-        if (best == kNil || earlierKey(pool_[r].key, pool_[best].key)) {
+        if (pool_[r].day == day &&
+            (best == kNil || earlierKey(pool_[r].key, pool_[best].key))) {
           best = r;
           bestPrev = prev;
         }
+        // A bucket holds no record of a day before the probed one, so the
+        // sorted run's head is its earliest record of this day, if any.
+        if (r == runHead_) break;
+        ++scanned;
       }
       if (best != kNil) {
+        if (scanned > kSortAfter) {
+          sortBucket(bucket);  // its head is now `best`
+          bestPrev = kNil;
+        }
         curDay_ = day;
         cacheTop(bucket, best, bestPrev);
         return;
@@ -316,7 +330,27 @@ class CalendarQueue {
       chain = next;
     }
     curDay_ = haveMin ? minDay : 0;
+    runHead_ = kNil;
     topCached_ = false;
+  }
+
+  /// Relinks `bucket` in ascending key order and makes it the sorted run.
+  void sortBucket(std::size_t bucket) {
+    sortScratch_.clear();
+    for (std::uint32_t r = heads_[bucket]; r != kNil; r = pool_[r].next) {
+      sortScratch_.push_back(r);
+    }
+    std::sort(sortScratch_.begin(), sortScratch_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return earlierKey(pool_[a].key, pool_[b].key);
+              });
+    std::uint32_t next = kNil;
+    for (auto r = sortScratch_.rbegin(); r != sortScratch_.rend(); ++r) {
+      pool_[*r].next = next;
+      next = *r;
+    }
+    heads_[bucket] = next;
+    runHead_ = next;
   }
 
   std::vector<Rec> pool_;
@@ -332,6 +366,16 @@ class CalendarQueue {
   std::size_t topBucket_ = 0;
   std::uint32_t top_ = kNil;
   std::uint32_t topPrev_ = kNil;  // top_'s predecessor in its bucket
+  /// First record of the sorted run (kNil: none): the tail of one bucket's
+  /// list, from here to its end, in ascending key order. Pushes link ahead
+  /// of it and pops take only its head, so the run stays sorted until a
+  /// rebuild or removeIf ends it. A wheel whose width is still far too
+  /// wide for its population (a pre-reserved wheel before its first
+  /// recalibration) packs thousands of one day's records into a bucket;
+  /// sorted once, they cost a pop one record each instead of a walk over
+  /// all of them, one cache miss per record.
+  std::uint32_t runHead_ = kNil;
+  std::vector<std::uint32_t> sortScratch_;
 };
 
 }  // namespace glr::sim

@@ -1,6 +1,7 @@
 // Tests for the kernel's queue modes: the calendar wheel must fire the
 // exact event sequence the 4-ary heap fires — same (time, seq) tie-break,
-// same cancellation semantics — across unit workloads, randomized
+// same cancellation semantics — across unit workloads (including a
+// pre-reserved wheel whose buckets are long enough to be sorted), randomized
 // schedule/cancel interleavings (where both modes must also match an
 // ordered-set reference, including scripts that straddle the near/far tier
 // split and a cancel-heavy one that keeps the compaction sweep busy),
@@ -73,6 +74,36 @@ TEST(CalendarQueue, SparseFarFutureTailStillOrders) {
     q.popTop();
   }
   EXPECT_EQ(popped, times);
+}
+
+TEST(CalendarQueue, PreReservedWheelDrainsLongBucketsInOrder) {
+  // A pre-reserved wheel keeps its 1 ms starting width until its first
+  // recalibration, a queue turnover later: 4,000 records due within 4 ms
+  // share four days, about 1,000 per bucket, so each bucket is sorted when
+  // the cursor reaches it. Half the pops push a successor up to 2 ms
+  // later, often into the day being drained, where it may come before
+  // the sorted run's head.
+  CalendarQueue q;
+  q.reserve(8000);
+  Rng rng{7};
+  std::set<std::pair<std::uint64_t, std::uint64_t>> reference;
+  std::uint64_t seq = 0;
+  const auto push = [&](double t) {
+    const EventKey key{std::bit_cast<std::uint64_t>(t), seq++};
+    q.push(key, {static_cast<std::uint32_t>(key.seq), 0});
+    reference.emplace(key.timeBits, key.seq);
+  };
+  for (int i = 0; i < 4000; ++i) push(rng.uniform(0.0, 0.004));
+  while (!reference.empty()) {
+    ASSERT_FALSE(q.empty());
+    ASSERT_EQ(q.topKey().timeBits, reference.begin()->first);
+    ASSERT_EQ(q.topKey().seq, reference.begin()->second);
+    const double now = std::bit_cast<double>(reference.begin()->first);
+    q.popTop();
+    reference.erase(reference.begin());
+    if (seq < 8000 && rng.below(2) == 0) push(now + rng.uniform(0.0, 0.002));
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(SimulatorCalendar, RunsEventsInTimeOrderWithInsertionTieBreak) {
