@@ -27,7 +27,9 @@
 /// one head array, so a bucket costs 4 bytes and a record 40. Once the
 /// pool has grown to the peak pending count, pushes and pops never
 /// allocate, and a resize relinks the records in place: only a growing
-/// head array is reallocated.
+/// head array is reallocated. Walking a linked bucket costs a cache miss
+/// per record, so a bucket found long is sorted once and its later pops
+/// read only its head (see `runHead_`).
 ///
 /// Stale records (cancelled events) are handled exactly like the heap's:
 /// they linger until popped or until the owner runs a `removeIf` sweep.
