@@ -166,8 +166,8 @@ class CalendarQueue {
   static constexpr std::size_t kShrinkOccupancy = 8;
   /// How many of the earliest records set the bucket width.
   static constexpr std::size_t kWidthSample = 64;
-  /// A pop that had to scan more records than this in its bucket sorts the
-  /// bucket (see `runHead_`).
+  /// A top search that scans more records than this in the bucket it
+  /// pops from sorts that bucket (see `runHead_`).
   static constexpr std::size_t kSortAfter = 16;
 
   [[nodiscard]] std::size_t mask() const { return heads_.size() - 1; }
