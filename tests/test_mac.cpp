@@ -1,6 +1,7 @@
 // Tests for the channel + simplified 802.11 DCF MAC using small static
 // topologies: delivery in range, no delivery out of range, ACK/retry
-// behaviour, hidden-terminal collisions, queue drop-tail and broadcast.
+// behaviour, hidden-terminal collisions, half duplex, queue drop-tail and
+// broadcast.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "mac/channel.hpp"
+#include "mac/frame.hpp"
 #include "mac/mac.hpp"
 #include "net/world.hpp"
 #include "phy/propagation.hpp"
@@ -247,6 +250,78 @@ TEST(Mac, DuplicateFilterSuppressesUnicastRetriesOnly) {
   EXPECT_GT(rx.duplicatesSuppressed, 0u);
   EXPECT_EQ(rx.rxData, net.nodes[1].received.size());
   EXPECT_GT(net.macs[0]->stats().retries, 0u);
+}
+
+TEST(Mac, OwnTransmissionBlocksReception) {
+  // Half duplex: a radio that was on air at any time during a frame cannot
+  // decode it. Nodes 0 and 2 put frames on air straight through the
+  // channel at chosen times (no contention, so nothing defers); node 1
+  // answers node 0's unicasts with ACKs through its own MAC. cwMin 0 means
+  // no backoff draw, so node 1's broadcast goes on air DIFS after it is
+  // queued.
+  MacParams mp;
+  mp.cwMin = 0;
+  StaticNet net{{{0, 0}, {100, 0}, {200, 0}}, 250.0, mp};
+  glr::test::ClosureSink clock{net.sim};
+  const auto airtime = [&](std::size_t bytes) {
+    return mp.phyOverhead + static_cast<double>(bytes) * 8.0 / mp.bitRateBps;
+  };
+  const auto putOnAir = [&](int src, int dst, std::uint64_t seq,
+                            std::string kind) {
+    glr::mac::Frame frame;
+    frame.src = src;
+    frame.dst = dst;
+    frame.seq = seq;
+    frame.packet = net.makePacket(std::move(kind));
+    frame.bytes = frame.packet.bytes + mp.macHeaderBytes;
+    const double duration = airtime(frame.bytes);
+    net.channel->startTransmission(src, std::move(frame), duration);
+    return duration;
+  };
+  const auto count = [&](const std::string& kind) {
+    int n = 0;
+    for (const auto& [k, from] : net.nodes[1].received) n += k == kind;
+    return n;
+  };
+  const double ackDur = airtime(mp.ackBytes);
+
+  // (a) Node 0's unicast lands at 1, whose ACK goes on air SIFS later;
+  // node 2 starts a broadcast halfway through that ACK.
+  clock.scheduleAt(0.010, [&] {
+    const double dataEnd = net.sim.now() + putOnAir(0, 1, 1, "d1");
+    clock.scheduleAt(dataEnd + mp.sifs + ackDur / 2,
+                     [&] { putOnAir(2, kBroadcast, 0, "a"); });
+  });
+  net.sim.run(0.050);
+  EXPECT_EQ(count("d1"), 1);
+  EXPECT_EQ(net.macs[1]->stats().ackTx, 1u);
+  EXPECT_EQ(count("a"), 0);
+  EXPECT_EQ(net.channel->stats().rxWhileTx, 1u);
+
+  // (b) The same exchange again, but node 2 starts exactly when the ACK
+  // ends: the intervals only touch, so node 1 decodes it.
+  clock.scheduleAt(0.100, [&] {
+    const double dataEnd = net.sim.now() + putOnAir(0, 1, 2, "d2");
+    clock.scheduleAt(dataEnd + mp.sifs + ackDur,
+                     [&] { putOnAir(2, kBroadcast, 0, "b"); });
+  });
+  net.sim.run(0.150);
+  EXPECT_EQ(count("d2"), 1);
+  EXPECT_EQ(net.macs[1]->stats().ackTx, 2u);
+  EXPECT_EQ(count("b"), 1);
+  EXPECT_EQ(net.channel->stats().rxWhileTx, 1u);
+
+  // (c) Node 1 broadcasts through its MAC; node 2 starts a frame while
+  // that broadcast is on air.
+  clock.scheduleAt(0.200, [&] {
+    ASSERT_TRUE(net.macs[1]->send(net.makePacket("own"), kBroadcast));
+    clock.scheduleAt(net.sim.now() + mp.difs + airtime(128) / 2,
+                     [&] { putOnAir(2, kBroadcast, 0, "c"); });
+  });
+  net.sim.run(0.250);
+  EXPECT_EQ(net.macs[1]->stats().dataTx, 1u);
+  EXPECT_EQ(count("c"), 0);
+  EXPECT_EQ(net.channel->stats().rxWhileTx, 2u);
 }
 
 TEST(Mac, AirTimeAccounted) {
