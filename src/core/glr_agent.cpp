@@ -174,7 +174,7 @@ void GlrAgent::maybePerturbDestination(dtn::Message& m) {
                            0.0, params_->network.areaHeight);
   m.destLocPerturbed = true;
   m.stuckCount = 0;
-  ++counters_.perturbations;
+  ++tally().perturbations;
 }
 
 void GlrAgent::checkRoutes() {
@@ -198,7 +198,7 @@ void GlrAgent::checkRoutes() {
     // alike). Direct delivery below is exempt — the destination is the
     // endpoint of the custody chain, not a relay.
     if (params_->recovery && isSuspect(id)) {
-      ++counters_.suspectSkips;
+      ++tally().suspectSkips;
       continue;
     }
     if (const auto pos = neighbors_.neighborPosition(id); pos.has_value()) {
@@ -294,7 +294,7 @@ void GlrAgent::checkRoutes() {
         m->faceEntryNode = self_;
         m->faceHops = 0;
         m->facePrevHop = -1;
-        ++counters_.faceTransitions;
+        ++tally().faceTransitions;
         const auto next = faceNextHop(self, destPos, spannerNbrs);
         if (next.has_value()) {
           m->faceHops = 1;
@@ -352,7 +352,7 @@ void GlrAgent::sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,
   ack.payload = net::Payload::of(CustodyAck{key, accepted});
   if (world_.macOf(self_).send(std::move(ack), to)) {
     if (accepted) {
-      ++counters_.custodyAcksSent;
+      ++tally().custodyAcksSent;
       if (trace::Recorder* t = world_.trace()) {
         t->record(trace::EventType::kCustodyAccept, self_, to, key.id.src,
                   key.id.seq, 0, static_cast<std::uint8_t>(key.flag));
@@ -378,7 +378,7 @@ void GlrAgent::sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,
   } else {
     // Out of retries: the ack is abandoned (the sender's custody timer
     // recovers the copy). Counted, never silent.
-    ++counters_.sendRejects;
+    ++tally().sendRejects;
   }
 }
 
@@ -427,7 +427,7 @@ void GlrAgent::noteCustodyFailure(int hop) {
     // Count only fresh verdicts; failures while already suspect (in-flight
     // custody rounds draining) just extend the existing one.
     if (now >= s.until) {
-      ++counters_.suspicionsRaised;
+      ++tally().suspicionsRaised;
       if (trace::Recorder* t = world_.trace()) {
         t->record(trace::EventType::kSuspicion, self_, hop, -1, -1,
                   static_cast<std::uint16_t>(s.failures));
@@ -452,7 +452,7 @@ void GlrAgent::attemptRecovery(dtn::Message& m) {
   // their recipients. Bypasses the custody window deliberately: the window
   // is flow control for the chain that is failing. Fanout, per-copy
   // cooldown and the duplicate merge at receivers bound the replication.
-  ++counters_.recoveryActivations;
+  ++tally().recoveryActivations;
   m.lastRecoveryAt = world_.sim().now();
   m.deliveryFailures = 0;
   int fanout = params_->recoveryFanout;
@@ -460,7 +460,7 @@ void GlrAgent::attemptRecovery(dtn::Message& m) {
     if (fanout <= 0) break;
     if (id == m.dstNode) continue;  // the direct-delivery path handles it
     if (isSuspect(id)) {
-      ++counters_.suspectSkips;
+      ++tally().suspectSkips;
       continue;
     }
     dtn::Message clone = m;
@@ -470,8 +470,8 @@ void GlrAgent::attemptRecovery(dtn::Message& m) {
     packet.bytes = clone.payloadBytes + params_->dataHeaderBytes;
     packet.payload = net::Payload::of(std::move(clone));
     if (world_.macOf(self_).send(std::move(packet), id)) {
-      ++counters_.recoverySprays;
-      ++counters_.dataSent;
+      ++tally().recoverySprays;
+      ++tally().dataSent;
       if (trace::Recorder* t = world_.trace()) {
         t->record(trace::EventType::kSend, self_, id, m.id.src, m.id.seq,
                   static_cast<std::uint16_t>(m.hops),
@@ -479,7 +479,7 @@ void GlrAgent::attemptRecovery(dtn::Message& m) {
       }
       --fanout;
     } else {
-      ++counters_.sendRejects;
+      ++tally().sendRejects;
     }
   }
 }
@@ -504,8 +504,8 @@ bool GlrAgent::sendCopy(const dtn::CopyKey& key, int nextHop) {
   if (!queued) {
     // Interface queue full: the frame never went on air, so the copy simply
     // stays in the Store for a later check (no duplicate risk).
-    ++counters_.txFailures;
-    ++counters_.sendRejects;
+    ++tally().txFailures;
+    ++tally().sendRejects;
     return false;
   }
   if (params_->custodyTransfer) {
@@ -521,7 +521,7 @@ bool GlrAgent::sendCopy(const dtn::CopyKey& key, int nextHop) {
   } else {
     buffer_.erase(key);
   }
-  ++counters_.dataSent;
+  ++tally().dataSent;
   if (trace::Recorder* t = world_.trace()) {
     t->record(trace::EventType::kSend, self_, nextHop, key.id.src,
               key.id.seq, 0, static_cast<std::uint8_t>(key.flag));
@@ -541,7 +541,7 @@ void GlrAgent::onCustodyTimeout(const dtn::CopyKey& key, sim::SimTime sentAt) {
     }
   }
   buffer_.returnToStore(key);
-  ++counters_.cacheTimeouts;
+  ++tally().cacheTimeouts;
   if (params_->recovery) {
     if (dtn::Message* mm = buffer_.findInStore(key)) {
       ++mm->deliveryFailures;
@@ -566,7 +566,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
   if (pm == nullptr) return;
   dtn::Message m = *pm;
   m.hops += 1;
-  ++counters_.dataReceived;
+  ++tally().dataReceived;
 
   // Adversarial behavior applies only to the relay path: a misbehaving node
   // still receives its own traffic (and originates normally). A blackhole
@@ -598,7 +598,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
       m.dstNode != self_ && !deliveredHere(m.id) &&
       !buffer_.contains(m.key()) &&
       buffer_.size() >= params_->custodyWatermark) {
-    ++counters_.custodyRefusals;
+    ++tally().custodyRefusals;
     if (trace::Recorder* t = world_.trace()) {
       t->record(trace::EventType::kCustodyRefuse, self_, fromMac, m.id.src,
                 m.id.seq, 0, static_cast<std::uint8_t>(m.flag));
@@ -630,7 +630,7 @@ void GlrAgent::handleData(const net::Packet& packet, int fromMac) {
   // instance (or is the destination): the custody ack then merges the fork
   // without ever deleting the last live copy.
   if (deliveredHere(m.id) || buffer_.contains(m.key())) {
-    ++counters_.duplicatesDropped;
+    ++tally().duplicatesDropped;
     return;
   }
   // Holder-local retry state restarts at each hop; the face cooldown
@@ -668,7 +668,7 @@ void GlrAgent::handleAck(const net::Packet& packet, int fromMac) {
     sentAt = buffer_.cacheEntrySentAt(ack->key);
   }
   if (buffer_.removeFromCache(ack->key).has_value()) {
-    ++counters_.custodyAcksReceived;
+    ++tally().custodyAcksReceived;
     if (params_->recovery) noteCustodySuccess(fromMac);
     if (params_->congestionControl) {
       if (sentAt.has_value()) {
@@ -687,7 +687,7 @@ void GlrAgent::handleAck(const net::Packet& packet, int fromMac) {
 void GlrAgent::onTxStatus(const net::Packet& packet, int /*dstMac*/,
                           bool success) {
   if (success || packet.kind != kGlrDataKind) return;
-  ++counters_.txFailures;
+  ++tally().txFailures;
   // MAC gave up (next hop moved away / collisions): reschedule the copy now
   // rather than waiting for the full cache timeout.
   if (const auto* pm = packet.payload.get<dtn::Message>()) {

@@ -6,10 +6,12 @@ namespace glr::dtn {
 
 template <class Ar>
 void LocationTable::visit(Ar& ar) {
-  ar.unorderedMap(table_, [&](int& id, Entry& entry) {
-    ar.i32(id);
-    ckpt::visit(ar, entry.pos);
-    ar.f64(entry.at);
+  ckpt::visitBuiltOnUse(ar, table_, [&](Map& table) {
+    ar.unorderedMap(table, [&](int& id, Entry& entry) {
+      ar.i32(id);
+      ckpt::visit(ar, entry.pos);
+      ar.f64(entry.at);
+    });
   });
 }
 

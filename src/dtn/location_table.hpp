@@ -7,6 +7,7 @@
 /// for a message's destination, so it records only ids that can be one
 /// (GlrParams::destinationIds), not every node it hears of.
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -25,7 +26,8 @@ class LocationTable {
   /// Records an observation; keeps it only if fresher than what is stored.
   /// Returns true if the table was updated.
   bool update(int id, geom::Point2 pos, sim::SimTime at) {
-    auto [it, inserted] = table_.try_emplace(id, Entry{pos, at});
+    if (table_ == nullptr) table_ = std::make_unique<Map>();
+    auto [it, inserted] = table_->try_emplace(id, Entry{pos, at});
     if (inserted) return true;
     if (at > it->second.at) {
       it->second = {pos, at};
@@ -35,12 +37,15 @@ class LocationTable {
   }
 
   [[nodiscard]] std::optional<Entry> lookup(int id) const {
-    const auto it = table_.find(id);
-    if (it == table_.end()) return std::nullopt;
+    if (table_ == nullptr) return std::nullopt;
+    const auto it = table_->find(id);
+    if (it == table_->end()) return std::nullopt;
     return it->second;
   }
 
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return table_ == nullptr ? 0 : table_->size();
+  }
 
   /// Drops every observation older than `olderThan`. The table is a pure
   /// key-value lookup (nothing iterates it), so pruning is only observable
@@ -48,9 +53,10 @@ class LocationTable {
   /// entries. City-scale runs call this periodically so a node keeps only
   /// the destinations it has heard of recently, not every one it ever has.
   void prune(sim::SimTime olderThan) {
-    for (auto it = table_.begin(); it != table_.end();) {
+    if (table_ == nullptr) return;
+    for (auto it = table_->begin(); it != table_->end();) {
       if (it->second.at < olderThan) {
-        it = table_.erase(it);
+        it = table_->erase(it);
       } else {
         ++it;
       }
@@ -66,7 +72,11 @@ class LocationTable {
   void visit(Ar& ar);
 
  private:
-  std::unordered_map<int, Entry> table_;
+  using Map = std::unordered_map<int, Entry>;
+
+  /// Built at the first update, as most relays of a large world never
+  /// record a location.
+  std::unique_ptr<Map> table_;
 };
 
 }  // namespace glr::dtn

@@ -257,7 +257,7 @@ void Channel::startTransmission(int sender, Frame frame, double duration) {
 bool Channel::mediumBusy(int nodeId) const {
   const auto id = static_cast<std::size_t>(nodeId);
   if (id < macs_.size() && macs_[id] != nullptr &&
-      macs_[id]->transmittedDuring(sim_.now(), sim_.now())) {
+      macs_[id]->transmittedSince(sim_.now())) {
     return true;
   }
   const geom::Point2 pos = positionOf_(nodeId);
@@ -392,7 +392,7 @@ void Channel::finishTransmission(std::uint64_t txId) {
         if (signal < thresholds_.rxThresholdW) continue;  // out of range
         const int v = candIds_[i];
         Mac* mac = macs_[static_cast<std::size_t>(v)];
-        if (mac->transmittedDuring(txStart, txEnd)) {
+        if (mac->transmittedSince(txStart)) {
           ++stats_.rxWhileTx;
           continue;
         }

@@ -1,6 +1,7 @@
 #include "mac/mac.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -120,9 +121,7 @@ void Mac::transmitHead() {
 
   const double duration = frameDuration(frame.bytes);
   transmitting_ = true;
-  lastTxStart_ = sim_.now();
-  lastTxEnd_ = sim_.now() + duration;
-  recordOwnTx(lastTxStart_, lastTxEnd_);
+  recordOwnTx(duration);
   ++stats_.dataTx;
   if (out.attempts > 0) ++stats_.retries;
 
@@ -250,15 +249,6 @@ void Mac::onFrameReceived(const Frame& frame) {
   if (client_ != nullptr) client_->onPacket(frame.packet, frame.src);
 }
 
-bool Mac::transmittedDuring(sim::SimTime start, sim::SimTime end) const {
-  if (start >= recentTxEndMax_) return false;
-  for (std::size_t i = 0; i < recentTxCount_; ++i) {
-    const auto& [s, e] = recentTx_[i];
-    if (s <= end && start < e) return true;
-  }
-  return false;
-}
-
 void Mac::sendAckReply(int dst, std::uint64_t seq, double ackDur,
                        std::uint64_t epoch) {
   if (epoch != radioEpoch_) return;  // radio toggled during SIFS
@@ -268,7 +258,7 @@ void Mac::sendAckReply(int dst, std::uint64_t seq, double ackDur,
   ack.dst = dst;
   ack.seq = seq;
   ack.bytes = params_->ackBytes;
-  recordOwnTx(sim_.now(), sim_.now() + ackDur);
+  recordOwnTx(ackDur);
   ++stats_.ackTx;
   channel_.startTransmission(self_, std::move(ack), ackDur);
 }
@@ -290,24 +280,13 @@ void Mac::visit(Ar& ar) {
   ar.u64(radioEpoch_);
   ar.u64(nextSeq_);
   ar.u64(awaitedSeq_);
-  ar.f64(lastTxStart_);
-  ar.f64(lastTxEnd_);
-  ar.u64(recentTxCount_);
-  ar.u64(recentTxNext_);
+  ar.f64(txEnd_);
   if constexpr (Ar::kLoading) {
-    if (recentTxCount_ > recentTx_.size() ||
-        recentTxNext_ >= recentTx_.size()) {
-      ar.fail("recent-tx ring cursor out of range");
-    }
-  }
-  for (auto& [start, end] : recentTx_) {
-    ar.f64(start);
-    ar.f64(end);
-  }
-  if constexpr (Ar::kLoading) {
-    recentTxEndMax_ = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < recentTxCount_; ++i) {
-      recentTxEndMax_ = std::max(recentTxEndMax_, recentTx_[i].second);
+    // -inf: never transmitted. +inf would keep the radio from ever
+    // sending or receiving again; NaN would let it decode while on air.
+    if (std::isnan(txEnd_) ||
+        txEnd_ == std::numeric_limits<double>::infinity()) {
+      ar.fail("transmit end is NaN or +inf");
     }
   }
   ar.sequence(lastSeqFrom_, 12, [&](std::pair<int, std::uint64_t>& seen) {

@@ -11,7 +11,6 @@
 /// (collision loss, delay growth under load) is preserved.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -101,11 +100,14 @@ class Mac : public sim::EventSink {
 
   /// Channel-facing: frame arrived intact at this node.
   void onFrameReceived(const Frame& frame);
-  /// Channel-facing: true if this MAC was transmitting during [start, end].
-  /// A query starting at or after the end of this MAC's last recorded
-  /// transmission returns at once, without scanning the ring.
-  [[nodiscard]] bool transmittedDuring(sim::SimTime start,
-                                       sim::SimTime end) const;
+  /// Channel-facing: true if this MAC was on air (DATA or ACK) at any time
+  /// after `t`, i.e. `t` is before the end of its latest transmission. The
+  /// channel asks only about intervals that end at the clock, and every
+  /// transmission starts at the clock, so this equals "on air at some
+  /// point of [t, now]".
+  [[nodiscard]] bool transmittedSince(sim::SimTime t) const {
+    return t < txEnd_;
+  }
 
   /// Radio duty-cycle gate (node churn). While down the MAC neither
   /// transmits nor receives: send() drops (counted in radioDownDrops), the
@@ -117,15 +119,16 @@ class Mac : public sim::EventSink {
   [[nodiscard]] bool radioUp() const { return radioUp_; }
   /// Channel-facing: true if the radio has been continuously up since
   /// `start`. A frame is received only when the radio was on for its whole
-  /// airtime — the receive-side mirror of transmittedDuring.
+  /// airtime — the receive-side mirror of transmittedSince.
   [[nodiscard]] bool radioUpSince(sim::SimTime start) const {
     return radioUp_ && upSince_ <= start;
   }
 
   /// Checkpoint support: interface queue (packets by content), contention/
-  /// ACK state machine flags, radio gate + epoch, recent-tx ring, duplicate
-  /// table, RNG stream and counters. Event handles are not serialized: the
-  /// restore takes them back through adoptHandle below.
+  /// ACK state machine flags, radio gate + epoch, the end of the latest own
+  /// transmission, duplicate table, RNG stream and counters. Event handles
+  /// are not serialized: the restore takes them back through adoptHandle
+  /// below.
   template <class Ar>
   void visit(Ar& ar);
 
@@ -146,11 +149,9 @@ class Mac : public sim::EventSink {
     std::uint64_t seq = 0;
   };
 
-  void recordOwnTx(sim::SimTime start, sim::SimTime end) {
-    recentTx_[recentTxNext_] = {start, end};
-    recentTxNext_ = (recentTxNext_ + 1) % recentTx_.size();
-    if (recentTxCount_ < recentTx_.size()) ++recentTxCount_;
-    recentTxEndMax_ = std::max(recentTxEndMax_, end);
+  /// A transmission of `duration` seconds starts now.
+  void recordOwnTx(double duration) {
+    txEnd_ = std::max(txEnd_, sim_.now() + duration);
   }
 
   void scheduleAttempt();
@@ -178,8 +179,12 @@ class Mac : public sim::EventSink {
   bool attemptScheduled_ = false;
   bool transmitting_ = false;
   bool awaitingAck_ = false;
+  // The channel reads these three for every candidate receiver of a frame.
   bool radioUp_ = true;
   sim::SimTime upSince_ = 0.0;  // when the radio last turned (or started) on
+  // The latest end of an own transmission, DATA or ACK (-inf before the
+  // first), for rx-while-tx decisions.
+  sim::SimTime txEnd_ = -std::numeric_limits<double>::infinity();
   // Bumped on every up/down transition; in-flight tx-end and ACK-reply
   // events compare their captured epoch so a toggle mid-frame can never
   // attach a stale completion to a newer queue head.
@@ -188,17 +193,6 @@ class Mac : public sim::EventSink {
   std::uint64_t awaitedSeq_ = 0;
   sim::EventHandle attemptHandle_;
   sim::EventHandle ackTimeoutHandle_;
-  sim::SimTime lastTxStart_ = -1.0;
-  sim::SimTime lastTxEnd_ = -1.0;
-  // Own recent transmissions (DATA + ACK), for rx-while-tx decisions: a
-  // fixed 16-slot ring (the old bounded deque, without its block churn).
-  std::array<std::pair<sim::SimTime, sim::SimTime>, 16> recentTx_{};
-  std::size_t recentTxCount_ = 0;  // valid entries (caps at 16)
-  std::size_t recentTxNext_ = 0;   // slot the next record overwrites
-  // The latest end recorded (-inf before the first): no ring entry ends
-  // after it, so no interval starting at or after it overlaps one. A
-  // restore rebuilds it from the ring instead of saving it.
-  sim::SimTime recentTxEndMax_ = -std::numeric_limits<double>::infinity();
 
   // Duplicate detection: the seq of the last unicast to this node, per
   // sender. Only unicast senders get an entry (broadcasts are never

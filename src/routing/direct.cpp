@@ -56,9 +56,9 @@ void DirectDeliveryAgent::check() {
                   key.id.seq);
       }
       buffer_.erase(key);
-      ++counters_.dataSent;
+      ++tally().dataSent;
     } else {
-      ++counters_.sendRejects;
+      ++tally().sendRejects;
     }
   }
   world_.sim().schedule(params_->checkInterval, *this,

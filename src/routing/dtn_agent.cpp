@@ -42,7 +42,8 @@ AgentBase::AgentBase(net::World& world, int self,
 }
 
 void AgentBase::harvestCounters(ProtocolCounters& out) const {
-#define GLR_ADD_COUNTER(field, resultField) out.field += counters_.field;
+  const ProtocolCounters& counted = counters();
+#define GLR_ADD_COUNTER(field, resultField) out.field += counted.field;
   GLR_PROTOCOL_COUNTERS(GLR_ADD_COUNTER)
 #undef GLR_ADD_COUNTER
   out.sendRejects += neighbors_.helloSendFailures();
@@ -87,10 +88,18 @@ void AgentBase::visitState(Ar& ar) {
     return c == &ProtocolCounters::bufferEvictions ||
            c == &ProtocolCounters::expiredDrops;
   };
+  // A block never built is written as the zero block it stands for. A built
+  // one has counted something, so a zero block restores as none.
+  ProtocolCounters counted = counters();
 #define GLR_VISIT_COUNTER(field, resultField) \
-  if (!bufferOwned(&ProtocolCounters::field)) ar.u64(counters_.field);
+  if (!bufferOwned(&ProtocolCounters::field)) ar.u64(counted.field);
   GLR_PROTOCOL_COUNTERS(GLR_VISIT_COUNTER)
 #undef GLR_VISIT_COUNTER
+  if constexpr (Ar::kLoading) {
+    counters_ = counted == ProtocolCounters{}
+                    ? nullptr
+                    : std::make_unique<ProtocolCounters>(counted);
+  }
   ar.i32(nextSeq_);
 }
 

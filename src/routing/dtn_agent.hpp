@@ -27,10 +27,10 @@ namespace glr::routing {
 
 /// Protocol counters a routing agent exports to the experiment harness when
 /// a scenario ends, one X(field, resultField) entry each: `field` is the
-/// ProtocolCounters member an agent increments directly (AgentBase's
-/// `counters_`), `resultField` the experiment::ScenarioResult member it is
-/// summed into over every agent. The result struct, its comparator, the
-/// agents' harvest and checkpoint visit, the end-of-run harvest and the
+/// ProtocolCounters member an agent increments (through
+/// AgentBase::tally()), `resultField` the experiment::ScenarioResult member
+/// it is summed into over every agent. The result struct, its comparator,
+/// the agents' harvest and checkpoint visit, the end-of-run harvest and the
 /// per-node export columns are all generated from this list, so adding a
 /// counter is one entry here plus its increment. The vocabulary follows GLR
 /// (the paper's protocol, which defines every one of them); other protocols
@@ -65,6 +65,8 @@ struct ProtocolCounters {
 #define GLR_DECLARE_COUNTER(field, resultField) std::uint64_t field = 0;
   GLR_PROTOCOL_COUNTERS(GLR_DECLARE_COUNTER)
 #undef GLR_DECLARE_COUNTER
+
+  bool operator==(const ProtocolCounters&) const = default;
 };
 
 class DtnAgent : public net::Agent {
@@ -103,8 +105,8 @@ class DtnAgent : public net::Agent {
 /// What every routing protocol here keeps per node, written once: the hello
 /// service (whose owner it is), the message buffer, the ids delivered here,
 /// the next message sequence number and one ProtocolCounters block that
-/// each protocol increments directly. A protocol derives from it and keeps
-/// only its own parameters, state, events and logic; it hears of new
+/// each protocol increments through tally(). A protocol derives from it and
+/// keeps only its own parameters, state, events and logic; it hears of new
 /// contacts and hello location samples by overriding the Owner hooks.
 class AgentBase : public DtnAgent, public net::NeighborService::Owner {
  public:
@@ -136,7 +138,11 @@ class AgentBase : public DtnAgent, public net::NeighborService::Owner {
   /// not own.
   void onEvent(const sim::EventDesc& desc) override;
 
-  [[nodiscard]] const ProtocolCounters& counters() const { return counters_; }
+  /// This agent's counters (all zero until its first increment).
+  [[nodiscard]] const ProtocolCounters& counters() const {
+    static constexpr ProtocolCounters kNone{};
+    return counters_ != nullptr ? *counters_ : kNone;
+  }
   [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }
 
  protected:
@@ -166,6 +172,12 @@ class AgentBase : public DtnAgent, public net::NeighborService::Owner {
 
   [[nodiscard]] geom::Point2 myPos() { return world_.positionOf(self_); }
 
+  /// The counter block to increment, built at its first use.
+  [[nodiscard]] ProtocolCounters& tally() {
+    if (counters_ == nullptr) counters_ = std::make_unique<ProtocolCounters>();
+    return *counters_;
+  }
+
   net::World& world_;
   int self_;
   int nextSeq_ = 0;
@@ -173,12 +185,14 @@ class AgentBase : public DtnAgent, public net::NeighborService::Owner {
   sim::Rng rng_;
   net::NeighborService neighbors_;
   dtn::MessageBuffer buffer_;
-  ProtocolCounters counters_;
 
  private:
   /// Ids delivered here; built at the first delivery, as most nodes of a
   /// large world are never a destination.
   std::unique_ptr<std::unordered_set<dtn::MessageId>> deliveredHere_;
+  /// Built at the first increment, as most relays of a large world never
+  /// count anything (see tally()).
+  std::unique_ptr<ProtocolCounters> counters_;
 
   template <class Ar>
   void visitState(Ar& ar);

@@ -68,7 +68,7 @@ void EpidemicAgent::sendSummary(int to, bool full) {
   p.kind = kEpSvKind;
   p.bytes = params_->svHeaderBytes + params_->svEntryBytes * sv.ids.size();
   p.payload = std::move(payload);
-  if (!world_.macOf(self_).send(std::move(p), to)) ++counters_.sendRejects;
+  if (!world_.macOf(self_).send(std::move(p), to)) ++tally().sendRejects;
 }
 
 void EpidemicAgent::originate(int dstNode) {
@@ -111,7 +111,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
     p.bytes = params_->svHeaderBytes + params_->svEntryBytes * req.ids.size();
     p.payload = std::move(payload);
     if (!world_.macOf(self_).send(std::move(p), fromMac)) {
-      ++counters_.sendRejects;
+      ++tally().sendRejects;
     }
     return;
   }
@@ -127,9 +127,9 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
       p.bytes = m->payloadBytes + params_->dataHeaderBytes;
       p.payload = net::Payload::of(*m);
       if (!world_.macOf(self_).send(std::move(p), fromMac)) {
-        ++counters_.sendRejects;
+        ++tally().sendRejects;
       }
-      ++counters_.dataSent;
+      ++tally().dataSent;
       if (trace::Recorder* t = world_.trace()) {
         t->record(trace::EventType::kSend, self_, fromMac, id.src, id.seq);
       }
@@ -142,7 +142,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
     if (pm == nullptr) return;
     dtn::Message m = *pm;
     m.hops += 1;
-    ++counters_.dataReceived;
+    ++tally().dataReceived;
     // Adversaries misbehave only on the relay path: traffic addressed to
     // this node is always delivered (and the drop is counted centrally by
     // the AdversaryModel, never silently). Epidemic has no custody, so a
@@ -156,7 +156,7 @@ void EpidemicAgent::onPacket(const net::Packet& packet, int fromMac) {
       }
     }
     if (buffer_.containsAnyBranch(m.id) || deliveredHere(m.id)) {
-      ++counters_.duplicatesDropped;
+      ++tally().duplicatesDropped;
       return;
     }
     if (m.dstNode == self_) {

@@ -76,7 +76,7 @@ void SprayWaitAgent::onContact(int id) {
   p.kind = kSwSvKind;
   p.bytes = params_->svHeaderBytes + params_->svEntryBytes * sv.ids.size();
   p.payload = std::move(payload);
-  if (!world_.macOf(self_).send(std::move(p), id)) ++counters_.sendRejects;
+  if (!world_.macOf(self_).send(std::move(p), id)) ++tally().sendRejects;
 }
 
 void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
@@ -99,7 +99,7 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
     p.bytes = params_->svHeaderBytes + params_->svEntryBytes * req.ids.size();
     p.payload = std::move(payload);
     if (!world_.macOf(self_).send(std::move(p), fromMac)) {
-      ++counters_.sendRejects;
+      ++tally().sendRejects;
     }
     return;
   }
@@ -121,12 +121,12 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
       p.bytes = m->payloadBytes + params_->dataHeaderBytes;
       p.payload = net::Payload::of(out);
       if (world_.macOf(self_).send(std::move(p), fromMac)) {
-        ++counters_.dataSent;
+        ++tally().dataSent;
         if (trace::Recorder* t = world_.trace()) {
           t->record(trace::EventType::kSend, self_, fromMac, id.src, id.seq);
         }
       } else {
-        ++counters_.sendRejects;
+        ++tally().sendRejects;
       }
       if (toDestination) {
         buffer_.erase({id, dtn::TreeFlag::kNone});
@@ -143,7 +143,7 @@ void SprayWaitAgent::onPacket(const net::Packet& packet, int fromMac) {
     if (sd == nullptr) return;
     dtn::Message m = sd->message;
     m.hops += 1;
-    ++counters_.dataReceived;
+    ++tally().dataReceived;
     // Relay-path adversary hook (own traffic always accepted). The sender
     // has already handed over half its budget, so a blackhole relay burns
     // logical copies — exactly the attack surface the resilience bench

@@ -32,6 +32,11 @@
 #include "checkpoint/scenario_checkpoint.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
+#include "mac/channel.hpp"
+#include "mac/mac.hpp"
+#include "phy/propagation.hpp"
+#include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -301,7 +306,7 @@ TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Format pin: the GLRK v4 bytes of one small snapshot per protocol family
+// Format pin: the GLRK v5 bytes of one small snapshot per protocol family
 // (plus the calendar kernel) are fixed, so existing .ckpt files and in-cell
 // sweep snapshots keep restoring and snapshot sizes cannot drift silently.
 // A deliberate layout change must bump kCheckpointVersion, not re-pin; a
@@ -327,7 +332,7 @@ void expectPinnedDigest(ScenarioConfig cfg, const std::string& name,
   const std::vector<char> bytes = slurp(path);
   EXPECT_EQ(glr::ckpt::fnv1a64(bytes.data(), bytes.size()), digest)
       << name << ": checkpoint bytes changed (" << bytes.size()
-      << " bytes) — the GLRK v4 format is pinned";
+      << " bytes) — the GLRK v5 format is pinned";
   removeSnapshots(path);
 }
 
@@ -877,6 +882,51 @@ TEST(CheckpointCodec, BadTreeFlagRefused) {
   expectDecodeRefused(
       patched, [&](Decoder& d) { glr::ckpt::visit(d, m); },
       "invalid tree flag");
+}
+
+/// Encodes a lone, never-transmitting MAC, replaces its transmit end with
+/// `end` and expects the restore to refuse it.
+void expectTransmitEndRefused(double end) {
+  glr::sim::Simulator sim;
+  glr::phy::TwoRayGround model;
+  const glr::phy::RadioParams radio;
+  glr::mac::Channel channel{sim, model,
+                            glr::phy::solveThresholds(model, radio),
+                            radio.txPowerW,
+                            [](int) { return glr::geom::Point2{}; }};
+  glr::mac::Mac mac{sim, channel, 0, glr::mac::MacParams{},
+                    glr::sim::Rng{1}};
+  Encoder e;
+  mac.visit(e);
+  std::vector<unsigned char> bytes = e.data();
+  // The end follows the RNG (32 bytes), the queue count (8), four flags
+  // and four 8-byte fields: 76 bytes. It holds -inf (never transmitted).
+  constexpr std::size_t kAt = 76;
+  const auto f64Bytes = [](double v) {
+    Encoder one;
+    one.f64(v);
+    return one.data();
+  };
+  const std::vector<unsigned char> never =
+      f64Bytes(-std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(std::equal(never.begin(), never.end(), bytes.begin() + kAt));
+  Decoder unpatched{bytes.data(), bytes.size(), "test section"};
+  mac.visit(unpatched);  // -inf restores
+  const std::vector<unsigned char> patch = f64Bytes(end);
+  std::copy(patch.begin(), patch.end(), bytes.begin() + kAt);
+  Encoder patched;
+  patched.bytes(bytes.data(), bytes.size());
+  expectDecodeRefused(
+      patched, [&](Decoder& d) { mac.visit(d); },
+      "transmit end is NaN or +inf");
+}
+
+TEST(CheckpointCodec, NanTransmitEndRefused) {
+  expectTransmitEndRefused(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(CheckpointCodec, InfiniteTransmitEndRefused) {
+  expectTransmitEndRefused(std::numeric_limits<double>::infinity());
 }
 
 TEST(CheckpointCodec, UnreachableMapOrderRefused) {

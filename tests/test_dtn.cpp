@@ -1,11 +1,13 @@
 // Tests for DTN message management: Store/Cache custody semantics, the
 // paper's eviction policy (cache dropped first, FIFO within area), peak
 // tracking, the never-filled buffer (whose areas are built at the first
-// insert), the buffer's checkpoint round trip and the location table's
-// freshest-wins rule.
+// insert), the buffer's checkpoint round trip, and the location table's
+// freshest-wins rule, never-updated state (its map is built at the first
+// update) and checkpoint round trip.
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
 #include "checkpoint/codec.hpp"
@@ -252,6 +254,69 @@ TEST(LocationTable, MissingLookup) {
   LocationTable t;
   EXPECT_FALSE(t.lookup(7).has_value());
   EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(LocationTable, NeverUpdatedTableAnswersEveryQuery) {
+  LocationTable t;
+  EXPECT_FALSE(t.lookup(7).has_value());
+  EXPECT_EQ(t.size(), 0u);
+  t.prune(1e9);
+  EXPECT_EQ(t.size(), 0u);
+  // Its snapshot is that of an empty map.
+  std::unordered_map<int, LocationTable::Entry> none;
+  glr::ckpt::Encoder empty;
+  empty.unorderedMap(none, [](int&, LocationTable::Entry&) {});
+  glr::ckpt::Encoder e;
+  t.visit(e);
+  EXPECT_EQ(e.data(), empty.data());
+  // The first update builds the map.
+  EXPECT_TRUE(t.update(7, {1, 2}, 3.0));
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.lookup(7)->at, 3.0);
+}
+
+/// Encodes `t`'s checkpoint state.
+std::vector<unsigned char> snapshot(LocationTable& t) {
+  glr::ckpt::Encoder e;
+  t.visit(e);
+  return e.take();
+}
+
+/// Restores `bytes` into `t`.
+void restore(LocationTable& t, const std::vector<unsigned char>& bytes) {
+  glr::ckpt::Decoder d{bytes.data(), bytes.size(), "location table test"};
+  t.visit(d);
+  d.expectEnd();
+}
+
+TEST(LocationTable, CheckpointRoundTripsNeverUpdatedUsedAndPrunedTables) {
+  LocationTable idle;
+  const auto idleBytes = snapshot(idle);
+  LocationTable idleBack;
+  restore(idleBack, idleBytes);
+  EXPECT_EQ(snapshot(idleBack), idleBytes);
+  EXPECT_EQ(idleBack.size(), 0u);
+
+  LocationTable used;
+  used.update(1, {10, 20}, 5.0);
+  used.update(2, {30, 40}, 8.0);
+  const auto usedBytes = snapshot(used);
+  LocationTable usedBack;
+  restore(usedBack, usedBytes);
+  EXPECT_EQ(snapshot(usedBack), usedBytes);
+  EXPECT_EQ(usedBack.lookup(2)->pos.y, 40.0);
+
+  // Updated, then pruned to empty: the map keeps its buckets, so it
+  // restores as built, not as the never-updated table.
+  used.prune(10.0);
+  EXPECT_EQ(used.size(), 0u);
+  const auto prunedBytes = snapshot(used);
+  EXPECT_NE(prunedBytes, idleBytes);
+  LocationTable prunedBack;
+  restore(prunedBack, prunedBytes);
+  EXPECT_EQ(snapshot(prunedBack), prunedBytes);
+  EXPECT_EQ(prunedBack.size(), 0u);
+  EXPECT_FALSE(prunedBack.lookup(1).has_value());
 }
 
 TEST(CopyKey, OrderingAndHash) {

@@ -126,6 +126,27 @@ TEST(GlrProtocol, CopyCountFollowsAlgorithm1) {
   EXPECT_EQ(agents2[0]->copyCount(), 3);  // 50 m: sparse
 }
 
+TEST(GlrProtocol, IdleAgentCountsNothing) {
+  // Two isolated nodes beacon hellos but carry no traffic, so neither
+  // agent ever builds its counter block; a third, in range of node 0,
+  // receives the one message node 0 sends.
+  Net net{{{0, 0}, {900, 900}, {100, 0}}, 150.0};
+  auto agents = net.addGlrAgents(net.glrParams(150.0));
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.sim.run(30.0);
+  ASSERT_EQ(net.metrics.deliveredCount(), 1u);
+  const glr::routing::ProtocolCounters zero;
+  glr::routing::ProtocolCounters idle;
+  agents[1]->harvestCounters(idle);
+  EXPECT_EQ(idle, zero);
+  EXPECT_EQ(agents[1]->counters(), zero);
+  glr::routing::ProtocolCounters sender;
+  agents[0]->harvestCounters(sender);
+  EXPECT_GT(sender.dataSent, 0u);
+  EXPECT_EQ(sender.dataSent, agents[0]->counters().dataSent);
+  EXPECT_GT(agents[2]->counters().dataReceived, 0u);
+}
+
 TEST(GlrProtocol, MultipleCopiesStoredWithDistinctFlags) {
   Net net{{{0, 0}, {900, 900}}, 50.0};  // isolated nodes: copies stay stored
   GlrParams p = net.glrParams(50.0);
