@@ -340,7 +340,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0xc9997c22c9b95350ULL);
+                     0x84f28f17666bee54ULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -349,7 +349,7 @@ TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
   cfg.traffic.rate = 3.0;
   cfg.messageTtl = 60.0;
   expectPinnedDigest(cfg, "pin_epidemic.bin",
-                     0x39bb84e67b628246ULL);
+                     0x03851297df5a5a5fULL);
 }
 
 TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
@@ -358,7 +358,7 @@ TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
   cfg.traffic.model = "hotspot";
   cfg.traffic.rate = 3.0;
   expectPinnedDigest(cfg, "pin_spray.bin",
-                     0xedb815e86aa99397ULL);
+                     0xd0a8dc62509ac34bULL);
 }
 
 TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
@@ -366,7 +366,7 @@ TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
   cfg.traffic.model = "flashcrowd";
   cfg.traffic.rate = 2.0;
   expectPinnedDigest(cfg, "pin_direct.bin",
-                     0xa69517094ddb1fa3ULL);
+                     0x3b1609a435e0c39fULL);
 }
 
 TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
@@ -374,7 +374,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0x79a9bc7218b37a07ULL);
+                     0xe6a6162a720c1221ULL);
 }
 
 // ---------------------------------------------------------------------------
