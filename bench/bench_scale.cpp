@@ -69,25 +69,26 @@ using glr::experiment::SpatialIndexMode;
 
 /// Idle-node resident ceiling the scale path commits to (bytes/node),
 /// asserted on every >=10k cell. The roadmap's aspirational figure is 1 KB.
-/// An idle GLR node today holds ~1.4 KB of constructed state: its MAC
-/// (608 B, 256 B of it the inline recent-tx ring) and the one-slot ring
-/// its interface queue grows on the first hello (64 B), its GLR agent
-/// (568 B: hello service, an empty message buffer whose areas are built at
-/// the first insert, counters) and its mobility model and world entry.
-/// Beside that sit bounded steady-state tables (the one-hop neighbor
-/// table, whose records share each hello's neighbor list with the sender
-/// instead of copying it, the sender's two list blocks, traffic-node
-/// locations; MAC duplicate entries only for unicast senders, so none on a
-/// node that only hears hellos), the kernel's event slab (4 slots of 64 B
-/// per node) and the calendar wheel's pooled records (40 B each). Measured
-/// on a 4-core Xeon (g++ 12.2): 2.3 KB/node at 10k nodes after 30 sim-s,
-/// 2.4 KB at 100k after 10 sim-s and 2.1 KB for the 1M smoke, so the
-/// budget is 3 KB. What the ceiling really polices is boundedness:
-/// without the eviction horizons a 10k cell grew by ~350 B/node per
-/// sim-second (8.6 KB/node after 10 sim-s); with them growth stops at the
-/// horizon. Closing the gap to 1 KB needs SoA-pooled agents/MACs (roadmap
-/// item).
-constexpr double kIdleBytesPerNodeCeiling = 3072.0;
+/// An idle GLR node today holds ~0.9 KB of constructed state: its MAC
+/// (320 B, which keeps only the end of its latest transmission) and the
+/// one-slot ring its interface queue grows on the first hello (64 B), its
+/// GLR agent (392 B: hello service and an empty message buffer whose areas
+/// are built at the first insert; counters and the location table are
+/// built at first use, so a relay that never counts holds neither) and its
+/// mobility model and world entry. Beside that sit bounded steady-state
+/// tables (the one-hop neighbor table, whose records share each hello's
+/// neighbor list with the sender instead of copying it, the sender's two
+/// list blocks, traffic-node locations; MAC duplicate entries only for
+/// unicast senders, so none on a node that only hears hellos), the
+/// kernel's event slab (4 slots of 64 B per node) and the calendar wheel's
+/// pooled records (40 B each). Measured on a 4-core Xeon (g++ 12.2):
+/// 1.9 KB/node at 10k nodes after 30 sim-s, 2.0 KB at 100k after 10 sim-s
+/// and 1.7 KB for the 1M smoke, so the budget is 2.5 KB, 22 % above the
+/// largest. What the ceiling really polices is boundedness: without the
+/// eviction horizons a 10k cell grew by ~350 B/node per sim-second
+/// (8.6 KB/node after 10 sim-s); with them growth stops at the horizon.
+/// Closing the gap to 1 KB needs SoA-pooled agents/MACs (roadmap item).
+constexpr double kIdleBytesPerNodeCeiling = 2560.0;
 
 /// Base config every cell scales from: the paper's GLR setup with a fixed
 /// small traffic subset (45 senders regardless of population) so added
