@@ -250,12 +250,6 @@ TEST(LocationTable, FreshestWins) {
   EXPECT_EQ(t.lookup(1)->at, 20.0);
 }
 
-TEST(LocationTable, MissingLookup) {
-  LocationTable t;
-  EXPECT_FALSE(t.lookup(7).has_value());
-  EXPECT_EQ(t.size(), 0u);
-}
-
 TEST(LocationTable, NeverUpdatedTableAnswersEveryQuery) {
   LocationTable t;
   EXPECT_FALSE(t.lookup(7).has_value());

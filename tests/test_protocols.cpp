@@ -127,9 +127,9 @@ TEST(GlrProtocol, CopyCountFollowsAlgorithm1) {
 }
 
 TEST(GlrProtocol, IdleAgentCountsNothing) {
-  // Two isolated nodes beacon hellos but carry no traffic, so neither
-  // agent ever builds its counter block; a third, in range of node 0,
-  // receives the one message node 0 sends.
+  // Node 1 sits alone and carries no traffic, so it never counts anything
+  // and never builds its counter block; node 0 sends one message to node
+  // 2, in range, and both of them count.
   Net net{{{0, 0}, {900, 900}, {100, 0}}, 150.0};
   auto agents = net.addGlrAgents(net.glrParams(150.0));
   net.events.schedule(2.0, [&] { agents[0]->originate(2); });
