@@ -13,14 +13,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "checkpoint/file.hpp"
 #include "checkpoint/scenario_checkpoint.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
@@ -214,15 +217,7 @@ TEST(TraceRoundTrip, MessageTimelineIsCoherent) {
 // Structural error paths: truncation and corruption are loud, not silent.
 // ---------------------------------------------------------------------------
 
-/// Writes a small valid trace via the real recorder and returns its bytes.
-std::vector<unsigned char> smallValidTrace(const std::string& path) {
-  glr::sim::Simulator sim;
-  glr::trace::Recorder rec(sim, path, 64);
-  rec.record(EventType::kCreated, 0, 9, 0, 0);
-  rec.record(EventType::kSend, 0, 1, 0, 0);
-  rec.record(EventType::kSend, 1, 9, 0, 0, 1);
-  rec.record(EventType::kDelivered, 9, 0, 0, 0, 2);
-  rec.close();
+std::vector<unsigned char> fileBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr);
   std::vector<unsigned char> bytes;
@@ -232,6 +227,18 @@ std::vector<unsigned char> smallValidTrace(const std::string& path) {
   }
   std::fclose(f);
   return bytes;
+}
+
+/// Writes a small valid trace via the real recorder and returns its bytes.
+std::vector<unsigned char> smallValidTrace(const std::string& path) {
+  glr::sim::Simulator sim;
+  glr::trace::Recorder rec(sim, path, 64);
+  rec.record(EventType::kCreated, 0, 9, 0, 0);
+  rec.record(EventType::kSend, 0, 1, 0, 0);
+  rec.record(EventType::kSend, 1, 9, 0, 0, 1);
+  rec.record(EventType::kDelivered, 9, 0, 0, 0, 2);
+  rec.close();
+  return fileBytes(path);
 }
 
 void writeBytes(const std::string& path,
@@ -251,45 +258,53 @@ TEST(TraceErrors, ValidFileReadsBack) {
   EXPECT_EQ(glr::trace::replayTotals(records).sends, 2u);
 }
 
-TEST(TraceErrors, TruncatedFileThrows) {
-  const PathGuard guard{tempPath("truncated")};
-  auto bytes = smallValidTrace(guard.path);
-  // Drop the last record (and a bit more, landing mid-record).
-  bytes.resize(bytes.size() - 40);
-  writeBytes(guard.path, bytes);
-  EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
-               std::runtime_error);
-}
-
-TEST(TraceErrors, UnfinalizedHeaderThrows) {
-  const PathGuard guard{tempPath("unfinalized")};
-  auto bytes = smallValidTrace(guard.path);
-  // Restore the live-writer sentinel count (~0) at header offset 8.
-  for (int i = 0; i < 8; ++i) bytes[8 + i] = 0xFF;
-  writeBytes(guard.path, bytes);
-  EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
-               std::runtime_error);
-}
-
-TEST(TraceErrors, CorruptLengthPrefixThrows) {
-  const PathGuard guard{tempPath("corrupt-len")};
-  auto bytes = smallValidTrace(guard.path);
-  // Second record's length prefix: header(24) + rec0(4 + 32) = offset 60.
-  bytes[60] = 0x99;
-  writeBytes(guard.path, bytes);
-  EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
-               std::runtime_error);
-}
-
-TEST(TraceErrors, CorruptEventTypeThrows) {
-  const PathGuard guard{tempPath("corrupt-type")};
-  auto bytes = smallValidTrace(guard.path);
-  // First record starts at 28; type is at offset 24 within the record
-  // (time 8 + four int32s 16 = 24, then aux 2, then type).
-  bytes[28 + 26] = 0xEE;
-  writeBytes(guard.path, bytes);
-  EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
-               std::runtime_error);
+// Each defect: the strict reader throws, and recover returns exactly the
+// records before the defect (all of them when the defect is in the header
+// or after the last record).
+TEST(TraceErrors, ReadRefusesAndRecoverKeepsIntactPrefix) {
+  using Bytes = std::vector<unsigned char>;
+  struct Row {
+    const char* defect;
+    void (*damage)(Bytes&);
+    std::size_t recovered;
+    bool finalized;
+  };
+  const Row rows[] = {
+      // Drop the last record and 4 bytes more, landing mid-record 2.
+      {"truncated mid-record", [](Bytes& b) { b.erase(b.end() - 40, b.end()); },
+       2, true},
+      // Record 1's length prefix: header(24) + rec0(4 + 32) = offset 60.
+      {"corrupt length prefix of record 1", [](Bytes& b) { b[60] = 0x99; }, 1,
+       true},
+      // Record 0 starts at 28; its type is at offset 26 within the record
+      // (time 8 + four int32s 16 + aux 2).
+      {"corrupt type of record 0", [](Bytes& b) { b[28 + 26] = 0xEE; }, 0,
+       true},
+      // The live-writer sentinel count (~0) at header offset 8.
+      {"unfinalized header",
+       [](Bytes& b) { std::fill_n(b.begin() + 8, 8, 0xFF); }, 4, false},
+      {"one trailing byte", [](Bytes& b) { b.push_back(0xAB); }, 4, true},
+  };
+  const PathGuard guard{tempPath("defects")};
+  const Bytes valid = smallValidTrace(guard.path);
+  const std::vector<Record> intact = glr::trace::readTraceFile(guard.path);
+  ASSERT_EQ(intact.size(), 4u);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.defect);
+    Bytes bytes = valid;
+    row.damage(bytes);
+    writeBytes(guard.path, bytes);
+    EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
+                 std::runtime_error);
+    const auto recovered = glr::trace::recoverTraceRecords(guard.path);
+    EXPECT_EQ(recovered.wasFinalized, row.finalized);
+    ASSERT_EQ(recovered.records.size(), row.recovered);
+    for (std::size_t i = 0; i < row.recovered; ++i) {
+      EXPECT_EQ(std::memcmp(&recovered.records[i], &intact[i], sizeof(Record)),
+                0)
+          << "record " << i;
+    }
+  }
 }
 
 TEST(TraceErrors, BadMagicThrows) {
@@ -301,18 +316,50 @@ TEST(TraceErrors, BadMagicThrows) {
                std::runtime_error);
 }
 
-TEST(TraceErrors, TrailingGarbageThrows) {
-  const PathGuard guard{tempPath("trailing")};
-  auto bytes = smallValidTrace(guard.path);
-  bytes.push_back(0xAB);
-  writeBytes(guard.path, bytes);
-  EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
-               std::runtime_error);
-}
-
 TEST(TraceErrors, MissingFileThrows) {
   EXPECT_THROW((void)glr::trace::readTraceFile("no_such_trace_file.bin"),
                std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Signal finalize: a SIGTERM mid-run leaves a finalized file that holds every
+// record made before it, more than one write batch of them.
+// ---------------------------------------------------------------------------
+
+TEST(TraceSignalDeathTest, SigtermFinalizeKeepsEveryRecord) {
+  const PathGuard guard{tempPath("sigterm")};
+  EXPECT_EXIT(
+      {
+        glr::trace::Recorder::installSignalFinalize();
+        glr::sim::Simulator sim;
+        glr::trace::Recorder rec(sim, guard.path, 1 << 16);
+        for (int i = 0; i < 10000; ++i) {
+          rec.record(EventType::kSend, i, i + 1, 0, i);
+        }
+        std::raise(SIGTERM);
+      },
+      testing::KilledBySignal(SIGTERM), "");
+  const std::vector<Record> records = glr::trace::readTraceFile(guard.path);
+  ASSERT_EQ(records.size(), 10000u);
+  EXPECT_EQ(records.back().node, 9999);
+  EXPECT_EQ(records.back().msgSeq, 9999);
+}
+
+// ---------------------------------------------------------------------------
+// Format pin: the bytes of the traced scenario are fixed, so no writer change
+// can move the file format silently. It records eight of the nine event
+// types; no pinned scenario records a duplicate delivery.
+// ---------------------------------------------------------------------------
+
+TEST(TraceFormat, TracedScenarioBytesPinned) {
+  const PathGuard guard{tempPath("pin")};
+  ScenarioConfig cfg = tracedScenario();
+  cfg.tracePath = guard.path;
+  (void)runScenario(cfg);
+  const std::vector<unsigned char> bytes = fileBytes(guard.path);
+  EXPECT_EQ(bytes.size(), 930012u);  // header + 25,833 records
+  EXPECT_EQ(glr::ckpt::fnv1a64(bytes.data(), bytes.size()),
+            0xcc941dd33f93c9ebULL);
 }
 
 // ---------------------------------------------------------------------------
