@@ -31,39 +31,6 @@ void Moments::add(double x) {
   m2_ += term1;
 }
 
-void Moments::merge(const Moments& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  const double delta = other.mean_ - mean_;
-  const double delta2 = delta * delta;
-  const double delta3 = delta2 * delta;
-  const double delta4 = delta2 * delta2;
-
-  const double m2 = m2_ + other.m2_ + delta2 * na * nb / n;
-  const double m3 = m3_ + other.m3_ +
-                    delta3 * na * nb * (na - nb) / (n * n) +
-                    3.0 * delta * (na * other.m2_ - nb * m2_) / n;
-  const double m4 =
-      m4_ + other.m4_ +
-      delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n) +
-      6.0 * delta2 * (na * na * other.m2_ + nb * nb * m2_) / (n * n) +
-      4.0 * delta * (na * other.m3_ - nb * m3_) / n;
-
-  mean_ = mean_ + delta * nb / n;
-  m2_ = m2;
-  m3_ = m3;
-  m4_ = m4;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Moments::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -169,63 +136,6 @@ void QuantileSketch::flush() const {
 
   centroids_.swap(scratch_);
   buffer_.clear();
-}
-
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  other.flush();
-  // Replay the other sketch's centroids as weighted points: settle our own
-  // pending buffer first, then splice the centroid lists and re-compress.
-  flush();
-  n_ += other.n_;
-  // Merge two sorted centroid runs into scratch_, then compress via the
-  // buffer-free path: move the merged run into centroids_ and let a final
-  // flush() pass (with an empty buffer) leave it as-is — compression
-  // happens lazily on the next flush. To bound memory now, compress
-  // eagerly when the combined run exceeds capacity.
-  scratch_.clear();
-  std::merge(centroids_.begin(), centroids_.end(), other.centroids_.begin(),
-             other.centroids_.end(), std::back_inserter(scratch_),
-             [](const Centroid& a, const Centroid& b) { return a.mean < b.mean; });
-  centroids_.swap(scratch_);
-  if (centroids_.size() > centroidCap_ / 2) {
-    // Re-compress the merged run in place using the same k1 pass.
-    scratch_.clear();
-    const double total = static_cast<double>(n_);
-    double wSoFar = 0.0;
-    Centroid cur{0.0, 0.0};
-    double curSum = 0.0;
-    for (const Centroid& next : centroids_) {
-      if (cur.weight == 0.0) {
-        cur = next;
-        curSum = next.mean * next.weight;
-        continue;
-      }
-      const double qLeft = wSoFar / total;
-      const double qRight = (wSoFar + cur.weight + next.weight) / total;
-      if (k1(qRight, static_cast<double>(compression_)) -
-              k1(qLeft, static_cast<double>(compression_)) <=
-          1.0) {
-        curSum += next.mean * next.weight;
-        cur.weight += next.weight;
-        cur.mean = curSum / cur.weight;
-      } else {
-        scratch_.push_back(cur);
-        wSoFar += cur.weight;
-        cur = next;
-        curSum = next.mean * next.weight;
-      }
-    }
-    if (cur.weight > 0.0) scratch_.push_back(cur);
-    centroids_.swap(scratch_);
-  }
 }
 
 std::size_t QuantileSketch::centroidCount() const {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file sketch.hpp
-/// Online statistics with a hard memory bound: a mergeable t-digest-style
-/// quantile sketch and a streaming central-moment accumulator.
+/// Online statistics with a hard memory bound: a t-digest-style quantile
+/// sketch and a streaming central-moment accumulator.
 ///
 /// Million-message runs cannot keep per-message latency vectors in RAM, so
 /// MetricsCollector feeds every first-delivery latency into these instead:
@@ -10,12 +10,10 @@
 /// count/mean/variance/skewness/kurtosis plus min/max in O(1) space.
 ///
 /// Determinism contract (the PR-3 sweep invariant): both structures are
-/// pure functions of their add()/merge() call sequence — no randomness, no
+/// pure functions of their add() call sequence — no randomness, no
 /// wall-clock, no allocation-order dependence — so a scenario that feeds
 /// them in simulator event order produces bit-identical sketches on any
-/// worker thread of a sweep. Merging is deterministic in merge order;
-/// like every floating-point reduction here, it is associative only up to
-/// rounding (test_stats_sketch.cpp pins the error bound).
+/// worker thread of a sweep.
 
 #include <cstddef>
 #include <vector>
@@ -23,12 +21,10 @@
 namespace glr::stats {
 
 /// Streaming central moments (Welford/Pébay updates): count, mean, M2-M4,
-/// min/max. merge() combines two accumulators exactly as if the right-hand
-/// samples had been added after the left-hand ones (up to FP rounding).
+/// min/max.
 class Moments {
  public:
   void add(double x);
-  void merge(const Moments& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
@@ -56,7 +52,7 @@ class Moments {
   double max_ = 0.0;
 };
 
-/// Mergeable quantile sketch after Dunning's merging t-digest: values are
+/// Quantile sketch after Dunning's merging t-digest: values are
 /// buffered, then sort-merged into weighted centroids whose size is bounded
 /// by the k1 scale function, so resolution concentrates at the tails. With
 /// compression δ the sketch holds at most ~2δ centroids forever — the
@@ -72,8 +68,6 @@ class QuantileSketch {
   explicit QuantileSketch(std::size_t compression = 200);
 
   void add(double x);
-  /// Folds `other` (centroids and pending buffer) into this sketch.
-  void merge(const QuantileSketch& other);
 
   /// Quantile estimate for q in [0, 1] (clamped); 0 for an empty sketch.
   /// Exact while the sketch has never compressed (e.g. n < 5 corpora).

@@ -14,9 +14,7 @@
 /// threads join. That ordering is what keeps every printed `mean ± CI`
 /// bit-identical to the serial path — floating-point accumulation is not
 /// associative, so a reduction that depended on worker completion order
-/// would drift run to run. If a worker ever needs local statistics, give it
-/// a private Summary and combine the per-worker values after the join with
-/// merge() (deterministic only if merged in a fixed order).
+/// would drift run to run.
 
 #include <cstddef>
 #include <span>
@@ -47,9 +45,6 @@ class Summary {
   [[nodiscard]] double min() const { return count_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return count_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
-
-  /// Merges another summary into this one (parallel Welford combine).
-  void merge(const Summary& other);
 
  private:
   std::size_t count_ = 0;

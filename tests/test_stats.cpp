@@ -44,35 +44,6 @@ TEST(Summary, KnownMeanAndVariance) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Summary, MergeMatchesSequential) {
-  Summary a, b, all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0 + i * 0.1;
-    (i < 37 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-  Summary b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(StudentT, PaperCriticalValue) {
   // The paper averages 10 runs: df = 9 at 90% confidence.
   EXPECT_NEAR(studentTCritical(0.90, 9), 1.833, 1e-3);

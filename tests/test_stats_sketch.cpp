@@ -2,15 +2,13 @@
 // t-digest-style quantile sketch and the streaming moment accumulator that
 // replaced MetricsCollector's stored per-message latency state.
 //
-// The sketch's contract has three parts, each pinned here:
+// The sketch's contract has two parts, each pinned here:
 //  1. Accuracy: quantile estimates stay within a tight *rank* error of the
 //     exact sorted order statistics across adversarial distributions
 //     (uniform, bimodal, heavy-tail, constant, n < 5) — rank error is the
 //     right metric for a t-digest, whose value error on a flat region can
 //     be arbitrary while the rank stays exact.
-//  2. Merge: merging partial sketches is associative up to a pinned rank-
-//     error bound, and merge(A, B) sees every sample of both.
-//  3. Determinism: results are a pure function of the add() sequence, so
+//  2. Determinism: results are a pure function of the add() sequence, so
 //     scenario latency quantiles are bit-identical across sweep thread
 //     counts (the PR-3 contract, checked end-to-end through SweepRunner —
 //     bitIdenticalIgnoringWall now covers the latency sketch fields).
@@ -183,52 +181,10 @@ TEST(QuantileSketchAccuracy, MemoryStaysBounded) {
 }
 
 // ---------------------------------------------------------------------------
-// Merge laws.
+// Determinism.
 // ---------------------------------------------------------------------------
 
-TEST(QuantileSketchMerge, SeesEverySample) {
-  const auto a = uniformSamples(30000, 1);
-  const auto b = heavyTailSamples(30000, 2);
-  QuantileSketch sa = sketchOf(a);
-  const QuantileSketch sb = sketchOf(b);
-  sa.merge(sb);
-  EXPECT_EQ(sa.count(), 60000u);
-  std::vector<double> all = a;
-  all.insert(all.end(), b.begin(), b.end());
-  expectAccurate(sa, all, "merged");
-}
-
-TEST(QuantileSketchMerge, AssociativeUpToRankError) {
-  // (A + B) + C vs A + (B + C): both orders must land within the pinned
-  // rank-error bound of the pooled exact quantiles — floating-point merge
-  // order may differ, statistical content may not.
-  const auto a = uniformSamples(20000, 11);
-  const auto b = bimodalSamples(20000, 12);
-  const auto c = heavyTailSamples(20000, 13);
-
-  QuantileSketch left = sketchOf(a);
-  left.merge(sketchOf(b));
-  left.merge(sketchOf(c));
-
-  QuantileSketch bc = sketchOf(b);
-  bc.merge(sketchOf(c));
-  QuantileSketch right = sketchOf(a);
-  right.merge(bc);
-
-  std::vector<double> all = a;
-  all.insert(all.end(), b.begin(), b.end());
-  all.insert(all.end(), c.begin(), c.end());
-  expectAccurate(left, all, "(a+b)+c");
-  expectAccurate(right, all, "a+(b+c)");
-  std::sort(all.begin(), all.end());
-  for (const double q : kProbes) {
-    EXPECT_NEAR(empiricalRank(all, left.quantile(q)),
-                empiricalRank(all, right.quantile(q)), 0.02)
-        << "associativity drift at q=" << q;
-  }
-}
-
-TEST(QuantileSketchMerge, DeterministicGivenSameSequence) {
+TEST(QuantileSketchDeterminism, DeterministicGivenSameSequence) {
   // Two sketches fed the identical sequence answer identically, bit for
   // bit — the property the sweep determinism contract rides on.
   const auto samples = heavyTailSamples(50000, 99);
@@ -260,26 +216,6 @@ TEST(MomentsLaws, MatchesTwoPassReference) {
   EXPECT_EQ(m.max(), *std::max_element(samples.begin(), samples.end()));
   // Bimodal 70/30 with the high mode far right: strong positive skew.
   EXPECT_GT(m.skewness(), 0.5);
-}
-
-TEST(MomentsLaws, MergeEqualsSequential) {
-  const auto a = uniformSamples(10000, 21);
-  const auto b = heavyTailSamples(10000, 22);
-  Moments whole;
-  for (const double x : a) whole.add(x);
-  for (const double x : b) whole.add(x);
-
-  Moments ma;
-  for (const double x : a) ma.add(x);
-  Moments mb;
-  for (const double x : b) mb.add(x);
-  ma.merge(mb);
-
-  EXPECT_EQ(ma.count(), whole.count());
-  EXPECT_NEAR(ma.mean(), whole.mean(), 1e-9 * std::abs(whole.mean()));
-  EXPECT_NEAR(ma.variance(), whole.variance(), 1e-6 * whole.variance());
-  EXPECT_EQ(ma.min(), whole.min());
-  EXPECT_EQ(ma.max(), whole.max());
 }
 
 TEST(MomentsLaws, DegenerateInputs) {
