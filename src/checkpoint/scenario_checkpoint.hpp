@@ -78,10 +78,10 @@ struct ScenarioComponents {
 /// Digest over every ScenarioConfig knob that shapes the simulated event
 /// sequence: one walk of GLR_SCENARIO_CONFIG (experiment/scenario.hpp) and
 /// the field lists of the structs it embeds, each K entry encoded by type
-/// in list order. H entries (output paths, the trace ring size, the
-/// wall-clock watchdog) are skipped; checkpointEvery is a K entry because
-/// the periodic writer event is part of the sequence. A struct knob
-/// without a field list does not compile.
+/// in list order. H entries (output paths, the wall-clock watchdog) are
+/// skipped; checkpointEvery is a K entry because the periodic writer event
+/// is part of the sequence. A struct knob without a field list does not
+/// compile.
 [[nodiscard]] std::uint64_t configDigest(const experiment::ScenarioConfig& cfg);
 
 /// Snapshots the full scenario state to `path` (atomic tmp+rename).

@@ -282,12 +282,11 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
 
   // Flight recorder: constructed (and installed on the World) before the
   // agent loop, because agents and their buffers cache the pointer at
-  // construction. Owns the writer thread; close() below finalizes the file
-  // before counters are harvested.
+  // construction. close() below finalizes the file before counters are
+  // harvested.
   std::unique_ptr<trace::Recorder> recorder;
   if (!cfg.tracePath.empty()) {
-    recorder = std::make_unique<trace::Recorder>(simulator, cfg.tracePath,
-                                                 cfg.traceRingCapacity);
+    recorder = std::make_unique<trace::Recorder>(simulator, cfg.tracePath);
     world.setTraceRecorder(recorder.get());
     metrics.setTrace(recorder.get());
     // Ctrl-C / kill during a traced run finalizes the file before dying;

@@ -97,9 +97,9 @@ enum class SpatialIndexMode { kSnapshot, kTiled };
 
 /// Every ScenarioConfig member in declaration order: K(type, name,
 /// default) for a knob the config digest covers, H(type, name, default) for
-/// a host setting it skips (output paths, the trace ring size, the
-/// wall-clock watchdog), and R(type, value) for a retired digest slot that
-/// declares nothing and hashes its old default, so no digest moves.
+/// a host setting it skips (output paths, the wall-clock watchdog), and
+/// R(type, value) for a retired digest slot that declares nothing and
+/// hashes its old default, so no digest moves.
 #define GLR_SCENARIO_CONFIG(K, H, R)                                          \
   K(Protocol, protocol, Protocol::kGlr)                                       \
   /* Topology / radio (paper Table 1).                                     */ \
@@ -180,15 +180,13 @@ enum class SpatialIndexMode { kSnapshot, kTiled };
   K(double, locationEvictAfter, 0.0)                                          \
   /* Observability (all off by default — bit-identical goldens, zero-alloc */ \
   /* hot path). tracePath non-empty arms the flight recorder: every        */ \
-  /* send/delivery/custody/drop/expiry/suspicion event is streamed through */ \
-  /* a fixed SPSC ring (traceRingCapacity records, rounded up to a power   */ \
-  /* of two) to a length-prefixed binary file a writer thread owns — see   */ \
-  /* trace/recorder.hpp; inspect with tools/trace_inspect.                 */ \
+  /* send/delivery/custody/drop/expiry/suspicion event is written in       */ \
+  /* batches to a length-prefixed binary file — see trace/recorder.hpp;    */ \
+  /* inspect with tools/trace_inspect.                                     */ \
   /* nodeCountersPath non-empty exports per-node MAC/protocol/storage      */ \
   /* counters at scenario end; the format follows the extension (".json"   */ \
   /* or ".csv").                                                           */ \
   H(std::string, tracePath, {})                                               \
-  H(std::size_t, traceRingCapacity, 1 << 16)                                  \
   H(std::string, nodeCountersPath, {})                                        \
   /* Crash safety (see checkpoint/scenario_checkpoint.hpp). checkpointPath */ \
   /* non-empty + checkpointEvery > 0 snapshots the full simulation state   */ \

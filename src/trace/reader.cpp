@@ -1,10 +1,8 @@
 #include "trace/reader.hpp"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -12,21 +10,28 @@ namespace glr::trace {
 
 namespace {
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("trace '" + path + "': " + what);
 }
 
-}  // namespace
+bool knownType(std::uint8_t type) {
+  switch (type) {
+#define GLR_TRACE_CASE(name, value, text, counter) case value:
+    GLR_TRACE_EVENTS(GLR_TRACE_CASE)
+#undef GLR_TRACE_CASE
+    return true;
+  }
+  return false;
+}
 
-std::vector<Record> readTraceFile(const std::string& path) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
+// The one reader loop. Checks the header, then scans records until EOF or
+// the first defect. Strict mode reads only the declared count and throws on
+// a defect, an unfinalized header or bytes after the last record; recover
+// mode keeps the records before the first defect. Nothing is reserved from
+// the header's count: a file may lie about it.
+RecoveredTrace scan(const std::string& path, bool strict) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
   if (!file) fail(path, "cannot open for reading");
 
   FileHeader header;
@@ -41,111 +46,75 @@ std::vector<Record> readTraceFile(const std::string& path) {
     fail(path,
          "unsupported record size " + std::to_string(header.recordSize));
   }
-  if (header.recordCount == ~std::uint64_t{0}) {
-    fail(path, "unfinalized trace (writer never closed — truncated run?)");
-  }
-
-  std::vector<Record> records;
-  records.reserve(header.recordCount);
-  for (std::uint64_t i = 0; i < header.recordCount; ++i) {
-    std::uint32_t len = 0;
-    if (std::fread(&len, sizeof(len), 1, file.get()) != 1) {
-      fail(path, "truncated: " + std::to_string(i) + " of " +
-                     std::to_string(header.recordCount) + " records present");
-    }
-    if (len != sizeof(Record)) {
-      fail(path, "corrupt record " + std::to_string(i) +
-                     ": length prefix " + std::to_string(len) +
-                     " (expected " + std::to_string(sizeof(Record)) + ")");
-    }
-    Record r;
-    if (std::fread(&r, sizeof(r), 1, file.get()) != 1) {
-      fail(path, "truncated mid-record at index " + std::to_string(i));
-    }
-    if (r.type < static_cast<std::uint8_t>(EventType::kCreated) ||
-        r.type > static_cast<std::uint8_t>(EventType::kSuspicion)) {
-      fail(path, "corrupt record " + std::to_string(i) + ": unknown type " +
-                     std::to_string(r.type));
-    }
-    records.push_back(r);
-  }
-  // Trailing garbage after the declared records is also a structural error.
-  char extra = 0;
-  if (std::fread(&extra, 1, 1, file.get()) == 1) {
-    fail(path, "trailing bytes after declared record count");
-  }
-  return records;
-}
-
-RecoveredTrace recoverTraceRecords(const std::string& path) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (!file) fail(path, "cannot open for reading");
-
-  FileHeader header;
-  if (std::fread(&header, sizeof(header), 1, file.get()) != 1) {
-    fail(path, "short file: not even a header to recover from");
-  }
-  if (header.magic != FileHeader{}.magic) fail(path, "bad magic");
-  if (header.version != 1) {
-    fail(path, "unsupported version " + std::to_string(header.version));
-  }
-  if (header.recordSize != sizeof(Record)) {
-    fail(path,
-         "unsupported record size " + std::to_string(header.recordSize));
-  }
 
   RecoveredTrace out;
   out.wasFinalized = header.recordCount != ~std::uint64_t{0};
   out.declaredCount = out.wasFinalized ? header.recordCount : 0;
-  for (;;) {
+  if (strict && !out.wasFinalized) {
+    fail(path, "unfinalized trace (writer never closed — truncated run?)");
+  }
+
+  const std::uint64_t limit =
+      strict ? header.recordCount : std::numeric_limits<std::uint64_t>::max();
+  for (std::uint64_t i = 0; i < limit; ++i) {
     std::uint32_t len = 0;
-    if (std::fread(&len, sizeof(len), 1, file.get()) != 1) break;  // EOF/torn
-    if (len != sizeof(Record)) break;  // corrupt prefix: stop salvaging
     Record r;
-    if (std::fread(&r, sizeof(r), 1, file.get()) != 1) break;  // torn record
-    if (r.type < static_cast<std::uint8_t>(EventType::kCreated) ||
-        r.type > static_cast<std::uint8_t>(EventType::kSuspicion)) {
-      break;  // garbage past the intact prefix
+    std::string defect;
+    if (std::fread(&len, sizeof(len), 1, file.get()) != 1) {
+      defect = "truncated: " + std::to_string(i) + " of " +
+               std::to_string(header.recordCount) + " records present";
+    } else if (len != sizeof(Record)) {
+      defect = "corrupt record " + std::to_string(i) + ": length prefix " +
+               std::to_string(len) + " (expected " +
+               std::to_string(sizeof(Record)) + ")";
+    } else if (std::fread(&r, sizeof(r), 1, file.get()) != 1) {
+      defect = "truncated mid-record at index " + std::to_string(i);
+    } else if (!knownType(r.type)) {
+      defect = "corrupt record " + std::to_string(i) + ": unknown type " +
+               std::to_string(r.type);
+    } else {
+      out.records.push_back(r);
+      continue;
     }
-    out.records.push_back(r);
+    if (strict) fail(path, defect);
+    break;
+  }
+  char extra = 0;
+  if (strict && std::fread(&extra, 1, 1, file.get()) == 1) {
+    fail(path, "trailing bytes after declared record count");
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<Record> readTraceFile(const std::string& path) {
+  return scan(path, /*strict=*/true).records;
+}
+
+RecoveredTrace recoverTraceRecords(const std::string& path) {
+  return scan(path, /*strict=*/false);
+}
+
 void writeTraceFile(const std::string& path,
                     const std::vector<Record>& records) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (!file) {
-    fail(path, "cannot open for writing: " + std::string{std::strerror(errno)});
-  }
-  FileHeader header;
-  header.recordCount = records.size();
-  bool ok = std::fwrite(&header, sizeof(header), 1, file.get()) == 1;
-  const std::uint32_t len = sizeof(Record);
-  for (const Record& r : records) {
-    if (!ok) break;
-    ok = std::fwrite(&len, sizeof(len), 1, file.get()) == 1 &&
-         std::fwrite(&r, sizeof(r), 1, file.get()) == 1;
-  }
-  if (!ok || std::fflush(file.get()) != 0 ||
-      ::fsync(::fileno(file.get())) != 0) {
-    fail(path, "write failed: " + std::string{std::strerror(errno)});
+  TraceWriter writer(path);
+  for (const Record& r : records) writer.append(r);
+  if (const int err = writer.finish()) {
+    fail(path, "write failed: " + std::string{std::strerror(err)});
   }
 }
 
 ReplayTotals replayTotals(const std::vector<Record>& records) {
   ReplayTotals t;
   for (const Record& r : records) {
-    switch (static_cast<EventType>(r.type)) {
-      case EventType::kCreated: ++t.created; break;
-      case EventType::kSend: ++t.sends; break;
-      case EventType::kDelivered: ++t.delivered; break;
-      case EventType::kDuplicate: ++t.duplicates; break;
-      case EventType::kCustodyAccept: ++t.custodyAccepts; break;
-      case EventType::kCustodyRefuse: ++t.custodyRefusals; break;
-      case EventType::kDrop: ++t.drops; break;
-      case EventType::kExpiry: ++t.expiries; break;
-      case EventType::kSuspicion: ++t.suspicions; break;
+    switch (r.type) {
+#define GLR_TRACE_COUNT(name, value, text, counter) \
+  case value:                                       \
+    ++t.counter;                                    \
+    break;
+      GLR_TRACE_EVENTS(GLR_TRACE_COUNT)
+#undef GLR_TRACE_COUNT
     }
   }
   return t;
@@ -161,16 +130,12 @@ std::vector<Record> messageTimeline(const std::vector<Record>& records,
 }
 
 const char* eventTypeName(std::uint8_t type) {
-  switch (static_cast<EventType>(type)) {
-    case EventType::kCreated: return "created";
-    case EventType::kSend: return "send";
-    case EventType::kDelivered: return "delivered";
-    case EventType::kDuplicate: return "duplicate";
-    case EventType::kCustodyAccept: return "custody-accept";
-    case EventType::kCustodyRefuse: return "custody-refuse";
-    case EventType::kDrop: return "drop";
-    case EventType::kExpiry: return "expiry";
-    case EventType::kSuspicion: return "suspicion";
+  switch (type) {
+#define GLR_TRACE_NAME(name, value, text, counter) \
+  case value:                                      \
+    return text;
+    GLR_TRACE_EVENTS(GLR_TRACE_NAME)
+#undef GLR_TRACE_NAME
   }
   return "unknown";
 }

@@ -2,7 +2,8 @@
 /// \file reader.hpp
 /// Trace file reader + replay helpers shared by tests and trace_inspect.
 ///
-/// File format (little-endian, host == x86-64/aarch64 Linux):
+/// File format (little-endian, host == x86-64/aarch64 Linux), written only
+/// by trace::TraceWriter:
 ///   [FileHeader: 24 bytes]   magic 'GLRT', version 1, recordSize 32,
 ///                            recordCount (patched on finalize; ~0 while
 ///                            the writer is live => truncated), reserved
@@ -12,9 +13,9 @@
 /// The per-record length prefix is deliberately redundant with
 /// header.recordSize: it turns a torn or corrupted record into a local,
 /// detectable error instead of silently desynchronising the rest of the
-/// stream. readTraceFile() throws std::runtime_error with a specific
-/// message on bad magic, unsupported version/record size, an unfinalized
-/// count, a length-prefix mismatch, or a short final record.
+/// stream. Both readers below run one header check and one record scan;
+/// the strict one refuses the first defect, the recovering one keeps the
+/// records before it.
 
 #include <cstdint>
 #include <string>
@@ -25,7 +26,10 @@
 namespace glr::trace {
 
 /// Reads and validates a finalized trace file. Throws std::runtime_error
-/// describing the first structural problem found.
+/// with a specific message on bad magic, an unsupported version or record
+/// size, an unfinalized count, a length-prefix mismatch, an unknown event
+/// type, fewer records than the header declares (a short final record
+/// included), or bytes after them.
 std::vector<Record> readTraceFile(const std::string& path);
 
 /// What recoverTraceRecords salvaged from a damaged trace.
@@ -50,32 +54,22 @@ RecoveredTrace recoverTraceRecords(const std::string& path);
 void writeTraceFile(const std::string& path,
                     const std::vector<Record>& records);
 
-/// Counter totals reconstructed from a trace, mirroring the live
-/// ScenarioResult fields the round-trip differential pins.
+/// Per-type record counts, one field per GLR_TRACE_EVENTS entry, named
+/// after the live ScenarioResult counter each one mirrors.
 struct ReplayTotals {
-  std::uint64_t created = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t sends = 0;
-  std::uint64_t custodyAccepts = 0;
-  std::uint64_t custodyRefusals = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t expiries = 0;
-  std::uint64_t suspicions = 0;
+#define GLR_TRACE_TOTAL(name, value, text, counter) std::uint64_t counter = 0;
+  GLR_TRACE_EVENTS(GLR_TRACE_TOTAL)
+#undef GLR_TRACE_TOTAL
 };
 
 ReplayTotals replayTotals(const std::vector<Record>& records);
-
-/// One hop-timeline step of a single message, in record order.
-struct TimelineEntry {
-  Record record;
-};
 
 /// All events touching message (src, seq), in file (== sim event) order.
 std::vector<Record> messageTimeline(const std::vector<Record>& records,
                                     std::int32_t src, std::int32_t seq);
 
-/// Human-readable name of an event type ("send", "delivered", ...).
+/// Human-readable name of an event type ("send", "delivered", ...), or
+/// "unknown".
 const char* eventTypeName(std::uint8_t type);
 
 }  // namespace glr::trace

@@ -1,19 +1,40 @@
 #include "trace/recorder.hpp"
 
-#include <pthread.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <bit>
+#include <atomic>
 #include <cerrno>
-#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 namespace glr::trace {
 
 namespace {
+
+constexpr std::uint32_t kLength = sizeof(Record);
+constexpr std::size_t kEntryBytes = sizeof(kLength) + sizeof(Record);
+constexpr std::size_t kBatchEntries = 4096;
+
+off_t entryOffset(std::uint64_t index) {
+  return static_cast<off_t>(sizeof(FileHeader) + index * kEntryBytes);
+}
+
+// Writes all `n` bytes at `offset`; false (errno set) on failure.
+bool pwriteAll(int fd, const void* data, std::size_t n, off_t offset) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  while (n > 0) {
+    const ssize_t w = ::pwrite(fd, p, n, offset);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    p += w;
+    n -= static_cast<std::size_t>(w);
+    offset += w;
+  }
+  return true;
+}
 
 // Live recorders, for the signal finalizer. Lock-free fixed slots: a signal
 // handler cannot take a mutex the interrupted thread might hold.
@@ -47,51 +68,78 @@ void finalizeAndReraise(int sig) {
 
 }  // namespace
 
-void Recorder::installSignalFinalize() {
-  static std::atomic<bool> installed{false};
-  if (installed.exchange(true)) return;
-  for (const int sig : {SIGINT, SIGTERM}) {
-    struct sigaction current{};
-    if (::sigaction(sig, nullptr, &current) != 0) continue;
-    // Respect a handler the host installed; only replace the default
-    // die-without-finalizing action.
-    if (current.sa_handler != SIG_DFL) continue;
-    struct sigaction action{};
-    action.sa_handler = &finalizeAndReraise;
-    ::sigemptyset(&action.sa_mask);
-    ::sigaction(sig, &action, nullptr);
+TraceWriter::TraceWriter(const std::string& path)
+    : batch_(kBatchEntries * kEntryBytes) {
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  const FileHeader header;  // recordCount stays ~0 until finish()
+  if (fd_ < 0 || !pwriteAll(fd_, &header, sizeof(header), 0)) {
+    const int err = errno;
+    if (fd_ >= 0) ::close(fd_);
+    throw std::runtime_error("trace: cannot open '" + path +
+                             "' for writing: " + std::strerror(err));
   }
 }
 
-Recorder::Recorder(sim::Simulator& sim, const std::string& path,
-                   std::size_t ringCapacity)
-    : sim_(sim) {
-  if (ringCapacity < 64) ringCapacity = 64;
-  ringCapacity = std::bit_ceil(ringCapacity);
-  ring_.resize(ringCapacity);
-  mask_ = ringCapacity - 1;
-  // Batch-assembly scratch for the writer thread (~4k records per fwrite).
-  chunk_.resize(4096 * (sizeof(std::uint32_t) + sizeof(Record)));
+TraceWriter::~TraceWriter() {
+  (void)finish();
+  ::close(fd_);
+}
 
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("trace: cannot open '" + path +
-                             "' for writing: " + std::strerror(errno));
+void TraceWriter::append(const Record& record) noexcept {
+  unsigned char* entry = batch_.data() + (appended_ - onDisk_) * kEntryBytes;
+  std::memcpy(entry, &kLength, sizeof(kLength));
+  std::memcpy(entry + sizeof(kLength), &record, sizeof(Record));
+  // A signal handler on this thread must see the entry before the count.
+  std::atomic_signal_fence(std::memory_order_release);
+  if (++appended_ - onDisk_ == kBatchEntries) writeBatch();
+}
+
+void TraceWriter::writeBatch() noexcept {
+  // Entries [onDisk_, appended_) go to the offset they belong at, so a
+  // finish() that interrupted this write rewrites the same bytes in place.
+  if (error_ == 0 &&
+      !pwriteAll(fd_, batch_.data(), (appended_ - onDisk_) * kEntryBytes,
+                 entryOffset(onDisk_))) {
+    error_ = errno;
   }
-  FileHeader header;  // recordCount stays ~0 until finalize
-  std::fwrite(&header, sizeof(header), 1, file_);
+  std::atomic_signal_fence(std::memory_order_release);
+  onDisk_ = appended_;
+}
 
-  // The writer inherits its signal mask from this thread: block
-  // SIGINT/SIGTERM across the spawn so the signal finalizer always lands on
-  // a thread that can join the writer (never on the writer itself).
-  sigset_t blocked, previous;
-  ::sigemptyset(&blocked);
-  ::sigaddset(&blocked, SIGINT);
-  ::sigaddset(&blocked, SIGTERM);
-  ::pthread_sigmask(SIG_BLOCK, &blocked, &previous);
-  writer_ = std::thread([this] { writerLoop(); });
-  ::pthread_sigmask(SIG_SETMASK, &previous, nullptr);
+int TraceWriter::finish() noexcept {
+  if (finished_) return 0;
+  finished_ = true;
+  writeBatch();
+  if (error_ == 0) {
+    FileHeader header;
+    header.recordCount = onDisk_;
+    if (!pwriteAll(fd_, &header, sizeof(header), 0) || ::fsync(fd_) != 0) {
+      error_ = errno;
+    }
+  }
+  return error_;
+}
 
+void Recorder::installSignalFinalize() {
+  static const bool installed = [] {
+    for (const int sig : {SIGINT, SIGTERM}) {
+      struct sigaction current{};
+      if (::sigaction(sig, nullptr, &current) != 0) continue;
+      // Respect a handler the host installed; only replace the default
+      // die-without-finalizing action.
+      if (current.sa_handler != SIG_DFL) continue;
+      struct sigaction action{};
+      action.sa_handler = &finalizeAndReraise;
+      ::sigemptyset(&action.sa_mask);
+      ::sigaction(sig, &action, nullptr);
+    }
+    return true;
+  }();
+  (void)installed;
+}
+
+Recorder::Recorder(const sim::Simulator& sim, const std::string& path)
+    : sim_(sim), writer_(path) {
   registerRecorder(this);
 }
 
@@ -100,92 +148,23 @@ Recorder::~Recorder() { close(); }
 void Recorder::record(EventType type, std::int32_t node, std::int32_t peer,
                       std::int32_t msgSrc, std::int32_t msgSeq,
                       std::uint16_t aux, std::uint8_t flag) noexcept {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  // Full ring: wait for the writer rather than drop — replay must be exact.
-  while (head - tail_.load(std::memory_order_acquire) >= ring_.size()) {
-    producerStalls_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::yield();
-  }
-  Record& slot = ring_[head & mask_];
-  slot.time = sim_.now();
-  slot.node = node;
-  slot.peer = peer;
-  slot.msgSrc = msgSrc;
-  slot.msgSeq = msgSeq;
-  slot.aux = aux;
-  slot.type = static_cast<std::uint8_t>(type);
-  slot.flag = flag;
-  slot.pad = 0;
-  head_.store(head + 1, std::memory_order_release);
-}
-
-void Recorder::writeRange(std::uint64_t from, std::uint64_t to) {
-  // Assemble [len][record] pairs into one contiguous chunk and hand each
-  // batch to stdio in a single fwrite. Per-record fwrite pairs are what
-  // dominated tracing overhead: every locked stdio call the writer makes
-  // is CPU stolen from the simulation thread on single-core hosts.
-  constexpr std::uint32_t kLen = sizeof(Record);
-  constexpr std::size_t kEntry = sizeof(kLen) + sizeof(Record);
-  while (from < to) {
-    const std::size_t batch = std::min<std::uint64_t>(
-        to - from, chunk_.size() / kEntry);
-    unsigned char* p = chunk_.data();
-    for (std::size_t i = 0; i < batch; ++i, ++from) {
-      std::memcpy(p, &kLen, sizeof(kLen));
-      std::memcpy(p + sizeof(kLen), &ring_[from & mask_], sizeof(Record));
-      p += kEntry;
-    }
-    std::fwrite(chunk_.data(), 1, batch * kEntry, file_);
-  }
-}
-
-void Recorder::writerLoop() {
-  std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (head != tail) {
-      writeRange(tail, head);
-      tail = head;
-      tail_.store(tail, std::memory_order_release);
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) {
-      // stop_ was set after the producer's final record(): one last check
-      // under the acquire above, then drain whatever raced in.
-      const std::uint64_t finalHead = head_.load(std::memory_order_acquire);
-      writeRange(tail, finalHead);
-      tail_.store(finalHead, std::memory_order_release);
-      return;
-    }
-    // Idle poll. Deliberately coarse: the ring buffers tens of thousands
-    // of records, so the writer can afford long naps — and on single-core
-    // hosts a fine-grained poll (e.g. 50us) preempts the simulation thread
-    // thousands of times per second, tripling tracing overhead.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  writer_.append(Record{.time = sim_.now(),
+                        .node = node,
+                        .peer = peer,
+                        .msgSrc = msgSrc,
+                        .msgSeq = msgSeq,
+                        .aux = aux,
+                        .type = static_cast<std::uint8_t>(type),
+                        .flag = flag});
 }
 
 void Recorder::close() {
-  if (closed_) return;
-  closed_ = true;
+  // Deregister first: the signal finalizer never enters a close() that is
+  // already finishing this recorder.
   deregisterRecorder(this);
-  stop_.store(true, std::memory_order_release);
-  if (writer_.joinable()) writer_.join();
-  // Patch the true record count into the header, then make the finalized
-  // file durable before closing: a SIGINT/SIGTERM finalize is immediately
-  // followed by process death, so data still in stdio or page-cache limbo
-  // would quietly undo it. Failures are reported, not thrown — this also
-  // runs from the destructor.
-  FileHeader header;
-  header.recordCount = head_.load(std::memory_order_relaxed);
-  if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fwrite(&header, sizeof(header), 1, file_) != 1 ||
-      std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    std::fprintf(stderr, "trace: finalize failed: %s\n",
-                 std::strerror(errno));
+  if (const int err = writer_.finish()) {
+    std::fprintf(stderr, "trace: finalize failed: %s\n", std::strerror(err));
   }
-  std::fclose(file_);
-  file_ = nullptr;
 }
 
 }  // namespace glr::trace

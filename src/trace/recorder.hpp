@@ -1,34 +1,31 @@
 #pragma once
 /// \file recorder.hpp
-/// Flight recorder: a fixed-capacity SPSC ring of trivially-copyable binary
-/// event records drained by a dedicated writer thread (after ndn-dpdk's
-/// pdump writer).
+/// Flight recorder: binary event records written by the simulation thread.
 ///
-/// The simulation thread is the single producer: agents and the message
-/// buffer call Recorder::record() at instrumentation points (send, deliver,
-/// custody accept/refuse, drop, expiry, suspicion). The single consumer is
-/// a writer thread that drains the ring to a length-prefixed binary file
-/// (format spec in reader.hpp). Tracing is default-off: a null
-/// `trace::Recorder*` on World costs the hot path exactly one branch per
-/// instrumentation point, so all pinned goldens stay bit-identical and the
-/// zero-allocation pin holds. With tracing on, record() copies 32 bytes
-/// into pre-reserved ring storage — still allocation-free; only the writer
-/// thread touches the filesystem.
+/// Agents and the message buffer call Recorder::record() at instrumentation
+/// points (send, deliver, custody accept/refuse, drop, expiry, suspicion).
+/// Each call appends one length-prefixed 32-byte record to a fixed batch of
+/// 4,096 entries, and a full batch goes to the file in one write (format
+/// spec in reader.hpp). Tracing is default-off: a null `trace::Recorder*` on
+/// World costs the hot path exactly one branch per instrumentation point, so
+/// all pinned goldens stay bit-identical and the zero-allocation pin holds.
+/// With tracing on, record() copies into storage reserved at construction,
+/// so it never allocates.
 ///
-/// Lossless by design: when the ring is momentarily full the producer spins
-/// (yielding) until the writer frees a slot, counting the stall instead of
-/// dropping the record. That keeps trace replay *exact* — the round-trip
-/// differential test reconstructs delivery/drop/custody totals from the
-/// file and they must equal the live ScenarioResult — at the price of
-/// back-pressure on a slow disk, which is the right trade for a diagnostic
-/// artifact. recordsWritten() is therefore deterministic; producerStalls()
-/// is wall-clock-dependent and never folded into pinned results.
+/// Lossless by construction: every record() reaches the batch and every
+/// batch reaches the file, so the round-trip differential test rebuilds
+/// delivery/drop/custody totals from the file that equal the live
+/// ScenarioResult exactly. recordsWritten() is a pure function of the
+/// simulated event sequence.
+///
+/// Crash safety: the header's record count stays ~0 until close() patches
+/// it, so an unfinalized file is detectable. SIGINT/SIGTERM finalize it
+/// (installSignalFinalize). An uncatchable SIGKILL loses at most the batch
+/// not yet written (4,095 records) and leaves the ~0 header;
+/// `trace_inspect recover` salvages the records written before it.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -36,17 +33,35 @@
 
 namespace glr::trace {
 
-/// What happened. Values are part of the on-disk format — append only.
+/// Every event type, one entry each: X(enumerator, on-disk value, name,
+/// the ScenarioResult counter the trace replays it into). Values are part
+/// of the on-disk format, so the list is append-only. A new event type is
+/// one entry here plus its record() call.
+#define GLR_TRACE_EVENTS(X)                                                  \
+  /* origin stamped a new message */                                         \
+  X(kCreated, 1, "created", created)                                         \
+  /* a copy left a node toward `peer` */                                     \
+  X(kSend, 2, "send", glrDataSent)                                           \
+  /* first copy reached the destination */                                   \
+  X(kDelivered, 3, "delivered", delivered)                                   \
+  /* a later copy reached the destination */                                 \
+  X(kDuplicate, 4, "duplicate", duplicateDeliveries)                         \
+  /* node accepted custody (ACK sent) */                                     \
+  X(kCustodyAccept, 5, "custody-accept", glrCustodyAcksSent)                 \
+  /* node refused custody (NACK sent) */                                     \
+  X(kCustodyRefuse, 6, "custody-refuse", custodyRefusals)                    \
+  /* buffer eviction (capacity pressure) */                                  \
+  X(kDrop, 7, "drop", bufferEvictions)                                       \
+  /* TTL expiry swept from a buffer */                                       \
+  X(kExpiry, 8, "expiry", expiredDrops)                                      \
+  /* custody-failure detector raised a fresh verdict */                      \
+  X(kSuspicion, 9, "suspicion", glrSuspicionsRaised)
+
+/// What happened.
 enum class EventType : std::uint8_t {
-  kCreated = 1,        // origin stamped a new message
-  kSend = 2,           // a copy left a node toward `peer`
-  kDelivered = 3,      // first copy reached the destination
-  kDuplicate = 4,      // a later copy reached the destination
-  kCustodyAccept = 5,  // node accepted custody (ACK sent)
-  kCustodyRefuse = 6,  // node refused custody (NACK sent)
-  kDrop = 7,           // buffer eviction (capacity pressure)
-  kExpiry = 8,         // TTL expiry swept from a buffer
-  kSuspicion = 9,      // custody-failure detector raised a fresh verdict
+#define GLR_TRACE_ENUMERATOR(name, value, text, counter) name = value,
+  GLR_TRACE_EVENTS(GLR_TRACE_ENUMERATOR)
+#undef GLR_TRACE_ENUMERATOR
 };
 
 /// One trace event: fixed 32 bytes, trivially copyable, written verbatim.
@@ -76,76 +91,93 @@ struct FileHeader {
 };
 static_assert(sizeof(FileHeader) == 24);
 
+/// The one writer of the trace format: the header with the ~0 count, then
+/// `[u32 length][Record]` entries in batches of 4,096 per write, then on
+/// finish() the true count and an fsync.
+///
+/// Signal safety: every call finish() makes on the file (pwrite, fsync) is
+/// async-signal-safe, each write goes to the offset its entries belong at,
+/// and the count of entries on disk advances only once their whole batch
+/// is written. So finish() from a signal handler that interrupted append()
+/// or a batch write on the same thread rewrites the pending batch in place
+/// and leaves a finalized file holding every entry appended before the
+/// signal.
+class TraceWriter {
+ public:
+  /// Creates (truncates) `path` and writes the unfinalized header. Throws
+  /// std::runtime_error naming the path and the OS error on failure.
+  explicit TraceWriter(const std::string& path);
+  /// Finishes, then closes the file. Only the destructor closes it, so a
+  /// signal finalize never frees a descriptor another thread still writes.
+  ~TraceWriter();
+
+  TraceWriter(const TraceWriter&) = delete;
+  TraceWriter& operator=(const TraceWriter&) = delete;
+
+  /// Appends one entry; writes the batch when it is full. Never allocates.
+  void append(const Record& record) noexcept;
+
+  /// Writes the rest, patches the header count and fsyncs. Returns 0, or
+  /// the errno of the first failed call; after a failed write the header
+  /// keeps its ~0 count, as after a crash. Later calls return 0.
+  int finish() noexcept;
+
+  /// Entries appended so far (== records in the file after finish()).
+  [[nodiscard]] std::uint64_t appended() const { return appended_; }
+
+ private:
+  void writeBatch() noexcept;
+
+  int fd_ = -1;
+  int error_ = 0;  // errno of the first failed call
+  bool finished_ = false;
+  std::vector<unsigned char> batch_;  // entries [onDisk_, appended_)
+  std::uint64_t appended_ = 0;
+  std::uint64_t onDisk_ = 0;  // advanced only after a whole batch is written
+};
+
 class Recorder {
  public:
-  /// Opens `path` and starts the writer thread. `ringCapacity` is rounded
-  /// up to a power of two. Throws std::runtime_error if the file cannot be
-  /// opened.
-  Recorder(sim::Simulator& sim, const std::string& path,
-           std::size_t ringCapacity);
+  /// Opens `path` for writing. Throws std::runtime_error if it cannot.
+  Recorder(const sim::Simulator& sim, const std::string& path);
   ~Recorder();
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  /// Records one event stamped at the current sim time. Producer side of
-  /// the SPSC ring: wait-free unless the ring is full, never allocates,
-  /// never drops. Single-producer contract: only the simulation thread.
+  /// Records one event stamped at the current sim time. Never allocates,
+  /// never drops. Only the simulation thread calls it.
   void record(EventType type, std::int32_t node, std::int32_t peer,
               std::int32_t msgSrc, std::int32_t msgSeq, std::uint16_t aux = 0,
               std::uint8_t flag = 0) noexcept;
 
-  /// Drains the ring, joins the writer thread, patches the header's record
-  /// count, fsyncs and closes the file — after this the trace survives an
-  /// immediate process death. Idempotent; also run by the destructor.
+  /// Writes the last batch, patches the header's record count and fsyncs
+  /// the file — after this the trace survives an immediate process death.
+  /// A failure is reported on stderr, not thrown, because this also runs
+  /// from the destructor. Idempotent.
   void close();
 
   /// Installs SIGINT/SIGTERM handlers (once, process-wide) that finalize
-  /// every live Recorder — drain the ring, patch the header, fsync — and
-  /// then re-raise the signal with its default action, so the process still
-  /// dies with the interrupted status. A handler the host already installed
-  /// is left alone. The writer thread runs with these signals blocked, so
-  /// the finalize never deadlocks joining the thread it interrupted.
+  /// every live Recorder as close() does and then re-raise the signal with
+  /// its default action, so the process still dies with the interrupted
+  /// status. A handler the host already installed is left alone.
   ///
-  /// Best-effort by nature: the finalize runs non-async-signal-safe calls
-  /// on the signaled thread, which is sound for recorders that thread owns
-  /// (the single-scenario CLI case this exists for); a recorder owned by a
-  /// concurrently-running thread can race, and the worst outcome is the
-  /// same truncated-but-recoverable file an uncatchable SIGKILL leaves
-  /// (salvage with `trace_inspect recover`).
+  /// Sound for recorders the signaled thread owns (the single-scenario CLI
+  /// case this exists for): TraceWriter's signal safety covers a record()
+  /// the signal interrupted. A recorder owned by another running thread can
+  /// race with the finalize; the file may then fail the strict reader, and
+  /// `trace_inspect recover` salvages its intact prefix.
   static void installSignalFinalize();
 
   /// Events recorded so far (== records in the file after close()).
   /// Deterministic: a pure function of the simulated event sequence.
   [[nodiscard]] std::uint64_t recordsWritten() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-  /// Times the producer had to wait for the writer (wall-dependent; for
-  /// logs/diagnostics only — never part of a pinned result).
-  [[nodiscard]] std::uint64_t producerStalls() const {
-    return producerStalls_.load(std::memory_order_relaxed);
+    return writer_.appended();
   }
 
  private:
-  void writerLoop();
-  /// Writes records [from, to) (absolute indices) to the file.
-  void writeRange(std::uint64_t from, std::uint64_t to);
-
-  sim::Simulator& sim_;
-  std::vector<Record> ring_;
-  std::vector<unsigned char> chunk_;  // writer-side batch-assembly scratch
-  std::size_t mask_;
-  std::FILE* file_ = nullptr;
-
-  // Absolute (non-wrapped) indices; slot = index & mask_.
-  // head_: next slot the producer writes. tail_: next slot the writer
-  // reads. Producer owns head_, writer owns tail_.
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> tail_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> producerStalls_{0};
-  std::thread writer_;
-  bool closed_ = false;
+  const sim::Simulator& sim_;
+  TraceWriter writer_;
 };
 
 }  // namespace glr::trace

@@ -476,7 +476,6 @@ ScenarioConfig everyKnobConfig() {
 ScenarioConfig skippedFieldsConfig() {
   ScenarioConfig cfg;
   cfg.tracePath = "run.trace";
-  cfg.traceRingCapacity = 1 << 10;
   cfg.nodeCountersPath = "nodes.json";
   cfg.checkpointPath = "run.ckpt";
   cfg.restoreFrom = "old.ckpt";

@@ -409,9 +409,9 @@ TEST(ZeroAllocSteadyState, RepeatScenarioAllocatesLessThanColdRun) {
   runColdWarm("worst", worstMatrixCell());  // bit-identity only
 }
 
-/// Tracing on: the flight recorder allocates only its fixed ring, file
-/// buffer and writer thread at construction — recording tens of thousands
-/// of events adds nothing. A warm traced run may therefore allocate only a
+/// Tracing on: the flight recorder allocates only itself and its fixed
+/// write batch at construction — recording tens of thousands of events
+/// adds nothing. A warm traced run may therefore allocate only a
 /// small constant more than a warm untraced run, and the simulation outcome
 /// must be untouched by observation.
 TEST(ZeroAllocSteadyState, TracingOnAllocatesOnlyTheFixedRecorderSetup) {
@@ -423,14 +423,14 @@ TEST(ZeroAllocSteadyState, TracingOnAllocatesOnlyTheFixedRecorderSetup) {
   std::remove(tracePath.c_str());
 
   EXPECT_GT(traced.warm.traceEventsRecorded, 1000u);
-  // Fixed recorder setup: ring vector, stdio buffer, thread state, path
-  // strings. Generously 256 allocations — but NOT proportional to the
-  // event count, which is what this pin is about.
+  // Fixed recorder setup: the recorder and its batch vector. Generously
+  // 256 allocations — but NOT proportional to the event count, which is
+  // what this pin is about.
   EXPECT_LE(traced.warmAllocs, untraced.warmAllocs + 256)
       << "tracing-on run allocated "
       << traced.warmAllocs - untraced.warmAllocs
       << " more than tracing-off; the record() hot path must stay "
-         "allocation-free (pre-reserved SPSC ring)";
+         "allocation-free (batch reserved at construction)";
   EXPECT_LE(traced.warmAllocs, 251000);
 
   // Observation must not perturb the simulation.

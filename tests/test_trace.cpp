@@ -1,14 +1,14 @@
 // Flight-recorder tests (src/trace/): the round-trip differential that
 // pins the recorder's losslessness, the structural error paths of the
-// reader, and the TracingOff golden differential that pins tracing as
-// default-off and invisible.
+// reader, the signal finalize, the file-format pin, and the TracingOff
+// golden differential that pins tracing as default-off and invisible.
 //
 // The round-trip is the load-bearing test: a mid-size GLR scenario with
 // every event source active (custody, watermark refusals, evictions, TTL
 // expiries, adversary-driven suspicion) is recorded, the file replayed, and
 // the reconstructed totals must equal the live ScenarioResult *exactly* —
-// the recorder never drops a record (it back-pressures instead), so replay
-// is not a sample, it is the run.
+// the recorder never drops a record, so replay is not a sample, it is the
+// run.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include <time.h>
 
 #include "checkpoint/file.hpp"
 #include "checkpoint/scenario_checkpoint.hpp"
@@ -86,25 +88,22 @@ TEST(TraceRoundTrip, ReplayedTotalsEqualLiveResultExactly) {
   EXPECT_EQ(records.size(), r.traceEventsRecorded);
   const auto totals = glr::trace::replayTotals(records);
 
-  EXPECT_EQ(totals.created, r.created);
-  EXPECT_EQ(totals.delivered, r.delivered);
-  EXPECT_EQ(totals.duplicates, r.duplicateDeliveries);
-  EXPECT_EQ(totals.sends, r.glrDataSent);
-  EXPECT_EQ(totals.custodyAccepts, r.glrCustodyAcksSent);
-  EXPECT_EQ(totals.custodyRefusals, r.custodyRefusals);
-  EXPECT_EQ(totals.drops, r.bufferEvictions);
-  EXPECT_EQ(totals.expiries, r.expiredDrops);
-  EXPECT_EQ(totals.suspicions, r.glrSuspicionsRaised);
+#define GLR_EXPECT_REPLAYED(name, value, text, counter) \
+  EXPECT_EQ(totals.counter, r.counter) << text;
+  GLR_TRACE_EVENTS(GLR_EXPECT_REPLAYED)
+#undef GLR_EXPECT_REPLAYED
 
   // The scenario must actually exercise every event source, or the
-  // equalities above are vacuous.
+  // equalities above are vacuous. No pinned scenario records a duplicate
+  // delivery.
   EXPECT_GT(totals.created, 0u);
   EXPECT_GT(totals.delivered, 0u);
-  EXPECT_GT(totals.sends, 0u);
-  EXPECT_GT(totals.custodyAccepts, 0u);
-  EXPECT_GT(totals.drops, 0u);
-  EXPECT_GT(totals.expiries, 0u);
-  EXPECT_GT(totals.suspicions, 0u);
+  EXPECT_GT(totals.glrDataSent, 0u);
+  EXPECT_GT(totals.glrCustodyAcksSent, 0u);
+  EXPECT_GT(totals.custodyRefusals, 0u);
+  EXPECT_GT(totals.bufferEvictions, 0u);
+  EXPECT_GT(totals.expiredDrops, 0u);
+  EXPECT_GT(totals.glrSuspicionsRaised, 0u);
 
   // Records are stamped at the recording event's sim time, so they are
   // nondecreasing in file order and inside the horizon.
@@ -232,7 +231,7 @@ std::vector<unsigned char> fileBytes(const std::string& path) {
 /// Writes a small valid trace via the real recorder and returns its bytes.
 std::vector<unsigned char> smallValidTrace(const std::string& path) {
   glr::sim::Simulator sim;
-  glr::trace::Recorder rec(sim, path, 64);
+  glr::trace::Recorder rec(sim, path);
   rec.record(EventType::kCreated, 0, 9, 0, 0);
   rec.record(EventType::kSend, 0, 1, 0, 0);
   rec.record(EventType::kSend, 1, 9, 0, 0, 1);
@@ -255,7 +254,7 @@ TEST(TraceErrors, ValidFileReadsBack) {
   ASSERT_FALSE(bytes.empty());
   const auto records = glr::trace::readTraceFile(guard.path);
   EXPECT_EQ(records.size(), 4u);
-  EXPECT_EQ(glr::trace::replayTotals(records).sends, 2u);
+  EXPECT_EQ(glr::trace::replayTotals(records).glrDataSent, 2u);
 }
 
 // Each defect: the strict reader throws, and recover returns exactly the
@@ -316,6 +315,22 @@ TEST(TraceErrors, BadMagicThrows) {
                std::runtime_error);
 }
 
+TEST(TraceErrors, LyingRecordCountThrowsRuntimeError) {
+  // A header that claims more records than the file holds is a truncation,
+  // not an allocation request: the reader reserves nothing from the count.
+  const PathGuard guard{tempPath("lying-count")};
+  const auto valid = smallValidTrace(guard.path);
+  for (const std::uint64_t count :
+       {std::uint64_t{5}, std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    SCOPED_TRACE(count);
+    auto bytes = valid;
+    std::memcpy(bytes.data() + 8, &count, sizeof(count));
+    writeBytes(guard.path, bytes);
+    EXPECT_THROW((void)glr::trace::readTraceFile(guard.path),
+                 std::runtime_error);
+  }
+}
+
 TEST(TraceErrors, MissingFileThrows) {
   EXPECT_THROW((void)glr::trace::readTraceFile("no_such_trace_file.bin"),
                std::runtime_error);
@@ -332,7 +347,7 @@ TEST(TraceSignalDeathTest, SigtermFinalizeKeepsEveryRecord) {
       {
         glr::trace::Recorder::installSignalFinalize();
         glr::sim::Simulator sim;
-        glr::trace::Recorder rec(sim, guard.path, 1 << 16);
+        glr::trace::Recorder rec(sim, guard.path);
         for (int i = 0; i < 10000; ++i) {
           rec.record(EventType::kSend, i, i + 1, 0, i);
         }
@@ -343,6 +358,40 @@ TEST(TraceSignalDeathTest, SigtermFinalizeKeepsEveryRecord) {
   ASSERT_EQ(records.size(), 10000u);
   EXPECT_EQ(records.back().node, 9999);
   EXPECT_EQ(records.back().msgSeq, 9999);
+}
+
+TEST(TraceSignalDeathTest, SigtermDuringBatchWriteLeavesIntactPrefix) {
+  // A timer's SIGTERM lands wherever record() happens to be, often inside
+  // a batch write; the finalize must still leave a finalized file holding a
+  // gap-free prefix of what was recorded.
+  const PathGuard guard{tempPath("sigterm-timer")};
+  for (long delayUs = 500; delayUs <= 5000; delayUs += 500) {
+    SCOPED_TRACE(delayUs);
+    EXPECT_EXIT(
+        {
+          glr::trace::Recorder::installSignalFinalize();
+          glr::sim::Simulator sim;
+          glr::trace::Recorder rec(sim, guard.path);
+          sigevent event{};
+          event.sigev_notify = SIGEV_SIGNAL;
+          event.sigev_signo = SIGTERM;
+          timer_t timer{};
+          itimerspec due{};
+          due.it_value.tv_nsec = delayUs * 1000;
+          if (::timer_create(CLOCK_MONOTONIC, &event, &timer) != 0 ||
+              ::timer_settime(timer, 0, &due, nullptr) != 0) {
+            std::_Exit(1);
+          }
+          for (std::int32_t i = 0; i < (1 << 22); ++i) {
+            rec.record(EventType::kSend, i, 0, 0, i);
+          }
+        },
+        testing::KilledBySignal(SIGTERM), "");
+    const std::vector<Record> records = glr::trace::readTraceFile(guard.path);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(records[i].node, static_cast<std::int32_t>(i));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -371,13 +420,11 @@ TEST(TraceFormat, TracedScenarioBytesPinned) {
 TEST(TracingOff, DefaultKnobsReproduceKernelGoldenBitIdentically) {
   ScenarioConfig cfg;
   cfg.tracePath.clear();
-  cfg.traceRingCapacity = 1 << 16;
   cfg.nodeCountersPath.clear();
   const ScenarioConfig defaults;
   EXPECT_EQ(glr::ckpt::configDigest(cfg), glr::ckpt::configDigest(defaults));
-  // The digest skips output paths and the ring size; compare them directly.
+  // The digest skips output paths; compare them directly.
   EXPECT_EQ(cfg.tracePath, defaults.tracePath);
-  EXPECT_EQ(cfg.traceRingCapacity, defaults.traceRingCapacity);
   EXPECT_EQ(cfg.nodeCountersPath, defaults.nodeCountersPath);
 }
 

@@ -61,24 +61,11 @@ int cmdSummary(const std::string& path) {
     std::printf("time span          [%.6f, %.6f] sim-s\n",
                 records.front().time, records.back().time);
   }
-  std::printf("created            %llu\n",
-              static_cast<unsigned long long>(t.created));
-  std::printf("delivered          %llu\n",
-              static_cast<unsigned long long>(t.delivered));
-  std::printf("duplicates         %llu\n",
-              static_cast<unsigned long long>(t.duplicates));
-  std::printf("sends              %llu\n",
-              static_cast<unsigned long long>(t.sends));
-  std::printf("custody accepts    %llu\n",
-              static_cast<unsigned long long>(t.custodyAccepts));
-  std::printf("custody refusals   %llu\n",
-              static_cast<unsigned long long>(t.custodyRefusals));
-  std::printf("drops (eviction)   %llu\n",
-              static_cast<unsigned long long>(t.drops));
-  std::printf("expiries (TTL)     %llu\n",
-              static_cast<unsigned long long>(t.expiries));
-  std::printf("suspicions         %llu\n",
-              static_cast<unsigned long long>(t.suspicions));
+#define GLR_PRINT_TOTAL(name, value, text, counter) \
+  std::printf("%-18s %llu\n", text,                 \
+              static_cast<unsigned long long>(t.counter));
+  GLR_TRACE_EVENTS(GLR_PRINT_TOTAL)
+#undef GLR_PRINT_TOTAL
   return 0;
 }
 
@@ -142,14 +129,15 @@ int cmdRecover(const std::string& path, const std::string& out) {
   return 0;
 }
 
-// Writes a tiny synthetic trace through the real Recorder (ring + writer
-// thread + finalize), reads it back, and checks the replayed totals — a CI
-// smoke for the whole binary path without running a scenario.
+// Writes a tiny synthetic trace through the real Recorder (batch writer +
+// finalize), reads it back, and checks the replayed totals; then salvages a
+// hand-made crashed copy with recover and rewrites it through the same
+// writer — a CI smoke for the whole binary path without running a scenario.
 int cmdSelftest() {
   const std::string path = "trace_inspect_selftest.bin";
   glr::sim::Simulator sim;
   {
-    glr::trace::Recorder rec(sim, path, 128);
+    glr::trace::Recorder rec(sim, path);
     rec.record(EventType::kCreated, 0, 5, 0, 0);
     for (int hop = 0; hop < 3; ++hop) {
       rec.record(EventType::kSend, hop, hop + 1, 0, 0,
@@ -161,8 +149,9 @@ int cmdSelftest() {
   }
   const auto records = glr::trace::readTraceFile(path);
   const auto t = glr::trace::replayTotals(records);
-  const bool ok = records.size() == 6 && t.created == 1 && t.sends == 3 &&
-                  t.custodyAccepts == 1 && t.delivered == 1;
+  const bool ok = records.size() == 6 && t.created == 1 &&
+                  t.glrDataSent == 3 && t.glrCustodyAcksSent == 1 &&
+                  t.delivered == 1;
   std::remove(path.c_str());
   if (!ok) {
     std::fprintf(stderr, "selftest FAILED: %zu records\n", records.size());
