@@ -18,14 +18,13 @@
 /// and explicitly instantiated for both archives.
 ///
 /// The unordered-container visits additionally reproduce *hash table
-/// iteration order*, which several tables expose to the simulation (e.g.
-/// the neighbor table drives hello payload order, which drives LDTG
-/// construction, which drives routing): libstdc++ keeps each bucket's
-/// members contiguous in iteration order, so any reachable order is rebuilt
-/// by rehashing to the saved bucket count and inserting in reverse of the
-/// saved order — and the rebuilt order is then *verified* element by
-/// element, so a standard library where that reasoning fails produces a
-/// loud error at restore time, never silent divergence at run time.
+/// iteration order*, which a loop over a table can expose to the
+/// simulation: libstdc++ keeps each bucket's members contiguous in
+/// iteration order, so any reachable order is rebuilt by rehashing to the
+/// saved bucket count and inserting in reverse of the saved order — and the
+/// rebuilt order is then *verified* element by element, so a standard
+/// library where that reasoning fails produces a loud error at restore
+/// time, never silent divergence at run time.
 
 #include <array>
 #include <bit>

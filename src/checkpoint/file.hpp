@@ -27,7 +27,7 @@
 namespace glr::ckpt {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4B524C47;  // "GLRK"
-inline constexpr std::uint16_t kCheckpointVersion = 5;
+inline constexpr std::uint16_t kCheckpointVersion = 6;
 
 /// FNV-1a 64-bit over a byte range; also used for the config digest.
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n,

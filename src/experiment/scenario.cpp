@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <memory>
-#include <numbers>
 #include <stdexcept>
 
 #include "checkpoint/event_kinds.hpp"
@@ -89,28 +87,6 @@ AgentFactory agentFactory(const ScenarioConfig& cfg) {
   hello.helloInterval = cfg.helloInterval;
   hello.expiry = 3.0 * cfg.helloInterval;
   hello.evictAfterFactor = cfg.neighborEvictAfterFactor;
-  // Population-derived pre-sizing. Expected 1-hop degree is density x the
-  // radio disk (N * pi * r^2 / area); the table gets 2x headroom. Raising
-  // only (never lowering) the default matters: the bucket count steers
-  // unordered-map iteration order, which feeds hello payload order, so
-  // paper-scale scenarios (degree << default) must keep the exact default
-  // the pinned goldens were recorded with. City-scale densities that
-  // genuinely exceed it have no pinned goldens and take the derived size.
-  const double expectedDegree =
-      static_cast<double>(cfg.numNodes) * std::numbers::pi * cfg.radius *
-      cfg.radius / (cfg.areaWidth * cfg.areaHeight);
-  const auto derivedNeighbors =
-      static_cast<std::size_t>(std::ceil(2.0 * expectedDegree));
-  if (cfg.neighborEvictAfterFactor > 0.0) {
-    // Scale mode (bounded tables) has no pinned goldens — its results are
-    // validated by the in-bench A/B matrix instead — so the table can take
-    // the exact derived size; at paper densities that is ~5x fewer buckets
-    // per node than the legacy default.
-    hello.expectedNeighbors = std::max<std::size_t>(derivedNeighbors, 4);
-  } else {
-    hello.expectedNeighbors =
-        std::max(hello.expectedNeighbors, derivedNeighbors);
-  }
   // A node never usefully holds more copies than the workload creates;
   // +16 covers in-flight custody branches.
   const std::size_t copiesHint =

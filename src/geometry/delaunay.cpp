@@ -308,9 +308,10 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
   const int s0 = static_cast<int>(n);
   b.lastAlive = b.newTriangle(s0, s0 + 1, s0 + 2);
 
-  // Insert unique points in original input order (the order affects which
-  // of several valid triangulations degenerate cocircular sets settle on,
-  // so it must stay what it always was).
+  // Insert unique points in input order: the order decides which of
+  // several valid triangulations a degenerate cocircular set settles on.
+  // A route check's input is NeighborService::knowledge(), whose one-hop
+  // part comes in ascending id order.
   for (std::size_t i = 0; i < n; ++i) {
     if (result.duplicateOf_[i] == static_cast<int>(i)) {
       b.insert(static_cast<int>(i));

@@ -1,9 +1,11 @@
 #include "net/neighbor.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
@@ -83,9 +85,6 @@ NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
   if (params_->helloInterval <= 0.0 || params_->expiry <= 0.0) {
     throw std::invalid_argument{"NeighborService: bad interval/expiry"};
   }
-  // Size the 1-hop table for the expected neighborhood up front so the
-  // per-hello inserts on the hot path never rehash.
-  table_.reserve(params_->expectedNeighbors);
 }
 
 NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
@@ -96,6 +95,20 @@ NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
 
 bool NeighborService::fresh(const NeighborRecord& r) const {
   return sim_.now() - r.heard <= params_->expiry;
+}
+
+std::size_t NeighborService::lowerBound(int id) const {
+  // A linear scan: tables hold tens of entries at most, where it beats a
+  // binary search's mispredicted branches and a count over every entry
+  // (which the compiler vectorizes into strided loads).
+  std::size_t i = 0;
+  while (i < table_.size() && table_[i].id < id) ++i;
+  return i;
+}
+
+const NeighborService::NeighborRecord* NeighborService::find(int id) const {
+  const std::size_t i = lowerBound(id);
+  return i < table_.size() && table_[i].id == id ? &table_[i].rec : nullptr;
 }
 
 void NeighborService::start() {
@@ -134,7 +147,7 @@ void NeighborService::sendHello() {
   NeighborList* list = nullptr;
   if (params_->includeNeighborList) {
     std::size_t freshCount = 0;
-    for (const auto& [id, rec] : table_) freshCount += fresh(rec) ? 1 : 0;
+    for (const Entry& e : table_) freshCount += fresh(e.rec) ? 1 : 0;
     list = &freeHelloList(freshCount);
     list->clear();
   }
@@ -142,28 +155,32 @@ void NeighborService::sendHello() {
   const double evictHorizon = params_->evictAfterFactor > 0.0
                                   ? params_->evictAfterFactor * params_->expiry
                                   : 0.0;
-  for (auto it = table_.begin(); it != table_.end();) {
-    NeighborRecord& rec = it->second;
+  // One pass lists the fresh entries and closes up over evicted ones, so
+  // the kept entries stay in id order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    NeighborRecord& rec = table_[i].rec;
     if (fresh(rec)) {
       if (list != nullptr) {
-        list->push_back({it->first, rec.pos, rec.heard});
+        list->push_back({table_[i].id, rec.pos, rec.heard});
         bytes += params_->perNeighborBytes;
       }
-      ++it;
-      continue;
-    }
-    // Stale record. Its reported list is dead weight: no reader looks at a
-    // stale record's entries, and a future hello from this id replaces
-    // them, so dropping the reference now is observation-equivalent and
-    // lets the sender reuse or free the block.
-    rec.reported.reset();
-    if (evictHorizon > 0.0 &&
-        sim_.now() - rec.heard > params_->expiry + evictHorizon) {
-      it = table_.erase(it);
     } else {
-      ++it;
+      // Stale record. Its reported list is dead weight: no reader looks at
+      // a stale record's entries, and a future hello from this id replaces
+      // them, so dropping the reference now is observation-equivalent and
+      // lets the sender reuse or free the block.
+      rec.reported.reset();
+      if (evictHorizon > 0.0 &&
+          sim_.now() - rec.heard > params_->expiry + evictHorizon) {
+        continue;
+      }
     }
+    if (kept != i) table_[kept] = std::move(table_[i]);
+    ++kept;
   }
+  table_.erase(table_.begin() + static_cast<std::ptrdiff_t>(kept),
+               table_.end());
   if (list != nullptr) hello.neighbors = *list;
   Packet p;
   p.bytes = bytes;
@@ -202,13 +219,26 @@ void NeighborList::visit(Ar& ar) {
 }
 
 template <class Ar>
-void NeighborService::visit(Ar& ar) {
+void NeighborService::visit(Ar& ar, std::size_t numNodes) {
   ar.rng(rng_);
-  ar.unorderedMap(table_, [&](int& id, NeighborRecord& rec) {
-    ar.i32(id);
-    ckpt::visit(ar, rec.pos);
-    ar.f64(rec.heard);
-    rec.reported.visit(ar);
+  // Each entry is at least its id, position, time and list count.
+  int previous = -1;
+  ar.sequence(table_, 36, [&](Entry& e) {
+    ar.i32(e.id);
+    if constexpr (Ar::kLoading) {
+      if (e.id < 0 || static_cast<std::size_t>(e.id) >= numNodes) {
+        ar.fail("neighbor id " + std::to_string(e.id) + " outside [0, " +
+                std::to_string(numNodes) + ")");
+      }
+      if (e.id <= previous) {
+        ar.fail("neighbor id " + std::to_string(e.id) +
+                " does not ascend from " + std::to_string(previous));
+      }
+      previous = e.id;
+    }
+    ckpt::visit(ar, e.rec.pos);
+    ar.f64(e.rec.heard);
+    e.rec.reported.visit(ar);
   });
   ar.u64(hellosSent_);
   ar.u64(hellosReceived_);
@@ -219,8 +249,8 @@ template void HelloEntry::visit(ckpt::Encoder&);
 template void HelloEntry::visit(ckpt::Decoder&);
 template void NeighborList::visit(ckpt::Encoder&);
 template void NeighborList::visit(ckpt::Decoder&);
-template void NeighborService::visit(ckpt::Encoder&);
-template void NeighborService::visit(ckpt::Decoder&);
+template void NeighborService::visit(ckpt::Encoder&, std::size_t);
+template void NeighborService::visit(ckpt::Decoder&, std::size_t);
 
 bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {
   if (packet.kind != kHelloKind) return false;
@@ -228,7 +258,15 @@ bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {
   if (hello == nullptr) return false;
   ++hellosReceived_;
 
-  NeighborRecord& rec = table_[hello->id];
+  const std::size_t at = lowerBound(hello->id);
+  if (at == table_.size() || table_[at].id != hello->id) {
+    // Grow by one entry, not by doubling: a new neighbor is rare next to
+    // its hellos, and a table held at its size keeps idle nodes small.
+    if (table_.size() == table_.capacity()) table_.reserve(table_.size() + 1);
+    table_.insert(table_.begin() + static_cast<std::ptrdiff_t>(at),
+                  Entry{.id = hello->id, .rec = {}});
+  }
+  NeighborRecord& rec = table_[at].rec;
   const bool wasFresh = fresh(rec);
   rec.pos = hello->pos;
   rec.heard = sim_.now();
@@ -245,40 +283,41 @@ bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {
 std::vector<int> NeighborService::currentNeighbors() const {
   std::vector<int> out;
   out.reserve(table_.size());
-  for (const auto& [id, rec] : table_) {
-    if (fresh(rec)) out.push_back(id);
+  for (const Entry& e : table_) {
+    if (fresh(e.rec)) out.push_back(e.id);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool NeighborService::isNeighbor(int id) const {
-  const auto it = table_.find(id);
-  return it != table_.end() && fresh(it->second);
+  const NeighborRecord* rec = find(id);
+  return rec != nullptr && fresh(*rec);
 }
 
 std::optional<geom::Point2> NeighborService::neighborPosition(int id) const {
-  const auto it = table_.find(id);
-  if (it == table_.end() || !fresh(it->second)) return std::nullopt;
-  return it->second.pos;
+  const NeighborRecord* rec = find(id);
+  if (rec == nullptr || !fresh(*rec)) return std::nullopt;
+  return rec->pos;
 }
 
 const NeighborList& NeighborService::reportedBy(int id) const {
   static const NeighborList kNone;
-  const auto it = table_.find(id);
-  return it != table_.end() ? it->second.reported : kNone;
+  const NeighborRecord* rec = find(id);
+  return rec != nullptr ? rec->reported : kNone;
 }
 
 void NeighborService::knowledge(std::vector<spanner::KnownNode>& out) const {
   KnowledgeScratch& s = knowledgeScratch();
   s.begin();
   out.clear();
-  for (const auto& [id, rec] : table_) {
-    if (fresh(rec)) s.add(out, {id, rec.pos, /*oneHop=*/true}, rec.heard);
+  for (const Entry& e : table_) {
+    if (fresh(e.rec)) {
+      s.add(out, {e.id, e.rec.pos, /*oneHop=*/true}, e.rec.heard);
+    }
   }
-  for (const auto& [id, rec] : table_) {
-    if (!fresh(rec)) continue;
-    for (const HelloEntry& e : rec.reported) {
+  for (const Entry& n : table_) {
+    if (!fresh(n.rec)) continue;
+    for (const HelloEntry& e : n.rec.reported) {
       if (e.id == self_) continue;
       const std::size_t i = s.find(e.id, out);
       if (i == out.size()) {

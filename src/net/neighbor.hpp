@@ -18,7 +18,6 @@
 #include <new>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -158,17 +157,12 @@ class NeighborService : public sim::EventSink {
     std::size_t baseBytes = 20;    // id + position + timestamp
     std::size_t perNeighborBytes = 12;
     bool includeNeighborList = true;  // piggyback 1-hop table (2-hop info)
-    /// Expected 1-hop neighborhood size; the table reserves this many
-    /// buckets up front so steady-state hello handling never rehashes.
-    std::size_t expectedNeighbors = 32;
     /// Steady-state memory bound for long/large runs: records that have
     /// been stale for more than `evictAfterFactor * expiry` seconds are
     /// erased during the beacon sweep. 0 (default) keeps every record for
     /// the life of the node — the historical behavior the goldens were
     /// recorded under. Eviction never changes which neighbors are *fresh*,
-    /// but re-inserting a previously-erased id can land at a different
-    /// hash-table position than an in-place update would have, which can
-    /// reorder hello payloads — hence opt-in rather than always-on.
+    /// and a re-heard id goes back to its place in id order.
     double evictAfterFactor = 0.0;
   };
 
@@ -225,10 +219,10 @@ class NeighborService : public sim::EventSink {
   [[nodiscard]] const NeighborList& reportedBy(int id) const;
 
   /// Replaces `out` with the node's <= 2-hop knowledge for LDTG
-  /// construction: fresh 1-hop neighbors (as oneHop) in table order, then
-  /// the nodes they reported (as two-hop), deduplicated keeping the freshest
-  /// observation. Runs once per route check; with a reused `out` it is
-  /// allocation-free once the thread's id table covers the ids seen.
+  /// construction: fresh 1-hop neighbors (as oneHop) in ascending id order,
+  /// then the nodes they reported (as two-hop), deduplicated keeping the
+  /// freshest observation. Runs once per route check; with a reused `out`
+  /// it is allocation-free once the thread's id table covers the ids seen.
   void knowledge(std::vector<spanner::KnownNode>& out) const;
 
   [[nodiscard]] std::uint64_t hellosSent() const { return hellosSent_; }
@@ -240,12 +234,11 @@ class NeighborService : public sim::EventSink {
     return helloSendFailures_;
   }
 
-  /// Checkpoint support. The neighbor table's *iteration order* is
-  /// observable (it drives hello payload order and knowledge(), which drive
-  /// LDTG construction and routing), so it round-trips through the
-  /// order-preserving container codec.
+  /// Checkpoint support. The table is written as a plain sequence in id
+  /// order; a restore refuses ids that are not strictly ascending or lie
+  /// outside [0, numNodes), so every neighbor id indexes a node.
   template <class Ar>
-  void visit(Ar& ar);
+  void visit(Ar& ar, std::size_t numNodes);
 
   /// Fires a hello beacon event (kHello, see checkpoint/event_kinds.hpp).
   void onEvent(const sim::EventDesc& /*desc*/) override { sendHello(); }
@@ -260,8 +253,16 @@ class NeighborService : public sim::EventSink {
     sim::SimTime heard = -1e18;
     NeighborList reported;
   };
+  struct Entry {
+    int id = -1;
+    NeighborRecord rec;
+  };
 
   void sendHello();
+  /// Index of `id`'s entry, or of the entry it would go before.
+  [[nodiscard]] std::size_t lowerBound(int id) const;
+  /// `id`'s record, or null when the table has none.
+  [[nodiscard]] const NeighborRecord* find(int id) const;
   /// A block of the hello list pool that no receiver holds, with room for
   /// `entries`, moved to the front slot.
   NeighborList& freeHelloList(std::size_t entries);
@@ -274,7 +275,9 @@ class NeighborService : public sim::EventSink {
   std::shared_ptr<const Params> params_;
   sim::Rng rng_;
 
-  std::unordered_map<int, NeighborRecord> table_;
+  /// Every neighbor heard and not evicted, in ascending id order: the
+  /// order of hello lists, knowledge() and currentNeighbors().
+  std::vector<Entry> table_;
   /// This node's two hello list blocks, the newest in front. A hello's
   /// receivers hold its block until the next hello from here replaces it,
   /// so a beacon can nearly always refill the older block in place.

@@ -76,7 +76,7 @@ void AgentBase::deliverHere(const dtn::Message& m, int hops) {
 template <class Ar>
 void AgentBase::visitState(Ar& ar) {
   ar.rng(rng_);
-  neighbors_.visit(ar);
+  neighbors_.visit(ar, world_.numNodes());
   buffer_.visit(ar);
   ckpt::visitBuiltOnUse(ar, deliveredHere_, [&](auto& delivered) {
     ar.unorderedSet(delivered,

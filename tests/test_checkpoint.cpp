@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +35,9 @@
 #include "experiment/scenario.hpp"
 #include "mac/channel.hpp"
 #include "mac/mac.hpp"
+#include "net/neighbor.hpp"
+#include "net/packet.hpp"
+#include "net/payload.hpp"
 #include "phy/propagation.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -883,18 +887,24 @@ TEST(CheckpointCodec, BadTreeFlagRefused) {
       "invalid tree flag");
 }
 
-/// Encodes a lone, never-transmitting MAC, replaces its transmit end with
-/// `end` and expects the restore to refuse it.
-void expectTransmitEndRefused(double end) {
+/// One node's MAC on a channel of its own, outside any world.
+struct LoneMac {
   glr::sim::Simulator sim;
   glr::phy::TwoRayGround model;
-  const glr::phy::RadioParams radio;
+  glr::phy::RadioParams radio;
   glr::mac::Channel channel{sim, model,
                             glr::phy::solveThresholds(model, radio),
                             radio.txPowerW,
                             [](int) { return glr::geom::Point2{}; }};
   glr::mac::Mac mac{sim, channel, 0, glr::mac::MacParams{},
                     glr::sim::Rng{1}};
+};
+
+/// Encodes a lone, never-transmitting MAC, replaces its transmit end with
+/// `end` and expects the restore to refuse it.
+void expectTransmitEndRefused(double end) {
+  LoneMac lone;
+  glr::mac::Mac& mac = lone.mac;
   Encoder e;
   mac.visit(e);
   std::vector<unsigned char> bytes = e.data();
@@ -926,6 +936,67 @@ TEST(CheckpointCodec, NanTransmitEndRefused) {
 
 TEST(CheckpointCodec, InfiniteTransmitEndRefused) {
   expectTransmitEndRefused(std::numeric_limits<double>::infinity());
+}
+
+/// Encodes the hello service of node 0 in a 4-node world after it heard
+/// nodes 3, 1 and 2, writes `ids` over its three table ids and expects the
+/// restore to refuse them with `what`.
+void expectNeighborIdsRefused(const std::vector<int>& ids,
+                              const std::string& what) {
+  constexpr std::size_t kNodes = 4;
+  LoneMac lone;
+  struct AtOrigin final : glr::net::NeighborService::Owner {
+    glr::geom::Point2 helloPosition() override { return {}; }
+  } owner;
+  glr::net::NeighborService service{lone.sim, lone.mac, 0, owner,
+                                    glr::net::NeighborService::Params{},
+                                    glr::sim::Rng{1}};
+  for (const int id : {3, 1, 2}) {
+    glr::net::HelloPayload payload;
+    payload.id = id;
+    glr::net::Packet hello;
+    hello.kind = glr::net::kHelloKind;
+    hello.payload = glr::net::Payload::of(payload);
+    ASSERT_TRUE(service.handlePacket(hello, id));
+  }
+  Encoder e;
+  service.visit(e, kNodes);
+  std::vector<unsigned char> bytes = e.data();
+  // The table follows the RNG (32 bytes) and its count (8); each entry is
+  // its id, position, time and an empty list's count: 36 bytes.
+  constexpr std::size_t kFirstId = 40;
+  constexpr std::size_t kEntry = 36;
+  ASSERT_EQ(bytes.size(), kFirstId + 3 * kEntry + 24);
+  Decoder unpatched{bytes.data(), bytes.size(), "test section"};
+  service.visit(unpatched, kNodes);  // ids 1, 2, 3 restore
+  ASSERT_EQ(ids.size(), 3u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Encoder id;
+    id.i32(ids[i]);
+    std::copy(id.data().begin(), id.data().end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(kFirstId +
+                                                          i * kEntry));
+  }
+  Encoder patched;
+  patched.bytes(bytes.data(), bytes.size());
+  expectDecodeRefused(
+      patched, [&](Decoder& d) { service.visit(d, kNodes); }, what);
+}
+
+TEST(CheckpointCodec, DuplicateNeighborIdRefused) {
+  expectNeighborIdsRefused({1, 2, 2}, "neighbor id 2 does not ascend from 2");
+}
+
+TEST(CheckpointCodec, DescendingNeighborIdsRefused) {
+  expectNeighborIdsRefused({1, 3, 2}, "neighbor id 2 does not ascend from 3");
+}
+
+TEST(CheckpointCodec, OutOfRangeNeighborIdRefused) {
+  expectNeighborIdsRefused({1, 2, 4}, "neighbor id 4 outside [0, 4)");
+  expectNeighborIdsRefused({-1, 2, 3}, "neighbor id -1 outside [0, 4)");
+  // An id this large would size knowledge()'s id table to 2^31 slots.
+  expectNeighborIdsRefused({1, 2, std::numeric_limits<std::int32_t>::max()},
+                           "neighbor id 2147483647 outside [0, 4)");
 }
 
 TEST(CheckpointCodec, UnreachableMapOrderRefused) {

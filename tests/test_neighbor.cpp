@@ -1,15 +1,20 @@
 // Tests for the IMEP-like neighbor/location sensing service on a small
 // simulated network: discovery, expiry, 2-hop knowledge, contact events,
-// the shared hello neighbor lists and the checkpoint round trip.
+// the table's id order, the shared hello neighbor lists and the checkpoint
+// round trip.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
 #include "checkpoint/codec.hpp"
 #include "net/neighbor.hpp"
+#include "net/packet.hpp"
+#include "net/payload.hpp"
 #include "net/world.hpp"
 #include "phy/propagation.hpp"
 #include "sim/rng.hpp"
@@ -174,14 +179,14 @@ TEST(Neighbor, SnapshotRestoreKeepsKnowledge) {
   Harness saved{line};
   saved.sim.run(6.0);
   glr::ckpt::Encoder e;
-  saved.agents[1]->service().visit(e);
+  saved.agents[1]->service().visit(e, line.size());
 
   // A different world at the same clock, whose node 1 knows other nodes
   // until the snapshot overwrites its table.
   Harness restored{{{0, 0}, {150, 0}, {300, 0}, {900, 900}}};
   restored.sim.run(6.0);
   glr::ckpt::Decoder d{e.data().data(), e.data().size(), "neighbor test"};
-  restored.agents[1]->service().visit(d);
+  restored.agents[1]->service().visit(d, line.size());
   d.expectEnd();
 
   std::vector<glr::spanner::KnownNode> want;
@@ -196,8 +201,80 @@ TEST(Neighbor, SnapshotRestoreKeepsKnowledge) {
     EXPECT_EQ(got[i].oneHop, want[i].oneHop) << i;
   }
   glr::ckpt::Encoder again;
-  restored.agents[1]->service().visit(again);
+  restored.agents[1]->service().visit(again, line.size());
   EXPECT_EQ(again.data(), e.data());
+}
+
+/// A hello from `id` at `pos` that reports no neighbors.
+Packet helloFrom(int id, Point2 pos) {
+  glr::net::HelloPayload hello;
+  hello.id = id;
+  hello.pos = pos;
+  Packet p;
+  p.kind = glr::net::kHelloKind;
+  p.payload = glr::net::Payload::of(hello);
+  return p;
+}
+
+/// The number of records in `service`'s table, as its snapshot writes it
+/// (the count after the 32-byte RNG state).
+std::uint64_t tableSize(NeighborService& service) {
+  glr::ckpt::Encoder e;
+  service.visit(e, 6);
+  glr::ckpt::Decoder d{e.data().data() + 32, 8, "table size"};
+  return d.u64();
+}
+
+TEST(Neighbor, TableOrderIsAscendingIdsAfterEvictionAndReinsert) {
+  // Node 0 hears a listener (node 1) through its beacons and nodes 5, 4, 3
+  // and 2, far out of radio range, through hellos handed to it directly,
+  // in descending id order. Node 2 then falls silent until it is evicted,
+  // and is heard again.
+  NeighborService::Params params;
+  params.evictAfterFactor = 1.0;  // evict 2 s after a record goes stale
+  Harness h{{{0, 0},
+             {100, 0},
+             {5000, 0},
+             {10000, 0},
+             {15000, 0},
+             {20000, 0}},
+            250.0,
+            params};
+  NeighborService& service = h.agents[0]->service();
+  const auto hear = [&](std::initializer_list<int> ids) {
+    for (const int id : ids) {
+      ASSERT_TRUE(service.handlePacket(helloFrom(id, {1.0 * id, 0}), id));
+    }
+  };
+  hear({5, 4, 3, 2});
+  double t = 0.0;
+  for (; t < 6.0; t += 0.25) {
+    h.sim.run(t);
+    hear({5, 4, 3});
+  }
+  EXPECT_FALSE(service.isNeighbor(2));
+  EXPECT_EQ(tableSize(service), 4u);  // 1, 3, 4 and 5: 2 was evicted
+  hear({2});
+  EXPECT_EQ(tableSize(service), 5u);
+  // Keep all four fresh until node 0 has beaconed at least once more.
+  for (; t < 7.5; t += 0.25) {
+    h.sim.run(t);
+    hear({5, 4, 3, 2});
+  }
+  const std::vector<int> ascending{1, 2, 3, 4, 5};
+  std::vector<int> listed;
+  for (const glr::net::HelloEntry& e : h.agents[1]->service().reportedBy(0)) {
+    listed.push_back(e.id);
+  }
+  EXPECT_EQ(listed, ascending);
+  std::vector<glr::spanner::KnownNode> knowledge;
+  service.knowledge(knowledge);
+  std::vector<int> oneHop;
+  for (const auto& kn : knowledge) {
+    if (kn.oneHop) oneHop.push_back(kn.id);
+  }
+  EXPECT_EQ(oneHop, ascending);
+  EXPECT_EQ(service.currentNeighbors(), ascending);
 }
 
 TEST(Neighbor, HelloTrafficCounted) {
