@@ -310,7 +310,7 @@ TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Format pin: the GLRK v5 bytes of one small snapshot per protocol family
+// Format pin: the GLRK v6 bytes of one small snapshot per protocol family
 // (plus the calendar kernel) are fixed, so existing .ckpt files and in-cell
 // sweep snapshots keep restoring and snapshot sizes cannot drift silently.
 // A deliberate layout change must bump kCheckpointVersion, not re-pin; a
@@ -336,7 +336,7 @@ void expectPinnedDigest(ScenarioConfig cfg, const std::string& name,
   const std::vector<char> bytes = slurp(path);
   EXPECT_EQ(glr::ckpt::fnv1a64(bytes.data(), bytes.size()), digest)
       << name << ": checkpoint bytes changed (" << bytes.size()
-      << " bytes) — the GLRK v5 format is pinned";
+      << " bytes) — the GLRK v6 format is pinned";
   removeSnapshots(path);
 }
 
@@ -344,7 +344,7 @@ TEST(CheckpointFormat, GlrSnapshotBytesPinned) {
   ScenarioConfig cfg = pinnedScenario(Protocol::kGlr, 41);
   cfg.numMessages = 30;
   expectPinnedDigest(cfg, "pin_glr.bin",
-                     0x84f28f17666bee54ULL);
+                     0x256e60d92e71299dULL);
 }
 
 TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
@@ -353,7 +353,7 @@ TEST(CheckpointFormat, EpidemicSnapshotBytesPinned) {
   cfg.traffic.rate = 3.0;
   cfg.messageTtl = 60.0;
   expectPinnedDigest(cfg, "pin_epidemic.bin",
-                     0x03851297df5a5a5fULL);
+                     0x714f900cb9a2599dULL);
 }
 
 TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
@@ -362,7 +362,7 @@ TEST(CheckpointFormat, SprayAndWaitSnapshotBytesPinned) {
   cfg.traffic.model = "hotspot";
   cfg.traffic.rate = 3.0;
   expectPinnedDigest(cfg, "pin_spray.bin",
-                     0xd0a8dc62509ac34bULL);
+                     0x0fe090fe8c1263a9ULL);
 }
 
 TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
@@ -370,7 +370,7 @@ TEST(CheckpointFormat, DirectDeliverySnapshotBytesPinned) {
   cfg.traffic.model = "flashcrowd";
   cfg.traffic.rate = 2.0;
   expectPinnedDigest(cfg, "pin_direct.bin",
-                     0x3b1609a435e0c39fULL);
+                     0xf38a4d80e976778dULL);
 }
 
 TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
@@ -378,7 +378,7 @@ TEST(CheckpointFormat, CalendarQueueSnapshotBytesPinned) {
   cfg.numMessages = 30;
   cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
   expectPinnedDigest(cfg, "pin_calendar.bin",
-                     0xe6a6162a720c1221ULL);
+                     0xa3c6b028ff9d73b6ULL);
 }
 
 // ---------------------------------------------------------------------------
